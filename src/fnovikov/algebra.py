@@ -140,15 +140,12 @@ class Algebra:
             for j in range(n)
         ]
 
-    def left_ops(self):
-        return [self.left_op(basis_element(self.dim, i)) for i in range(self.dim)]
-
     def int_tensor(self):
-        """The structure constants times the lcm of their denominators, as
-        a nested list of ints indexed like c."""
+        """(C, den): C is the structure constants times den, the lcm of
+        their denominators, as a nested list of ints indexed like c."""
         n = self.dim
-        flat, _ = scale_to_int([vec for row in self.c for vec in row])
-        return [flat[i * n:(i + 1) * n] for i in range(n)]
+        flat, den = scale_to_int([vec for row in self.c for vec in row])
+        return [flat[i * n:(i + 1) * n] for i in range(n)], den
 
     def derived_dim(self) -> int:
         """Dimension of the span of all basis products e_i e_j."""
@@ -162,8 +159,9 @@ class Algebra:
 # the structure constants, so scaling them to integers keeps each verdict.
 
 
-def _right_rows(C, n):
+def int_right_ops(C):
     """rows[j][m][t] = C[t][j][m]: row m of the integer matrix of R_{e_j}."""
+    n = len(C)
     return [[[C[t][j][m] for t in range(n)] for m in range(n)] for j in range(n)]
 
 
@@ -174,8 +172,8 @@ def _dot(u, v):
 def check_left_symmetric(A: Algebra) -> bool:
     """(xy)z - x(yz) = (yx)z - y(xz) on all basis triples."""
     n = A.dim
-    C = A.int_tensor()
-    right = _right_rows(C, n)
+    C, _ = A.int_tensor()
+    right = int_right_ops(C)
     # left[i][m][t] = C[i][t][m]: row m of the integer matrix of L_{e_i}
     left = [[[C[i][t][m] for t in range(n)] for m in range(n)] for i in range(n)]
     for i in range(n):
@@ -197,8 +195,8 @@ def check_left_symmetric(A: Algebra) -> bool:
 def _right_ops_relation(A: Algebra, sign, diagonal) -> bool:
     """R_i R_j + sign * R_j R_i = 0 for all i < j (i <= j with diagonal)."""
     n = A.dim
-    C = A.int_tensor()
-    right = _right_rows(C, n)
+    C, _ = A.int_tensor()
+    right = int_right_ops(C)
     # column t of R_{e_j} is C[t][j], so (R_i R_j)[m][t] = right[i][m] . C[t][j]
     for i in range(n):
         Ri = right[i]
@@ -297,7 +295,9 @@ def search_fermionic_not_novikov(values=(-1, 0, 1)):
                 for coeff, w in ((p1, _WEDGE[0][i]), (p2, _WEDGE[1][i])):
                     if coeff and w is not None:
                         A.c[i][j][w[0]] += coeff * w[1]
-        if check_fermionic(A) and check_left_symmetric(A) and not check_novikov(A):
+        # every rank-2 candidate anticommutes and few are left-symmetric,
+        # so left-symmetry rejects them soonest
+        if check_left_symmetric(A) and check_fermionic(A) and not check_novikov(A):
             yield A
 
 

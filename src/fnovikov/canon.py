@@ -22,7 +22,6 @@ from .scalars import QQ, ZERO, ONE
 from .exactlin import (
     CERTIFY_ATTEMPTS,
     Mat,
-    Poly,
     PolyMat,
     congruent_diagonalize,
     det,
@@ -31,11 +30,20 @@ from .exactlin import (
     inverse,
     int_rank,
     kernel_basis,
+    linear_pencil,
     rank,
     sample_points,
     scale_to_int,
 )
-from .algebra import Algebra, basis_element, check_fermionic, check_left_symmetric, check_novikov, zero_element
+from .algebra import (
+    Algebra,
+    basis_element,
+    check_fermionic,
+    check_left_symmetric,
+    check_novikov,
+    int_right_ops,
+    zero_element,
+)
 from .forms import SymForm, is_invariant, normalize_orientation
 
 
@@ -70,20 +78,8 @@ class CanonReport:
 
 def right_pencil(A: Algebra) -> PolyMat:
     """The pencil sum_j t_j R_{e_j} as a polynomial matrix in n variables."""
-    n = A.dim
-    ops = A.right_ops()
-    data = []
-    for r in range(n):
-        row = []
-        for s in range(n):
-            terms = {}
-            for j in range(n):
-                v = ops[j].data[r][s]
-                if v:
-                    terms[tuple(1 if t == j else 0 for t in range(n))] = v
-            row.append(Poly(n, terms))
-        data.append(row)
-    return PolyMat(n, data, n)
+    C, den = A.int_tensor()
+    return linear_pencil(int_right_ops(C), den)
 
 
 def max_rank_element(A: Algebra, seed):
@@ -107,7 +103,8 @@ def max_rank_element(A: Algebra, seed):
     n = A.dim
     # rank R_x is the rank of the integer matrix with rows x . C[i]: R_x
     # transposed, with x and c scaled to integers.
-    cols = [list(zip(*Ci)) for Ci in A.int_tensor()]
+    C, _ = A.int_tensor()
+    cols = [list(zip(*Ci)) for Ci in C]
 
     def rank_at(x):
         (xi,), _ = scale_to_int([x])

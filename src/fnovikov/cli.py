@@ -1,7 +1,8 @@
 """Command-line surface.
 
-Exit codes: 0 all checks passed, 1 a mathematical property failed,
-2 input or usage error.  The default seed comes from --seed, falling back
+Exit codes: 0 all checks passed, 1 a mathematical property failed
+(including an internal claim: CanonError, GenericPointError), 2 input or
+usage error.  The default seed comes from --seed, falling back
 to the FNOVIKOV_SEED environment variable, then 0.  Reports in --json
 mode contain no timestamps and are byte-stable for a fixed seed.
 """
@@ -14,7 +15,7 @@ import os
 import sys
 
 from .scalars import rational_str
-from .exactlin import Mat
+from .exactlin import GenericPointError, Mat
 from .algebra import (
     Algebra,
     check_fermionic,
@@ -29,6 +30,7 @@ from .forms import (
     DegenerateFormError,
 )
 from .canon import (
+    CanonError,
     CanonReport,
     PreconditionError,
     canonical_basis,
@@ -260,6 +262,9 @@ def main(argv=None) -> int:
         # includes DegenerateFormError / PreconditionError on bad inputs
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (CanonError, GenericPointError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PROPERTY_FAILED
 
 
 if __name__ == "__main__":

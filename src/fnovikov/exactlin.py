@@ -3,8 +3,9 @@
 Everything here is over exact rationals (see scalars.py).  Rational
 matrices are scaled to Python ints over a common denominator for products,
 rank, determinant and row reduction, which run fraction-free; polynomial
-matrices use dense multivariate polynomials and fraction-free (Bareiss)
-elimination so that rank over the fraction field is computed without any
+matrices use dense multivariate polynomials, scaled to integer
+coefficients in the same way, and fraction-free (Bareiss) elimination so
+that rank over the fraction field is computed without any
 rational-function arithmetic.
 
 Pivoting is deterministic everywhere: first nonzero entry in row-major
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import random
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul, sub
 
 from .scalars import QQ, ZERO, ONE
 
@@ -510,11 +511,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def degree(self):
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     def eval(self, point):
         """Evaluate at a sequence of rationals, length nvars."""
         if len(point) != self.nvars:
@@ -533,32 +529,73 @@ class Poly:
 def poly_divexact(a: Poly, b: Poly) -> Poly:
     """Exact polynomial division a / b; raises if the division is not exact.
 
-    Lex-leading-term reduction; exact whenever a is a polynomial multiple
-    of b, which is what the Bareiss recurrence guarantees.
+    Both are scaled to integer coefficients over one denominator, and b
+    then divided by its content g: a / b = (A / B') / g with B' primitive,
+    and by Gauss's lemma A / B' has integer coefficients whenever a is a
+    polynomial multiple of b.
     """
     if b.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
-    if a.is_zero():
-        return Poly.zero(a.nvars)
-    bl = max(b.terms)
-    blc = b.terms[bl]
-    r = dict(a.terms)
+    (A, B), _ = _scale_terms([a, b])
+    g = gcd(*B.values())
+    q = _divexact(A, {e: c // g for e, c in B.items()})
+    return Poly._raw(a.nvars, {e: QQ(c, g) for e, c in q.items()})
+
+
+# Integer term dicts map exponent tuples to nonzero Python ints; the
+# symbolic elimination runs on them, with no rational arithmetic.
+
+
+def _scale_terms(polys):
+    """(term dicts, den): the Polys' terms times den, the lcm of all their
+    coefficient denominators, with int coefficients."""
+    den = lcm(*(int(c.denominator) for p in polys for c in p.terms.values()))
+    return [
+        {e: int(c.numerator) * (den // int(c.denominator)) for e, c in p.terms.items()}
+        for p in polys
+    ], den
+
+
+def _mul_sub(f, g, h, k):
+    """The integer term dict f*g - h*k, built in one pass."""
+    t = {}
+    get = t.get
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            e = tuple(map(add, e1, e2))
+            t[e] = get(e, 0) + c1 * c2
+    for e1, c1 in h.items():
+        for e2, c2 in k.items():
+            e = tuple(map(add, e1, e2))
+            t[e] = get(e, 0) - c1 * c2
+    return {e: c for e, c in t.items() if c}
+
+
+def _divexact(r, b):
+    """The quotient of the integer term dicts r / b, consuming r.
+
+    Lex-leading-term reduction; raises ValueError unless every quotient
+    exponent is non-negative and every coefficient divides exactly, which
+    holds whenever r is a multiple of b with an integer quotient.
+    """
+    bl = max(b)
+    blc = b[bl]
     q = {}
     while r:
         rl = max(r)
-        qe = tuple(x - y for x, y in zip(rl, bl))
-        if any(e < 0 for e in qe):
+        qe = tuple(map(sub, rl, bl))
+        qc, rem = divmod(r[rl], blc)
+        if rem or (qe and min(qe) < 0):
             raise ValueError("inexact polynomial division")
-        qc = r[rl] / blc
         q[qe] = qc
-        for be, bc in b.terms.items():
-            e = tuple(x + y for x, y in zip(qe, be))
-            s = r.get(e, ZERO) - qc * bc
+        for be, bc in b.items():
+            e = tuple(map(add, qe, be))
+            s = r.get(e, 0) - qc * bc
             if s:
                 r[e] = s
             else:
-                r.pop(e, None)
-    return Poly._raw(a.nvars, q)
+                del r[e]
+    return q
 
 
 class PolyMat:
@@ -595,18 +632,38 @@ class PolyMat:
         return all(p.is_zero() for row in self.data for p in row)
 
 
+def linear_pencil(mats, den):
+    """The PolyMat sum_t x_t mats[t] / den in len(mats) variables, where
+    mats are integer matrices of one shape given as lists of rows."""
+    nv = len(mats)
+    units = [tuple(1 if t == u else 0 for t in range(nv)) for u in range(nv)]
+    return PolyMat(
+        nv,
+        [
+            [
+                Poly._raw(nv, {u: QQ(v, den) for u, v in zip(units, entries) if v})
+                for entries in zip(*rows)
+            ]
+            for rows in zip(*mats)
+        ],
+    )
+
+
 def generic_rank(M: PolyMat) -> int:
     """Rank of M over the rational function field, by fraction-free
     (Bareiss) elimination with full row-major pivoting.
 
-    Equals the maximum rank of M over all rational specializations.
+    Equals the maximum rank of M over all rational specializations.  The
+    entries are scaled to integer coefficients over one denominator,
+    which leaves the rank unchanged, so every step is integer polynomial
+    arithmetic and each division by the previous pivot is exact.
     """
-    a = [row[:] for row in M.data]
     rows, cols = M.rows, M.cols
-    steps = min(rows, cols)
-    prev = Poly.const(M.nvars, 1)
+    flat, _ = _scale_terms([p for row in M.data for p in row])
+    a = [flat[i * cols:(i + 1) * cols] for i in range(rows)]
+    prev = None  # the previous pivot; none before the first step
     r = 0
-    for s in range(steps):
+    for s in range(min(rows, cols)):
         piv = None
         for i in range(s, rows):
             for j in range(s, cols):
@@ -624,12 +681,14 @@ def generic_rank(M: PolyMat) -> int:
             for row in a:
                 row[s], row[pj] = row[pj], row[s]
         r += 1
-        pivot = a[s][s]
+        srow = a[s]
+        pivot = srow[s]
         for i in range(s + 1, rows):
-            ais = a[i][s]
+            irow = a[i]
+            ais = irow[s]
             for j in range(s + 1, cols):
-                num = a[i][j] * pivot - ais * a[s][j]
-                a[i][j] = poly_divexact(num, prev)
+                num = _mul_sub(irow[j], pivot, ais, srow[j])
+                irow[j] = _divexact(num, prev) if prev else num
         prev = pivot
     return r
 

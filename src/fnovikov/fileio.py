@@ -11,7 +11,8 @@ Grammar (JSON schema, informally):
 
 Indices i, j, m are 1-based.  Rationals are written "p" or "p/q" with a
 positive denominator; anything else (floats in particular) is rejected.
-Only nonzero structure constants need to be listed.
+Only nonzero structure constants need to be listed, each (i, j) at most
+once and each m at most once within its entry.  dim is at most MAX_DIM.
 """
 
 from __future__ import annotations
@@ -50,6 +51,11 @@ class ZeroDenominatorError(AlgebraFileError):
     pass
 
 
+# The largest dim a file may declare.  The structure tensor is stored
+# densely (dim**3 entries) and the checks cost about dim**5 operations, so
+# the cap is checked before anything is allocated.
+MAX_DIM = 64
+
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
@@ -77,10 +83,13 @@ def parse(text):
     dim = doc.get("dim")
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
         raise AlgebraFileSyntaxError("dim must be a non-negative integer")
+    if dim > MAX_DIM:
+        raise AlgebraFileSyntaxError(f"dim {dim} exceeds the limit {MAX_DIM}")
     products = doc.get("products", [])
     if not isinstance(products, list):
         raise AlgebraFileSyntaxError("products must be a list")
     A = Algebra.zero(dim)
+    seen = set()
     for entry in products:
         if (
             not isinstance(entry, list)
@@ -91,11 +100,18 @@ def parse(text):
         i, j, terms = entry
         _check_index(i, dim)
         _check_index(j, dim)
+        if (i, j) in seen:
+            raise AlgebraFileSyntaxError(f"repeated product entry ({i}, {j})")
+        seen.add((i, j))
+        ms = set()
         for term in terms:
             if not isinstance(term, list) or len(term) != 2:
                 raise AlgebraFileSyntaxError(f"malformed product term {term!r}")
             m, coeff = term
             _check_index(m, dim)
+            if m in ms:
+                raise AlgebraFileSyntaxError(f"repeated index {m} in product entry ({i}, {j})")
+            ms.add(m)
             A.c[i - 1][j - 1][m - 1] = parse_rational(coeff)
     form = None
     if doc.get("form") is not None:

@@ -9,16 +9,15 @@ from __future__ import annotations
 import itertools
 from operator import mul
 
-from .scalars import QQ, ZERO, ONE
+from .scalars import QQ, ZERO
 from .exactlin import (
     CERTIFY_ATTEMPTS,
     Mat,
-    Poly,
-    PolyMat,
-    det,
     find_generic_point,
     generic_rank,
+    int_rank,
     kernel_basis,
+    linear_pencil,
     sample_points,
     scale_to_int,
     signature,
@@ -80,7 +79,7 @@ def is_invariant(A: Algebra, B: SymForm) -> bool:
     # them): (R_j^T B)[r][s] = C[r][j] . B[:, s] and (B R_j)[r][s] =
     # B[r] . C[s][j].
     n = A.dim
-    C = A.int_tensor()
+    C, _ = A.int_tensor()
     Bi, _ = B.matrix.scaled()
     Bcols = list(zip(*Bi))
     for j in range(n):
@@ -97,59 +96,42 @@ def invariant_form_space(A: Algebra):
     basis right multiplications R.  Returned as a list of symmetric Mat.
 
     Unknowns are the upper-triangle coordinates b_{uv} (u <= v) in
-    row-major order; equations are assembled row-major over (j, r, s).
+    row-major order; equations are assembled row-major over (j, r, s) from
+    the integer-scaled structure constants, for r < s only: R^T B - B R is
+    antisymmetric when B is symmetric, so entry (s, r) is the negated
+    equation of entry (r, s) and the diagonal entries vanish.
     """
     n = A.dim
+    C, _ = A.int_tensor()
     unknowns = [(u, v) for u in range(n) for v in range(u, n)]
     index = {uv: t for t, uv in enumerate(unknowns)}
-
-    def uidx(r, s):
-        return index[(r, s) if r <= s else (s, r)]
-
+    uidx = [[index[(r, s) if r <= s else (s, r)] for s in range(n)] for r in range(n)]
     rows = []
-    for R in A.right_ops():
-        Rd = R.data
+    for j in range(n):
         for r in range(n):
-            for s in range(n):
-                # entry (r,s) of R^T B - B R
-                row = [ZERO] * len(unknowns)
+            crj, ur = C[r][j], uidx[r]
+            for s in range(r + 1, n):
+                # entry (r, s) of R^T B - B R, with R[t][r] = C[r][j][t]
+                row = [0] * len(unknowns)
+                csj = C[s][j]
                 for t in range(n):
-                    if Rd[t][r]:
-                        row[uidx(t, s)] += Rd[t][r]
-                    if Rd[t][s]:
-                        row[uidx(r, t)] -= Rd[t][s]
+                    if crj[t]:
+                        row[uidx[t][s]] += crj[t]
+                    if csj[t]:
+                        row[ur[t]] -= csj[t]
                 if any(row):
                     rows.append(row)
-    if not rows:
-        basis_vecs = [
-            [ONE if t == t0 else ZERO for t in range(len(unknowns))]
-            for t0 in range(len(unknowns))
-        ]
-    else:
-        basis_vecs = kernel_basis(Mat._raw(rows, len(unknowns)))
+    # kernel_basis row-reduces over the integers anyway, so the integer
+    # rows go in as they are; a reduced row echelon form is unique, so the
+    # basis does not depend on the rows' scale or order
     out = []
-    for vec in basis_vecs:
+    for vec in kernel_basis(Mat._raw(rows, len(unknowns))):
         data = [[ZERO] * n for _ in range(n)]
         for (u, v), coeff in zip(unknowns, vec):
             data[u][v] = coeff
             data[v][u] = coeff
         out.append(Mat._raw(data, n))
     return out
-
-
-def _combine(space, coeffs):
-    """The combination sum_t coeffs[t] * space[t], as a Mat."""
-    n = space[0].rows
-    data = [[ZERO] * n for _ in range(n)]
-    for coeff, member in zip(coeffs, space):
-        if not coeff:
-            continue
-        st = member.data
-        for r in range(n):
-            for s in range(n):
-                if st[r][s]:
-                    data[r][s] += coeff * st[r][s]
-    return Mat._raw(data, n)
 
 
 def find_nondegenerate(space, seed, sweep_cap=12):
@@ -164,6 +146,10 @@ def find_nondegenerate(space, seed, sweep_cap=12):
     sweep over {-1, 0, 1} coefficients (small supports first, space
     dimension <= sweep_cap) looks for a small certificate before the
     seeded randomized search.
+
+    The search runs on the members scaled to integers over one common
+    denominator, which no determinant test depends on; only the returned
+    combination is converted back.
     """
     d = len(space)
     if d == 0:
@@ -171,28 +157,23 @@ def find_nondegenerate(space, seed, sweep_cap=12):
     n = space[0].rows
     if n == 0:
         return SymForm(Mat.zeros(0, 0))
+    flat, den = scale_to_int([row for M in space for row in M.data])
+    mats = [flat[t * n:(t + 1) * n] for t in range(d)]
+    # entries[r][s] holds entry (r, s) of every member
+    entries = [list(zip(*rows)) for rows in zip(*mats)]
+
+    def combine(coeffs):
+        return [[sum(map(mul, coeffs, e)) for e in row] for row in entries]
+
+    def nonsingular(coeffs):
+        return int_rank(combine(coeffs), n) == n
+
     point = next(
-        (p for p in sample_points(d, seed, CERTIFY_ATTEMPTS) if det(_combine(space, p))),
+        (p for p in sample_points(d, seed, CERTIFY_ATTEMPTS) if nonsingular(list(map(int, p)))),
         None,
     )
     if point is None:
-        pencil = PolyMat(
-            d,
-            [
-                [
-                    Poly(
-                        d,
-                        {
-                            tuple(1 if t == t0 else 0 for t in range(d)): space[t0].data[r][s]
-                            for t0 in range(d)
-                            if space[t0].data[r][s]
-                        },
-                    )
-                    for s in range(n)
-                ]
-                for r in range(n)
-            ],
-        )
+        pencil = linear_pencil(mats, den)
         if generic_rank(pencil) < n:
             return None
     if d <= sweep_cap:
@@ -202,12 +183,16 @@ def find_nondegenerate(space, seed, sweep_cap=12):
                     coeffs = [0] * d
                     for t, sgn in zip(idxs, signs):
                         coeffs[t] = sgn
-                    M = _combine(space, coeffs)
-                    if det(M):
-                        return SymForm(M)
+                    if nonsingular(coeffs):
+                        return _form(combine(coeffs), den)
     if point is None:
         point = find_generic_point(pencil, seed, target=n)
-    return SymForm(_combine(space, point))
+    return _form(combine(list(map(int, point))), den)
+
+
+def _form(rows, den):
+    """The SymForm of the integer matrix rows / den."""
+    return SymForm(Mat._raw([[QQ(v, den) if v else ZERO for v in row] for row in rows], len(rows)))
 
 
 def normalize_orientation(B: SymForm) -> SymForm:

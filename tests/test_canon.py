@@ -45,6 +45,12 @@ class TestRightPencil:
         x = [QQ(2), QQ(-1), QQ(3)]
         assert pencil.eval(x) == A.right_op(x)
 
+    def test_matches_right_ops_rational(self):
+        A, _, _ = scramble(make_family(2, 3), None, 4)
+        assert any(x.denominator > 1 for row in A.c for vec in row for x in vec)
+        x = [QQ(2), QQ(-1, 2), QQ(3)]
+        assert right_pencil(A).eval(x) == A.right_op(x)
+
 
 class TestMaxRankElement:
     def test_zero_algebra(self):

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from fnovikov import Mat, SymForm, make_family, parse, serialize
+from fnovikov import CanonError, GenericPointError, Mat, SymForm, make_family, parse, serialize
+from fnovikov import cli
 from fnovikov.cli import main
 
 
@@ -86,6 +87,25 @@ class TestCanon:
     def test_nonfermionic_rejected(self, capsys, idempotent_file):
         code, _, _ = run(capsys, "canon", "--input", idempotent_file)
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "name,error",
+        [
+            ("max_rank_element", CanonError("rank certificate failed")),
+            ("find_nondegenerate", GenericPointError("no rank-3 specialization")),
+        ],
+    )
+    def test_internal_claim_failure_exits_1(self, capsys, monkeypatch, family2_file, name, error):
+        # CanonError and GenericPointError are RuntimeErrors: an internal
+        # claim failed, reported as a failed property, not a traceback
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, name, fail)
+        code, out, err = run(capsys, "canon", "--input", family2_file, "--json")
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {error}\n"
 
 
 class TestClassify:

@@ -1,5 +1,9 @@
+import re
+from pathlib import Path
+
 import pytest
 
+from fnovikov import fileio
 from fnovikov import (
     AlgebraFileError,
     AlgebraFileSyntaxError,
@@ -8,6 +12,7 @@ from fnovikov import (
     NonSymmetricFormError,
     SymForm,
     ZeroDenominatorError,
+    is_invariant,
     make_family,
     parse,
     serialize,
@@ -93,6 +98,43 @@ class TestParseErrors:
             parse('{"dim": -1, "products": []}')
         with pytest.raises(AlgebraFileSyntaxError):
             parse('{"dim": "2", "products": []}')
+
+    def test_repeated_product_entry(self):
+        # the later value used to overwrite the earlier one silently
+        with pytest.raises(AlgebraFileSyntaxError, match="repeated product entry"):
+            parse('{"dim": 2, "products": [[1,1,[[2,"1"]]],[1,1,[[2,"5"]]]]}')
+        with pytest.raises(AlgebraFileSyntaxError, match="repeated product entry"):
+            parse('{"dim": 2, "products": [[1,2,[[1,"1"]]],[1,2,[[2,"5"]]]]}')
+
+    def test_repeated_index_in_entry(self):
+        with pytest.raises(AlgebraFileSyntaxError, match="repeated index 2"):
+            parse('{"dim": 2, "products": [[1,1,[[2,"1"],[2,"5"]]]]}')
+        A, _, _ = parse('{"dim": 2, "products": [[1,1,[[1,"1"],[2,"5"]]],[2,1,[[2,"1"]]]]}')
+        assert (A.c[0][0], A.c[1][0]) == ([1, 5], [0, 1])
+
+    def test_dim_cap_checked_before_allocation(self, monkeypatch):
+        def no_alloc(dim):
+            raise AssertionError(f"allocated a dim-{dim} tensor")
+
+        monkeypatch.setattr(fileio.Algebra, "zero", no_alloc)
+        for dim in (fileio.MAX_DIM + 1, 10**9):
+            with pytest.raises(AlgebraFileSyntaxError, match="exceeds the limit"):
+                parse('{"dim": %d}' % dim)
+
+    def test_dim_cap_is_inclusive(self):
+        A, _, _ = parse('{"dim": %d}' % fileio.MAX_DIM)
+        assert A.dim == fileio.MAX_DIM
+
+
+def test_readme_example_parses():
+    # the README's file-format example must stay valid input
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    (block,) = re.findall(r"```json\n(.*?)```", readme, re.S)
+    A, form, meta = parse(block)
+    assert A.c[0][0] == [0, QQ(1, 2)]
+    assert form == SymForm(Mat([[0, 1], [1, 0]]))
+    assert meta == {"name": "example"}
+    assert is_invariant(A, form)
 
 
 class TestRoundTrip:

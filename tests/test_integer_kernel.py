@@ -11,6 +11,8 @@ import pytest
 from fnovikov import (
     Algebra,
     Mat,
+    Poly,
+    PolyMat,
     SymForm,
     check_fermionic,
     check_left_symmetric,
@@ -34,6 +36,7 @@ from fnovikov import (
     search_fermionic_not_novikov,
 )
 from fnovikov import canon, exactlin, forms
+from fnovikov.exactlin import poly_divexact
 from fnovikov.scalars import QQ
 
 
@@ -325,3 +328,229 @@ def test_nondegenerate_form_without_certificate(monkeypatch):
     B = find_nondegenerate(space, seed=seed, sweep_cap=0)
     assert calls == [4]
     assert B.matrix == Mat.diagonal(point)
+
+
+# ---------------------------------------------------------------------------
+# the symbolic generic rank and exact division over integer coefficients
+
+
+def rand_poly(rnd, nv, degree=2):
+    terms = {}
+    for _ in range(rnd.randint(0, 3)):
+        e = [0] * nv
+        for _ in range(rnd.randint(0, degree)):
+            e[rnd.randrange(nv)] += 1
+        terms[tuple(e)] = QQ(rnd.randint(-5, 5), rnd.randint(1, 6))
+    return Poly(nv, terms)
+
+
+def sympy_generic_rank(M):
+    """Rank over the fraction field, computed by sympy's domain matrices."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    t = sympy.symbols(f"t0:{M.nvars}")
+
+    def expr(p):
+        return sum(
+            (sympy.Rational(str(c)) * sympy.prod([v**k for v, k in zip(t, e)])
+             for e, c in p.terms.items()),
+            sympy.Integer(0),
+        )
+
+    S = sympy.Matrix(M.rows, M.cols, [expr(p) for row in M.data for p in row])
+    return DomainMatrix.from_Matrix(S).to_field().rank()
+
+
+def test_generic_rank_matches_sympy():
+    rnd = random.Random(31)
+    seen = set()
+    for case in range(60):
+        nv, rows, cols = rnd.randint(1, 3), rnd.randint(1, 5), rnd.randint(1, 5)
+        data = [[rand_poly(rnd, nv) for _ in range(cols)] for _ in range(rows)]
+        if case % 10 == 0:
+            data = [[Poly.zero(nv)] * cols for _ in range(rows)]
+        elif case % 3 == 0 and rows > 2:
+            # the last row a polynomial combination of the first two
+            f, g = QQ(rnd.randint(1, 5), rnd.randint(2, 7)), Poly.var(nv, 0)
+            data[-1] = [p * f + q * g for p, q in zip(data[0], data[1])]
+        M = PolyMat(nv, data, cols)
+        r = generic_rank(M)
+        assert r == sympy_generic_rank(M)
+        seen.add(r < min(rows, cols))
+    assert seen == {True, False}  # both full and deficient ranks
+
+
+def test_integer_exact_division():
+    assert exactlin._divexact({(2, 0): 6, (1, 1): -4}, {(1, 0): 2}) == {(1, 0): 3, (0, 1): -2}
+    assert exactlin._divexact({}, {(0, 1): 3}) == {}
+    inexact = [
+        ({(1, 0): 3}, {(1, 0): 2}),  # the coefficient leaves a remainder
+        ({(0, 1): 1}, {(1, 0): 1}),  # a negative quotient exponent
+        ({(2, 0): 1, (0, 0): 1}, {(1, 0): 1}),  # a remainder term
+    ]
+    for r, b in inexact:
+        with pytest.raises(ValueError, match="inexact polynomial division"):
+            exactlin._divexact(r, b)
+
+
+def test_poly_divexact_rational_quotients():
+    rnd = random.Random(32)
+    t0, t1 = Poly.var(2, 0), Poly.var(2, 1)
+    assert poly_divexact(t0, t0 * 2) == Poly.const(2, QQ(1, 2))
+    for _ in range(40):
+        p, q = rand_poly(rnd, 2), rand_poly(rnd, 2)
+        if q.is_zero():
+            continue
+        quotient = poly_divexact(p * q, q)
+        assert quotient == p
+        assert all(isinstance(c, QQ) for c in quotient.terms.values())
+    for a, b in [(t0 * QQ(1, 2) + Poly.const(2, QQ(1, 3)), t0 * 3), (t0 * t1 + t1, t1 * t1 * QQ(2, 5))]:
+        with pytest.raises(ValueError, match="inexact polynomial division"):
+            poly_divexact(a, b)
+
+
+# ---------------------------------------------------------------------------
+# the invariant-form stage against term-by-term Fraction references
+
+
+def ref_rref_kernel(rows, cols):
+    """Right kernel of Fraction rows by plain Gauss-Jordan, as one vector
+    per free column: 1 there, minus the reduced entries at the pivots."""
+    a = [row[:] for row in rows]
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        p = a[r][c]
+        a[r] = [x / p for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    basis = []
+    for fc in (c for c in range(cols) if c not in pivots):
+        v = [Fraction(0)] * cols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -a[r][fc]
+        basis.append(v)
+    return basis
+
+
+def ref_form_space(A):
+    """(space, equations): every entry (r, s) of R_j^T B - B R_j for every
+    j, term by term over Fraction, and the symmetric matrices of its
+    kernel in the unknowns b_{uv}, u <= v."""
+    n = A.dim
+    c = as_fractions(A)
+    unknowns = [(u, v) for u in range(n) for v in range(u, n)]
+    index = {uv: t for t, uv in enumerate(unknowns)}
+    rows = []
+    for j, r, s in itertools.product(range(n), repeat=3):
+        row = [Fraction(0)] * len(unknowns)
+        for t in range(n):
+            row[index[tuple(sorted((t, s)))]] += c[r][j][t]
+            row[index[tuple(sorted((r, t)))]] -= c[s][j][t]
+        rows.append(row)
+    space = []
+    for vec in ref_rref_kernel(rows, len(unknowns)):
+        B = [[Fraction(0)] * n for _ in range(n)]
+        for (u, v), x in zip(unknowns, vec):
+            B[u][v] = B[v][u] = x
+        space.append(B)
+    return space, rows
+
+
+def form_cases():
+    cases = [Algebra.zero(2)]
+    cases += [make_family(v, n) for v in (1, 2, 3) for n in range(v + 1, 6)]
+    cases += k2_instances(33, 2)
+    cases += witnesses(4)
+    return cases + [scramble(A, None, 40 + i)[0] for i, A in enumerate(cases)]
+
+
+def test_invariant_form_space_matches_reference():
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    for A in form_cases():
+        space = invariant_form_space(A)
+        ref, equations = ref_form_space(A)
+        assert [M.data for M in space] == ref
+        unknowns = A.dim * (A.dim + 1) // 2
+        S = DomainMatrix.from_list_sympy(
+            len(equations),
+            unknowns,
+            [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in equations],
+        )
+        assert len(space) == unknowns - S.to_field().rank()
+
+
+def ref_det(rows):
+    a = [row[:] for row in rows]
+    n = len(a)
+    d = Fraction(1)
+    for c in range(n):
+        piv = next((i for i in range(c, n) if a[i][c]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            d = -d
+        d *= a[c][c]
+        for i in range(c + 1, n):
+            f = a[i][c] / a[c][c]
+            a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return d
+
+
+def ref_find_nondegenerate(space, seed, sweep_cap=12):
+    """find_nondegenerate's search order over Fraction matrices, for spaces
+    that hold a nondegenerate member: a certificate among the first
+    points, then the {-1, 0, 1} sweep, then the first nonsingular point."""
+    d, n = len(space), space[0].rows
+    mats = [[[Fraction(str(x)) for x in row] for row in M.data] for M in space]
+
+    def combine(coeffs):
+        return [
+            [sum((Fraction(str(k)) * M[r][s] for k, M in zip(coeffs, mats)), Fraction(0))
+             for s in range(n)]
+            for r in range(n)
+        ]
+
+    points = list(exactlin.sample_points(d, seed))
+    if d <= sweep_cap:
+        for support in range(1, d + 1):
+            for idxs in itertools.combinations(range(d), support):
+                for signs in itertools.product((1, -1), repeat=support):
+                    coeffs = [0] * d
+                    for t, sgn in zip(idxs, signs):
+                        coeffs[t] = sgn
+                    if ref_det(combine(coeffs)):
+                        return combine(coeffs)
+    return combine(next(p for p in points if ref_det(combine(p))))
+
+
+def test_find_nondegenerate_matches_reference():
+    cases = [make_family(v, n) for v in (1, 2, 3) for n in range(v + 1, 6)]
+    cases += k2_instances(34, 2)
+    for i, A in enumerate(cases):
+        A, _, _ = scramble(A, None, 50 + i)
+        space = invariant_form_space(A)
+        for seed in range(3):
+            expected = ref_find_nondegenerate(space, seed)
+            assert find_nondegenerate(space, seed).matrix.data == expected
+            no_sweep = ref_find_nondegenerate(space, seed, sweep_cap=0)
+            assert find_nondegenerate(space, seed, sweep_cap=0).matrix.data == no_sweep
+
+
+def test_no_nondegenerate_form_on_any_witness():
+    for i, W in enumerate(search_fermionic_not_novikov()):
+        A, _, _ = scramble(W, None, i)
+        assert find_nondegenerate(invariant_form_space(A), seed=i) is None
+    assert i + 1 == 210
