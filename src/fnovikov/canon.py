@@ -23,11 +23,11 @@ from .exactlin import (
     CERTIFY_ATTEMPTS,
     Mat,
     PolyMat,
+    _rref,
     congruent_diagonalize,
     det,
     find_generic_point,
     generic_rank,
-    inverse,
     int_rank,
     kernel_basis,
     linear_pencil,
@@ -45,6 +45,7 @@ from .algebra import (
     zero_element,
 )
 from .forms import SymForm, is_invariant, normalize_orientation
+from .classify import transport_basis
 
 
 class PreconditionError(ValueError):
@@ -131,21 +132,19 @@ def max_rank_element(A: Algebra, seed):
     return x0, k
 
 
-def _extend_span(echelon, vec):
-    """Row-reduce vec against echelon rows; append and return True if it
-    enlarges the span."""
-    v = list(vec)
-    for pivot_col, row in echelon:
-        if v[pivot_col]:
-            f = v[pivot_col]
-            for t in range(len(v)):
-                v[t] = v[t] - f * row[t]
-    for col, x in enumerate(v):
-        if x:
-            inv = ONE / x
-            echelon.append((col, [inv * y for y in v]))
-            return True
-    return False
+def _canonical_targets(n, k, weights, comp_diag):
+    """(metric, J): the entries that P^T B P must equal, hyperbolic pairs of
+    the given weights then the diagonal complement, and the matrix that
+    Pinv R_{x0} P must equal, one 2x2 nilpotent Jordan block per pair."""
+    metric = Mat.zeros(n, n).copy_data()
+    jordan = Mat.zeros(n, n).copy_data()
+    for i in range(k):
+        metric[2 * i][2 * i + 1] = weights[i]
+        metric[2 * i + 1][2 * i] = weights[i]
+        jordan[2 * i + 1][2 * i] = ONE
+    for t, d in enumerate(comp_diag):
+        metric[2 * k + t][2 * k + t] = d
+    return metric, Mat._raw(jordan, n)
 
 
 def canonical_basis(A: Algebra, B: SymForm, x0) -> CanonReport:
@@ -167,14 +166,11 @@ def canonical_basis(A: Algebra, B: SymForm, x0) -> CanonReport:
         raise CanonError("rank of R_{x0} exceeds the negative index")
     Bm = B.matrix
 
-    # preimages u_i with w_i = R u_i spanning Im R
-    us, ws = [], []
-    echelon = []
-    for j in range(n):
-        w = R.col(j)
-        if _extend_span(echelon, w):
-            us.append(basis_element(n, j))
-            ws.append(w)
+    # preimages u_i = e_j with w_i = R u_i spanning Im R: the pivot
+    # columns of R's reduced row echelon form
+    pivots = _rref(R.copy_data(), n, n)
+    us = [basis_element(n, j) for j in pivots]
+    ws = [R.col(j) for j in pivots]
     if len(ws) != k:
         raise CanonError("image dimension mismatch")
 
@@ -251,31 +247,19 @@ def canonical_basis(A: Algebra, B: SymForm, x0) -> CanonReport:
     if n and not det(P):
         raise CanonError("basis change is singular")
 
-    # exact metric and R_{x0} shape checks in the new basis
-    expected = Mat.zeros(n, n).copy_data()
-    for i in range(k):
-        expected[2 * i][2 * i + 1] = weights[i]
-        expected[2 * i + 1][2 * i] = weights[i]
-    for t, d in enumerate(comp_diag):
-        expected[2 * k + t][2 * k + t] = d
-    if (P.transpose() * Bm * P).data != expected:
+    # exact metric and R_{x0} shape checks in the new basis; R P = P J is
+    # Pinv R P = J, as P is invertible
+    new, newB = transport_basis(A, B, P)
+    metric, J = _canonical_targets(n, k, weights, comp_diag)
+    if newB.matrix.data != metric:
         raise CanonError("metric does not reach the canonical block form")
-    Pinv = inverse(P) if n else Mat.zeros(0, 0)
-    R_new = Pinv * R * P
-    jordan = Mat.zeros(n, n).copy_data()
-    for i in range(k):
-        jordan[2 * i + 1][2 * i] = ONE
-    if R_new.data != jordan:
+    if (R * P).data != (P * J).data:
         raise CanonError("R_{x0} does not reach the canonical Jordan form")
 
-    d_forms = []
-    for j in range(n):
-        Rj = Pinv * A.right_op(P.col(j)) * P
-        d_forms.append(
-            Mat._raw(
-                [[Rj.data[2 * a + 1][2 * b] for b in range(k)] for a in range(k)], k
-            )
-        )
+    d_forms = [
+        Mat._raw([[Rj.data[2 * a + 1][2 * b] for b in range(k)] for a in range(k)], k)
+        for Rj in new.right_ops()
+    ]
 
     return CanonReport(
         x0=list(x0),
@@ -307,23 +291,13 @@ def verify_structure(A: Algebra, B: SymForm, rep: CanonReport):
         raise PreconditionError("report/algebra mismatch")
     k = rep.k
     P = rep.P
-    Pinv = inverse(P) if n else Mat.zeros(0, 0)
+    # recomputed from rep.P alone, so a corrupted report is caught
+    new, newB = transport_basis(A, B, P)
+    new_ops = new.right_ops()
+    metric, J = _canonical_targets(n, k, rep.pair_weights, rep.complement_diag)
     claims = {}
-
-    expected = Mat.zeros(n, n).copy_data()
-    for i in range(k):
-        expected[2 * i][2 * i + 1] = rep.pair_weights[i]
-        expected[2 * i + 1][2 * i] = rep.pair_weights[i]
-    for t, d in enumerate(rep.complement_diag):
-        expected[2 * k + t][2 * k + t] = d
-    claims["metric_canonical"] = (P.transpose() * B.matrix * P).data == expected
-
-    jordan = Mat.zeros(n, n).copy_data()
-    for i in range(k):
-        jordan[2 * i + 1][2 * i] = ONE
-    claims["rx0_canonical"] = (Pinv * A.right_op(rep.x0) * P).data == jordan
-
-    new_ops = [Pinv * A.right_op(P.col(j)) * P for j in range(n)]
+    claims["metric_canonical"] = newB.matrix.data == metric
+    claims["rx0_canonical"] = (A.right_op(rep.x0) * P).data == (P * J).data
 
     claims["lower_right_zero"] = all(
         not op.data[r][s]
@@ -371,12 +345,11 @@ def theorem_check(A: Algebra, B: SymForm, seed) -> bool:
     count follow."""
     if not check_left_symmetric(A):
         raise PreconditionError("algebra must be left-symmetric")
-    if not check_fermionic(A):
-        raise PreconditionError("right multiplications must anticommute")
+    # max_rank_element checks that the right multiplications anticommute,
+    # canonical_basis that the form is invariant; the fermionic check
+    # comes first, so it wins over a degenerate form
+    x0, _ = max_rank_element(A, seed)
     Bn = normalize_orientation(B)
-    if not is_invariant(A, Bn):
-        raise PreconditionError("form must be invariant")
-    x0, k = max_rank_element(A, seed)
     rep = canonical_basis(A, Bn, x0)
     claims = verify_structure(A, Bn, rep)
     return (

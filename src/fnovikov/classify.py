@@ -54,39 +54,20 @@ def _is_commutative(A: Algebra) -> bool:
     )
 
 
-def _derived_basis(A: Algebra):
-    rows = [A.c[i][j] for i in range(A.dim) for j in range(A.dim)]
-    basis = []
-    for vec in rows:
-        if not any(vec):
-            continue
-        v = list(vec)
-        for pivot, b in basis:
-            if v[pivot]:
-                f = v[pivot]
-                for t in range(A.dim):
-                    v[t] = v[t] - f * b[t]
-        for col, x in enumerate(v):
-            if x:
-                inv = ONE / x
-                basis.append((col, [inv * y for y in v]))
-                break
-    return [b for _, b in basis]
-
-
 def classify_k1(A: Algebra) -> int:
     """Which of the three one-dimensional-derived-subspace families A is
     isomorphic to: 1 if commutative, else 2 if A(AA) != 0, else 3."""
     if not (check_left_symmetric(A) and check_fermionic(A)):
         raise ValueError("algebra must satisfy both defining identities")
-    derived = _derived_basis(A)
-    if len(derived) != 1:
+    if A.derived_dim() != 1:
         raise ValueError("derived subspace must be one-dimensional")
     if _is_commutative(A):
         return 1
-    v = derived[0]
-    for i in range(A.dim):
-        if any(A.multiply(basis_element(A.dim, i), v)):
+    # any nonzero product spans the derived line
+    n = A.dim
+    v = next(A.c[i][j] for i in range(n) for j in range(n) if any(A.c[i][j]))
+    for i in range(n):
+        if any(A.multiply(basis_element(n, i), v)):
             return 2
     return 3
 

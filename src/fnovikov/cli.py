@@ -1,10 +1,11 @@
 """Command-line surface.
 
 Exit codes: 0 all checks passed, 1 a mathematical property failed
-(including an internal claim: CanonError, GenericPointError), 2 input or
-usage error.  The default seed comes from --seed, falling back
-to the FNOVIKOV_SEED environment variable, then 0.  Reports in --json
-mode contain no timestamps and are byte-stable for a fixed seed.
+(including a precondition or an internal claim: PreconditionError,
+CanonError, GenericPointError), 2 input or usage error.  The default seed
+comes from --seed, falling back to the FNOVIKOV_SEED environment
+variable, then 0.  Reports in --json mode contain no timestamps and are
+byte-stable for a fixed seed.
 """
 
 from __future__ import annotations
@@ -258,13 +259,14 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (AlgebraFileError, FileNotFoundError, ValueError) as exc:
-        # includes DegenerateFormError / PreconditionError on bad inputs
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (CanonError, GenericPointError) as exc:
+    except (PreconditionError, CanonError, GenericPointError) as exc:
+        # a precondition of the theorem, or an internal claim, failed
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PROPERTY_FAILED
+    except (AlgebraFileError, FileNotFoundError, ValueError) as exc:
+        # includes DegenerateFormError on a degenerate supplied form
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

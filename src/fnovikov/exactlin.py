@@ -38,14 +38,12 @@ def scale_to_int(rows):
     Python ints multiply and add far faster than normalized rationals, so
     the hot loops run on the scaled integers and divide by the scale once.
     """
-    dens = [int(x.denominator) for row in rows for x in row]
+    dens = [x.denominator for row in rows for x in row]
     den = lcm(*dens)
     if den == 1:
-        return [[int(x.numerator) for x in row] for row in rows], 1
+        return [[x.numerator for x in row] for row in rows], 1
     it = iter(dens)
-    return [
-        [int(x.numerator) * (den // next(it)) for x in row] for row in rows
-    ], den
+    return [[x.numerator * (den // next(it)) for x in row] for row in rows], den
 
 
 def int_rank(rows, cols):
@@ -119,9 +117,6 @@ class Mat:
             and self.cols == other.cols
             and self.data == other.data
         )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, tuple(tuple(r) for r in self.data)))
 
     def __repr__(self):
         return f"Mat({self.data!r})"
@@ -463,9 +458,6 @@ class Poly:
             and self.terms == other.terms
         )
 
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
-
     def __repr__(self):
         return f"Poly({self.nvars}, {self.terms!r})"
 
@@ -549,9 +541,9 @@ def poly_divexact(a: Poly, b: Poly) -> Poly:
 def _scale_terms(polys):
     """(term dicts, den): the Polys' terms times den, the lcm of all their
     coefficient denominators, with int coefficients."""
-    den = lcm(*(int(c.denominator) for p in polys for c in p.terms.values()))
+    den = lcm(*(c.denominator for p in polys for c in p.terms.values()))
     return [
-        {e: int(c.numerator) * (den // int(c.denominator)) for e, c in p.terms.items()}
+        {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}
         for p in polys
     ], den
 

@@ -1,33 +1,14 @@
-"""Exact rational scalar backend.
+"""Exact rational scalars.
 
-All arithmetic in this package is exact.  By default we use gmpy2's mpq
-when it is importable (noticeably faster on elimination-heavy workloads)
-and fall back to the stdlib Fraction otherwise.  Set FNOVIKOV_BACKEND to
-"fraction" or "gmpy2" to force a backend; "auto" is the default.
-
-Both types share the interface we rely on: +, -, *, /, **, comparisons,
-str() producing "p/q" or "p", and .numerator/.denominator attributes.
+All arithmetic in this package is exact, over the stdlib Fraction; the
+hot loops scale their rationals to Python ints over a common denominator
+(see exactlin.scale_to_int) and convert back only at the boundary.
 """
 
-import os
-from fractions import Fraction
+from fractions import Fraction as QQ
 
-_requested = os.environ.get("FNOVIKOV_BACKEND", "auto")
-
-if _requested == "fraction":
-    QQ = Fraction
-    BACKEND = "fraction"
-elif _requested in ("auto", "gmpy2"):
-    try:
-        from gmpy2 import mpq as QQ
-        BACKEND = "gmpy2"
-    except ImportError:
-        if _requested == "gmpy2":
-            raise
-        QQ = Fraction
-        BACKEND = "fraction"
-else:
-    raise ValueError(f"unknown FNOVIKOV_BACKEND {_requested!r}")
+# the scalar type's name, as benchmark records report it
+BACKEND = "fraction"
 
 ZERO = QQ(0)
 ONE = QQ(1)

@@ -174,3 +174,14 @@ class TestTheoremCheck:
         A = Algebra.from_products(1, [(0, 0, 0, 1)])
         with pytest.raises(PreconditionError):
             theorem_check(A, SymForm(Mat.identity(1)), seed=0)
+
+    def test_nonfermionic_wins_over_degenerate_form(self):
+        # the anticommutation check runs before the form is normalized, so
+        # a degenerate form does not mask it with a DegenerateFormError
+        A = Algebra.from_products(1, [(0, 0, 0, 1)])
+        with pytest.raises(PreconditionError):
+            theorem_check(A, SymForm(Mat([[0]])), seed=0)
+
+    def test_precondition_on_noninvariant_form(self):
+        with pytest.raises(PreconditionError, match="form must be invariant"):
+            theorem_check(make_family(1, 2), SymForm(Mat.identity(2)), seed=0)

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from itertools import islice
 
 import pytest
 
@@ -88,6 +90,19 @@ class TestCanon:
         code, _, _ = run(capsys, "canon", "--input", idempotent_file)
         assert code == 1
 
+    def test_formless_witness_exits_1(self, capsys, tmp_path):
+        # a failed precondition of the theorem is a failed property, not a
+        # usage error: the witness is well formed but admits no form
+        from fnovikov import search_fermionic_not_novikov
+
+        W = next(islice(search_fermionic_not_novikov(), 1))
+        path = tmp_path / "witness.json"
+        path.write_text(serialize(W))
+        code, out, err = run(capsys, "canon", "--input", str(path), "--json")
+        assert code == 1
+        assert out == ""
+        assert err == "error: no nondegenerate invariant form exists\n"
+
     @pytest.mark.parametrize(
         "name,error",
         [
@@ -152,6 +167,14 @@ class TestVerify:
         _, out1, _ = run(capsys, "verify", "--seed", "5", "--count", "3", "--json")
         _, out2, _ = run(capsys, "verify", "--seed", "5", "--count", "3", "--json")
         assert out1 == out2
+
+    def test_json_golden_digest(self, capsys):
+        # the byte-stable --json output, pinned across code changes
+        code, out, _ = run(capsys, "verify", "--json", "--count", "20", "--seed", "7")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "0c166dd89efec0b2f56082e6e382558d48a700b712785b8ddbb2a41e2643e964"
+        )
 
 
 class TestGenScramble:
