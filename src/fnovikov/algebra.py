@@ -8,10 +8,10 @@ trilinearity.
 
 from __future__ import annotations
 
-from operator import mul
+from operator import add, mul
 
 from .scalars import QQ, ZERO, ONE
-from .exactlin import Mat, rank, scale_to_int
+from .exactlin import Mat, int_rank, scale_to_int
 
 
 class DimensionMismatchError(ValueError):
@@ -30,12 +30,20 @@ def zero_element(dim):
 
 
 class Algebra:
-    """Finite-dimensional algebra given by its structure constants."""
+    """Finite-dimensional algebra given by its structure constants.
 
-    __slots__ = ("dim", "c")
+    Immutable once read: code that builds an algebra writes c right after
+    the constructor or Algebra.zero, before any method reads it.  The
+    integer tensor and the derived dimension are computed on first use
+    and cached, so a later write to c would leave them stale.
+    """
+
+    __slots__ = ("dim", "c", "_int_tensor", "_derived_dim")
 
     def __init__(self, dim, c):
         self.dim = dim
+        self._int_tensor = None
+        self._derived_dim = None
         self.c = [
             [[QQ(x) for x in vec] for vec in row] for row in c
         ]
@@ -49,6 +57,8 @@ class Algebra:
     def zero(cls, dim):
         a = object.__new__(cls)
         a.dim = dim
+        a._int_tensor = None
+        a._derived_dim = None
         a.c = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
         return a
 
@@ -142,17 +152,23 @@ class Algebra:
 
     def int_tensor(self):
         """(C, den): C is the structure constants times den, the lcm of
-        their denominators, as a nested list of ints indexed like c."""
-        n = self.dim
-        flat, den = scale_to_int([vec for row in self.c for vec in row])
-        return [flat[i * n:(i + 1) * n] for i in range(n)], den
+        their denominators, as a nested list of ints indexed like c.
+
+        Computed once per instance; every caller shares the lists, which
+        must not be mutated."""
+        if self._int_tensor is None:
+            n = self.dim
+            flat, den = scale_to_int([vec for row in self.c for vec in row])
+            self._int_tensor = [flat[i * n:(i + 1) * n] for i in range(n)], den
+        return self._int_tensor
 
     def derived_dim(self) -> int:
-        """Dimension of the span of all basis products e_i e_j."""
-        rows = [self.c[i][j] for i in range(self.dim) for j in range(self.dim)]
-        if not rows:
-            return 0
-        return rank(Mat(rows, self.dim))
+        """Dimension of the span of all basis products e_i e_j, computed
+        once per instance."""
+        if self._derived_dim is None:
+            C, _ = self.int_tensor()
+            self._derived_dim = int_rank([vec for row in C for vec in row], self.dim)
+        return self._derived_dim
 
 
 # The identity checks run on int_tensor(): every identity is homogeneous in
@@ -192,31 +208,34 @@ def check_left_symmetric(A: Algebra) -> bool:
     return True
 
 
-def _right_ops_relation(A: Algebra, sign, diagonal) -> bool:
-    """R_i R_j + sign * R_j R_i = 0 for all i < j (i <= j with diagonal)."""
-    n = A.dim
-    C, _ = A.int_tensor()
-    right = int_right_ops(C)
-    # column t of R_{e_j} is C[t][j], so (R_i R_j)[m][t] = right[i][m] . C[t][j]
-    for i in range(n):
-        Ri = right[i]
-        for j in range(i if diagonal else i + 1, n):
-            Rj = right[j]
-            for m in range(n):
-                for t in range(n):
-                    if _dot(Ri[m], C[t][j]) + sign * _dot(Rj[m], C[t][i]):
-                        return False
-    return True
+def int_right_products(C):
+    """table[i][j] = the integer matrix R_i R_j of the tensor C, flattened
+    row-major: (R_i R_j)[m][t] = sum_s C[s][i][m] C[t][j][s]."""
+    n = len(C)
+    # cols[j][t] = C[t][j], the column t of R_{e_j}
+    cols = [[C[t][j] for t in range(n)] for j in range(n)]
+    return [
+        [[sum(map(mul, rim, ctj)) for rim in Ri for ctj in Cj] for Cj in cols]
+        for Ri in int_right_ops(C)
+    ]
 
 
 def check_fermionic(A: Algebra) -> bool:
     """(xy)z = -(xz)y, i.e. the right multiplications pairwise anticommute."""
-    return _right_ops_relation(A, 1, diagonal=True)
+    table = int_right_products(A.int_tensor()[0])
+    return not any(
+        any(map(add, table[i][j], table[j][i]))
+        for i in range(A.dim)
+        for j in range(i, A.dim)
+    )
 
 
 def check_novikov(A: Algebra) -> bool:
     """(xy)z = (xz)y, i.e. the right multiplications pairwise commute."""
-    return _right_ops_relation(A, -1, diagonal=False)
+    table = int_right_products(A.int_tensor()[0])
+    return all(
+        table[i][j] == table[j][i] for i in range(A.dim) for j in range(i + 1, A.dim)
+    )
 
 
 def commutator_check(A: Algebra) -> bool:

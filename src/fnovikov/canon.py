@@ -32,6 +32,7 @@ from .exactlin import (
     kernel_basis,
     linear_pencil,
     rank,
+    rref_kernel,
     sample_points,
     scale_to_int,
 )
@@ -42,6 +43,7 @@ from .algebra import (
     check_left_symmetric,
     check_novikov,
     int_right_ops,
+    int_right_products,
     zero_element,
 )
 from .forms import SymForm, is_invariant, normalize_orientation
@@ -168,7 +170,8 @@ def canonical_basis(A: Algebra, B: SymForm, x0) -> CanonReport:
 
     # preimages u_i = e_j with w_i = R u_i spanning Im R: the pivot
     # columns of R's reduced row echelon form
-    pivots = _rref(R.copy_data(), n, n)
+    reduced = R.copy_data()
+    pivots = _rref(reduced, n, n)
     us = [basis_element(n, j) for j in pivots]
     ws = [R.col(j) for j in pivots]
     if len(ws) != k:
@@ -179,7 +182,7 @@ def canonical_basis(A: Algebra, B: SymForm, x0) -> CanonReport:
         for wj in ws:
             if B.pair(wi, wj):
                 raise CanonError("Im R_{x0} is not totally isotropic")
-    ker = kernel_basis(R)
+    ker = rref_kernel(reduced, pivots, n)
     if len(ker) != n - k:
         raise CanonError("kernel dimension mismatch")
     for wi in ws:
@@ -333,8 +336,8 @@ def verify_structure(A: Algebra, B: SymForm, rep: CanonReport):
         for b in range(k)
     )
 
-    claims["products_vanish"] = all(
-        (x * y).is_zero() for x in new_ops for y in new_ops
+    claims["products_vanish"] = not any(
+        any(p) for row in int_right_products(new.int_tensor()[0]) for p in row
     )
     return claims
 

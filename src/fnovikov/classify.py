@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import mul
 
 from .scalars import QQ, ZERO, ONE
-from .exactlin import Mat, det, inverse, rank
+from .exactlin import Mat, det, inverse
 from .algebra import (
     Algebra,
+    DimensionMismatchError,
     basis_element,
     check_fermionic,
     check_left_symmetric,
@@ -126,15 +128,35 @@ def random_k2(rnd: random.Random, n: int, structured: bool = True) -> K2Params:
 
 def transport_basis(A: Algebra, B, P: Mat):
     """Rewrite the algebra (and optional form) in the basis given by the
-    columns of the invertible matrix P."""
+    columns of the invertible matrix P.
+
+    With f_i = sum_a P[a][i] e_a, f_i f_j = sum_m c'[i][j][m] f_m where
+    c'[i][j][m] = sum_{a,b,r} P[a][i] P[b][j] c[a][b][r] Pinv[m][r]: three
+    contractions over the integer-scaled c, P and Pinv, divided by their
+    scales once at the end.
+    """
     n = A.dim
+    if (P.rows, P.cols) != (n, n):
+        raise DimensionMismatchError("basis change dimension mismatch")
     Pinv = inverse(P) if n else Mat.zeros(0, 0)
+    C, dc = A.int_tensor()
+    Pi, dp = P.scaled()
+    Qi, dq = Pinv.scaled()
+    den = dc * dp * dp * dq
+    pcols = list(zip(*Pi))
+    # U[j][r][a] = sum_b P[b][j] c[a][b][r]
+    ccols = [list(zip(*Ca)) for Ca in C]
+    U = [
+        list(zip(*[[sum(map(mul, pj, car)) for car in Ca] for Ca in ccols]))
+        for pj in pcols
+    ]
     new = Algebra.zero(n)
-    for j in range(n):
-        # column i of Pinv R_{f_j} P is f_i f_j in the new basis
-        Rj = Pinv * A.right_op(P.col(j)) * P
-        for i in range(n):
-            new.c[i][j] = Rj.col(i)
+    for i, pi in enumerate(pcols):
+        for j, Uj in enumerate(U):
+            t = [sum(map(mul, pi, ur)) for ur in Uj]
+            new.c[i][j] = [
+                QQ(v, den) if v else ZERO for v in (sum(map(mul, t, q)) for q in Qi)
+            ]
     newB = SymForm(P.transpose() * B.matrix * P) if B is not None else None
     return new, newB
 

@@ -282,8 +282,12 @@ def _rref(a, rows, cols):
 def kernel_basis(M: Mat):
     """Basis of the right kernel of M, as a list of length-cols vectors."""
     a = [row[:] for row in M.data if any(row)]
-    cols = M.cols
-    pivots = _rref(a, len(a), cols)
+    return rref_kernel(a, _rref(a, len(a), M.cols), M.cols)
+
+
+def rref_kernel(a, pivots, cols):
+    """Basis of the right kernel read from the reduced row echelon form a
+    and its pivot columns, as _rref leaves them."""
     pivot_set = set(pivots)
     free = [c for c in range(cols) if c not in pivot_set]
     basis = []

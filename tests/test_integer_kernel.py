@@ -10,6 +10,7 @@ import pytest
 
 from fnovikov import (
     Algebra,
+    CanonReport,
     Mat,
     Poly,
     PolyMat,
@@ -34,9 +35,12 @@ from fnovikov import (
     right_pencil,
     scramble,
     search_fermionic_not_novikov,
+    transport_basis,
+    verify_structure,
 )
 from fnovikov import canon, exactlin, forms
-from fnovikov.exactlin import poly_divexact
+from fnovikov.algebra import int_right_products
+from fnovikov.exactlin import poly_divexact, scale_to_int
 from fnovikov.scalars import QQ
 
 
@@ -183,6 +187,93 @@ def test_right_op_matches_reference():
             assert R.data == ref_right_op(A, x)
             assert all(isinstance(v, QQ) for row in R.data for v in row)
     assert Algebra.zero(0).right_op([]).data == []
+
+
+def test_int_tensor_is_cached_scale_to_int():
+    for A in algebra_cases():
+        T = A.int_tensor()
+        assert A.int_tensor() is T
+        n = A.dim
+        flat, den = scale_to_int([vec for row in A.c for vec in row])
+        assert T == ([flat[i * n:(i + 1) * n] for i in range(n)], den)
+        rows = [vec for row in A.c for vec in row]
+        assert A.derived_dim() == (rank(Mat(rows, n)) if rows else 0)
+
+
+# ---------------------------------------------------------------------------
+# basis transport and the claims read in the transported basis
+
+
+def ref_matmul(X, Y):
+    return [
+        [sum((X[i][t] * Y[t][j] for t in range(len(Y))), Fraction(0)) for j in range(len(Y[0]))]
+        for i in range(len(X))
+    ]
+
+
+def ref_transport(A, B, P):
+    """(c', P^T B P), with column i of Pinv R_{P e_j} P as c'[i][j], all
+    in plain Fractions."""
+    n = A.dim
+    p = [[Fraction(str(x)) for x in row] for row in P.data]
+    pinv = [[Fraction(str(x)) for x in row] for row in inverse(P).data]
+    assert ref_matmul(p, pinv) == [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    c = [[[None] * n for _ in range(n)] for _ in range(n)]
+    for j in range(n):
+        Rj = ref_matmul(ref_matmul(pinv, ref_right_op(A, [row[j] for row in p])), p)
+        for i in range(n):
+            c[i][j] = [Rj[m][i] for m in range(n)]
+    b = [[Fraction(str(x)) for x in row] for row in B.matrix.data]
+    pt = [list(col) for col in zip(*p)]
+    return c, ref_matmul(ref_matmul(pt, b), p)
+
+
+def test_transport_basis_matches_reference():
+    rnd = random.Random(16)
+    empty = SymForm(Mat.zeros(0, 0))
+    assert transport_basis(Algebra.zero(0), empty, Mat.zeros(0, 0))[0] == Algebra.zero(0)
+    cases = [make_family(2, 6), k2_instances(17, 1)[0]]
+    cases += [rand_algebra(rnd, n, density) for n in (1, 6) for density in (0.3, 1.0)]
+    for A in cases:
+        n = A.dim
+        for integer in (True, False):
+            while True:
+                P = Mat([[rnd.randint(-3, 3) if integer else rand_q(rnd) for _ in range(n)]
+                         for _ in range(n)])
+                if det(P):
+                    break
+            S = rand_mat(rnd, n, n)
+            B = SymForm(S + S.transpose())
+            new, newB = transport_basis(A, B, P)
+            c, b = ref_transport(A, B, P)
+            assert new.c == c
+            assert newB.matrix.data == b
+            assert all(isinstance(x, QQ) for row in new.c for vec in row for x in vec)
+            assert transport_basis(A, None, P)[1] is None
+        singular = Mat([[1] * n for _ in range(n)]) if n > 1 else Mat([[0]])
+        with pytest.raises(ValueError):
+            transport_basis(A, None, singular)
+
+
+def test_products_vanish_sees_one_nonzero_product():
+    # e0 e0 = e1, e1 e2 = e2: R_2 R_0 maps e0 to e2; e0 e2 = e1, e1 e0 = e2:
+    # R_0 R_2 maps e0 to e2; in each every other R_i R_j vanishes
+    single = {
+        (2, 0): Algebra.from_products(3, [(0, 0, 1, 1), (1, 2, 2, 1)]),
+        (0, 2): Algebra.from_products(3, [(0, 2, 1, 1), (1, 0, 2, 1)]),
+    }
+    for ij, D in single.items():
+        table = int_right_products(D.int_tensor()[0])
+        assert [(i, j) for i in range(3) for j in range(3) if any(table[i][j])] == [ij]
+    P = Mat([[1, QQ(1, 2), 0], [0, 1, QQ(-2, 3)], [2, 0, 1]])
+    rep = CanonReport(x0=[QQ(0)] * 3, k=0, P=P, pair_weights=[], signs=[],
+                      complement_diag=[QQ(1)] * 3, d_forms=[])
+    cases = [(D, False) for D in single.values()] + [(Algebra.zero(3), True)]
+    for algebra, vanish in cases:
+        # transported back by P in verify_structure, A is `algebra` again
+        A, B = transport_basis(algebra, SymForm(Mat.identity(3)), inverse(P))
+        assert transport_basis(A, None, P)[0] == algebra
+        assert verify_structure(A, B, rep)["products_vanish"] is vanish
 
 
 # ---------------------------------------------------------------------------
