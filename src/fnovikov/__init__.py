@@ -7,8 +7,7 @@ from .scalars import QQ, BACKEND
 from .exactlin import (
     GenericPointError,
     Mat,
-    Poly,
-    PolyMat,
+    Pencil,
     congruent_diagonalize,
     det,
     find_generic_point,
@@ -17,7 +16,6 @@ from .exactlin import (
     kernel_basis,
     rank,
     signature,
-    solve,
 )
 from .algebra import (
     Algebra,

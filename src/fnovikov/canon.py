@@ -16,25 +16,21 @@ of the weights are recorded separately and every claim is weight-aware.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
 
 from .scalars import QQ, ZERO, ONE
 from .exactlin import (
     CERTIFY_ATTEMPTS,
     Mat,
-    PolyMat,
+    Pencil,
     _rref,
     congruent_diagonalize,
-    det,
     find_generic_point,
     generic_rank,
     int_rank,
     kernel_basis,
-    linear_pencil,
     rank,
     rref_kernel,
     sample_points,
-    scale_to_int,
 )
 from .algebra import (
     Algebra,
@@ -44,7 +40,6 @@ from .algebra import (
     check_novikov,
     int_right_ops,
     int_right_products,
-    zero_element,
 )
 from .forms import SymForm, is_invariant, normalize_orientation
 from .classify import transport_basis
@@ -79,14 +74,15 @@ class CanonReport:
     d_forms: list
 
 
-def right_pencil(A: Algebra) -> PolyMat:
-    """The pencil sum_j t_j R_{e_j} as a polynomial matrix in n variables."""
-    C, den = A.int_tensor()
-    return linear_pencil(int_right_ops(C), den)
+def right_pencil(A: Algebra) -> Pencil:
+    """The pencil sum_j t_j R_{e_j} in n variables, times the denominator
+    of A.int_tensor(): its value at x is that multiple of R_x."""
+    C, _ = A.int_tensor()
+    return Pencil(int_right_ops(C), A.dim, A.dim)
 
 
 def max_rank_element(A: Algebra, seed):
-    """(x0, k): a rational element whose right multiplication attains the
+    """(x0, k): an integer element whose right multiplication attains the
     generic rank k of the right-multiplication pencil.
 
     Every R_x maps into AA, so k <= dim AA, and a sampled point whose
@@ -104,31 +100,26 @@ def max_rank_element(A: Algebra, seed):
     if not check_fermionic(A):
         raise PreconditionError("right multiplications must anticommute")
     n = A.dim
-    # rank R_x is the rank of the integer matrix with rows x . C[i]: R_x
-    # transposed, with x and c scaled to integers.
-    C, _ = A.int_tensor()
-    cols = [list(zip(*Ci)) for Ci in C]
+    pencil = right_pencil(A)
 
     def rank_at(x):
-        (xi,), _ = scale_to_int([x])
-        return int_rank([[sum(map(mul, xi, col)) for col in Ci] for Ci in cols], n)
+        return int_rank(pencil.eval(x), n)
 
     k = A.derived_dim()
     if k == 0:
-        x0 = zero_element(n)
+        x0 = [0] * n
     else:
         x0 = next(
             (x for x in sample_points(n, seed, CERTIFY_ATTEMPTS) if rank_at(x) == k),
             None,
         )
         if x0 is None:
-            pencil = right_pencil(A)
             k = generic_rank(pencil)
             x0 = find_generic_point(pencil, seed, target=k)
     for j in range(n):
         for l in range(k + 2):
             x = list(x0)
-            x[j] = x[j] + QQ(l)
+            x[j] += l
             if rank_at(x) > k:
                 raise CanonError("rank certificate failed: x0 is not maximal")
     return x0, k
@@ -247,12 +238,14 @@ def canonical_basis(A: Algebra, B: SymForm, x0) -> CanonReport:
         cols.append(ws[i])
     cols.extend(comp)
     P = Mat._raw([[cols[j][i] for j in range(n)] for i in range(n)], n)
-    if n and not det(P):
-        raise CanonError("basis change is singular")
+    # transport_basis inverts P, which raises ValueError when P is singular
+    try:
+        new, newB = transport_basis(A, B, P)
+    except ValueError:
+        raise CanonError("basis change is singular") from None
 
     # exact metric and R_{x0} shape checks in the new basis; R P = P J is
     # Pinv R P = J, as P is invertible
-    new, newB = transport_basis(A, B, P)
     metric, J = _canonical_targets(n, k, weights, comp_diag)
     if newB.matrix.data != metric:
         raise CanonError("metric does not reach the canonical block form")

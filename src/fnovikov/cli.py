@@ -18,7 +18,6 @@ import sys
 from .scalars import rational_str
 from .exactlin import GenericPointError, Mat
 from .algebra import (
-    Algebra,
     check_fermionic,
     check_left_symmetric,
     check_novikov,
@@ -28,7 +27,6 @@ from .forms import (
     invariant_form_space,
     is_invariant,
     normalize_orientation,
-    DegenerateFormError,
 )
 from .canon import (
     CanonError,

@@ -1,12 +1,13 @@
-"""Exact rational and polynomial-matrix linear algebra kernel.
+"""Exact rational linear algebra kernel, and the generic rank of integer
+linear pencils.
 
 Everything here is over exact rationals (see scalars.py).  Rational
 matrices are scaled to Python ints over a common denominator for products,
-rank, determinant and row reduction, which run fraction-free; polynomial
-matrices use dense multivariate polynomials, scaled to integer
-coefficients in the same way, and fraction-free (Bareiss) elimination so
-that rank over the fraction field is computed without any
-rational-function arithmetic.
+rank, determinant and row reduction, which run fraction-free.  A linear
+pencil sum_t x_t M_t holds integer matrices M_t, since rank is
+scale-free; it is evaluated at integer points, and its generic rank over
+the fraction field comes from fraction-free (Bareiss) elimination on
+integer polynomial term dicts, with no rational-function arithmetic.
 
 Pivoting is deterministic everywhere: first nonzero entry in row-major
 order.
@@ -120,17 +121,6 @@ class Mat:
 
     def __repr__(self):
         return f"Mat({self.data!r})"
-
-    def __add__(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return Mat._raw(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.data, other.data)
-            ],
-            self.cols,
-        )
 
     def __sub__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -300,21 +290,6 @@ def rref_kernel(a, pivots, cols):
     return basis
 
 
-def solve(M: Mat, b):
-    """One solution x of M x = b, or None if inconsistent."""
-    if len(b) != M.rows:
-        raise ValueError("shape mismatch")
-    cols = M.cols
-    a = [row[:] + [QQ(v)] for row, v in zip(M.data, b)]
-    pivots = _rref(a, M.rows, cols + 1)
-    if cols in pivots:
-        return None
-    x = [ZERO] * cols
-    for r, pc in enumerate(pivots):
-        x[pc] = a[r][cols]
-    return x
-
-
 def det(M: Mat):
     """Determinant, by fraction-free elimination of the integer-scaled
     rows: det(M) = det(den * M) / den**n."""
@@ -412,144 +387,39 @@ def signature(S: Mat):
 
 
 # ---------------------------------------------------------------------------
-# multivariate polynomials and polynomial matrices
+# integer linear pencils and their generic rank
 
 
-class Poly:
-    """Dense-dict multivariate polynomial over exact rationals.
+class Pencil:
+    """The integer matrix pencil sum_t x_t mats[t] in nvars = len(mats)
+    variables, where mats are rows x cols integer matrices given as lists
+    of rows.
 
-    terms maps exponent tuples (length nvars) to nonzero coefficients.
+    Rank is scale-free, so a rational pencil enters as its members scaled
+    to integers over one denominator.  entries[r][c] holds the
+    coefficients of entry (r, c), one per variable.
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "rows", "cols", "entries")
 
-    def __init__(self, nvars, terms=None):
-        self.nvars = nvars
-        self.terms = {e: QQ(c) for e, c in (terms or {}).items() if c}
-
-    @classmethod
-    def _raw(cls, nvars, terms):
-        p = object.__new__(cls)
-        p.nvars = nvars
-        p.terms = terms
-        return p
-
-    @classmethod
-    def zero(cls, nvars):
-        return cls._raw(nvars, {})
-
-    @classmethod
-    def const(cls, nvars, c):
-        c = QQ(c)
-        return cls._raw(nvars, {(0,) * nvars: c} if c else {})
-
-    @classmethod
-    def var(cls, nvars, i):
-        e = [0] * nvars
-        e[i] = 1
-        return cls._raw(nvars, {tuple(e): ONE})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Poly)
-            and self.nvars == other.nvars
-            and self.terms == other.terms
-        )
-
-    def __repr__(self):
-        return f"Poly({self.nvars}, {self.terms!r})"
-
-    def __add__(self, other):
-        t = dict(self.terms)
-        for e, c in other.terms.items():
-            s = t.get(e, ZERO) + c
-            if s:
-                t[e] = s
-            else:
-                t.pop(e, None)
-        return Poly._raw(self.nvars, t)
-
-    def __sub__(self, other):
-        t = dict(self.terms)
-        for e, c in other.terms.items():
-            s = t.get(e, ZERO) - c
-            if s:
-                t[e] = s
-            else:
-                t.pop(e, None)
-        return Poly._raw(self.nvars, t)
-
-    def __neg__(self):
-        return Poly._raw(self.nvars, {e: -c for e, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if not isinstance(other, Poly):
-            c = QQ(other)
-            if not c:
-                return Poly.zero(self.nvars)
-            return Poly._raw(self.nvars, {e: c * v for e, v in self.terms.items()})
-        t = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                s = t.get(e, ZERO) + c1 * c2
-                if s:
-                    t[e] = s
-                else:
-                    t.pop(e, None)
-        return Poly._raw(self.nvars, t)
-
-    __rmul__ = __mul__
+    def __init__(self, mats, rows, cols):
+        self.nvars = len(mats)
+        self.rows = rows
+        self.cols = cols
+        if mats:
+            self.entries = [list(zip(*members)) for members in zip(*mats)]
+        else:
+            self.entries = [[()] * cols for _ in range(rows)]
 
     def eval(self, point):
-        """Evaluate at a sequence of rationals, length nvars."""
+        """The integer rows of the pencil at an integer point."""
         if len(point) != self.nvars:
             raise ValueError("wrong number of values")
-        point = [QQ(v) for v in point]
-        total = ZERO
-        for e, c in self.terms.items():
-            v = c
-            for x, k in zip(point, e):
-                if k:
-                    v = v * x**k
-            total += v
-        return total
-
-
-def poly_divexact(a: Poly, b: Poly) -> Poly:
-    """Exact polynomial division a / b; raises if the division is not exact.
-
-    Both are scaled to integer coefficients over one denominator, and b
-    then divided by its content g: a / b = (A / B') / g with B' primitive,
-    and by Gauss's lemma A / B' has integer coefficients whenever a is a
-    polynomial multiple of b.
-    """
-    if b.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    (A, B), _ = _scale_terms([a, b])
-    g = gcd(*B.values())
-    q = _divexact(A, {e: c // g for e, c in B.items()})
-    return Poly._raw(a.nvars, {e: QQ(c, g) for e, c in q.items()})
+        return [[sum(map(mul, point, e)) for e in row] for row in self.entries]
 
 
 # Integer term dicts map exponent tuples to nonzero Python ints; the
 # symbolic elimination runs on them, with no rational arithmetic.
-
-
-def _scale_terms(polys):
-    """(term dicts, den): the Polys' terms times den, the lcm of all their
-    coefficient denominators, with int coefficients."""
-    den = lcm(*(c.denominator for p in polys for c in p.terms.values()))
-    return [
-        {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}
-        for p in polys
-    ], den
 
 
 def _mul_sub(f, g, h, k):
@@ -594,69 +464,17 @@ def _divexact(r, b):
     return q
 
 
-class PolyMat:
-    """Matrix with multivariate polynomial entries (shared indeterminates)."""
+def generic_rank(M: Pencil) -> int:
+    """Rank of M over the rational function field in its variables, by
+    fraction-free (Bareiss) elimination with full row-major pivoting.
 
-    __slots__ = ("rows", "cols", "nvars", "data")
-
-    def __init__(self, nvars, data, cols=None):
-        self.nvars = nvars
-        self.data = [list(row) for row in data]
-        self.rows = len(self.data)
-        if self.data:
-            self.cols = len(self.data[0])
-        else:
-            self.cols = 0 if cols is None else cols
-        for row in self.data:
-            if len(row) != self.cols:
-                raise ValueError("ragged rows")
-            for p in row:
-                if not isinstance(p, Poly) or p.nvars != nvars:
-                    raise ValueError("entries must share the indeterminate set")
-
-    @classmethod
-    def zeros(cls, nvars, rows, cols):
-        z = Poly.zero(nvars)
-        return cls(nvars, [[z] * cols for _ in range(rows)], cols)
-
-    def eval(self, point) -> Mat:
-        return Mat._raw(
-            [[p.eval(point) for p in row] for row in self.data], self.cols
-        )
-
-    def is_zero(self):
-        return all(p.is_zero() for row in self.data for p in row)
-
-
-def linear_pencil(mats, den):
-    """The PolyMat sum_t x_t mats[t] / den in len(mats) variables, where
-    mats are integer matrices of one shape given as lists of rows."""
-    nv = len(mats)
-    units = [tuple(1 if t == u else 0 for t in range(nv)) for u in range(nv)]
-    return PolyMat(
-        nv,
-        [
-            [
-                Poly._raw(nv, {u: QQ(v, den) for u, v in zip(units, entries) if v})
-                for entries in zip(*rows)
-            ]
-            for rows in zip(*mats)
-        ],
-    )
-
-
-def generic_rank(M: PolyMat) -> int:
-    """Rank of M over the rational function field, by fraction-free
-    (Bareiss) elimination with full row-major pivoting.
-
-    Equals the maximum rank of M over all rational specializations.  The
-    entries are scaled to integer coefficients over one denominator,
-    which leaves the rank unchanged, so every step is integer polynomial
+    Equals the maximum rank of M over all rational specializations.  Every
+    entry is an integer term dict, so every step is integer polynomial
     arithmetic and each division by the previous pivot is exact.
     """
     rows, cols = M.rows, M.cols
-    flat, _ = _scale_terms([p for row in M.data for p in row])
-    a = [flat[i * cols:(i + 1) * cols] for i in range(rows)]
+    units = [tuple(1 if t == u else 0 for t in range(M.nvars)) for u in range(M.nvars)]
+    a = [[{u: v for u, v in zip(units, e) if v} for e in row] for row in M.entries]
     prev = None  # the previous pivot; none before the first step
     r = 0
     for s in range(min(rows, cols)):
@@ -700,11 +518,11 @@ def sample_points(nvars, seed, count=64):
     rnd = random.Random(seed)
     for attempt in range(count):
         width = 2 << (attempt // 8)
-        yield [QQ(rnd.randint(-width, width)) for _ in range(nvars)]
+        yield [rnd.randint(-width, width) for _ in range(nvars)]
 
 
-def find_generic_point(M: PolyMat, seed, target=None, max_attempts=64):
-    """A rational point where the specialized rank equals generic_rank(M).
+def find_generic_point(M: Pencil, seed, target=None, max_attempts=64):
+    """An integer point where the specialized rank equals generic_rank(M).
 
     Samples integer points from boxes of doubling width (deterministic
     given seed).  target overrides the rank to hit (used to exercise the
@@ -713,7 +531,7 @@ def find_generic_point(M: PolyMat, seed, target=None, max_attempts=64):
     """
     r = generic_rank(M) if target is None else target
     for point in sample_points(M.nvars, seed, max_attempts):
-        if rank(M.eval(point)) == r:
+        if int_rank(M.eval(point), M.cols) == r:
             return point
     raise GenericPointError(
         f"no rank-{r} specialization found in {max_attempts} attempts"

@@ -13,11 +13,11 @@ from .scalars import QQ, ZERO
 from .exactlin import (
     CERTIFY_ATTEMPTS,
     Mat,
+    Pencil,
     find_generic_point,
     generic_rank,
     int_rank,
     kernel_basis,
-    linear_pencil,
     sample_points,
     scale_to_int,
     signature,
@@ -158,24 +158,17 @@ def find_nondegenerate(space, seed, sweep_cap=12):
     if n == 0:
         return SymForm(Mat.zeros(0, 0))
     flat, den = scale_to_int([row for M in space for row in M.data])
-    mats = [flat[t * n:(t + 1) * n] for t in range(d)]
-    # entries[r][s] holds entry (r, s) of every member
-    entries = [list(zip(*rows)) for rows in zip(*mats)]
-
-    def combine(coeffs):
-        return [[sum(map(mul, coeffs, e)) for e in row] for row in entries]
+    pencil = Pencil([flat[t * n:(t + 1) * n] for t in range(d)], n, n)
 
     def nonsingular(coeffs):
-        return int_rank(combine(coeffs), n) == n
+        return int_rank(pencil.eval(coeffs), n) == n
 
     point = next(
-        (p for p in sample_points(d, seed, CERTIFY_ATTEMPTS) if nonsingular(list(map(int, p)))),
+        (p for p in sample_points(d, seed, CERTIFY_ATTEMPTS) if nonsingular(p)),
         None,
     )
-    if point is None:
-        pencil = linear_pencil(mats, den)
-        if generic_rank(pencil) < n:
-            return None
+    if point is None and generic_rank(pencil) < n:
+        return None
     if d <= sweep_cap:
         for support in range(1, d + 1):
             for idxs in itertools.combinations(range(d), support):
@@ -184,10 +177,10 @@ def find_nondegenerate(space, seed, sweep_cap=12):
                     for t, sgn in zip(idxs, signs):
                         coeffs[t] = sgn
                     if nonsingular(coeffs):
-                        return _form(combine(coeffs), den)
+                        return _form(pencil.eval(coeffs), den)
     if point is None:
         point = find_generic_point(pencil, seed, target=n)
-    return _form(combine(list(map(int, point))), den)
+    return _form(pencil.eval(point), den)
 
 
 def _form(rows, den):

@@ -75,7 +75,7 @@ class TestOperators:
         A = make_family(3, 3)
         x, y = e(3, 0), e(3, 2)
         combo = [a * u + b * v for u, v in zip(x, y)]
-        assert A.right_op(combo) == A.right_op(x).scale(a) + A.right_op(y).scale(b)
+        assert A.right_op(combo) - A.right_op(x).scale(a) == A.right_op(y).scale(b)
 
     def test_ops_match_products(self):
         rnd = random.Random(0)

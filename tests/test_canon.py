@@ -5,6 +5,7 @@ import pytest
 from fnovikov import (
     Algebra,
     CLAIMS,
+    CanonError,
     Mat,
     PreconditionError,
     SymForm,
@@ -12,6 +13,7 @@ from fnovikov import (
     canonical_basis,
     find_nondegenerate,
     generic_rank,
+    inverse,
     invariant_form_space,
     make_family,
     max_rank_element,
@@ -22,6 +24,7 @@ from fnovikov import (
     theorem_check,
     verify_structure,
 )
+from fnovikov import canon
 from fnovikov.scalars import QQ, ONE
 
 
@@ -42,14 +45,20 @@ class TestRightPencil:
     def test_matches_right_ops(self):
         A = make_family(2, 3)
         pencil = right_pencil(A)
-        x = [QQ(2), QQ(-1), QQ(3)]
-        assert pencil.eval(x) == A.right_op(x)
+        x = [2, -1, 3]
+        assert pencil.eval(x) == A.right_op(x).data
 
     def test_matches_right_ops_rational(self):
+        # the pencil holds the integer-scaled constants: its value at x is
+        # den * R_x, with den the denominator of the integer tensor
         A, _, _ = scramble(make_family(2, 3), None, 4)
         assert any(x.denominator > 1 for row in A.c for vec in row for x in vec)
-        x = [QQ(2), QQ(-1, 2), QQ(3)]
-        assert right_pencil(A).eval(x) == A.right_op(x)
+        _, den = A.int_tensor()
+        assert den > 1
+        for x in ([2, -1, 3], [0, 5, -7]):
+            values = right_pencil(A).eval(x)
+            assert all(isinstance(v, int) for row in values for v in row)
+            assert values == [[den * v for v in row] for row in A.right_op(x).data]
 
 
 class TestMaxRankElement:
@@ -119,6 +128,25 @@ class TestCanonicalBasis:
         A = make_family(1, 2)
         with pytest.raises(PreconditionError):
             canonical_basis(A, SymForm(Mat.identity(2)), basis_element(2, 0))
+
+    def test_singular_basis_change(self, monkeypatch):
+        # a complement vector inside span(u_1, w_1) makes P singular; the
+        # inverse that transport_basis takes fails, and that surfaces as
+        # CanonError
+        A, B = family_with_form(1, 3)
+        x0, k = max_rank_element(A, seed=1)
+        assert (A.dim, k) == (3, 1)
+        Binv = inverse(B.matrix)
+
+        def complement_in_span(M):
+            # M's rows are B u_1 and B w_1; <u_1 + w_1, u_1 + w_1> = 2 w_1 is
+            # nonzero, so the complement metric check passes
+            u, w = (Binv.apply(row) for row in M.data)
+            return [[a + b for a, b in zip(u, w)]]
+
+        monkeypatch.setattr(canon, "kernel_basis", complement_in_span)
+        with pytest.raises(CanonError, match="basis change is singular"):
+            canonical_basis(A, B, x0)
 
 
 class TestVerifyStructure:

@@ -5,8 +5,7 @@ import pytest
 from fnovikov import (
     GenericPointError,
     Mat,
-    Poly,
-    PolyMat,
+    Pencil,
     congruent_diagonalize,
     det,
     find_generic_point,
@@ -15,10 +14,8 @@ from fnovikov import (
     kernel_basis,
     rank,
     signature,
-    solve,
 )
 from fnovikov.scalars import QQ, ONE
-from fnovikov.exactlin import poly_divexact
 
 
 def jordan_pairs(k, n):
@@ -32,6 +29,11 @@ def jordan_pairs(k, n):
 
 def rand_mat(rnd, rows, cols, lo=-5, hi=5):
     return Mat([[rnd.randint(lo, hi) for _ in range(cols)] for _ in range(rows)])
+
+
+def symmetrize(M):
+    """M + M^T."""
+    return Mat([[M.data[i][j] + M.data[j][i] for j in range(M.cols)] for i in range(M.rows)])
 
 
 class TestRank:
@@ -71,10 +73,13 @@ class TestKernel:
                 assert all(x == 0 for x in M.apply(v))
 
     def test_solve(self):
+        # M x = b solved through the kernel of [M | -b]: a kernel vector
+        # with last coordinate 1 is (x, 1); none means M x = b is inconsistent
         M = Mat([[1, 2], [3, 4]])
-        x = solve(M, [QQ(5), QQ(11)])
-        assert M.apply(x) == [QQ(5), QQ(11)]
-        assert solve(Mat([[1, 0], [1, 0]]), [QQ(0), QQ(1)]) is None
+        (v,) = kernel_basis(Mat([[1, 2, -5], [3, 4, -11]]))
+        assert v[-1] == 1
+        assert M.apply(v[:-1]) == [QQ(5), QQ(11)]
+        assert all(not v[-1] for v in kernel_basis(Mat([[1, 0, 0], [1, 0, -1]])))
 
 
 class TestCongruence:
@@ -101,7 +106,7 @@ class TestCongruence:
         for _ in range(40):
             n = rnd.randint(1, 6)
             M = rand_mat(rnd, n, n, -4, 4)
-            S = M + M.transpose()
+            S = symmetrize(M)
             P, D = congruent_diagonalize(S)
             assert det(P) != 0
             assert P.transpose() * S * P == D
@@ -134,7 +139,7 @@ class TestSignature:
         rnd = random.Random(3)
         for n in (2, 3, 4):
             M = rand_mat(rnd, n, n, -3, 3)
-            S = M + M.transpose()
+            S = symmetrize(M)
             sig = signature(S)
             done = 0
             while done < 50:
@@ -145,28 +150,29 @@ class TestSignature:
                 done += 1
 
 
-class TestPoly:
-    def test_arith(self):
-        t0 = Poly.var(2, 0)
-        t1 = Poly.var(2, 1)
-        p = (t0 + t1) * (t0 - t1)
-        assert p == t0 * t0 - t1 * t1
-        assert p.eval([QQ(3), QQ(2)]) == QQ(5)
-        assert (p - p).is_zero()
-
-    def test_divexact(self):
-        t0 = Poly.var(2, 0)
-        t1 = Poly.var(2, 1)
-        a = (t0 + t1) * (t0 * t0 - 2 * t1)
-        assert poly_divexact(a, t0 + t1) == t0 * t0 - 2 * t1
-        with pytest.raises(ValueError):
-            poly_divexact(t0 * t0 + t1, t0 + t1)
-
-
 def single_var_pencil():
     # t1 placed at row 2, column 1 of a 2x2 matrix
-    z = Poly.zero(1)
-    return PolyMat(1, [[z, z], [Poly.var(1, 0), z]])
+    return Pencil([[[0, 0], [1, 0]]], 2, 2)
+
+
+def zero_pencil(nvars, rows, cols):
+    return Pencil([[[0] * cols for _ in range(rows)] for _ in range(nvars)], rows, cols)
+
+
+class TestPencil:
+    def test_eval(self):
+        M = Pencil([[[1, 2], [0, -1]], [[0, 3], [4, 0]]], 2, 2)
+        assert M.nvars == 2
+        assert M.eval([2, -1]) == [[2, 1], [-4, -2]]
+        assert M.eval([0, 0]) == [[0, 0], [0, 0]]
+        with pytest.raises(ValueError):
+            M.eval([1])
+
+    def test_no_variables(self):
+        M = Pencil([], 2, 3)
+        assert (M.nvars, M.rows, M.cols) == (0, 2, 3)
+        assert M.eval([]) == [[0, 0, 0], [0, 0, 0]]
+        assert generic_rank(M) == 0
 
 
 class TestGenericRank:
@@ -174,18 +180,17 @@ class TestGenericRank:
         assert generic_rank(single_var_pencil()) == 1
 
     def test_zero(self):
-        assert generic_rank(PolyMat.zeros(2, 3, 3)) == 0
+        assert generic_rank(zero_pencil(2, 3, 3)) == 0
 
     def test_rank_two_pencil(self):
         # diag(t1, t2) padded: generic rank 2, every specialization <= 2
-        z = Poly.zero(2)
-        M = PolyMat(
-            2,
+        M = Pencil(
             [
-                [Poly.var(2, 0), z, z],
-                [z, Poly.var(2, 1), z],
-                [z, z, z],
+                [[1, 0, 0], [0, 0, 0], [0, 0, 0]],
+                [[0, 0, 0], [0, 1, 0], [0, 0, 0]],
             ],
+            3,
+            3,
         )
         assert generic_rank(M) == 2
 
@@ -194,25 +199,18 @@ class TestGenericRank:
         for _ in range(20):
             nv = rnd.randint(1, 3)
             n = rnd.randint(1, 5)
-            data = []
-            for _ in range(n):
-                row = []
-                for _ in range(n):
-                    terms = {}
-                    for v in range(nv):
-                        if rnd.random() < 0.4:
-                            e = [0] * nv
-                            e[v] = 1
-                            terms[tuple(e)] = QQ(rnd.randint(-2, 2))
-                    row.append(Poly(nv, terms))
-                data.append(row)
-            M = PolyMat(nv, data, n)
+            mats = [
+                [[rnd.randint(-2, 2) if rnd.random() < 0.4 else 0 for _ in range(n)]
+                 for _ in range(n)]
+                for _ in range(nv)
+            ]
+            M = Pencil(mats, n, n)
             r = generic_rank(M)
             for _ in range(5):
-                point = [QQ(rnd.randint(-5, 5)) for _ in range(nv)]
-                assert rank(M.eval(point)) <= r
+                point = [rnd.randint(-5, 5) for _ in range(nv)]
+                assert rank(Mat(M.eval(point))) <= r
             point = find_generic_point(M, seed=rnd.randint(0, 10**6))
-            assert rank(M.eval(point)) == r
+            assert rank(Mat(M.eval(point))) == r
 
 
 class TestFindGenericPoint:
@@ -221,7 +219,7 @@ class TestFindGenericPoint:
         assert point[0] != 0
 
     def test_zero_pencil(self):
-        point = find_generic_point(PolyMat.zeros(2, 2, 2), seed=0)
+        point = find_generic_point(zero_pencil(2, 2, 2), seed=0)
         assert len(point) == 2
 
     def test_attempt_cap_guard(self):

@@ -61,7 +61,8 @@ class TestIsInvariant:
         rnd = random.Random(0)
         for _ in range(5):
             M = Mat([[rnd.randint(-3, 3) for _ in range(3)] for _ in range(3)])
-            assert is_invariant(A, SymForm(M + M.transpose()))
+            S = [[M.data[i][j] + M.data[j][i] for j in range(3)] for i in range(3)]
+            assert is_invariant(A, SymForm(Mat(S)))
 
 
 class TestFormSpace:

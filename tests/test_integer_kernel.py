@@ -2,6 +2,7 @@
 references (and sympy for products), and of the certified ranks against
 the symbolic generic rank."""
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -12,8 +13,7 @@ from fnovikov import (
     Algebra,
     CanonReport,
     Mat,
-    Poly,
-    PolyMat,
+    Pencil,
     SymForm,
     check_fermionic,
     check_left_symmetric,
@@ -35,12 +35,14 @@ from fnovikov import (
     right_pencil,
     scramble,
     search_fermionic_not_novikov,
+    serialize,
     transport_basis,
     verify_structure,
 )
 from fnovikov import canon, exactlin, forms
 from fnovikov.algebra import int_right_products
-from fnovikov.exactlin import poly_divexact, scale_to_int
+from fnovikov.cli import main as cli_main
+from fnovikov.exactlin import scale_to_int
 from fnovikov.scalars import QQ
 
 
@@ -107,6 +109,12 @@ def rand_q(rnd):
 
 def rand_mat(rnd, rows, cols):
     return Mat([[rand_q(rnd) for _ in range(cols)] for _ in range(rows)])
+
+
+def rand_sym_form(rnd, n):
+    """The form S + S^T of a random rational n x n matrix S."""
+    S = rand_mat(rnd, n, n).data
+    return SymForm(Mat([[S[i][j] + S[j][i] for j in range(n)] for i in range(n)]))
 
 
 def rand_algebra(rnd, n, density=0.3):
@@ -242,8 +250,7 @@ def test_transport_basis_matches_reference():
                          for _ in range(n)])
                 if det(P):
                     break
-            S = rand_mat(rnd, n, n)
-            B = SymForm(S + S.transpose())
+            B = rand_sym_form(rnd, n)
             new, newB = transport_basis(A, B, P)
             c, b = ref_transport(A, B, P)
             assert new.c == c
@@ -309,8 +316,7 @@ def test_is_invariant_matches_reference():
     seen = set()
     assert is_invariant(Algebra.zero(0), SymForm(Mat.zeros(0, 0)))
     for _, A, B in generate_corpus(7, 12):
-        S = rand_mat(rnd, A.dim, A.dim)
-        sym = SymForm(S + S.transpose())
+        sym = rand_sym_form(rnd, A.dim)
         scaled = SymForm(B.matrix.scale(QQ(1, 3)))
         for form in (B, scaled, sym):
             got = is_invariant(A, form)
@@ -421,35 +427,46 @@ def test_nondegenerate_form_without_certificate(monkeypatch):
     assert B.matrix == Mat.diagonal(point)
 
 
+def test_canon_json_golden_digest_on_symbolic_form(monkeypatch, tmp_path, capsys):
+    # four copies of the dim-2 family-1 algebra, with no form in the file:
+    # the form space has 14 members, more than the sweep covers, and on
+    # seed 4 every one of the first CERTIFY_ATTEMPTS points gives a singular
+    # combination, so the form comes from the symbolic generic_rank and
+    # find_generic_point; the byte-stable --json output is pinned
+    A1 = make_family(1, 2)
+    A = Algebra.from_products(8, [
+        (2 * b + i, 2 * b + j, 2 * b + m, A1.c[i][j][m])
+        for b in range(4) for i in range(2) for j in range(2) for m in range(2)
+        if A1.c[i][j][m]
+    ])
+    path = tmp_path / "sum.json"
+    path.write_text(serialize(A))
+    calls = _count_generic_rank(monkeypatch, forms)
+    code = cli_main(["canon", "--input", str(path), "--json", "--seed", "4"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert calls == [14]
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "7b5453b95154991744459dfbd51e44d3ad457d6f94f267ce486c619f50950cdb"
+    )
+
+
 # ---------------------------------------------------------------------------
 # the symbolic generic rank and exact division over integer coefficients
 
 
-def rand_poly(rnd, nv, degree=2):
-    terms = {}
-    for _ in range(rnd.randint(0, 3)):
-        e = [0] * nv
-        for _ in range(rnd.randint(0, degree)):
-            e[rnd.randrange(nv)] += 1
-        terms[tuple(e)] = QQ(rnd.randint(-5, 5), rnd.randint(1, 6))
-    return Poly(nv, terms)
-
-
-def sympy_generic_rank(M):
-    """Rank over the fraction field, computed by sympy's domain matrices."""
+def sympy_generic_rank(mats, rows, cols):
+    """Rank of the pencil sum_t t_t mats[t] over the fraction field,
+    computed by sympy's domain matrices."""
     sympy = pytest.importorskip("sympy")
     from sympy.polys.matrices import DomainMatrix
 
-    t = sympy.symbols(f"t0:{M.nvars}")
-
-    def expr(p):
-        return sum(
-            (sympy.Rational(str(c)) * sympy.prod([v**k for v, k in zip(t, e)])
-             for e, c in p.terms.items()),
-            sympy.Integer(0),
-        )
-
-    S = sympy.Matrix(M.rows, M.cols, [expr(p) for row in M.data for p in row])
+    t = sympy.symbols(f"t0:{len(mats)}")
+    S = sympy.Matrix(
+        rows, cols,
+        [sum((v * M[r][c] for v, M in zip(t, mats)), sympy.Integer(0))
+         for r in range(rows) for c in range(cols)],
+    )
     return DomainMatrix.from_Matrix(S).to_field().rank()
 
 
@@ -458,16 +475,20 @@ def test_generic_rank_matches_sympy():
     seen = set()
     for case in range(60):
         nv, rows, cols = rnd.randint(1, 3), rnd.randint(1, 5), rnd.randint(1, 5)
-        data = [[rand_poly(rnd, nv) for _ in range(cols)] for _ in range(rows)]
+        mats = [
+            [[rnd.randint(-5, 5) if rnd.random() < 0.6 else 0 for _ in range(cols)]
+             for _ in range(rows)]
+            for _ in range(nv)
+        ]
         if case % 10 == 0:
-            data = [[Poly.zero(nv)] * cols for _ in range(rows)]
+            mats = [[[0] * cols for _ in range(rows)] for _ in range(nv)]
         elif case % 3 == 0 and rows > 2:
-            # the last row a polynomial combination of the first two
-            f, g = QQ(rnd.randint(1, 5), rnd.randint(2, 7)), Poly.var(nv, 0)
-            data[-1] = [p * f + q * g for p, q in zip(data[0], data[1])]
-        M = PolyMat(nv, data, cols)
-        r = generic_rank(M)
-        assert r == sympy_generic_rank(M)
+            # the last row a * row0 + b * row1 in every coefficient matrix
+            a, b = rnd.randint(-4, 4), rnd.randint(1, 4)
+            for M in mats:
+                M[-1] = [a * x + b * y for x, y in zip(M[0], M[1])]
+        r = generic_rank(Pencil(mats, rows, cols))
+        assert r == sympy_generic_rank(mats, rows, cols)
         seen.add(r < min(rows, cols))
     assert seen == {True, False}  # both full and deficient ranks
 
@@ -483,22 +504,6 @@ def test_integer_exact_division():
     for r, b in inexact:
         with pytest.raises(ValueError, match="inexact polynomial division"):
             exactlin._divexact(r, b)
-
-
-def test_poly_divexact_rational_quotients():
-    rnd = random.Random(32)
-    t0, t1 = Poly.var(2, 0), Poly.var(2, 1)
-    assert poly_divexact(t0, t0 * 2) == Poly.const(2, QQ(1, 2))
-    for _ in range(40):
-        p, q = rand_poly(rnd, 2), rand_poly(rnd, 2)
-        if q.is_zero():
-            continue
-        quotient = poly_divexact(p * q, q)
-        assert quotient == p
-        assert all(isinstance(c, QQ) for c in quotient.terms.values())
-    for a, b in [(t0 * QQ(1, 2) + Poly.const(2, QQ(1, 3)), t0 * 3), (t0 * t1 + t1, t1 * t1 * QQ(2, 5))]:
-        with pytest.raises(ValueError, match="inexact polynomial division"):
-            poly_divexact(a, b)
 
 
 # ---------------------------------------------------------------------------
