@@ -181,10 +181,6 @@ def int_right_ops(C):
     return [[[C[t][j][m] for t in range(n)] for m in range(n)] for j in range(n)]
 
 
-def _dot(u, v):
-    return sum(map(mul, u, v))
-
-
 def check_left_symmetric(A: Algebra) -> bool:
     """(xy)z - x(yz) = (yx)z - y(xz) on all basis triples."""
     n = A.dim
@@ -193,17 +189,17 @@ def check_left_symmetric(A: Algebra) -> bool:
     # left[i][m][t] = C[i][t][m]: row m of the integer matrix of L_{e_i}
     left = [[[C[i][t][m] for t in range(n)] for m in range(n)] for i in range(n)]
     for i in range(n):
+        Li = left[i]
         for j in range(i + 1, n):
             # the identity is trivially true for x = y, so skip i == j;
             # for x = e_i, y = e_j, z = e_k it reads
-            # R_k (xy - yx) = L_i (yz) - L_j (xz)
+            # R_k (xy - yx) = L_i (yz) - L_j (xz), compared row by row of
+            # R_k, L_i and L_j, so the check stops at the first unequal entry
+            Lj = left[j]
             comm = [a - b for a, b in zip(C[i][j], C[j][i])]
-            Li, Lj = left[i], left[j]
-            for k in range(n):
-                Rk = right[k]
-                cjk, cik = C[j][k], C[i][k]
-                for m in range(n):
-                    if _dot(Rk[m], comm) != _dot(Li[m], cjk) - _dot(Lj[m], cik):
+            for Rk, cjk, cik in zip(right, C[j], C[i]):
+                for r, a, b in zip(Rk, Li, Lj):
+                    if sum(map(mul, r, comm)) != sum(map(mul, a, cjk)) - sum(map(mul, b, cik)):
                         return False
     return True
 
@@ -220,9 +216,12 @@ def int_right_products(C):
     ]
 
 
-def check_fermionic(A: Algebra) -> bool:
-    """(xy)z = -(xz)y, i.e. the right multiplications pairwise anticommute."""
-    table = int_right_products(A.int_tensor()[0])
+def check_fermionic(A: Algebra, products=None) -> bool:
+    """(xy)z = -(xz)y, i.e. the right multiplications pairwise anticommute.
+
+    products is A's table int_right_products(A.int_tensor()[0]), passed by
+    a caller that reads it again; it is built here when omitted."""
+    table = int_right_products(A.int_tensor()[0]) if products is None else products
     return not any(
         any(map(add, table[i][j], table[j][i]))
         for i in range(A.dim)

@@ -37,7 +37,6 @@ from .algebra import (
     basis_element,
     check_fermionic,
     check_left_symmetric,
-    check_novikov,
     int_right_ops,
     int_right_products,
 )
@@ -81,7 +80,7 @@ def right_pencil(A: Algebra) -> Pencil:
     return Pencil(int_right_ops(C), A.dim, A.dim)
 
 
-def max_rank_element(A: Algebra, seed):
+def max_rank_element(A: Algebra, seed, products=None):
     """(x0, k): an integer element whose right multiplication attains the
     generic rank k of the right-multiplication pencil.
 
@@ -90,38 +89,30 @@ def max_rank_element(A: Algebra, seed):
     CERTIFY_ATTEMPTS points of find_generic_point's seeded sequence are
     tried; only when none reaches dim AA is the symbolic generic_rank
     computed, and its value handed on as the target.  Either way x0 is the
-    first point of that sequence of rank k.
+    first point of that sequence of rank k, and k is maximal: on the
+    certificate path no R_x can exceed dim AA, and on the fallback path no
+    specialization of the pencil exceeds its generic rank.
 
-    Also certifies maximality: for every basis direction y and k+2 pencil
-    values l, the rank of R_{x0 + l y} stays <= k (all (k+1)-minors
-    vanish), matching the degree bound of the pencil-determinant
-    argument.
+    The right multiplications must anticommute, or PreconditionError is
+    raised.  A caller that has already checked this with
+    check_fermionic(A, products) passes the same right-product table as
+    products, and the check is not repeated.
     """
-    if not check_fermionic(A):
+    if products is None and not check_fermionic(A):
         raise PreconditionError("right multiplications must anticommute")
     n = A.dim
-    pencil = right_pencil(A)
-
-    def rank_at(x):
-        return int_rank(pencil.eval(x), n)
-
     k = A.derived_dim()
     if k == 0:
-        x0 = [0] * n
-    else:
-        x0 = next(
-            (x for x in sample_points(n, seed, CERTIFY_ATTEMPTS) if rank_at(x) == k),
-            None,
-        )
-        if x0 is None:
-            k = generic_rank(pencil)
-            x0 = find_generic_point(pencil, seed, target=k)
-    for j in range(n):
-        for l in range(k + 2):
-            x = list(x0)
-            x[j] += l
-            if rank_at(x) > k:
-                raise CanonError("rank certificate failed: x0 is not maximal")
+        return [0] * n, 0
+    pencil = right_pencil(A)
+    x0 = next(
+        (x for x in sample_points(n, seed, CERTIFY_ATTEMPTS)
+         if int_rank(pencil.eval(x), n) == k),
+        None,
+    )
+    if x0 is None:
+        k = generic_rank(pencil)
+        x0 = find_generic_point(pencil, seed, target=k)
     return x0, k
 
 
@@ -279,9 +270,14 @@ CLAIMS = (
 )
 
 
-def verify_structure(A: Algebra, B: SymForm, rep: CanonReport):
+def verify_structure(A: Algebra, B: SymForm, rep: CanonReport, products=None):
     """Recompute every structural claim in the canonical basis and return
-    each claim's truth value (see CLAIMS)."""
+    each claim's truth value (see CLAIMS).
+
+    products_vanish reads A's own table int_right_products(A.int_tensor()[0])
+    (products, if the caller holds it), as no basis is needed:
+    R'_i R'_j = Pinv R_{P e_i} R_{P e_j} P, and transport_basis's inverse(P)
+    proves P invertible."""
     n = A.dim
     if B.dim != n or rep.P.rows != n:
         raise PreconditionError("report/algebra mismatch")
@@ -329,27 +325,28 @@ def verify_structure(A: Algebra, B: SymForm, rep: CanonReport):
         for b in range(k)
     )
 
-    claims["products_vanish"] = not any(
-        any(p) for row in int_right_products(new.int_tensor()[0]) for p in row
-    )
+    if products is None:
+        products = int_right_products(A.int_tensor()[0])
+    claims["products_vanish"] = not any(any(p) for row in products for p in row)
     return claims
 
 
 def theorem_check(A: Algebra, B: SymForm, seed) -> bool:
     """Full pipeline: canonicalize, verify every structural claim, and
     confirm that commuting right multiplications and the derived-dimension
-    count follow."""
+    count follow.  One right-product table serves the anticommutation
+    precondition and products_vanish, which is the Novikov identity once
+    the R_i anticommute: R_i R_j = R_j R_i = -R_i R_j forces R_i R_j = 0."""
     if not check_left_symmetric(A):
         raise PreconditionError("algebra must be left-symmetric")
-    # max_rank_element checks that the right multiplications anticommute,
-    # canonical_basis that the form is invariant; the fermionic check
-    # comes first, so it wins over a degenerate form
-    x0, _ = max_rank_element(A, seed)
+    # the fermionic check comes before canonical_basis checks that the form
+    # is invariant, and before the form is normalized, so it wins over a
+    # degenerate form
+    products = int_right_products(A.int_tensor()[0])
+    if not check_fermionic(A, products):
+        raise PreconditionError("right multiplications must anticommute")
+    x0, _ = max_rank_element(A, seed, products)
     Bn = normalize_orientation(B)
     rep = canonical_basis(A, Bn, x0)
-    claims = verify_structure(A, Bn, rep)
-    return (
-        all(claims.values())
-        and check_novikov(A)
-        and A.derived_dim() == rep.k
-    )
+    claims = verify_structure(A, Bn, rep, products)
+    return all(claims.values()) and A.derived_dim() == rep.k

@@ -21,6 +21,7 @@ from .algebra import (
     check_fermionic,
     check_left_symmetric,
     check_novikov,
+    int_right_products,
 )
 from .forms import (
     find_nondegenerate,
@@ -137,16 +138,17 @@ def _report_from_canon(rep: CanonReport, claims):
 def cmd_canon(args):
     A, form, _ = _load(args.input)
     seed = _default_seed(args)
-    if not (check_left_symmetric(A) and check_fermionic(A)):
+    products = int_right_products(A.int_tensor()[0])
+    if not (check_left_symmetric(A) and check_fermionic(A, products)):
         print("error: algebra fails a defining identity", file=sys.stderr)
         return EXIT_PROPERTY_FAILED
     B = _resolve_form(A, form, seed)
     if form is not None and not is_invariant(A, B):
         print("error: supplied form is not invariant", file=sys.stderr)
         return EXIT_PROPERTY_FAILED
-    x0, _ = max_rank_element(A, seed)
+    x0, _ = max_rank_element(A, seed, products)
     rep = canonical_basis(A, B, x0)
-    claims = verify_structure(A, B, rep)
+    claims = verify_structure(A, B, rep, products)
     _emit(_report_from_canon(rep, claims), args.json)
     return EXIT_OK if all(claims.values()) else EXIT_PROPERTY_FAILED
 

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from fnovikov import (
     Algebra,
@@ -15,9 +16,12 @@ from fnovikov import (
     generic_rank,
     inverse,
     invariant_form_space,
+    k2_condition,
     make_family,
+    make_k2,
     max_rank_element,
     normalize_orientation,
+    random_k2,
     rank,
     right_pencil,
     scramble,
@@ -213,3 +217,41 @@ class TestTheoremCheck:
     def test_precondition_on_noninvariant_form(self):
         with pytest.raises(PreconditionError, match="form must be invariant"):
             theorem_check(make_family(1, 2), SymForm(Mat.identity(2)), seed=0)
+
+
+class TestScrambleInvariance:
+    @given(
+        kind=st.sampled_from(["family1", "family2", "family3", "k2"]),
+        n=st.integers(2, 5),
+        draw_seed=st.integers(0, 2**30),
+        scramble_seed=st.integers(0, 2**30),
+        seed=st.integers(0, 2**30),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_scramble_keeps_invariants(self, kind, n, draw_seed, scramble_seed, seed):
+        # a corpus instance, built as generate_corpus builds one, and a
+        # further scramble of it agree on every basis-free quantity
+        rnd = random.Random(draw_seed)
+        if kind == "k2":
+            A = make_k2(random_k2(rnd, 5))
+            assume(k2_condition(A))
+        else:
+            assume(kind != "family3" or n >= 3)
+            A = make_family(int(kind[-1]), n)
+        B = find_nondegenerate(invariant_form_space(A), seed=rnd.randrange(2**30))
+        assume(B is not None)
+        A, B, _ = scramble(A, B, rnd.randrange(2**30))
+        A2, B2, _ = scramble(A, B, scramble_seed)
+
+        def invariants(A, B):
+            return (
+                A.derived_dim(),
+                max_rank_element(A, seed)[1],
+                B.signature(),
+                len(invariant_form_space(A)),
+                theorem_check(A, B, seed),
+            )
+
+        got = invariants(A, B)
+        assert got[-1] is True
+        assert invariants(A2, B2) == got

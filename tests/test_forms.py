@@ -9,17 +9,26 @@ from fnovikov import (
     SymForm,
     basis_element,
     check_fermionic,
+    check_left_symmetric,
+    check_novikov,
     find_nondegenerate,
     invariant_form_space,
     is_invariant,
     make_family,
     normalize_orientation,
     rank,
+    scramble,
+    search_fermionic_not_novikov,
 )
 from fnovikov.scalars import QQ
 
 
 HYP2 = SymForm(Mat([[0, 1], [1, 0]]))
+
+
+@pytest.fixture(scope="module")
+def witness_list():
+    return list(search_fermionic_not_novikov())
 
 
 def sympy_form_space_dim(A):
@@ -140,6 +149,30 @@ class TestFindNondegenerate:
         # span of a single rank-1 matrix: no nondegenerate member
         space = [Mat([[1, 0], [0, 0]])]
         assert find_nondegenerate(space, seed=0) is None
+
+    @pytest.mark.parametrize(
+        "extra,picks",
+        [(1, range(0, 210, 18)), (2, (5, 150))],
+        ids=["dim5", "dim6"],
+    )
+    def test_padded_witnesses_admit_no_form(self, witness_list, extra, picks):
+        # W + 0: a witness plus an `extra`-dimensional zero ideal, scrambled;
+        # still fermionic, left-symmetric and not Novikov, so by the theorem
+        # no nondegenerate invariant form exists.  Each is decided by the
+        # symbolic generic_rank, of a 5- or 8-member form pencil: 12 at dim 5
+        # took 0.2 s and 2 at dim 6 1.6 s, on a 2-vCPU Xeon, Python 3.11.7
+        for i in picks:
+            W = witness_list[i]
+            n = W.dim + extra
+            padded = Algebra.from_products(n, [
+                (a, b, m, W.c[a][b][m])
+                for a in range(W.dim) for b in range(W.dim) for m in range(W.dim)
+                if W.c[a][b][m]
+            ])
+            A, _, _ = scramble(padded, None, i)
+            assert check_fermionic(A) and check_left_symmetric(A)
+            assert not check_novikov(A)
+            assert find_nondegenerate(invariant_form_space(A), seed=i) is None
 
 
 class TestNormalizeOrientation:

@@ -4,6 +4,7 @@ the symbolic generic rank."""
 
 import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -36,10 +37,11 @@ from fnovikov import (
     scramble,
     search_fermionic_not_novikov,
     serialize,
+    theorem_check,
     transport_basis,
     verify_structure,
 )
-from fnovikov import canon, exactlin, forms
+from fnovikov import algebra, canon, cli, exactlin, forms
 from fnovikov.algebra import int_right_products
 from fnovikov.cli import main as cli_main
 from fnovikov.exactlin import scale_to_int
@@ -299,6 +301,17 @@ def test_identity_checks_match_reference():
     assert (True, True, False) in verdicts  # the witnesses
 
 
+def test_left_symmetry_sees_a_single_failing_triple():
+    # e_a e_b = e_a alone breaks left-symmetry only at x, y = e_a, e_b,
+    # z = e_b, in coordinate a; over all a != b that one failure falls on
+    # every pair, every z and every coordinate
+    n = 4
+    for a, b in itertools.permutations(range(n), 2):
+        A = Algebra.from_products(n, [(a, b, a, 1)])
+        assert not check_left_symmetric(A)
+        assert not ref_left_symmetric(A)
+
+
 def test_single_mutations_match_reference():
     # one changed structure constant of an algebra passing all three
     rnd = random.Random(13)
@@ -449,6 +462,90 @@ def test_canon_json_golden_digest_on_symbolic_form(monkeypatch, tmp_path, capsys
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "7b5453b95154991744459dfbd51e44d3ad457d6f94f267ce486c619f50950cdb"
     )
+
+
+# ---------------------------------------------------------------------------
+# what theorem_check reads from one right-product table, and the maximality
+# of max_rank_element, which is no longer checked at run time
+
+
+@pytest.fixture(scope="module")
+def anticommuting():
+    """Families, k2 instances and all 210 witnesses, each also scrambled."""
+    cases = [make_family(v, n) for v in (1, 2, 3) for n in (3, 5)]
+    cases += k2_instances(22, 3) + witnesses(210)
+    return cases + [scramble(A, None, i)[0] for i, A in enumerate(cases)]
+
+
+def test_max_rank_element_is_maximal_along_lines(anticommuting):
+    assert len(anticommuting) == 2 * (6 + 3 + 210)
+    certified = set()
+    for i, A in enumerate(anticommuting):
+        x0, k = max_rank_element(A, seed=i)
+        pencil = right_pencil(A)
+        assert k == generic_rank(pencil)
+        # every R_x on the line x0 + l e_j, l = 0..k+1, has rank <= k
+        for j in range(A.dim):
+            for l in range(k + 2):
+                x = list(x0)
+                x[j] += l
+                assert exactlin.int_rank(pencil.eval(x), A.dim) <= k
+        certified.add(k == A.derived_dim())
+    assert certified == {True, False}  # certificate and fallback paths
+
+
+def test_novikov_is_products_vanish_when_anticommuting(anticommuting):
+    # the equivalence that lets theorem_check read the Novikov identity off
+    # products_vanish: R_i R_j = -R_j R_i and R_i R_j = R_j R_i force 0
+    verdicts = set()
+    for A in anticommuting:
+        table = int_right_products(A.int_tensor()[0])
+        assert check_fermionic(A, table)
+        vanish = not any(any(p) for row in table for p in row)
+        assert check_novikov(A) == vanish
+        verdicts.add(vanish)
+    assert verdicts == {True, False}
+
+
+def _count_calls(monkeypatch, name, modules):
+    """Record every call of the function `name` through any of modules."""
+    calls = []
+    real = getattr(modules[0], name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_one_product_table_per_theorem_check(monkeypatch):
+    instances = list(generate_corpus(7, 8))
+    tables = _count_calls(monkeypatch, "int_right_products", (algebra, canon, cli))
+    for i, (_, A, B) in enumerate(instances):
+        tables.clear()
+        assert theorem_check(A, B, seed=i)
+        assert len(tables) == 1
+
+
+def test_one_fermionic_check_per_canon(monkeypatch, tmp_path, capsys):
+    A = make_family(2, 4)
+    K = k2_instances(23, 1)[0]
+    paths = []
+    for name, text in (("fam.json", serialize(A, form=find_nondegenerate(invariant_form_space(A), seed=1))),
+                       ("k2.json", serialize(K))):
+        paths.append(tmp_path / name)
+        paths[-1].write_text(text)
+    fermionic = _count_calls(monkeypatch, "check_fermionic", (algebra, canon, cli))
+    tables = _count_calls(monkeypatch, "int_right_products", (algebra, canon, cli))
+    for path in paths:
+        fermionic.clear()
+        tables.clear()
+        assert cli_main(["canon", "--input", str(path), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["claims"]["products_vanish"]
+        assert len(fermionic) == len(tables) == 1
 
 
 # ---------------------------------------------------------------------------
