@@ -229,9 +229,12 @@ def check_fermionic(A: Algebra, products=None) -> bool:
     )
 
 
-def check_novikov(A: Algebra) -> bool:
-    """(xy)z = (xz)y, i.e. the right multiplications pairwise commute."""
-    table = int_right_products(A.int_tensor()[0])
+def check_novikov(A: Algebra, products=None) -> bool:
+    """(xy)z = (xz)y, i.e. the right multiplications pairwise commute.
+
+    products is A's table int_right_products(A.int_tensor()[0]), as for
+    check_fermionic; it is built here when omitted."""
+    table = int_right_products(A.int_tensor()[0]) if products is None else products
     return all(
         table[i][j] == table[j][i] for i in range(A.dim) for j in range(i + 1, A.dim)
     )
@@ -315,7 +318,10 @@ def search_fermionic_not_novikov(values=(-1, 0, 1)):
                         A.c[i][j][w[0]] += coeff * w[1]
         # every rank-2 candidate anticommutes and few are left-symmetric,
         # so left-symmetry rejects them soonest
-        if check_left_symmetric(A) and check_fermionic(A) and not check_novikov(A):
+        if not check_left_symmetric(A):
+            continue
+        products = int_right_products(A.int_tensor()[0])
+        if check_fermionic(A, products) and not check_novikov(A, products):
             yield A
 
 

@@ -15,7 +15,7 @@ of the weights are recorded separately and every claim is weight-aware.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .scalars import QQ, ZERO, ONE
 from .exactlin import (
@@ -53,6 +53,25 @@ class CanonError(RuntimeError):
     signals corrupted input or an implementation bug."""
 
 
+@dataclass(frozen=True)
+class BasisTransport:
+    """What canonical_basis computed in the basis P, for verify_structure
+    to read instead of computing it again.
+
+    new_ops are the right multiplications R'_{e_j} of A rewritten in the
+    basis P and newB the form B rewritten in it; they hold for these A, B
+    and P objects (Mat is immutable).  R_{x0} P = P J passed for the value
+    x0 and the k of J."""
+
+    A: Algebra
+    B: SymForm
+    P: Mat
+    new_ops: list
+    newB: SymForm
+    x0: tuple
+    k: int
+
+
 @dataclass
 class CanonReport:
     """Everything the canonicalization produced.
@@ -62,6 +81,10 @@ class CanonReport:
     complement_diag holds the diagonal metric entries of the complement;
     d_forms[j] is the k x k matrix of lower-left block entries of the
     leading 2k x 2k block of R_{e'_j} in the new basis.
+
+    transport is the BasisTransport canonical_basis built, so that
+    verify_structure transports the basis once; it is None on a report
+    built by hand and takes no part in repr or comparison.
     """
 
     x0: list
@@ -71,6 +94,7 @@ class CanonReport:
     signs: list
     complement_diag: list
     d_forms: list
+    transport: BasisTransport | None = field(default=None, repr=False, compare=False)
 
 
 def right_pencil(A: Algebra) -> Pencil:
@@ -243,9 +267,10 @@ def canonical_basis(A: Algebra, B: SymForm, x0) -> CanonReport:
     if (R * P).data != (P * J).data:
         raise CanonError("R_{x0} does not reach the canonical Jordan form")
 
+    new_ops = new.right_ops()
     d_forms = [
         Mat._raw([[Rj.data[2 * a + 1][2 * b] for b in range(k)] for a in range(k)], k)
-        for Rj in new.right_ops()
+        for Rj in new_ops
     ]
 
     return CanonReport(
@@ -256,6 +281,7 @@ def canonical_basis(A: Algebra, B: SymForm, x0) -> CanonReport:
         signs=[1 if g > 0 else -1 for g in weights],
         complement_diag=comp_diag,
         d_forms=d_forms,
+        transport=BasisTransport(A, B, P, new_ops, newB, tuple(x0), k),
     )
 
 
@@ -274,6 +300,12 @@ def verify_structure(A: Algebra, B: SymForm, rep: CanonReport, products=None):
     """Recompute every structural claim in the canonical basis and return
     each claim's truth value (see CLAIMS).
 
+    The basis is transported again, and R_{x0} P compared with P J, unless
+    rep.transport was built for these A, B and rep.P objects; on that basis
+    the Jordan form is still checked again when rep.x0 or rep.k differs
+    from the values it was checked for.  Every claim's target is rebuilt
+    from the report's fields, so a corrupted report is caught.
+
     products_vanish reads A's own table int_right_products(A.int_tensor()[0])
     (products, if the caller holds it), as no basis is needed:
     R'_i R'_j = Pinv R_{P e_i} R_{P e_j} P, and transport_basis's inverse(P)
@@ -283,13 +315,18 @@ def verify_structure(A: Algebra, B: SymForm, rep: CanonReport, products=None):
         raise PreconditionError("report/algebra mismatch")
     k = rep.k
     P = rep.P
-    # recomputed from rep.P alone, so a corrupted report is caught
-    new, newB = transport_basis(A, B, P)
-    new_ops = new.right_ops()
+    shared = rep.transport
+    if shared is not None and shared.A is A and shared.B is B and shared.P is P:
+        new_ops, newB = shared.new_ops, shared.newB
+        jordan_checked = shared.x0 == tuple(rep.x0) and shared.k == k
+    else:
+        new, newB = transport_basis(A, B, P)
+        new_ops = new.right_ops()
+        jordan_checked = False
     metric, J = _canonical_targets(n, k, rep.pair_weights, rep.complement_diag)
     claims = {}
     claims["metric_canonical"] = newB.matrix.data == metric
-    claims["rx0_canonical"] = (A.right_op(rep.x0) * P).data == (P * J).data
+    claims["rx0_canonical"] = jordan_checked or (A.right_op(rep.x0) * P).data == (P * J).data
 
     claims["lower_right_zero"] = all(
         not op.data[r][s]

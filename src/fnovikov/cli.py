@@ -90,10 +90,11 @@ def _default_seed(args):
 
 def cmd_check(args):
     A, _, _ = _load(args.input)
+    products = int_right_products(A.int_tensor()[0])
     report = {
         "left_symmetric": check_left_symmetric(A),
-        "fermionic": check_fermionic(A),
-        "novikov": check_novikov(A),
+        "fermionic": check_fermionic(A, products),
+        "novikov": check_novikov(A, products),
     }
     _emit(report, args.json)
     return EXIT_OK if all(report.values()) else EXIT_PROPERTY_FAILED
@@ -263,8 +264,9 @@ def main(argv=None) -> int:
         # a precondition of the theorem, or an internal claim, failed
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PROPERTY_FAILED
-    except (AlgebraFileError, FileNotFoundError, ValueError) as exc:
-        # includes DegenerateFormError on a degenerate supplied form
+    except (AlgebraFileError, OSError, ValueError) as exc:
+        # includes DegenerateFormError on a degenerate supplied form, and a
+        # path that is missing, a directory or unreadable
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

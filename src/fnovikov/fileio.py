@@ -13,6 +13,7 @@ Indices i, j, m are 1-based.  Rationals are written "p" or "p/q" with a
 positive denominator; anything else (floats in particular) is rejected.
 Only nonzero structure constants need to be listed, each (i, j) at most
 once and each m at most once within its entry.  dim is at most MAX_DIM.
+JSON nested deeper than the decoder's recursion limit is a syntax error.
 """
 
 from __future__ import annotations
@@ -78,6 +79,9 @@ def parse(text):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise AlgebraFileSyntaxError(exc.msg, position=exc.pos) from exc
+    except RecursionError:
+        # the decoder recurses once per nested array or object
+        raise AlgebraFileSyntaxError("JSON nested too deeply") from None
     if not isinstance(doc, dict):
         raise AlgebraFileSyntaxError("top level must be an object")
     dim = doc.get("dim")

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -181,6 +182,41 @@ class TestVerifyStructure:
         claims = verify_structure(A, B, rep)
         assert not claims["metric_canonical"] or not claims["rx0_canonical"]
 
+    def test_shared_transport_is_tied_to_its_inputs(self, monkeypatch):
+        A, B = family_with_form(2, 4)
+        x0, k = max_rank_element(A, seed=1)
+        assert k == 1
+        transports = []
+        real = canon.transport_basis
+        monkeypatch.setattr(canon, "transport_basis", lambda *a: transports.append(a) or real(*a))
+        rep = canonical_basis(A, B, x0)
+        assert "transport" not in repr(rep)
+        assert rep == dataclasses.replace(rep, transport=None)
+        assert all(verify_structure(A, B, rep).values())
+        assert len(transports) == 1
+        # equal inputs in other objects are transported again
+        others = [
+            (Algebra(A.dim, A.c), B, rep),
+            (A, SymForm(Mat(B.matrix.data)), rep),
+            (A, B, dataclasses.replace(rep, P=Mat(rep.P.data))),
+            (A, B, dataclasses.replace(rep, transport=None)),
+        ]
+        for i, (A2, B2, rep2) in enumerate(others):
+            assert all(verify_structure(A2, B2, rep2).values())
+            assert len(transports) == 2 + i
+        # and another form is read in the basis P, not taken from the report
+        twice = SymForm(Mat([[2 * x for x in row] for row in B.matrix.data]))
+        assert not verify_structure(A, twice, rep)["metric_canonical"]
+        # on the shared basis, the Jordan form is checked again for another
+        # value of x0 or of k
+        rep.x0[:] = [0] * 4
+        assert not verify_structure(A, B, rep)["rx0_canonical"]
+        rep.x0[:] = x0
+        assert verify_structure(A, B, rep)["rx0_canonical"]
+        rep.k = 0
+        assert not verify_structure(A, B, rep)["rx0_canonical"]
+        assert len(transports) == 2 + len(others)
+
 
 class TestTheoremCheck:
     @pytest.mark.parametrize("variant", [1, 2, 3])
@@ -217,6 +253,19 @@ class TestTheoremCheck:
     def test_precondition_on_noninvariant_form(self):
         with pytest.raises(PreconditionError, match="form must be invariant"):
             theorem_check(make_family(1, 2), SymForm(Mat.identity(2)), seed=0)
+
+    def test_derived_dim_must_equal_k(self, monkeypatch):
+        # every claim holds, and only the count dim AA = k fails
+        A, B = family_with_form(2, 4)
+        claims = []
+        real_verify = canon.verify_structure
+        monkeypatch.setattr(
+            canon, "verify_structure", lambda *a: claims.append(real_verify(*a)) or claims[-1]
+        )
+        real_derived_dim = Algebra.derived_dim
+        monkeypatch.setattr(Algebra, "derived_dim", lambda self: real_derived_dim(self) + 1)
+        assert not theorem_check(A, B, seed=1)
+        assert len(claims) == 1 and all(claims[0].values())
 
 
 class TestScrambleInvariance:

@@ -58,6 +58,18 @@ class TestCheck:
         code, _, err = run(capsys, "check", "--input", str(path))
         assert code == 2
 
+    def test_directory_input(self, capsys, tmp_path):
+        code, out, err = run(capsys, "check", "--input", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+
+    def test_deeply_nested_file(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200000 + "]" * 200000)
+        code, out, err = run(capsys, "check", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: JSON nested too deeply")
+
 
 class TestForms:
     def test_family2(self, capsys, family2_file):

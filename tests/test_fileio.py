@@ -2,9 +2,11 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fnovikov import fileio
 from fnovikov import (
+    Algebra,
     AlgebraFileError,
     AlgebraFileSyntaxError,
     IndexRangeError,
@@ -121,6 +123,12 @@ class TestParseErrors:
             with pytest.raises(AlgebraFileSyntaxError, match="exceeds the limit"):
                 parse('{"dim": %d}' % dim)
 
+    def test_deep_nesting_is_a_syntax_error(self):
+        # the decoder's RecursionError used to escape as a traceback
+        for text in ("[" * 200000 + "]" * 200000, '{"dim": 1, "metadata": %s}' % ("[" * 5000 + "]" * 5000)):
+            with pytest.raises(AlgebraFileSyntaxError, match="nested too deeply"):
+                parse(text)
+
     def test_dim_cap_is_inclusive(self):
         A, _, _ = parse('{"dim": %d}' % fileio.MAX_DIM)
         assert A.dim == fileio.MAX_DIM
@@ -164,3 +172,42 @@ class TestRoundTrip:
         text = serialize(A)
         assert "0.3" not in text
         assert '"1/3"' in text
+
+
+rationals = st.builds(QQ, st.integers(-30, 30), st.integers(1, 12))
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def algebra_files(draw):
+    """(A, form or None, metadata or None): dim <= 5, sparse structure
+    constants and a dense symmetric form, all rational."""
+    n = draw(st.integers(0, 5))
+    A = Algebra.zero(n)
+    if n:
+        index = st.integers(0, n - 1)
+        entries = draw(st.dictionaries(st.tuples(index, index, index), rationals, max_size=12))
+        for (i, j, m), v in entries.items():
+            A.c[i][j][m] = v
+    form = None
+    if draw(st.booleans()):
+        upper = {(a, b): draw(rationals) for a in range(n) for b in range(a, n)}
+        form = SymForm(Mat([[upper[min(a, b), max(a, b)] for b in range(n)] for a in range(n)], n))
+    metadata = draw(st.none() | st.dictionaries(st.text(max_size=4), json_values, max_size=3))
+    return A, form, metadata
+
+
+@given(algebra_files())
+@settings(max_examples=60, deadline=None)
+def test_parse_serialize_round_trip(case):
+    A, form, metadata = case
+    text = serialize(A, form=form, metadata=metadata)
+    A2, form2, metadata2 = parse(text)
+    assert A2 == A
+    assert form2 == form
+    assert metadata2 == (metadata or {})
+    assert serialize(A2, form=form2, metadata=metadata2) == text

@@ -41,7 +41,7 @@ from fnovikov import (
     transport_basis,
     verify_structure,
 )
-from fnovikov import algebra, canon, cli, exactlin, forms
+from fnovikov import algebra, canon, classify, cli, exactlin, forms
 from fnovikov.algebra import int_right_products
 from fnovikov.cli import main as cli_main
 from fnovikov.exactlin import scale_to_int
@@ -524,10 +524,12 @@ def _count_calls(monkeypatch, name, modules):
 def test_one_product_table_per_theorem_check(monkeypatch):
     instances = list(generate_corpus(7, 8))
     tables = _count_calls(monkeypatch, "int_right_products", (algebra, canon, cli))
+    transports = _count_calls(monkeypatch, "transport_basis", (classify, canon))
     for i, (_, A, B) in enumerate(instances):
         tables.clear()
+        transports.clear()
         assert theorem_check(A, B, seed=i)
-        assert len(tables) == 1
+        assert len(tables) == len(transports) == 1
 
 
 def test_one_fermionic_check_per_canon(monkeypatch, tmp_path, capsys):
@@ -540,12 +542,27 @@ def test_one_fermionic_check_per_canon(monkeypatch, tmp_path, capsys):
         paths[-1].write_text(text)
     fermionic = _count_calls(monkeypatch, "check_fermionic", (algebra, canon, cli))
     tables = _count_calls(monkeypatch, "int_right_products", (algebra, canon, cli))
+    transports = _count_calls(monkeypatch, "transport_basis", (classify, canon))
     for path in paths:
         fermionic.clear()
         tables.clear()
+        transports.clear()
         assert cli_main(["canon", "--input", str(path), "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["claims"]["products_vanish"]
-        assert len(fermionic) == len(tables) == 1
+        assert len(fermionic) == len(tables) == len(transports) == 1
+
+
+def test_one_product_table_per_check(monkeypatch, tmp_path, capsys):
+    witness = next(search_fermionic_not_novikov())
+    tables = _count_calls(monkeypatch, "int_right_products", (algebra, cli))
+    for A, novikov in ((make_family(2, 4), True), (witness, False)):
+        path = tmp_path / "algebra.json"
+        path.write_text(serialize(A))
+        tables.clear()
+        assert cli_main(["check", "--input", str(path), "--json"]) == (0 if novikov else 1)
+        report = json.loads(capsys.readouterr().out)
+        assert report == {"left_symmetric": True, "fermionic": True, "novikov": novikov}
+        assert len(tables) == 1
 
 
 # ---------------------------------------------------------------------------
