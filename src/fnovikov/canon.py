@@ -16,6 +16,7 @@ of the weights are recorded separately and every claim is weight-aware.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import mul
 
 from .scalars import QQ, ZERO, ONE
 from .exactlin import (
@@ -28,13 +29,14 @@ from .exactlin import (
     generic_rank,
     int_rank,
     kernel_basis,
-    rank,
+    lowest_terms,
     rref_kernel,
     sample_points,
+    scale_columns,
+    scale_vector,
 )
 from .algebra import (
     Algebra,
-    basis_element,
     check_fermionic,
     check_left_symmetric,
     int_right_ops,
@@ -140,24 +142,53 @@ def max_rank_element(A: Algebra, seed, products=None):
     return x0, k
 
 
-def _canonical_targets(n, k, weights, comp_diag):
-    """(metric, J): the entries that P^T B P must equal, hyperbolic pairs of
-    the given weights then the diagonal complement, and the matrix that
-    Pinv R_{x0} P must equal, one 2x2 nilpotent Jordan block per pair."""
+def _canonical_metric(n, k, weights, comp_diag):
+    """The entries that P^T B P must equal: hyperbolic pairs of the given
+    weights, then the diagonal complement."""
     metric = Mat.zeros(n, n).copy_data()
-    jordan = Mat.zeros(n, n).copy_data()
     for i in range(k):
         metric[2 * i][2 * i + 1] = weights[i]
         metric[2 * i + 1][2 * i] = weights[i]
-        jordan[2 * i + 1][2 * i] = ONE
     for t, d in enumerate(comp_diag):
         metric[2 * k + t][2 * k + t] = d
-    return metric, Mat._raw(jordan, n)
+    return metric
+
+
+def _int_right_op(A: Algebra, x0):
+    """(Rz, dR): R_{x0} = Rz / dR with Rz an integer matrix, the right
+    pencil at x0 scaled to integers; dR is x0's denominator times the
+    denominator of A.int_tensor()."""
+    xv, dx = scale_vector(x0)
+    return right_pencil(A).eval(xv), dx * A.int_tensor()[1]
+
+
+def _reaches_jordan(Rz, dR, cols, k):
+    """Whether R = Rz / dR maps column 2i of P to column 2i+1 for i < k and
+    every other column to 0, i.e. R P = P J with J one 2x2 nilpotent Jordan
+    block per pair.  cols are P's columns as (ints, den) pairs; the
+    comparison runs on integers, one column at a time."""
+    for j, (v, d) in enumerate(cols):
+        Rv = [sum(map(mul, row, v)) for row in Rz]
+        if j < 2 * k and j % 2 == 0:
+            w, dw = cols[j + 1]
+            # R v / d == w / dw, with R v = Rv / dR
+            s = dR * d
+            if any(a * dw != b * s for a, b in zip(Rv, w)):
+                return False
+        elif any(Rv):
+            return False
+    return True
 
 
 def canonical_basis(A: Algebra, B: SymForm, x0) -> CanonReport:
     """Build the canonical basis for R_{x0} and the metric; every
-    intermediate claim is asserted, not assumed."""
+    intermediate claim is asserted, not assumed.
+
+    Every basis vector is built as integer numerators over its own
+    denominator, an (ints, den) pair, from R_{x0} and the form scaled to
+    integers once.  Rationals appear only at the boundary: the pairings
+    that congruent_diagonalize takes and the coefficients it returns, the
+    weights, and P's entries."""
     n = A.dim
     if B.dim != n or len(x0) != n:
         raise PreconditionError("dimension mismatch")
@@ -168,80 +199,77 @@ def canonical_basis(A: Algebra, B: SymForm, x0) -> CanonReport:
         raise PreconditionError("orientation must satisfy p <= n - p")
     if not is_invariant(A, B):
         raise PreconditionError("form must be invariant")
-    R = A.right_op(x0)
-    k = rank(R)
-    if k > nm:
-        raise CanonError("rank of R_{x0} exceeds the negative index")
-    Bm = B.matrix
+    Rz, dR = _int_right_op(A, x0)
+    Bi, db = B.matrix.scaled()
+
+    def apply_form(v):
+        return [sum(map(mul, row, v)) for row in Bi]
+
+    def gram(xs, ys):
+        # the pairings <x, y> of (ints, den) pairs, a row per x
+        bys = [(apply_form(y), dy) for y, dy in ys]
+        return [[QQ(sum(map(mul, x, by)), dx * dy * db) for by, dy in bys] for x, dx in xs]
+
+    def combine(vectors, coeffs):
+        # sum_t coeffs[t] vectors[t] as an (ints, den) pair
+        terms = [(c / d, v) for c, (v, d) in zip(coeffs, vectors) if c]
+        mults, den = scale_vector([f for f, _ in terms])
+        out = [sum(map(mul, mults, col)) for col in zip(*[v for _, v in terms])]
+        return lowest_terms(out, den)
 
     # preimages u_i = e_j with w_i = R u_i spanning Im R: the pivot
     # columns of R's reduced row echelon form
-    reduced = R.copy_data()
+    reduced = [row[:] for row in Rz]
     pivots = _rref(reduced, n, n)
-    us = [basis_element(n, j) for j in pivots]
-    ws = [R.col(j) for j in pivots]
-    if len(ws) != k:
-        raise CanonError("image dimension mismatch")
+    k = len(pivots)
+    if k > nm:
+        raise CanonError("rank of R_{x0} exceeds the negative index")
+    us = [([int(t == j) for t in range(n)], 1) for j in pivots]
+    ws = [lowest_terms([row[j] for row in Rz], dR) for j in pivots]
 
     # Im R totally isotropic, and Im R = (Ker R)^perp
-    for wi in ws:
-        for wj in ws:
-            if B.pair(wi, wj):
-                raise CanonError("Im R_{x0} is not totally isotropic")
+    if any(any(row) for row in gram(ws, ws)):
+        raise CanonError("Im R_{x0} is not totally isotropic")
     ker = rref_kernel(reduced, pivots, n)
     if len(ker) != n - k:
         raise CanonError("kernel dimension mismatch")
-    for wi in ws:
-        for z in ker:
-            if B.pair(wi, z):
-                raise CanonError("Im R_{x0} not orthogonal to Ker R_{x0}")
+    if any(any(row) for row in gram(ker, ws)):
+        raise CanonError("Im R_{x0} not orthogonal to Ker R_{x0}")
 
     # pairing G_{ij} = <u_i, w_j>: symmetric and nondegenerate
-    G = Mat._raw([[B.pair(ui, wj) for wj in ws] for ui in us], k)
+    G = Mat._raw(gram(us, ws), k)
     if not G.is_symmetric():
         raise CanonError("preimage/image pairing is not symmetric")
     Q, D = congruent_diagonalize(G)
     weights = [D.data[i][i] for i in range(k)]
     if any(not g for g in weights):
         raise CanonError("preimage/image pairing is degenerate")
-
-    def combine(vectors, coeffs):
-        out = [ZERO] * n
-        for coeff, vec in zip(coeffs, vectors):
-            if coeff:
-                for t in range(n):
-                    out[t] += coeff * vec[t]
-        return out
-
     us = [combine(us, Q.col(i)) for i in range(k)]
     ws = [combine(ws, Q.col(i)) for i in range(k)]
 
     # isotropize the u_i inside span(u, w); corrections along w leave the
     # pairing with w untouched and are killed by R
-    H = [[B.pair(ui, uj) for uj in us] for ui in us]
+    H = gram(us, us)
     half = QQ(1, 2)
     us = [
         combine([us[i]] + ws, [ONE] + [-half * H[i][j] / weights[j] for j in range(k)])
         for i in range(k)
     ]
+    isotropic, cross = gram(us, us), gram(us, ws)
     for i in range(k):
         for j in range(k):
-            if B.pair(us[i], us[j]):
+            if isotropic[i][j]:
                 raise CanonError("isotropization failed")
-            expect = weights[i] if i == j else ZERO
-            if B.pair(us[i], ws[j]) != expect:
+            if cross[i][j] != (weights[i] if i == j else ZERO):
                 raise CanonError("pair weights corrupted")
 
-    # orthogonal complement of span(u, w), metric-diagonalized
-    if k:
-        rows = [Bm.apply(v) for v in us + ws]
-        comp = kernel_basis(Mat._raw(rows, n))
-    else:
-        comp = [basis_element(n, j) for j in range(n)]
+    # orthogonal complement of span(u, w), metric-diagonalized; its rows
+    # B v are integer, and the kernel does not depend on their scale
+    comp = kernel_basis(Mat._raw([apply_form(v) for v, _ in us + ws], n))
     if len(comp) != n - 2 * k:
         raise CanonError("complement dimension mismatch")
-    gram = Mat._raw([[B.pair(a, b) for b in comp] for a in comp], n - 2 * k)
-    Pc, Dc = congruent_diagonalize(gram)
+    comp = [scale_vector(c) for c in comp]
+    Pc, Dc = congruent_diagonalize(Mat._raw(gram(comp, comp), n - 2 * k))
     comp = [combine(comp, Pc.col(i)) for i in range(n - 2 * k)]
     comp_diag = [Dc.data[i][i] for i in range(n - 2 * k)]
     if any(not d for d in comp_diag):
@@ -252,7 +280,7 @@ def canonical_basis(A: Algebra, B: SymForm, x0) -> CanonReport:
         cols.append(us[i])
         cols.append(ws[i])
     cols.extend(comp)
-    P = Mat._raw([[cols[j][i] for j in range(n)] for i in range(n)], n)
+    P = Mat._raw([[QQ(v[i], d) if v[i] else ZERO for v, d in cols] for i in range(n)], n)
     # transport_basis inverts P, which raises ValueError when P is singular
     try:
         new, newB = transport_basis(A, B, P)
@@ -261,10 +289,9 @@ def canonical_basis(A: Algebra, B: SymForm, x0) -> CanonReport:
 
     # exact metric and R_{x0} shape checks in the new basis; R P = P J is
     # Pinv R P = J, as P is invertible
-    metric, J = _canonical_targets(n, k, weights, comp_diag)
-    if newB.matrix.data != metric:
+    if newB.matrix.data != _canonical_metric(n, k, weights, comp_diag):
         raise CanonError("metric does not reach the canonical block form")
-    if (R * P).data != (P * J).data:
+    if not _reaches_jordan(Rz, dR, cols, k):
         raise CanonError("R_{x0} does not reach the canonical Jordan form")
 
     new_ops = new.right_ops()
@@ -308,8 +335,8 @@ def verify_structure(A: Algebra, B: SymForm, rep: CanonReport, products=None):
 
     products_vanish reads A's own table int_right_products(A.int_tensor()[0])
     (products, if the caller holds it), as no basis is needed:
-    R'_i R'_j = Pinv R_{P e_i} R_{P e_j} P, and transport_basis's inverse(P)
-    proves P invertible."""
+    R'_i R'_j = Pinv R_{P e_i} R_{P e_j} P, and transport_basis's inverse of
+    P's integer columns proves P invertible."""
     n = A.dim
     if B.dim != n or rep.P.rows != n:
         raise PreconditionError("report/algebra mismatch")
@@ -323,10 +350,11 @@ def verify_structure(A: Algebra, B: SymForm, rep: CanonReport, products=None):
         new, newB = transport_basis(A, B, P)
         new_ops = new.right_ops()
         jordan_checked = False
-    metric, J = _canonical_targets(n, k, rep.pair_weights, rep.complement_diag)
     claims = {}
-    claims["metric_canonical"] = newB.matrix.data == metric
-    claims["rx0_canonical"] = jordan_checked or (A.right_op(rep.x0) * P).data == (P * J).data
+    claims["metric_canonical"] = newB.matrix.data == _canonical_metric(
+        n, k, rep.pair_weights, rep.complement_diag)
+    claims["rx0_canonical"] = jordan_checked or _reaches_jordan(
+        *_int_right_op(A, rep.x0), scale_columns(P), k)
 
     claims["lower_right_zero"] = all(
         not op.data[r][s]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from operator import mul
 
 from .scalars import QQ, ZERO, ONE
-from .exactlin import Mat, det, inverse
+from .exactlin import Mat, det, int_inverse, scale_columns
 from .algebra import (
     Algebra,
     DimensionMismatchError,
@@ -128,37 +128,54 @@ def random_k2(rnd: random.Random, n: int, structured: bool = True) -> K2Params:
 
 def transport_basis(A: Algebra, B, P: Mat):
     """Rewrite the algebra (and optional form) in the basis given by the
-    columns of the invertible matrix P.
+    columns of the invertible matrix P; raises ValueError when P is
+    singular.
 
-    With f_i = sum_a P[a][i] e_a, f_i f_j = sum_m c'[i][j][m] f_m where
-    c'[i][j][m] = sum_{a,b,r} P[a][i] P[b][j] c[a][b][r] Pinv[m][r]: three
-    contractions over the integer-scaled c, P and Pinv, divided by their
-    scales once at the end.
+    Each column of P is scaled to integers over its own denominator, P = Z
+    diag(1/d), so Pinv = diag(d) Z^-1, and row m of Z^-1 is y_m / p_m
+    (exactlin.int_inverse).  With f_i = sum_a P[a][i] e_a, f_i f_j =
+    sum_m c'[i][j][m] f_m where
+    c'[i][j][m] = sum_{a,b,r} Z[a][i] Z[b][j] C[a][b][r] d_m y_m[r]
+    / (d_i d_j dc p_m), for C = dc c the integer tensor, and the form
+    becomes z_i^T B z_j / (d_i d_j): integer contractions, each entry
+    divided by its own scale once at the end.
     """
     n = A.dim
     if (P.rows, P.cols) != (n, n):
         raise DimensionMismatchError("basis change dimension mismatch")
-    Pinv = inverse(P) if n else Mat.zeros(0, 0)
+    cols = scale_columns(P)
+    zcols = [z for z, _ in cols]
+    d = [dj for _, dj in cols]
+    # row m of Pinv is q_m / p_m
+    inv = int_inverse(list(zip(*zcols)))
+    qs = [[y * dm for y in ym] for dm, (ym, _) in zip(d, inv)]
+    ps = [p for _, p in inv]
     C, dc = A.int_tensor()
-    Pi, dp = P.scaled()
-    Qi, dq = Pinv.scaled()
-    den = dc * dp * dp * dq
-    pcols = list(zip(*Pi))
-    # U[j][r][a] = sum_b P[b][j] c[a][b][r]
+    # U[j][r][a] = sum_b Z[b][j] C[a][b][r]
     ccols = [list(zip(*Ca)) for Ca in C]
     U = [
-        list(zip(*[[sum(map(mul, pj, car)) for car in Ca] for Ca in ccols]))
-        for pj in pcols
+        list(zip(*[[sum(map(mul, zj, car)) for car in Ca] for Ca in ccols]))
+        for zj in zcols
     ]
     new = Algebra.zero(n)
-    for i, pi in enumerate(pcols):
+    for i, zi in enumerate(zcols):
         for j, Uj in enumerate(U):
-            t = [sum(map(mul, pi, ur)) for ur in Uj]
+            t = [sum(map(mul, zi, ur)) for ur in Uj]
+            s = dc * d[i] * d[j]
             new.c[i][j] = [
-                QQ(v, den) if v else ZERO for v in (sum(map(mul, t, q)) for q in Qi)
+                QQ(v, s * p) if v else ZERO
+                for v, p in zip((sum(map(mul, t, q)) for q in qs), ps)
             ]
-    newB = SymForm(P.transpose() * B.matrix * P) if B is not None else None
-    return new, newB
+    if B is None:
+        return new, None
+    Bi, db = B.matrix.scaled()
+    Bz = [[sum(map(mul, row, zj)) for row in Bi] for zj in zcols]
+    newB = [
+        [QQ(v, di * dj * db) if v else ZERO
+         for v, dj in zip((sum(map(mul, zi, bz)) for bz in Bz), d)]
+        for zi, di in zip(zcols, d)
+    ]
+    return new, SymForm(Mat._raw(newB, n))
 
 
 def scramble(A: Algebra, B, seed):

@@ -3,11 +3,13 @@ linear pencils.
 
 Everything here is over exact rationals (see scalars.py).  Rational
 matrices are scaled to Python ints over a common denominator for products,
-rank, determinant and row reduction, which run fraction-free.  A linear
-pencil sum_t x_t M_t holds integer matrices M_t, since rank is
-scale-free; it is evaluated at integer points, and its generic rank over
-the fraction field comes from fraction-free (Bareiss) elimination on
-integer polynomial term dicts, with no rational-function arithmetic.
+rank, determinant, row reduction and the inverse, which run fraction-free.
+A vector, or a column of a basis change (scale_columns), scaled over its
+own denominator is an (ints, den) pair.  A linear pencil sum_t x_t M_t
+holds integer matrices M_t, since rank is scale-free; it is evaluated at
+integer points, and its generic rank over the fraction field comes from
+fraction-free (Bareiss) elimination on integer polynomial term dicts, with
+no rational-function arithmetic.
 
 Pivoting is deterministic everywhere: first nonzero entry in row-major
 order.
@@ -45,6 +47,26 @@ def scale_to_int(rows):
         return [[x.numerator for x in row] for row in rows], 1
     it = iter(dens)
     return [[x.numerator * (den // next(it)) for x in row] for row in rows], den
+
+
+def scale_vector(v):
+    """(ints, den): den is the lcm of the denominators in v, and v[i] ==
+    ints[i] / den exactly."""
+    (ints,), den = scale_to_int([v])
+    return ints, den
+
+
+def lowest_terms(v, den):
+    """The (ints, den) pair of the rational vector v / den, for integers v
+    and den > 0, with the gcd of den and v's entries divided out."""
+    g = gcd(*v, den)
+    return ([x // g for x in v], den // g) if g > 1 else (v, den)
+
+
+def scale_columns(M):
+    """Each column of M as an (ints, den) pair over its own denominator, so
+    M = Z diag(1/d) with Z the integer columns."""
+    return [scale_vector(col) for col in zip(*M.data)]
 
 
 def int_rank(rows, cols):
@@ -229,14 +251,16 @@ def rank(M: Mat) -> int:
     return int_rank(M.scaled()[0], M.cols)
 
 
-def _rref(a, rows, cols):
-    """In-place reduced row echelon form; returns pivot column list.
+def _rref(z, rows, cols):
+    """In-place reduced row echelon form of the integer rows z; returns the
+    pivot column list.
 
-    Eliminates on the integer-scaled rows without division, dividing each
-    new row by the gcd of its entries; scaling a row leaves the reduced
-    form unchanged.
+    Eliminates without division, dividing each new row by the gcd of its
+    entries; scaling a row leaves the reduced form unchanged.  Row i <
+    len(pivots) ends with its pivot z[i][pivots[i]] nonzero and zeros in
+    the other pivot columns, so the rational reduced form is row i divided
+    by its pivot; the rows after them are zero.
     """
-    z, _ = scale_to_int(a)
     pivots = []
     r = 0
     for c in range(cols):
@@ -260,33 +284,32 @@ def _rref(a, rows, cols):
         r += 1
         if r == rows:
             break
-    for i in range(rows):
-        if i < r:
-            p = z[i][pivots[i]]
-            a[i] = [QQ(x, p) if x else ZERO for x in z[i]]
-        else:
-            a[i] = [ZERO] * cols
     return pivots
 
 
 def kernel_basis(M: Mat):
     """Basis of the right kernel of M, as a list of length-cols vectors."""
-    a = [row[:] for row in M.data if any(row)]
-    return rref_kernel(a, _rref(a, len(a), M.cols), M.cols)
+    z, _ = scale_to_int([row for row in M.data if any(row)])
+    pivots = _rref(z, len(z), M.cols)
+    return [[QQ(x, d) if x else ZERO for x in v] for v, d in rref_kernel(z, pivots, M.cols)]
 
 
-def rref_kernel(a, pivots, cols):
-    """Basis of the right kernel read from the reduced row echelon form a
-    and its pivot columns, as _rref leaves them."""
+def rref_kernel(z, pivots, cols):
+    """Basis of the right kernel read from the integer reduced row echelon
+    form z and its pivot columns, as _rref leaves them: for each free column
+    c, the vector with entry 1 at c, as an (ints, den) pair."""
     pivot_set = set(pivots)
-    free = [c for c in range(cols) if c not in pivot_set]
     basis = []
-    for fc in free:
-        v = [ZERO] * cols
-        v[fc] = ONE
-        for r, pc in enumerate(pivots):
-            v[pc] = -a[r][fc]
-        basis.append(v)
+    for fc in range(cols):
+        if fc in pivot_set:
+            continue
+        terms = [(pc, z[r][fc], z[r][pc]) for r, pc in enumerate(pivots) if z[r][fc]]
+        den = lcm(*[p for _, _, p in terms])
+        v = [0] * cols
+        v[fc] = den
+        for pc, f, p in terms:
+            v[pc] = -f * den // p
+        basis.append(lowest_terms(v, den))
     return basis
 
 
@@ -306,17 +329,26 @@ def det(M: Mat):
     return QQ(sign * a[-1][-1], den**n)
 
 
+def int_inverse(z):
+    """The inverse of the square integer matrix z, row by row: (y_m, p_m)
+    with row m of z^-1 equal to y_m / p_m, read from the integer reduced
+    form of [z | I].  Raises ValueError when z is singular."""
+    n = len(z)
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(z)]
+    if _rref(a, n, 2 * n)[:n] != list(range(n)):
+        raise ValueError("singular matrix")
+    return [(row[n:], row[m]) for m, row in enumerate(a)]
+
+
 def inverse(M: Mat) -> Mat:
-    """Exact inverse by Gauss-Jordan; raises on singular input."""
+    """Exact inverse by integer Gauss-Jordan: M = Z / den, so M^-1 =
+    den Z^-1; raises on singular input."""
     if M.rows != M.cols:
         raise ValueError("square matrix required")
-    n = M.rows
-    a = [row[:] + [ONE if i == j else ZERO for j in range(n)]
-         for i, row in enumerate(M.data)]
-    pivots = _rref(a, n, 2 * n)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("singular matrix")
-    return Mat._raw([row[n:] for row in a], n)
+    z, den = M.scaled()
+    return Mat._raw(
+        [[QQ(y * den, p) if y else ZERO for y in ym] for ym, p in int_inverse(z)], M.rows
+    )
 
 
 def congruent_diagonalize(S: Mat):

@@ -55,7 +55,13 @@ class SymForm:
         return self.signature()[2] == 0
 
     def negate(self):
-        return SymForm(-self.matrix)
+        """-B; a cached signature (n_plus, n_minus, n_zero) is carried over
+        as (n_minus, n_plus, n_zero), so it is not diagonalized again."""
+        out = SymForm(-self.matrix)
+        if self._signature is not None:
+            np_, nm, nz = self._signature
+            out._signature = (nm, np_, nz)
+        return out
 
     def pair(self, x, y):
         """<x, y>."""

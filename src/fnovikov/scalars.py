@@ -1,8 +1,9 @@
 """Exact rational scalars.
 
 All arithmetic in this package is exact, over the stdlib Fraction; the
-hot loops scale their rationals to Python ints over a common denominator
-(see exactlin.scale_to_int) and convert back only at the boundary.
+hot loops scale their rationals to Python ints, over a common denominator
+or over each column's or vector's own (see exactlin.scale_to_int), and
+convert back only at the boundary.
 """
 
 from fractions import Fraction as QQ

@@ -19,7 +19,9 @@ from fnovikov import (
     rank,
     scramble,
     search_fermionic_not_novikov,
+    theorem_check,
 )
+from fnovikov import canon, exactlin
 from fnovikov.scalars import QQ
 
 
@@ -197,6 +199,36 @@ class TestNormalizeOrientation:
         np_, nm, nz = B.signature()
         assert B.negate().signature() == (nm, np_, nz)
         assert is_invariant(A, B.negate())
+
+    def test_negation_carries_the_cached_signature(self, monkeypatch):
+        # normalize_orientation diagonalizes the form once; the flipped form
+        # it returns holds the swapped signature, so theorem_check's
+        # canonical_basis diagonalizes only its two pairings after that
+        calls = []
+        real = exactlin.congruent_diagonalize
+
+        def counted(S):
+            calls.append(S.rows)
+            return real(S)
+
+        monkeypatch.setattr(exactlin, "congruent_diagonalize", counted)
+        monkeypatch.setattr(canon, "congruent_diagonalize", counted)
+        A = make_family(2, 5)
+        B = normalize_orientation(find_nondegenerate(invariant_form_space(A), seed=1))
+        np_, nm, nz = B.signature()
+        assert nm < np_
+        calls.clear()
+        N = normalize_orientation(SymForm(-B.matrix))
+        assert N.signature() == (np_, nm, nz)
+        assert N.negate().signature() == (nm, np_, nz)
+        assert calls == [5]
+        # the carried signatures are the ones a fresh diagonalization finds
+        assert N.signature() == exactlin.signature(N.matrix)
+        assert N.negate().signature() == exactlin.signature(N.negate().matrix)
+        calls.clear()
+        assert theorem_check(A, SymForm(-B.matrix), seed=1)
+        # the form's signature, then <u_i, w_j> (k = 1) and the complement
+        assert calls == [5, 1, 3]
 
 
 class TestIsotropyBounds:
