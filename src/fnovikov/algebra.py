@@ -11,7 +11,7 @@ from __future__ import annotations
 from operator import add, mul
 
 from .scalars import QQ, ZERO, ONE
-from .exactlin import Mat, int_rank, scale_to_int
+from .exactlin import Mat, _bareiss, scale_to_int
 
 
 class DimensionMismatchError(ValueError):
@@ -34,16 +34,17 @@ class Algebra:
 
     Immutable once read: code that builds an algebra writes c right after
     the constructor or Algebra.zero, before any method reads it.  The
-    integer tensor and the derived dimension are computed on first use
-    and cached, so a later write to c would leave them stale.
+    integer tensor and the pivot coordinates of the derived algebra are
+    computed on first use and cached, so a later write to c would leave
+    them stale.
     """
 
-    __slots__ = ("dim", "c", "_int_tensor", "_derived_dim")
+    __slots__ = ("dim", "c", "_int_tensor", "_derived_pivots")
 
     def __init__(self, dim, c):
         self.dim = dim
         self._int_tensor = None
-        self._derived_dim = None
+        self._derived_pivots = None
         self.c = [
             [[QQ(x) for x in vec] for vec in row] for row in c
         ]
@@ -58,7 +59,7 @@ class Algebra:
         a = object.__new__(cls)
         a.dim = dim
         a._int_tensor = None
-        a._derived_dim = None
+        a._derived_pivots = None
         a.c = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
         return a
 
@@ -162,39 +163,60 @@ class Algebra:
             self._int_tensor = [flat[i * n:(i + 1) * n] for i in range(n)], den
         return self._int_tensor
 
-    def derived_dim(self) -> int:
-        """Dimension of the span of all basis products e_i e_j, computed
-        once per instance."""
-        if self._derived_dim is None:
+    def derived_pivots(self):
+        """The pivot columns, in increasing order, of the elimination of
+        the n^2 product vectors e_i e_j, computed once per instance.
+
+        The derived algebra AA, their span, projects injectively onto these
+        coordinates, so a vector of AA is zero exactly when its entries at
+        them are.  The list is shared by every caller and must not be
+        mutated."""
+        if self._derived_pivots is None:
             C, _ = self.int_tensor()
-            self._derived_dim = int_rank([vec for row in C for vec in row], self.dim)
-        return self._derived_dim
+            self._derived_pivots = _bareiss([vec for row in C for vec in row], self.dim)[0]
+        return self._derived_pivots
+
+    def derived_dim(self) -> int:
+        """Dimension of the span AA of all basis products e_i e_j: the
+        number of derived_pivots()."""
+        return len(self.derived_pivots())
 
 
 # The identity checks run on int_tensor(): every identity is homogeneous in
 # the structure constants, so scaling them to integers keeps each verdict.
+# Every term of every identity is a product, so it lies in AA, and each
+# check reads only the coordinates `rows`, onto which AA projects
+# injectively: A.derived_pivots(), k = dim AA of them, unless the caller
+# knows such coordinates without an elimination.  That makes left-symmetry
+# and the product table cost k n^4 multiply-adds, not n^5.
 
 
-def int_right_ops(C):
-    """rows[j][m][t] = C[t][j][m]: row m of the integer matrix of R_{e_j}."""
+def int_right_ops(C, rows):
+    """ops[j][r][t] = C[t][j][m] with m = rows[r]: the rows `rows` of the
+    integer matrix of R_{e_j}."""
     n = len(C)
-    return [[[C[t][j][m] for t in range(n)] for m in range(n)] for j in range(n)]
+    return [[[C[t][j][m] for t in range(n)] for m in rows] for j in range(n)]
 
 
-def check_left_symmetric(A: Algebra) -> bool:
-    """(xy)z - x(yz) = (yx)z - y(xz) on all basis triples."""
+def check_left_symmetric(A: Algebra, rows=None) -> bool:
+    """(xy)z - x(yz) = (yx)z - y(xz) on all basis triples, compared at the
+    coordinates rows (A.derived_pivots() when omitted)."""
     n = A.dim
     C, _ = A.int_tensor()
-    right = int_right_ops(C)
-    # left[i][m][t] = C[i][t][m]: row m of the integer matrix of L_{e_i}
-    left = [[[C[i][t][m] for t in range(n)] for m in range(n)] for i in range(n)]
+    if rows is None:
+        rows = A.derived_pivots()
+    right = int_right_ops(C, rows)
+    # left[i][r][t] = C[i][t][m] with m = rows[r]: the rows `rows` of the
+    # integer matrix of L_{e_i}
+    left = [[[C[i][t][m] for t in range(n)] for m in rows] for i in range(n)]
     for i in range(n):
         Li = left[i]
         for j in range(i + 1, n):
             # the identity is trivially true for x = y, so skip i == j;
             # for x = e_i, y = e_j, z = e_k it reads
-            # R_k (xy - yx) = L_i (yz) - L_j (xz), compared row by row of
-            # R_k, L_i and L_j, so the check stops at the first unequal entry
+            # R_k (xy - yx) = L_i (yz) - L_j (xz), compared at one
+            # coordinate of rows at a time, so the check stops at the first
+            # unequal entry
             Lj = left[j]
             comm = [a - b for a, b in zip(C[i][j], C[j][i])]
             for Rk, cjk, cik in zip(right, C[j], C[i]):
@@ -204,24 +226,35 @@ def check_left_symmetric(A: Algebra) -> bool:
     return True
 
 
-def int_right_products(C):
-    """table[i][j] = the integer matrix R_i R_j of the tensor C, flattened
-    row-major: (R_i R_j)[m][t] = sum_s C[s][i][m] C[t][j][s]."""
-    n = len(C)
+def int_right_products(A: Algebra, rows=None):
+    """table[i][j] = the rows `rows` (A.derived_pivots() when omitted) of
+    the integer matrix R_i R_j of A.int_tensor(), flattened row-major:
+    entry (r, t) is (R_i R_j)[m][t] = sum_s C[s][i][m] C[t][j][s] with
+    m = rows[r].
+
+    Column t of R_i R_j is the product (e_t e_j) e_i, which lies in AA, so
+    these len(rows) * n integers decide every identity read off the
+    table."""
+    n = A.dim
+    C, _ = A.int_tensor()
+    if rows is None:
+        rows = A.derived_pivots()
     # cols[j][t] = C[t][j], the column t of R_{e_j}
     cols = [[C[t][j] for t in range(n)] for j in range(n)]
     return [
         [[sum(map(mul, rim, ctj)) for rim in Ri for ctj in Cj] for Cj in cols]
-        for Ri in int_right_ops(C)
+        for Ri in int_right_ops(C, rows)
     ]
 
 
 def check_fermionic(A: Algebra, products=None) -> bool:
     """(xy)z = -(xz)y, i.e. the right multiplications pairwise anticommute.
 
-    products is A's table int_right_products(A.int_tensor()[0]), passed by
-    a caller that reads it again; it is built here when omitted."""
-    table = int_right_products(A.int_tensor()[0]) if products is None else products
+    Decided on the table products = int_right_products(A), the rows of
+    each R_i R_j at the pivot coordinates of AA: R_i R_j + R_j R_i maps
+    into AA, so it vanishes when those rows do.  A caller that reads the
+    table again passes it; it is built here when omitted."""
+    table = int_right_products(A) if products is None else products
     return not any(
         any(map(add, table[i][j], table[j][i]))
         for i in range(A.dim)
@@ -232,9 +265,9 @@ def check_fermionic(A: Algebra, products=None) -> bool:
 def check_novikov(A: Algebra, products=None) -> bool:
     """(xy)z = (xz)y, i.e. the right multiplications pairwise commute.
 
-    products is A's table int_right_products(A.int_tensor()[0]), as for
-    check_fermionic; it is built here when omitted."""
-    table = int_right_products(A.int_tensor()[0]) if products is None else products
+    Decided, like check_fermionic, on the pivot rows of AA of the table
+    products = int_right_products(A), built here when omitted."""
+    table = int_right_products(A) if products is None else products
     return all(
         table[i][j] == table[j][i] for i in range(A.dim) for j in range(i + 1, A.dim)
     )
@@ -288,6 +321,10 @@ _WEDGE = (
     ((1, 1), None, (3, -1), None),  # wedge by v1
     ((2, 1), (3, 1), None, None),  # wedge by v2
 )
+# No wedge by v1 or v2 has a part along 1, so every candidate's AA lies in
+# span(v1, v2, v1^v2), and the checks read these coordinates with no
+# elimination per candidate.
+_WEDGE_ROWS = (1, 2, 3)
 
 
 def search_fermionic_not_novikov(values=(-1, 0, 1)):
@@ -318,9 +355,9 @@ def search_fermionic_not_novikov(values=(-1, 0, 1)):
                         A.c[i][j][w[0]] += coeff * w[1]
         # every rank-2 candidate anticommutes and few are left-symmetric,
         # so left-symmetry rejects them soonest
-        if not check_left_symmetric(A):
+        if not check_left_symmetric(A, _WEDGE_ROWS):
             continue
-        products = int_right_products(A.int_tensor()[0])
+        products = int_right_products(A, _WEDGE_ROWS)
         if check_fermionic(A, products) and not check_novikov(A, products):
             yield A
 

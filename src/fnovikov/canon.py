@@ -103,7 +103,7 @@ def right_pencil(A: Algebra) -> Pencil:
     """The pencil sum_j t_j R_{e_j} in n variables, times the denominator
     of A.int_tensor(): its value at x is that multiple of R_x."""
     C, _ = A.int_tensor()
-    return Pencil(int_right_ops(C), A.dim, A.dim)
+    return Pencil(int_right_ops(C, range(A.dim)), A.dim, A.dim)
 
 
 def max_rank_element(A: Algebra, seed, products=None):
@@ -333,10 +333,12 @@ def verify_structure(A: Algebra, B: SymForm, rep: CanonReport, products=None):
     from the values it was checked for.  Every claim's target is rebuilt
     from the report's fields, so a corrupted report is caught.
 
-    products_vanish reads A's own table int_right_products(A.int_tensor()[0])
-    (products, if the caller holds it), as no basis is needed:
-    R'_i R'_j = Pinv R_{P e_i} R_{P e_j} P, and transport_basis's inverse of
-    P's integer columns proves P invertible."""
+    products_vanish reads A's own table int_right_products(A) (products,
+    if the caller holds it), as no basis is needed: R'_i R'_j = Pinv
+    R_{P e_i} R_{P e_j} P, and transport_basis's inverse of P's integer
+    columns proves P invertible.  The table holds only the rows of each
+    R_i R_j at A.derived_pivots(), which vanish exactly when R_i R_j
+    does, as its columns lie in AA."""
     n = A.dim
     if B.dim != n or rep.P.rows != n:
         raise PreconditionError("report/algebra mismatch")
@@ -391,7 +393,7 @@ def verify_structure(A: Algebra, B: SymForm, rep: CanonReport, products=None):
     )
 
     if products is None:
-        products = int_right_products(A.int_tensor()[0])
+        products = int_right_products(A)
     claims["products_vanish"] = not any(any(p) for row in products for p in row)
     return claims
 
@@ -407,7 +409,7 @@ def theorem_check(A: Algebra, B: SymForm, seed) -> bool:
     # the fermionic check comes before canonical_basis checks that the form
     # is invariant, and before the form is normalized, so it wins over a
     # degenerate form
-    products = int_right_products(A.int_tensor()[0])
+    products = int_right_products(A)
     if not check_fermionic(A, products):
         raise PreconditionError("right multiplications must anticommute")
     x0, _ = max_rank_element(A, seed, products)

@@ -90,7 +90,7 @@ def _default_seed(args):
 
 def cmd_check(args):
     A, _, _ = _load(args.input)
-    products = int_right_products(A.int_tensor()[0])
+    products = int_right_products(A)
     report = {
         "left_symmetric": check_left_symmetric(A),
         "fermionic": check_fermionic(A, products),
@@ -139,7 +139,7 @@ def _report_from_canon(rep: CanonReport, claims):
 def cmd_canon(args):
     A, form, _ = _load(args.input)
     seed = _default_seed(args)
-    products = int_right_products(A.int_tensor()[0])
+    products = int_right_products(A)
     if not (check_left_symmetric(A) and check_fermionic(A, products)):
         print("error: algebra fails a defining identity", file=sys.stderr)
         return EXIT_PROPERTY_FAILED

@@ -71,7 +71,7 @@ def scale_columns(M):
 
 def int_rank(rows, cols):
     """Rank of an integer matrix given as a list of row lists."""
-    return _bareiss(list(rows), cols)[0]
+    return len(_bareiss(list(rows), cols)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -214,12 +214,15 @@ def _bareiss(a, cols):
     """Fraction-free (Bareiss) forward elimination of the integer rows a,
     in place, with row-major pivot choice.
 
-    Returns (rank, sign of the row permutation).  Every entry stays an
-    integer minor of the input, so each division by the previous pivot is
-    exact; for a square nonsingular input a[-1][-1] * sign is its
-    determinant.
+    Returns (pivots, sign of the row permutation): pivots lists the
+    columns where a pivot was found, in increasing order, so the rank is
+    its length and the row space projects injectively onto those
+    coordinates.  Every entry stays an integer minor of the input, so each
+    division by the previous pivot is exact; for a square nonsingular
+    input a[-1][-1] * sign is its determinant.
     """
     rows = len(a)
+    pivots = []
     r = 0
     sign = 1
     prev = 1
@@ -240,10 +243,11 @@ def _bareiss(a, cols):
             f = a[i][c]
             a[i] = [(x * p - f * y) // prev for x, y in zip(a[i], prow)]
         prev = p
+        pivots.append(c)
         r += 1
         if r == rows:
             break
-    return r, sign
+    return pivots, sign
 
 
 def rank(M: Mat) -> int:
@@ -323,8 +327,8 @@ def det(M: Mat):
         return ONE
     a, den = M.scaled()
     a = list(a)
-    r, sign = _bareiss(a, n)
-    if r < n:
+    pivots, sign = _bareiss(a, n)
+    if len(pivots) < n:
         return ZERO
     return QQ(sign * a[-1][-1], den**n)
 

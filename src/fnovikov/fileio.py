@@ -53,15 +53,17 @@ class ZeroDenominatorError(AlgebraFileError):
 
 
 # The largest dim a file may declare.  The structure tensor is stored
-# densely (dim**3 entries) and the checks cost about dim**5 operations, so
-# the cap is checked before anything is allocated.
+# densely (dim**3 entries) and the checks cost about k * dim**4 operations,
+# k = dim AA <= dim, so the cap is checked before anything is allocated.
 MAX_DIM = 64
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+# ASCII digits only, and the whole string: \d would admit other scripts'
+# digits, which int() reads, and $ a trailing newline.
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def parse_rational(s):
-    if not isinstance(s, str) or not _RATIONAL_RE.match(s):
+    if not isinstance(s, str) or not _RATIONAL_RE.fullmatch(s):
         raise AlgebraFileSyntaxError(f"malformed rational {s!r}")
     if "/" in s:
         num, den = s.split("/")

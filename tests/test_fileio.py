@@ -1,3 +1,4 @@
+import json
 import re
 from pathlib import Path
 
@@ -71,6 +72,19 @@ class TestParseErrors:
     def test_float_rational_rejected(self):
         with pytest.raises(AlgebraFileSyntaxError):
             parse('{"dim": 2, "products": [[1, 1, [[2, "1.5"]]]]}')
+
+    def test_non_ascii_digits_and_trailing_newline_rejected(self):
+        # the grammar is ASCII "p" or "p/q" and nothing more: int() reads
+        # Arabic-Indic and fullwidth digits, and a regex $ matches before a
+        # final newline
+        for bad in ("1/2\n", "3\n", "\u0663", "\uff13/\uff14", "1/\u0664"):
+            with pytest.raises(AlgebraFileSyntaxError, match="malformed rational"):
+                fileio.parse_rational(bad)
+            with pytest.raises(AlgebraFileSyntaxError, match="malformed rational"):
+                parse(json.dumps({"dim": 2, "products": [[1, 1, [[2, bad]]]]}))
+            with pytest.raises(AlgebraFileSyntaxError, match="malformed rational"):
+                parse(json.dumps({"dim": 1, "products": [], "form": [[bad]]}))
+        assert fileio.parse_rational("-12/34") == QQ(-6, 17)
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexRangeError):

@@ -338,7 +338,7 @@ def test_products_vanish_sees_one_nonzero_product():
         (0, 2): Algebra.from_products(3, [(0, 2, 1, 1), (1, 0, 2, 1)]),
     }
     for ij, D in single.items():
-        table = int_right_products(D.int_tensor()[0])
+        table = int_right_products(D)
         assert [(i, j) for i in range(3) for j in range(3) if any(table[i][j])] == [ij]
     P = Mat([[1, QQ(1, 2), 0], [0, 1, QQ(-2, 3)], [2, 0, 1]])
     rep = CanonReport(x0=[QQ(0)] * 3, k=0, P=P, pair_weights=[], signs=[],
@@ -365,6 +365,47 @@ def test_identity_checks_match_reference():
     for t in range(3):
         assert {v[t] for v in verdicts} == {True, False}
     assert (True, True, False) in verdicts  # the witnesses
+
+
+@st.composite
+def sparse_algebras(draw):
+    """(A, shape): a random sparse rational algebra of dim 0-5 whose AA is
+    0 (shape "zero"), all of A ("full": e_0 e_m = e_m) or anything
+    ("sparse"), under a rational basis change half the time, so that AA is
+    no coordinate subspace."""
+    n = draw(st.integers(0, 5))
+    shape = draw(st.sampled_from(["zero", "full", "sparse"])) if n else "zero"
+    rnd = random.Random(draw(st.integers(0, 2**30)))
+    A = Algebra.zero(n)
+    if shape != "zero":
+        # a few constants, so that an identity can fail in one coordinate
+        for _ in range(draw(st.integers(1, 2 * n))):
+            A.c[rnd.randrange(n)][rnd.randrange(n)][rnd.randrange(n)] = rand_q(rnd)
+    if shape == "full":
+        for m in range(n):
+            A.c[0][m] = [QQ(int(t == m)) for t in range(n)]
+    if n and draw(st.booleans()):
+        A, _, _ = scramble(A, None, rnd.randrange(2**30))
+    return A, shape
+
+
+@given(sparse_algebras())
+@settings(max_examples=150, deadline=None)
+def test_checks_on_derived_pivots_match_reference(case):
+    # the checks read every identity only at derived_pivots(), onto which
+    # AA projects injectively: the product vectors keep their rank there
+    A, shape = case
+    n, k = A.dim, A.derived_dim()
+    products = [vec for row in A.c for vec in row]
+    pivots = A.derived_pivots()
+    assert len(pivots) == k == rank(Mat(products, n))
+    assert pivots == sorted(set(pivots)) and all(0 <= m < n for m in pivots)
+    assert rank(Mat([[v[m] for m in pivots] for v in products], k)) == k
+    assert k == {"zero": 0, "full": n}.get(shape, k)
+    table = int_right_products(A)
+    assert all(len(entry) == k * n for row in table for entry in row)
+    got = (check_left_symmetric(A), check_fermionic(A, table), check_novikov(A, table))
+    assert got == (ref_left_symmetric(A), ref_right_products(A, 1), ref_right_products(A, -1))
 
 
 def test_left_symmetry_sees_a_single_failing_triple():
@@ -603,7 +644,7 @@ def test_novikov_is_products_vanish_when_anticommuting(anticommuting):
     # products_vanish: R_i R_j = -R_j R_i and R_i R_j = R_j R_i force 0
     verdicts = set()
     for A in anticommuting:
-        table = int_right_products(A.int_tensor()[0])
+        table = int_right_products(A)
         assert check_fermionic(A, table)
         vanish = not any(any(p) for row in table for p in row)
         assert check_novikov(A) == vanish
@@ -612,13 +653,15 @@ def test_novikov_is_products_vanish_when_anticommuting(anticommuting):
 
 
 def _count_calls(monkeypatch, name, modules):
-    """Record every call of the function `name` through any of modules."""
+    """Record the result of every call of the function `name` through any
+    of modules."""
     calls = []
     real = getattr(modules[0], name)
 
     def counted(*args, **kwargs):
-        calls.append(name)
-        return real(*args, **kwargs)
+        result = real(*args, **kwargs)
+        calls.append(result)
+        return result
 
     for module in modules:
         monkeypatch.setattr(module, name, counted)
@@ -634,6 +677,16 @@ def test_one_product_table_per_theorem_check(monkeypatch):
         transports.clear()
         assert theorem_check(A, B, seed=i)
         assert len(tables) == len(transports) == 1
+        # the table holds R_i R_j only at the k pivot rows of AA
+        assert all(len(entry) == A.derived_dim() * A.dim for row in tables[0] for entry in row)
+    # the witness search reads its products at e_1, e_2, e_3 (v1, v2 and
+    # v1^v2) only; the digest pins the 210 witnesses that checks reading
+    # all four coordinates found
+    tables.clear()
+    found = list(search_fermionic_not_novikov())
+    assert tables and all(len(entry) == 3 * 4 for table in tables for row in table for entry in row)
+    digest = hashlib.sha256("".join(serialize(W) for W in found).encode()).hexdigest()
+    assert digest == "40044c2fb5b3e7e33eb310aff2b411d8cb2e593c3823415dc53deb10f3883d9d"
 
 
 def test_one_fermionic_check_per_canon(monkeypatch, tmp_path, capsys):
