@@ -12,7 +12,6 @@ from .exactlin import (
     det,
     find_generic_point,
     generic_rank,
-    inverse,
     kernel_basis,
     rank,
     signature,
@@ -43,6 +42,7 @@ from .canon import (
     CanonReport,
     PreconditionError,
     canonical_basis,
+    canonicalize,
     max_rank_element,
     right_pencil,
     theorem_check,

@@ -15,7 +15,7 @@ of the weights are recorded separately and every claim is weight-aware.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import mul
 
 from .scalars import QQ, ZERO, ONE
@@ -42,7 +42,13 @@ from .algebra import (
     int_right_ops,
     int_right_products,
 )
-from .forms import SymForm, is_invariant, normalize_orientation
+from .forms import (
+    SymForm,
+    find_nondegenerate,
+    invariant_form_space,
+    is_invariant,
+    normalize_orientation,
+)
 from .classify import transport_basis
 
 
@@ -55,25 +61,6 @@ class CanonError(RuntimeError):
     signals corrupted input or an implementation bug."""
 
 
-@dataclass(frozen=True)
-class BasisTransport:
-    """What canonical_basis computed in the basis P, for verify_structure
-    to read instead of computing it again.
-
-    new_ops are the right multiplications R'_{e_j} of A rewritten in the
-    basis P and newB the form B rewritten in it; they hold for these A, B
-    and P objects (Mat is immutable).  R_{x0} P = P J passed for the value
-    x0 and the k of J."""
-
-    A: Algebra
-    B: SymForm
-    P: Mat
-    new_ops: list
-    newB: SymForm
-    x0: tuple
-    k: int
-
-
 @dataclass
 class CanonReport:
     """Everything the canonicalization produced.
@@ -84,9 +71,9 @@ class CanonReport:
     d_forms[j] is the k x k matrix of lower-left block entries of the
     leading 2k x 2k block of R_{e'_j} in the new basis.
 
-    transport is the BasisTransport canonical_basis built, so that
-    verify_structure transports the basis once; it is None on a report
-    built by hand and takes no part in repr or comparison.
+    claims maps each name of CLAIMS to its truth value, as canonical_basis
+    read it on the basis it built and transported; verify_structure reads
+    the same claims again from the other fields.
     """
 
     x0: list
@@ -96,7 +83,7 @@ class CanonReport:
     signs: list
     complement_diag: list
     d_forms: list
-    transport: BasisTransport | None = field(default=None, repr=False, compare=False)
+    claims: dict
 
 
 def right_pencil(A: Algebra) -> Pencil:
@@ -180,7 +167,7 @@ def _reaches_jordan(Rz, dR, cols, k):
     return True
 
 
-def canonical_basis(A: Algebra, B: SymForm, x0) -> CanonReport:
+def canonical_basis(A: Algebra, B: SymForm, x0, products=None) -> CanonReport:
     """Build the canonical basis for R_{x0} and the metric; every
     intermediate claim is asserted, not assumed.
 
@@ -188,7 +175,11 @@ def canonical_basis(A: Algebra, B: SymForm, x0) -> CanonReport:
     denominator, an (ints, den) pair, from R_{x0} and the form scaled to
     integers once.  Rationals appear only at the boundary: the pairings
     that congruent_diagonalize takes and the coefficients it returns, the
-    weights, and P's entries."""
+    weights, and P's entries.
+
+    The basis is transported once, and every claim of CLAIMS is read on
+    that transport into the report's claims; products is A's right-product
+    table int_right_products(A), built here when the caller holds none."""
     n = A.dim
     if B.dim != n or len(x0) != n:
         raise PreconditionError("dimension mismatch")
@@ -286,15 +277,17 @@ def canonical_basis(A: Algebra, B: SymForm, x0) -> CanonReport:
         new, newB = transport_basis(A, B, P)
     except ValueError:
         raise CanonError("basis change is singular") from None
-
-    # exact metric and R_{x0} shape checks in the new basis; R P = P J is
-    # Pinv R P = J, as P is invertible
-    if newB.matrix.data != _canonical_metric(n, k, weights, comp_diag):
+    new_ops = new.right_ops()
+    if products is None:
+        products = int_right_products(A)
+    claims = _read_claims(new_ops, newB, k, weights, comp_diag,
+                          _reaches_jordan(Rz, dR, cols, k), products)
+    # the metric and the shape of R_{x0} hold by construction
+    if not claims["metric_canonical"]:
         raise CanonError("metric does not reach the canonical block form")
-    if not _reaches_jordan(Rz, dR, cols, k):
+    if not claims["rx0_canonical"]:
         raise CanonError("R_{x0} does not reach the canonical Jordan form")
 
-    new_ops = new.right_ops()
     d_forms = [
         Mat._raw([[Rj.data[2 * a + 1][2 * b] for b in range(k)] for a in range(k)], k)
         for Rj in new_ops
@@ -308,7 +301,7 @@ def canonical_basis(A: Algebra, B: SymForm, x0) -> CanonReport:
         signs=[1 if g > 0 else -1 for g in weights],
         complement_diag=comp_diag,
         d_forms=d_forms,
-        transport=BasisTransport(A, B, P, new_ops, newB, tuple(x0), k),
+        claims=claims,
     )
 
 
@@ -323,41 +316,22 @@ CLAIMS = (
 )
 
 
-def verify_structure(A: Algebra, B: SymForm, rep: CanonReport, products=None):
-    """Recompute every structural claim in the canonical basis and return
-    each claim's truth value (see CLAIMS).
+def _read_claims(new_ops, newB, k, weights, comp_diag, rx0_canonical, products):
+    """Each claim of CLAIMS, in that order, read on new_ops and newB, the
+    right multiplications and the form rewritten in the canonical basis P.
+    The targets are rebuilt from k, the pair weights and the complement
+    diagonal; rx0_canonical is whether R_{x0} P = P J.
 
-    The basis is transported again, and R_{x0} P compared with P J, unless
-    rep.transport was built for these A, B and rep.P objects; on that basis
-    the Jordan form is still checked again when rep.x0 or rep.k differs
-    from the values it was checked for.  Every claim's target is rebuilt
-    from the report's fields, so a corrupted report is caught.
-
-    products_vanish reads A's own table int_right_products(A) (products,
-    if the caller holds it), as no basis is needed: R'_i R'_j = Pinv
-    R_{P e_i} R_{P e_j} P, and transport_basis's inverse of P's integer
-    columns proves P invertible.  The table holds only the rows of each
-    R_i R_j at A.derived_pivots(), which vanish exactly when R_i R_j
-    does, as its columns lie in AA."""
-    n = A.dim
-    if B.dim != n or rep.P.rows != n:
-        raise PreconditionError("report/algebra mismatch")
-    k = rep.k
-    P = rep.P
-    shared = rep.transport
-    if shared is not None and shared.A is A and shared.B is B and shared.P is P:
-        new_ops, newB = shared.new_ops, shared.newB
-        jordan_checked = shared.x0 == tuple(rep.x0) and shared.k == k
-    else:
-        new, newB = transport_basis(A, B, P)
-        new_ops = new.right_ops()
-        jordan_checked = False
-    claims = {}
-    claims["metric_canonical"] = newB.matrix.data == _canonical_metric(
-        n, k, rep.pair_weights, rep.complement_diag)
-    claims["rx0_canonical"] = jordan_checked or _reaches_jordan(
-        *_int_right_op(A, rep.x0), scale_columns(P), k)
-
+    products_vanish reads A's own table int_right_products(A), as no basis
+    is needed: R'_i R'_j = Pinv R_{P e_i} R_{P e_j} P, and transport_basis's
+    inverse of P's integer columns proves P invertible.  The table holds
+    only the rows of each R_i R_j at A.derived_pivots(), which vanish
+    exactly when R_i R_j does, as its columns lie in AA."""
+    n = newB.dim
+    claims = {
+        "metric_canonical": newB.matrix.data == _canonical_metric(n, k, weights, comp_diag),
+        "rx0_canonical": rx0_canonical,
+    }
     claims["lower_right_zero"] = all(
         not op.data[r][s]
         for op in new_ops
@@ -371,49 +345,69 @@ def verify_structure(A: Algebra, B: SymForm, rep: CanonReport, products=None):
         for s in range(n)
         if (r < 2 * k) != (s < 2 * k)
     )
-    core_ok = True
-    for op in new_ops:
-        for a in range(k):
-            for b in range(k):
-                blk = (
-                    op.data[2 * a][2 * b],
-                    op.data[2 * a][2 * b + 1],
-                    op.data[2 * a + 1][2 * b + 1],
-                )
-                if any(blk):
-                    core_ok = False
-    claims["core_block_shape"] = core_ok
-
-    w = rep.pair_weights
-    claims["weighted_symmetry"] = all(
-        op.data[2 * a + 1][2 * b] * w[a] == op.data[2 * b + 1][2 * a] * w[b]
+    claims["core_block_shape"] = not any(
+        op.data[2 * a][2 * b] or op.data[2 * a][2 * b + 1] or op.data[2 * a + 1][2 * b + 1]
         for op in new_ops
         for a in range(k)
         for b in range(k)
     )
-
-    if products is None:
-        products = int_right_products(A)
+    claims["weighted_symmetry"] = all(
+        op.data[2 * a + 1][2 * b] * weights[a] == op.data[2 * b + 1][2 * a] * weights[b]
+        for op in new_ops
+        for a in range(k)
+        for b in range(k)
+    )
     claims["products_vanish"] = not any(any(p) for row in products for p in row)
     return claims
 
 
-def theorem_check(A: Algebra, B: SymForm, seed) -> bool:
-    """Full pipeline: canonicalize, verify every structural claim, and
-    confirm that commuting right multiplications and the derived-dimension
-    count follow.  One right-product table serves the anticommutation
-    precondition and products_vanish, which is the Novikov identity once
-    the R_i anticommute: R_i R_j = R_j R_i = -R_i R_j forces R_i R_j = 0."""
+def verify_structure(A: Algebra, B: SymForm, rep: CanonReport):
+    """Read every structural claim again and return each claim's truth
+    value (see CLAIMS): the independent re-check of a report.
+
+    The basis rep.P is transported again, R_{x0} P compared with P J for
+    rep.x0 and rep.k, and the claims read by the helper canonical_basis
+    uses, with every target rebuilt from the report's fields, so a
+    corrupted report is caught.  rep.claims is not read."""
+    n = A.dim
+    if B.dim != n or rep.P.rows != n:
+        raise PreconditionError("report/algebra mismatch")
+    new, newB = transport_basis(A, B, rep.P)
+    rx0_canonical = _reaches_jordan(*_int_right_op(A, rep.x0), scale_columns(rep.P), rep.k)
+    return _read_claims(new.right_ops(), newB, rep.k, rep.pair_weights,
+                        rep.complement_diag, rx0_canonical, int_right_products(A))
+
+
+def canonicalize(A: Algebra, B, seed) -> CanonReport:
+    """The theorem's pipeline: check the preconditions, pick a maximal-rank
+    x0, and build the canonical basis, every claim read on it.
+
+    One right-product table decides the anticommutation precondition and
+    products_vanish, which is the Novikov identity once the R_i anticommute:
+    R_i R_j = R_j R_i = -R_i R_j forces R_i R_j = 0.  With B None, a
+    nondegenerate member of A's invariant form space is searched for with
+    seed.  The identities are checked before the form is searched for or
+    normalized, so they win over a degenerate form.  A failed precondition
+    raises PreconditionError naming it."""
     if not check_left_symmetric(A):
         raise PreconditionError("algebra must be left-symmetric")
-    # the fermionic check comes before canonical_basis checks that the form
-    # is invariant, and before the form is normalized, so it wins over a
-    # degenerate form
     products = int_right_products(A)
     if not check_fermionic(A, products):
         raise PreconditionError("right multiplications must anticommute")
+    if B is None:
+        B = find_nondegenerate(invariant_form_space(A), seed=seed)
+        if B is None:
+            raise PreconditionError("no nondegenerate invariant form exists")
+    B = normalize_orientation(B)
     x0, _ = max_rank_element(A, seed, products)
-    Bn = normalize_orientation(B)
-    rep = canonical_basis(A, Bn, x0)
-    claims = verify_structure(A, Bn, rep, products)
-    return all(claims.values()) and A.derived_dim() == rep.k
+    return canonical_basis(A, B, x0, products)
+
+
+def theorem_check(A: Algebra, B: SymForm, seed) -> bool:
+    """Whether the theorem's conclusions hold for A and the form B: every
+    claim of canonicalize's report, and dim AA equal to the rank k of
+    R_{x0}.  B is required; a missing form raises PreconditionError."""
+    if B is None:
+        raise PreconditionError("a form is required")
+    rep = canonicalize(A, B, seed)
+    return all(rep.claims.values()) and A.derived_dim() == rep.k

@@ -23,20 +23,13 @@ from .algebra import (
     check_novikov,
     int_right_products,
 )
-from .forms import (
-    find_nondegenerate,
-    invariant_form_space,
-    is_invariant,
-    normalize_orientation,
-)
+from .forms import find_nondegenerate, invariant_form_space
 from .canon import (
     CanonError,
     CanonReport,
     PreconditionError,
-    canonical_basis,
-    max_rank_element,
+    canonicalize,
     theorem_check,
-    verify_structure,
 )
 from .classify import generate_corpus, make_family, classify_k1, scramble
 from .fileio import AlgebraFileError, parse, serialize
@@ -115,15 +108,7 @@ def cmd_forms(args):
     return EXIT_OK
 
 
-def _resolve_form(A, form, seed):
-    if form is None:
-        form = find_nondegenerate(invariant_form_space(A), seed=seed)
-        if form is None:
-            raise PreconditionError("no nondegenerate invariant form exists")
-    return normalize_orientation(form)
-
-
-def _report_from_canon(rep: CanonReport, claims):
+def _report_from_canon(rep: CanonReport):
     return {
         "x0": [rational_str(x) for x in rep.x0],
         "k": rep.k,
@@ -132,26 +117,15 @@ def _report_from_canon(rep: CanonReport, claims):
         "signs": rep.signs,
         "complement_diag": [rational_str(d) for d in rep.complement_diag],
         "d_forms": [_mat_strs(d) for d in rep.d_forms],
-        "claims": claims,
+        "claims": rep.claims,
     }
 
 
 def cmd_canon(args):
     A, form, _ = _load(args.input)
-    seed = _default_seed(args)
-    products = int_right_products(A)
-    if not (check_left_symmetric(A) and check_fermionic(A, products)):
-        print("error: algebra fails a defining identity", file=sys.stderr)
-        return EXIT_PROPERTY_FAILED
-    B = _resolve_form(A, form, seed)
-    if form is not None and not is_invariant(A, B):
-        print("error: supplied form is not invariant", file=sys.stderr)
-        return EXIT_PROPERTY_FAILED
-    x0, _ = max_rank_element(A, seed, products)
-    rep = canonical_basis(A, B, x0)
-    claims = verify_structure(A, B, rep, products)
-    _emit(_report_from_canon(rep, claims), args.json)
-    return EXIT_OK if all(claims.values()) else EXIT_PROPERTY_FAILED
+    rep = canonicalize(A, form, _default_seed(args))
+    _emit(_report_from_canon(rep), args.json)
+    return EXIT_OK if all(rep.claims.values()) else EXIT_PROPERTY_FAILED
 
 
 def cmd_classify(args):
@@ -252,10 +226,12 @@ def build_parser():
     return parser
 
 
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:

@@ -3,7 +3,7 @@ linear pencils.
 
 Everything here is over exact rationals (see scalars.py).  Rational
 matrices are scaled to Python ints over a common denominator for products,
-rank, determinant, row reduction and the inverse, which run fraction-free.
+rank, determinant and row reduction, which run fraction-free.
 A vector, or a column of a basis change (scale_columns), scaled over its
 own denominator is an (ints, den) pair.  A linear pencil sum_t x_t M_t
 holds integer matrices M_t, since rank is scale-free; it is evaluated at
@@ -183,15 +183,6 @@ class Mat:
             self.rows,
         )
 
-    def apply(self, vec):
-        """Matrix-vector product, vec a sequence of length cols."""
-        if len(vec) != self.cols:
-            raise ValueError("shape mismatch")
-        a, da = self.scaled()
-        (v,), dv = scale_to_int([vec])
-        den = da * dv
-        return [QQ(s, den) if s else ZERO for s in (sum(map(mul, row, v)) for row in a)]
-
     def col(self, j):
         return [row[j] for row in self.data]
 
@@ -342,17 +333,6 @@ def int_inverse(z):
     if _rref(a, n, 2 * n)[:n] != list(range(n)):
         raise ValueError("singular matrix")
     return [(row[n:], row[m]) for m, row in enumerate(a)]
-
-
-def inverse(M: Mat) -> Mat:
-    """Exact inverse by integer Gauss-Jordan: M = Z / den, so M^-1 =
-    den Z^-1; raises on singular input."""
-    if M.rows != M.cols:
-        raise ValueError("square matrix required")
-    z, den = M.scaled()
-    return Mat._raw(
-        [[QQ(y * den, p) if y else ZERO for y in ym] for ym, p in int_inverse(z)], M.rows
-    )
 
 
 def congruent_diagonalize(S: Mat):

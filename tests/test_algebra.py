@@ -83,8 +83,8 @@ class TestOperators:
         for _ in range(10):
             x = [QQ(rnd.randint(-3, 3)) for _ in range(4)]
             y = [QQ(rnd.randint(-3, 3)) for _ in range(4)]
-            assert A.right_op(x).apply(y) == A.multiply(y, x)
-            assert A.left_op(x).apply(y) == A.multiply(x, y)
+            assert A.right_op(x) * Mat([[t] for t in y]) == Mat([[t] for t in A.multiply(y, x)])
+            assert A.left_op(x) * Mat([[t] for t in y]) == Mat([[t] for t in A.multiply(x, y)])
 
 
 class TestIdentities:

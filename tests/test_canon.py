@@ -16,7 +16,6 @@ from fnovikov import (
     canonical_basis,
     find_nondegenerate,
     generic_rank,
-    inverse,
     invariant_form_space,
     k2_condition,
     make_family,
@@ -31,6 +30,7 @@ from fnovikov import (
     verify_structure,
 )
 from fnovikov import canon
+from fnovikov.exactlin import int_inverse
 from fnovikov.scalars import QQ, ONE
 
 
@@ -142,12 +142,13 @@ class TestCanonicalBasis:
         A, B = family_with_form(1, 3)
         x0, k = max_rank_element(A, seed=1)
         assert (A.dim, k) == (3, 1)
-        Binv = inverse(B.matrix)
+        z, den = B.matrix.scaled()
+        Binv = [[QQ(y * den, p) for y in ym] for ym, p in int_inverse(z)]
 
         def complement_in_span(M):
             # M's rows are B u_1 and B w_1; <u_1 + w_1, u_1 + w_1> = 2 w_1 is
             # nonzero, so the complement metric check passes
-            u, w = (Binv.apply(row) for row in M.data)
+            u, w = ([sum(b * x for b, x in zip(brow, row)) for brow in Binv] for row in M.data)
             return [[a + b for a, b in zip(u, w)]]
 
         monkeypatch.setattr(canon, "kernel_basis", complement_in_span)
@@ -177,8 +178,9 @@ class TestVerifyStructure:
         x0, _ = max_rank_element(A, seed=1)
         rep = canonical_basis(A, B, x0)
         claims = verify_structure(A, B, rep)
-        assert set(claims) == set(CLAIMS)
+        assert list(claims) == list(CLAIMS)
         assert all(claims.values()), claims
+        assert claims == rep.claims
 
     def test_zero_algebra_vacuous(self):
         A = Algebra.zero(2)
@@ -198,40 +200,40 @@ class TestVerifyStructure:
         claims = verify_structure(A, B, rep)
         assert not claims["metric_canonical"] or not claims["rx0_canonical"]
 
-    def test_shared_transport_is_tied_to_its_inputs(self, monkeypatch):
+    def test_recheck_transports_again(self, monkeypatch):
+        # verify_structure always transports rep.P again, so equal inputs
+        # in other objects verify, and its claims are the report's
         A, B = family_with_form(2, 4)
         x0, k = max_rank_element(A, seed=1)
         assert k == 1
+        rep = canonical_basis(A, B, x0)
         transports = []
         real = canon.transport_basis
         monkeypatch.setattr(canon, "transport_basis", lambda *a: transports.append(a) or real(*a))
-        rep = canonical_basis(A, B, x0)
-        assert "transport" not in repr(rep)
-        assert rep == dataclasses.replace(rep, transport=None)
-        assert all(verify_structure(A, B, rep).values())
-        assert len(transports) == 1
-        # equal inputs in other objects are transported again
-        others = [
+        cases = [
+            (A, B, rep),
             (Algebra(A.dim, A.c), B, rep),
             (A, SymForm(Mat(B.matrix.data)), rep),
             (A, B, dataclasses.replace(rep, P=Mat(rep.P.data))),
-            (A, B, dataclasses.replace(rep, transport=None)),
         ]
-        for i, (A2, B2, rep2) in enumerate(others):
-            assert all(verify_structure(A2, B2, rep2).values())
-            assert len(transports) == 2 + i
-        # and another form is read in the basis P, not taken from the report
+        for i, (A2, B2, rep2) in enumerate(cases):
+            assert verify_structure(A2, B2, rep2) == rep.claims
+            assert len(transports) == 1 + i
+
+    def test_recheck_reads_the_report(self):
+        A, B = family_with_form(2, 4)
+        x0, _ = max_rank_element(A, seed=1)
+        rep = canonical_basis(A, B, x0)
+        # another form is read in the basis P, not taken from the report
         twice = SymForm(Mat([[2 * x for x in row] for row in B.matrix.data]))
         assert not verify_structure(A, twice, rep)["metric_canonical"]
-        # on the shared basis, the Jordan form is checked again for another
-        # value of x0 or of k
+        # the Jordan form is checked for the report's x0 and k
         rep.x0[:] = [0] * 4
         assert not verify_structure(A, B, rep)["rx0_canonical"]
         rep.x0[:] = x0
         assert verify_structure(A, B, rep)["rx0_canonical"]
         rep.k = 0
         assert not verify_structure(A, B, rep)["rx0_canonical"]
-        assert len(transports) == 2 + len(others)
 
 
 class TestTheoremCheck:
@@ -273,15 +275,20 @@ class TestTheoremCheck:
     def test_derived_dim_must_equal_k(self, monkeypatch):
         # every claim holds, and only the count dim AA = k fails
         A, B = family_with_form(2, 4)
-        claims = []
-        real_verify = canon.verify_structure
+        reports = []
+        real_canonicalize = canon.canonicalize
         monkeypatch.setattr(
-            canon, "verify_structure", lambda *a: claims.append(real_verify(*a)) or claims[-1]
+            canon, "canonicalize", lambda *a: reports.append(real_canonicalize(*a)) or reports[-1]
         )
         real_derived_dim = Algebra.derived_dim
         monkeypatch.setattr(Algebra, "derived_dim", lambda self: real_derived_dim(self) + 1)
         assert not theorem_check(A, B, seed=1)
-        assert len(claims) == 1 and all(claims[0].values())
+        assert len(reports) == 1 and all(reports[0].claims.values())
+
+    def test_form_is_required(self):
+        # only `fnovikov canon` searches for a form when none is given
+        with pytest.raises(PreconditionError, match="a form is required"):
+            theorem_check(make_family(2, 4), None, seed=0)
 
 
 class TestHighDimension:

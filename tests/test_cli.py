@@ -5,7 +5,7 @@ from itertools import islice
 import pytest
 
 from fnovikov import CanonError, GenericPointError, Mat, SymForm, make_family, parse, serialize
-from fnovikov import cli
+from fnovikov import canon
 from fnovikov.cli import main
 
 
@@ -102,6 +102,24 @@ class TestCanon:
         code, _, _ = run(capsys, "canon", "--input", idempotent_file)
         assert code == 1
 
+    def test_failed_precondition_is_named(self, capsys, tmp_path, idempotent_file):
+        # e_0 e_1 = e_0 is not left-symmetric: the associator (e_0, e_1, e_1)
+        # is e_0, and (e_1, e_0, e_1) is 0
+        from fnovikov import Algebra
+
+        path = tmp_path / "skew.json"
+        path.write_text(serialize(Algebra.from_products(2, [(0, 1, 0, 1)])))
+        for path, message in ((str(path), "algebra must be left-symmetric"),
+                              (idempotent_file, "right multiplications must anticommute")):
+            code, out, err = run(capsys, "canon", "--input", path, "--json")
+            assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_noninvariant_form_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "identity_form.json"
+        path.write_text(serialize(make_family(1, 2), form=SymForm(Mat.identity(2))))
+        code, out, err = run(capsys, "canon", "--input", str(path), "--json")
+        assert (code, out, err) == (1, "", "error: form must be invariant\n")
+
     def test_formless_witness_exits_1(self, capsys, tmp_path):
         # a failed precondition of the theorem is a failed property, not a
         # usage error: the witness is well formed but admits no form
@@ -128,7 +146,7 @@ class TestCanon:
         def fail(*args, **kwargs):
             raise error
 
-        monkeypatch.setattr(cli, name, fail)
+        monkeypatch.setattr(canon, name, fail)
         code, out, err = run(capsys, "canon", "--input", family2_file, "--json")
         assert code == 1
         assert out == ""

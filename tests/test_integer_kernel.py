@@ -24,7 +24,6 @@ from fnovikov import (
     find_nondegenerate,
     generate_corpus,
     generic_rank,
-    inverse,
     invariant_form_space,
     is_invariant,
     k2_condition,
@@ -46,7 +45,7 @@ from fnovikov import (
 from fnovikov import algebra, canon, classify, cli, exactlin, forms
 from fnovikov.algebra import int_right_products
 from fnovikov.cli import main as cli_main
-from fnovikov.exactlin import scale_to_int
+from fnovikov.exactlin import int_inverse, scale_to_int
 from fnovikov.scalars import QQ
 
 
@@ -240,6 +239,12 @@ def ref_inverse(p):
     return [row[n:] for row in a]
 
 
+def int_inverse_of(P):
+    """P^-1 from int_inverse: P = z / den, so P^-1 = den z^-1."""
+    z, den = P.scaled()
+    return [[Fraction(y * den, p) for y in ym] for ym, p in int_inverse(z)]
+
+
 def ref_transport(A, B, P):
     """(c', P^T B P) in plain Fractions, with c'[i][j][m] =
     sum_{a,b,s} P[a][i] P[b][j] c[a][b][s] Pinv[m][s]; the form part is
@@ -307,7 +312,7 @@ def column_scaled_bases(draw):
 @settings(max_examples=60, deadline=None)
 def test_per_column_transport_matches_fractions(base, seed, with_form):
     # transport_basis scales each column of P over its own denominator;
-    # it and inverse against plain Fraction formulas
+    # it and int_inverse against plain Fraction formulas
     p, forced = base
     n = len(p)
     rnd = random.Random(seed)
@@ -317,13 +322,13 @@ def test_per_column_transport_matches_fractions(base, seed, with_form):
     pinv = ref_inverse(p)
     if pinv is None:
         with pytest.raises(ValueError):
-            inverse(P)
+            int_inverse_of(P)
         with pytest.raises(ValueError):
             transport_basis(A, B, P)
         return
     assert not forced
-    assert inverse(P).data == pinv
-    assert inverse(Mat(pinv)).data == p
+    assert int_inverse_of(P) == pinv
+    assert int_inverse_of(Mat(pinv)) == p
     new, newB = transport_basis(A, B, P)
     c, b = ref_transport(A, B, P)
     assert new.c == c
@@ -342,11 +347,11 @@ def test_products_vanish_sees_one_nonzero_product():
         assert [(i, j) for i in range(3) for j in range(3) if any(table[i][j])] == [ij]
     P = Mat([[1, QQ(1, 2), 0], [0, 1, QQ(-2, 3)], [2, 0, 1]])
     rep = CanonReport(x0=[QQ(0)] * 3, k=0, P=P, pair_weights=[], signs=[],
-                      complement_diag=[QQ(1)] * 3, d_forms=[])
+                      complement_diag=[QQ(1)] * 3, d_forms=[], claims={})
     cases = [(D, False) for D in single.values()] + [(Algebra.zero(3), True)]
     for algebra, vanish in cases:
         # transported back by P in verify_structure, A is `algebra` again
-        A, B = transport_basis(algebra, SymForm(Mat.identity(3)), inverse(P))
+        A, B = transport_basis(algebra, SymForm(Mat.identity(3)), Mat(int_inverse_of(P)))
         assert transport_basis(A, None, P)[0] == algebra
         assert verify_structure(A, B, rep)["products_vanish"] is vanish
 
@@ -468,11 +473,12 @@ def test_rank_det_inverse_kernel_match_sympy():
         assert rank(M) == S.rank()
         ker = kernel_basis(M)
         assert len(ker) == c - S.rank()
-        assert all(not any(M.apply(v)) for v in ker)
+        assert all((M * Mat([[x] for x in v])).is_zero() for v in ker)
         if r == c:
             assert det(M) == QQ(str(S.det()))
             if S.det() != 0:
-                assert inverse(M) * M == Mat.identity(r)
+                expected = [[QQ(str(x)) for x in S.inv().row(i)] for i in range(r)]
+                assert int_inverse_of(M) == expected == ref_inverse([list(row) for row in M.data])
     assert det(Mat.zeros(0, 0)) == 1
 
 
