@@ -8,10 +8,11 @@ trilinearity.
 
 from __future__ import annotations
 
+from math import lcm
 from operator import add, mul
 
 from .scalars import QQ, ZERO, ONE
-from .exactlin import Mat, _bareiss, scale_to_int
+from .exactlin import Mat, _rref, scale_to_int
 
 
 class DimensionMismatchError(ValueError):
@@ -34,17 +35,17 @@ class Algebra:
 
     Immutable once read: code that builds an algebra writes c right after
     the constructor or Algebra.zero, before any method reads it.  The
-    integer tensor and the pivot coordinates of the derived algebra are
+    integer tensor and the reduced basis of the derived algebra are
     computed on first use and cached, so a later write to c would leave
     them stale.
     """
 
-    __slots__ = ("dim", "c", "_int_tensor", "_derived_pivots")
+    __slots__ = ("dim", "c", "_int_tensor", "_derived_basis")
 
     def __init__(self, dim, c):
         self.dim = dim
         self._int_tensor = None
-        self._derived_pivots = None
+        self._derived_basis = None
         self.c = [
             [[QQ(x) for x in vec] for vec in row] for row in c
         ]
@@ -59,7 +60,7 @@ class Algebra:
         a = object.__new__(cls)
         a.dim = dim
         a._int_tensor = None
-        a._derived_pivots = None
+        a._derived_basis = None
         a.c = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
         return a
 
@@ -142,15 +143,6 @@ class Algebra:
                         data[m][j] += xi * cij[m]
         return Mat._raw(data, n)
 
-    def right_ops(self):
-        """Right-multiplication matrices of all basis elements."""
-        n = self.dim
-        c = self.c
-        return [
-            Mat._raw([[c[i][j][m] for i in range(n)] for m in range(n)], n)
-            for j in range(n)
-        ]
-
     def int_tensor(self):
         """(C, den): C is the structure constants times den, the lcm of
         their denominators, as a nested list of ints indexed like c.
@@ -163,18 +155,28 @@ class Algebra:
             self._int_tensor = [flat[i * n:(i + 1) * n] for i in range(n)], den
         return self._int_tensor
 
-    def derived_pivots(self):
-        """The pivot columns, in increasing order, of the elimination of
-        the n^2 product vectors e_i e_j, computed once per instance.
+    def derived_basis(self):
+        """(pivots, F, L): the integer reduced row echelon form of the n^2
+        product vectors e_i e_j of int_tensor(), whose span is the derived
+        algebra AA, computed once per instance.
 
-        The derived algebra AA, their span, projects injectively onto these
-        coordinates, so a vector of AA is zero exactly when its entries at
-        them are.  The list is shared by every caller and must not be
-        mutated."""
-        if self._derived_pivots is None:
+        pivots are its pivot columns p_0 < ... < p_{k-1}, k = dim AA, and F
+        its k nonzero rows, scaled so that F[a] is L at p_a and 0 at every
+        other pivot.  So AA projects injectively onto the pivots, and v in
+        AA is sum_a v[p_a] F[a] / L.  The lists are shared; never mutate."""
+        if self._derived_basis is None:
             C, _ = self.int_tensor()
-            self._derived_pivots = _bareiss([vec for row in C for vec in row], self.dim)[0]
-        return self._derived_pivots
+            rows = [vec for row in C for vec in row if any(vec)]
+            pivots = _rref(rows, len(rows), self.dim)
+            F = rows[:len(pivots)]
+            L = lcm(*[f[p] for f, p in zip(F, pivots)])
+            F = [f if f[p] == L else [x * (L // f[p]) for x in f] for f, p in zip(F, pivots)]
+            self._derived_basis = pivots, F, L
+        return self._derived_basis
+
+    def derived_pivots(self):
+        """The pivot columns of derived_basis(), in increasing order."""
+        return self.derived_basis()[0]
 
     def derived_dim(self) -> int:
         """Dimension of the span AA of all basis products e_i e_j: the

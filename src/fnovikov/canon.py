@@ -49,7 +49,7 @@ from .forms import (
     is_invariant,
     normalize_orientation,
 )
-from .classify import transport_basis
+from .classify import transport_columns
 
 
 class PreconditionError(ValueError):
@@ -87,10 +87,13 @@ class CanonReport:
 
 
 def right_pencil(A: Algebra) -> Pencil:
-    """The pencil sum_j t_j R_{e_j} in n variables, times the denominator
-    of A.int_tensor(): its value at x is that multiple of R_x."""
+    """The k x n pencil sum_j t_j R_{e_j} on the rows A.derived_pivots(),
+    times the denominator of A.int_tensor().  Every R_x maps into AA, which
+    projects injectively onto those rows, so the value at x has the rank of
+    R_x, and the pencil the generic rank of the full n x n one."""
     C, _ = A.int_tensor()
-    return Pencil(int_right_ops(C, range(A.dim)), A.dim, A.dim)
+    pivots = A.derived_pivots()
+    return Pencil(int_right_ops(C, pivots), len(pivots), A.dim)
 
 
 def max_rank_element(A: Algebra, seed, products=None):
@@ -142,27 +145,34 @@ def _canonical_metric(n, k, weights, comp_diag):
 
 
 def _int_right_op(A: Algebra, x0):
-    """(Rz, dR): R_{x0} = Rz / dR with Rz an integer matrix, the right
-    pencil at x0 scaled to integers; dR is x0's denominator times the
-    denominator of A.int_tensor()."""
+    """(Rk, FT, den): R_{x0} = FT Rk / den, with F, L = A.derived_basis().
+
+    Rk[a][t] is the entry at the pivot p_a of e_t x0, times x0's
+    denominator and that of A.int_tensor(), and FT = F^T as n rows.  Every
+    column of R_{x0} lies in AA, and F has full rank, so R_{x0} has Rk's
+    row space, and R_{x0} v vanishes exactly when Rk v does."""
+    pivots, F, L = A.derived_basis()
+    C, dc = A.int_tensor()
     xv, dx = scale_vector(x0)
-    return right_pencil(A).eval(xv), dx * A.int_tensor()[1]
+    Rk = [[sum(x * ctj[p] for x, ctj in zip(xv, Ct)) for Ct in C] for p in pivots]
+    return Rk, [[f[m] for f in F] for m in range(A.dim)], dx * dc * L
 
 
-def _reaches_jordan(Rz, dR, cols, k):
-    """Whether R = Rz / dR maps column 2i of P to column 2i+1 for i < k and
-    every other column to 0, i.e. R P = P J with J one 2x2 nilpotent Jordan
-    block per pair.  cols are P's columns as (ints, den) pairs; the
-    comparison runs on integers, one column at a time."""
+def _reaches_jordan(Rk, FT, den, cols, k):
+    """Whether R = FT Rk / den (see _int_right_op) maps column 2i of P to
+    column 2i+1 for i < k and every other column to 0, i.e. R P = P J with
+    J one 2x2 nilpotent Jordan block per pair.  cols are P's columns as
+    (ints, den) pairs; the comparison runs on integers, one column at a
+    time, through the k entries Rk v."""
     for j, (v, d) in enumerate(cols):
-        Rv = [sum(map(mul, row, v)) for row in Rz]
+        lam = [sum(map(mul, row, v)) for row in Rk]
         if j < 2 * k and j % 2 == 0:
             w, dw = cols[j + 1]
-            # R v / d == w / dw, with R v = Rv / dR
-            s = dR * d
-            if any(a * dw != b * s for a, b in zip(Rv, w)):
+            # R v / d == w / dw, with R v = FT lam / den
+            s = den * d
+            if any(sum(map(mul, fm, lam)) * dw != b * s for fm, b in zip(FT, w)):
                 return False
-        elif any(Rv):
+        elif any(lam):
             return False
     return True
 
@@ -171,15 +181,16 @@ def canonical_basis(A: Algebra, B: SymForm, x0, products=None) -> CanonReport:
     """Build the canonical basis for R_{x0} and the metric; every
     intermediate claim is asserted, not assumed.
 
-    Every basis vector is built as integer numerators over its own
-    denominator, an (ints, den) pair, from R_{x0} and the form scaled to
-    integers once.  Rationals appear only at the boundary: the pairings
+    R_{x0} enters as FT Rk / den (_int_right_op): its k rows Rk at the
+    pivots of AA have its reduced form, pivots and kernel.  Every basis
+    vector is built as integer numerators over its own denominator, an
+    (ints, den) pair.  Rationals appear only at the boundary: the pairings
     that congruent_diagonalize takes and the coefficients it returns, the
-    weights, and P's entries.
+    weights, and P's entries, built last for the report.
 
-    The basis is transported once, and every claim of CLAIMS is read on
-    that transport into the report's claims; products is A's right-product
-    table int_right_products(A), built here when the caller holds none."""
+    P's integer columns are transported once (transport_columns), and
+    every claim of CLAIMS is read on that transport; products is A's
+    right-product table int_right_products(A), built when not given."""
     n = A.dim
     if B.dim != n or len(x0) != n:
         raise PreconditionError("dimension mismatch")
@@ -190,7 +201,7 @@ def canonical_basis(A: Algebra, B: SymForm, x0, products=None) -> CanonReport:
         raise PreconditionError("orientation must satisfy p <= n - p")
     if not is_invariant(A, B):
         raise PreconditionError("form must be invariant")
-    Rz, dR = _int_right_op(A, x0)
+    Rk, FT, den = _int_right_op(A, x0)
     Bi, db = B.matrix.scaled()
 
     def apply_form(v):
@@ -209,14 +220,15 @@ def canonical_basis(A: Algebra, B: SymForm, x0, products=None) -> CanonReport:
         return lowest_terms(out, den)
 
     # preimages u_i = e_j with w_i = R u_i spanning Im R: the pivot
-    # columns of R's reduced row echelon form
-    reduced = [row[:] for row in Rz]
-    pivots = _rref(reduced, n, n)
+    # columns of R's reduced row echelon form, which is Rk's
+    reduced = [row[:] for row in Rk]
+    pivots = _rref(reduced, len(reduced), n)
     k = len(pivots)
     if k > nm:
         raise CanonError("rank of R_{x0} exceeds the negative index")
     us = [([int(t == j) for t in range(n)], 1) for j in pivots]
-    ws = [lowest_terms([row[j] for row in Rz], dR) for j in pivots]
+    ws = [lowest_terms([sum(map(mul, fm, [row[j] for row in Rk])) for fm in FT], den)
+          for j in pivots]
 
     # Im R totally isotropic, and Im R = (Ker R)^perp
     if any(any(row) for row in gram(ws, ws)):
@@ -271,32 +283,31 @@ def canonical_basis(A: Algebra, B: SymForm, x0, products=None) -> CanonReport:
         cols.append(us[i])
         cols.append(ws[i])
     cols.extend(comp)
-    P = Mat._raw([[QQ(v[i], d) if v[i] else ZERO for v, d in cols] for i in range(n)], n)
-    # transport_basis inverts P, which raises ValueError when P is singular
+    # transport_columns raises ValueError when P is singular
     try:
-        new, newB = transport_basis(A, B, P)
+        new, newB = transport_columns(A, B, cols)
     except ValueError:
         raise CanonError("basis change is singular") from None
-    new_ops = new.right_ops()
     if products is None:
         products = int_right_products(A)
-    claims = _read_claims(new_ops, newB, k, weights, comp_diag,
-                          _reaches_jordan(Rz, dR, cols, k), products)
+    claims = _read_claims(new, newB, k, weights, comp_diag,
+                          _reaches_jordan(Rk, FT, den, cols, k), products)
     # the metric and the shape of R_{x0} hold by construction
     if not claims["metric_canonical"]:
         raise CanonError("metric does not reach the canonical block form")
     if not claims["rx0_canonical"]:
         raise CanonError("R_{x0} does not reach the canonical Jordan form")
 
+    # d_forms[j][a][b] = R'_j[2a+1][2b] = c'[2b][j][2a+1]
     d_forms = [
-        Mat._raw([[Rj.data[2 * a + 1][2 * b] for b in range(k)] for a in range(k)], k)
-        for Rj in new_ops
+        Mat._raw([[new.c[2 * b][j][2 * a + 1] for b in range(k)] for a in range(k)], k)
+        for j in range(n)
     ]
 
     return CanonReport(
         x0=list(x0),
         k=k,
-        P=P,
+        P=Mat._raw([[QQ(v[i], d) if v[i] else ZERO for v, d in cols] for i in range(n)], n),
         pair_weights=weights,
         signs=[1 if g > 0 else -1 for g in weights],
         complement_diag=comp_diag,
@@ -316,66 +327,75 @@ CLAIMS = (
 )
 
 
-def _read_claims(new_ops, newB, k, weights, comp_diag, rx0_canonical, products):
-    """Each claim of CLAIMS, in that order, read on new_ops and newB, the
-    right multiplications and the form rewritten in the canonical basis P.
-    The targets are rebuilt from k, the pair weights and the complement
-    diagonal; rx0_canonical is whether R_{x0} P = P J.
+def _read_claims(new, newB, k, weights, comp_diag, rx0_canonical, products):
+    """Each claim of CLAIMS, in that order, read on new and newB, the
+    algebra and the form rewritten in the canonical basis P.  The targets
+    are rebuilt from k, the pair weights and the complement diagonal;
+    rx0_canonical is whether R_{x0} P = P J.
+
+    R'_j[r][s] = c'[s][j][r] is read from new.c, with no matrix built.
+    The zero-block claims are decided by where the nonzero entries fall:
+    the core allows them only at (2a+1, 2b).  weighted_symmetry reads its
+    entries by index, as canonical_basis reads d_forms.
 
     products_vanish reads A's own table int_right_products(A), as no basis
-    is needed: R'_i R'_j = Pinv R_{P e_i} R_{P e_j} P, and transport_basis's
-    inverse of P's integer columns proves P invertible.  The table holds
+    is needed: R'_i R'_j = Pinv R_{P e_i} R_{P e_j} P, and the transport's
+    reduction of P's integer columns proves P invertible.  The table holds
     only the rows of each R_i R_j at A.derived_pivots(), which vanish
     exactly when R_i R_j does, as its columns lie in AA."""
-    n = newB.dim
-    claims = {
+    n, h, c = newB.dim, 2 * k, new.c
+    zero = dict.fromkeys(("lower_right_zero", "side_blocks_zero", "core_block_shape"), True)
+    for s, row in enumerate(c):
+        for r, v in ((r, v) for vec in row for r, v in enumerate(vec) if v):
+            if r >= h and s >= h:
+                zero["lower_right_zero"] = False
+            elif (r < h) != (s < h):
+                zero["side_blocks_zero"] = False
+            elif r % 2 == 0 or s % 2:
+                zero["core_block_shape"] = False
+    return {
         "metric_canonical": newB.matrix.data == _canonical_metric(n, k, weights, comp_diag),
         "rx0_canonical": rx0_canonical,
+        **zero,
+        # the pair (a, b) reads the equation of (b, a), and a = b holds
+        "weighted_symmetry": all(
+            c[2 * b][j][2 * a + 1] * weights[a] == c[2 * a][j][2 * b + 1] * weights[b]
+            for j in range(n)
+            for a in range(k)
+            for b in range(a + 1, k)
+        ),
+        "products_vanish": not any(any(p) for row in products for p in row),
     }
-    claims["lower_right_zero"] = all(
-        not op.data[r][s]
-        for op in new_ops
-        for r in range(2 * k, n)
-        for s in range(2 * k, n)
-    )
-    claims["side_blocks_zero"] = all(
-        not op.data[r][s]
-        for op in new_ops
-        for r in range(n)
-        for s in range(n)
-        if (r < 2 * k) != (s < 2 * k)
-    )
-    claims["core_block_shape"] = not any(
-        op.data[2 * a][2 * b] or op.data[2 * a][2 * b + 1] or op.data[2 * a + 1][2 * b + 1]
-        for op in new_ops
-        for a in range(k)
-        for b in range(k)
-    )
-    claims["weighted_symmetry"] = all(
-        op.data[2 * a + 1][2 * b] * weights[a] == op.data[2 * b + 1][2 * a] * weights[b]
-        for op in new_ops
-        for a in range(k)
-        for b in range(k)
-    )
-    claims["products_vanish"] = not any(any(p) for row in products for p in row)
-    return claims
 
 
 def verify_structure(A: Algebra, B: SymForm, rep: CanonReport):
     """Read every structural claim again and return each claim's truth
     value (see CLAIMS): the independent re-check of a report.
 
-    The basis rep.P is transported again, R_{x0} P compared with P J for
-    rep.x0 and rep.k, and the claims read by the helper canonical_basis
+    The columns of rep.P are transported again, R_{x0} P compared with P J
+    for rep.x0 and rep.k, and the claims read by the helper canonical_basis
     uses, with every target rebuilt from the report's fields, so a
     corrupted report is caught.  rep.claims is not read."""
     n = A.dim
     if B.dim != n or rep.P.rows != n:
         raise PreconditionError("report/algebra mismatch")
-    new, newB = transport_basis(A, B, rep.P)
-    rx0_canonical = _reaches_jordan(*_int_right_op(A, rep.x0), scale_columns(rep.P), rep.k)
-    return _read_claims(new.right_ops(), newB, rep.k, rep.pair_weights,
+    cols = scale_columns(rep.P)
+    new, newB = transport_columns(A, B, cols)
+    rx0_canonical = _reaches_jordan(*_int_right_op(A, rep.x0), cols, rep.k)
+    return _read_claims(new, newB, rep.k, rep.pair_weights,
                         rep.complement_diag, rx0_canonical, int_right_products(A))
+
+
+def check_identities(A: Algebra):
+    """A's right-product table int_right_products(A), once A is checked to
+    be left-symmetric and, on that table, to have anticommuting right
+    multiplications; a failed identity raises PreconditionError naming it."""
+    if not check_left_symmetric(A):
+        raise PreconditionError("algebra must be left-symmetric")
+    products = int_right_products(A)
+    if not check_fermionic(A, products):
+        raise PreconditionError("right multiplications must anticommute")
+    return products
 
 
 def canonicalize(A: Algebra, B, seed) -> CanonReport:
@@ -389,11 +409,7 @@ def canonicalize(A: Algebra, B, seed) -> CanonReport:
     seed.  The identities are checked before the form is searched for or
     normalized, so they win over a degenerate form.  A failed precondition
     raises PreconditionError naming it."""
-    if not check_left_symmetric(A):
-        raise PreconditionError("algebra must be left-symmetric")
-    products = int_right_products(A)
-    if not check_fermionic(A, products):
-        raise PreconditionError("right multiplications must anticommute")
+    products = check_identities(A)
     if B is None:
         B = find_nondegenerate(invariant_form_space(A), seed=seed)
         if B is None:

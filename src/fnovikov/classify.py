@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from operator import mul
 
 from .scalars import QQ, ZERO, ONE
-from .exactlin import Mat, det, int_inverse, scale_columns
+from .exactlin import Mat, _rref, det, scale_columns
 from .algebra import (
     Algebra,
     DimensionMismatchError,
@@ -129,43 +129,51 @@ def random_k2(rnd: random.Random, n: int, structured: bool = True) -> K2Params:
 def transport_basis(A: Algebra, B, P: Mat):
     """Rewrite the algebra (and optional form) in the basis given by the
     columns of the invertible matrix P; raises ValueError when P is
-    singular.
+    singular.  Each column of P is scaled to integers over its own
+    denominator, and transport_columns rewrites A and B in that basis."""
+    if (P.rows, P.cols) != (A.dim, A.dim):
+        raise DimensionMismatchError("basis change dimension mismatch")
+    return transport_columns(A, B, scale_columns(P))
 
-    Each column of P is scaled to integers over its own denominator, P = Z
-    diag(1/d), so Pinv = diag(d) Z^-1, and row m of Z^-1 is y_m / p_m
-    (exactlin.int_inverse).  With f_i = sum_a P[a][i] e_a, f_i f_j =
-    sum_m c'[i][j][m] f_m where
-    c'[i][j][m] = sum_{a,b,r} Z[a][i] Z[b][j] C[a][b][r] d_m y_m[r]
-    / (d_i d_j dc p_m), for C = dc c the integer tensor, and the form
-    becomes z_i^T B z_j / (d_i d_j): integer contractions, each entry
-    divided by its own scale once at the end.
+
+def transport_columns(A: Algebra, B, cols):
+    """transport_basis for P = Z diag(1/d) given by its columns, the
+    (ints, den) pairs (z_i, d_i); raises ValueError when P is singular.
+
+    Every product lies in AA; F, L = A.derived_basis().  With C = dc c the
+    integer tensor, f_i f_j = sum_a pi_ij[a] F[a] / (L dc d_i d_j) for
+    f_i = z_i / d_i, where pi_ij[a] = z_i^T C^(p_a) z_j is its entry at the
+    pivot p_a: k n^3 multiply-adds, not the n^4 of a full contraction.  The
+    integer reduction of [Z | F^T] ends with p_m at (m, m) and y_m after
+    column n, so Pinv F^T = diag(d) Z^-1 F^T has row m d_m y_m / p_m, and
+    c'[i][j][m] = sum_a pi_ij[a] d_m y_m[a] / (dc L d_i d_j p_m), expanded
+    only where pi_ij is nonzero.  The form becomes z_i^T B z_j / (d_i d_j).
     """
     n = A.dim
-    if (P.rows, P.cols) != (n, n):
-        raise DimensionMismatchError("basis change dimension mismatch")
-    cols = scale_columns(P)
     zcols = [z for z, _ in cols]
     d = [dj for _, dj in cols]
-    # row m of Pinv is q_m / p_m
-    inv = int_inverse(list(zip(*zcols)))
-    qs = [[y * dm for y in ym] for dm, (ym, _) in zip(d, inv)]
-    ps = [p for _, p in inv]
+    pivots, F, L = A.derived_basis()
+    a = [list(row) + [f[m] for f in F] for m, row in enumerate(zip(*zcols))]
+    if _rref(a, n, n + len(F))[:n] != list(range(n)):
+        raise ValueError("singular basis change")
+    qs = [[y * dm for y in row[n:]] for dm, row in zip(d, a)]
+    ps = [row[m] for m, row in enumerate(a)]
     C, dc = A.int_tensor()
-    # U[j][r][a] = sum_b Z[b][j] C[a][b][r]
-    ccols = [list(zip(*Ca)) for Ca in C]
-    U = [
-        list(zip(*[[sum(map(mul, zj, car)) for car in Ca] for Ca in ccols]))
-        for zj in zcols
-    ]
+    # W[a][j][s] = (C^(p_a) z_j)[s] = sum_t C[s][t][p_a] z_j[t]
+    W = []
+    for p in pivots:
+        Cp = [[ct[p] for ct in Cs] for Cs in C]
+        W.append([[sum(map(mul, row, zj)) for row in Cp] for zj in zcols])
     new = Algebra.zero(n)
     for i, zi in enumerate(zcols):
-        for j, Uj in enumerate(U):
-            t = [sum(map(mul, zi, ur)) for ur in Uj]
-            s = dc * d[i] * d[j]
-            new.c[i][j] = [
-                QQ(v, s * p) if v else ZERO
-                for v, p in zip((sum(map(mul, t, q)) for q in qs), ps)
-            ]
+        for j in range(n):
+            pi = [sum(map(mul, zi, Wa[j])) for Wa in W]
+            if any(pi):
+                s = dc * L * d[i] * d[j]
+                new.c[i][j] = [
+                    QQ(v, s * p) if v else ZERO
+                    for v, p in zip((sum(map(mul, pi, q)) for q in qs), ps)
+                ]
     if B is None:
         return new, None
     Bi, db = B.matrix.scaled()

@@ -29,6 +29,7 @@ from .canon import (
     CanonReport,
     PreconditionError,
     canonicalize,
+    check_identities,
     theorem_check,
 )
 from .classify import generate_corpus, make_family, classify_k1, scramble
@@ -130,9 +131,8 @@ def cmd_canon(args):
 
 def cmd_classify(args):
     A, _, _ = _load(args.input)
-    if not (check_left_symmetric(A) and check_fermionic(A)):
-        print("error: algebra fails a defining identity", file=sys.stderr)
-        return EXIT_PROPERTY_FAILED
+    # a failed identity raises PreconditionError naming it, as in canon
+    check_identities(A)
     dd = A.derived_dim()
     if dd == 0:
         result = "k=0"

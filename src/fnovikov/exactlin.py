@@ -324,17 +324,6 @@ def det(M: Mat):
     return QQ(sign * a[-1][-1], den**n)
 
 
-def int_inverse(z):
-    """The inverse of the square integer matrix z, row by row: (y_m, p_m)
-    with row m of z^-1 equal to y_m / p_m, read from the integer reduced
-    form of [z | I].  Raises ValueError when z is singular."""
-    n = len(z)
-    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(z)]
-    if _rref(a, n, 2 * n)[:n] != list(range(n)):
-        raise ValueError("singular matrix")
-    return [(row[n:], row[m]) for m, row in enumerate(a)]
-
-
 def congruent_diagonalize(S: Mat):
     """Return (P, D) with P invertible and P^T S P = D diagonal, exactly.
 

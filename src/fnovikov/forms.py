@@ -78,21 +78,25 @@ class SymForm:
 
 
 def is_invariant(A: Algebra, B: SymForm) -> bool:
-    """True iff R^T B = B R for every basis right multiplication."""
+    """True iff R^T B = B R, i.e. B R is symmetric, for every basis right
+    multiplication R = R_{e_j}.  R_j maps into AA, so R_j = F^T Lambda_j / L
+    with F, L = A.derived_basis() and Lambda_j[a][t] = (e_t e_j)[p_a]: the
+    test reads (B F^T) Lambda_j on integers scaled from c and B, which it
+    is bilinear in, in k n^3 multiply-adds."""
     if B.dim != A.dim:
         raise DimensionMismatchError("form dimension mismatch")
-    # Over integers scaled from c and B (the equations are bilinear in
-    # them): (R_j^T B)[r][s] = C[r][j] . B[:, s] and (B R_j)[r][s] =
-    # B[r] . C[s][j].
     n = A.dim
     C, _ = A.int_tensor()
+    pivots, F, _ = A.derived_basis()
     Bi, _ = B.matrix.scaled()
-    Bcols = list(zip(*Bi))
+    # BF[r][a] = (B F[a])[r]
+    BF = [[sum(map(mul, row, f)) for f in F] for row in Bi]
     for j in range(n):
+        # lam[t] = column t of Lambda_j
+        lam = [[C[t][j][p] for p in pivots] for t in range(n)]
         for r in range(n):
-            crj, Br = C[r][j], Bi[r]
-            for s in range(n):
-                if sum(map(mul, crj, Bcols[s])) != sum(map(mul, Br, C[s][j])):
+            for t in range(r + 1, n):
+                if sum(map(mul, BF[r], lam[t])) != sum(map(mul, BF[t], lam[r])):
                     return False
     return True
 

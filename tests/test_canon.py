@@ -30,11 +30,24 @@ from fnovikov import (
     verify_structure,
 )
 from fnovikov import canon
-from fnovikov.exactlin import int_inverse
 from fnovikov.scalars import QQ, ONE
 
 
 HYP2 = SymForm(Mat([[0, 1], [1, 0]]))
+
+
+def fraction_inverse(rows):
+    """The inverse of a nonsingular square matrix by plain Gauss-Jordan."""
+    n = len(rows)
+    a = [list(row) + [QQ(int(i == j)) for j in range(n)] for i, row in enumerate(rows)]
+    for c in range(n):
+        piv = next(i for i in range(c, n) if a[i][c])
+        a[c], a[piv] = a[piv], a[c]
+        a[c] = [x / a[c][c] for x in a[c]]
+        for i in range(n):
+            if i != c and a[i][c]:
+                a[i] = [x - a[i][c] * y for x, y in zip(a[i], a[c])]
+    return [row[n:] for row in a]
 
 
 def family_with_form(variant, n, seed=0):
@@ -49,14 +62,17 @@ class TestRightPencil:
         assert generic_rank(right_pencil(make_family(3, 3))) == 1
 
     def test_matches_right_ops(self):
+        # the pencil holds the rows of R_x at the pivots of AA only
         A = make_family(2, 3)
         pencil = right_pencil(A)
         x = [2, -1, 3]
-        assert pencil.eval(x) == A.right_op(x).data
+        assert A.derived_pivots() == [1]
+        assert pencil.eval(x) == [A.right_op(x).data[1]]
 
     def test_matches_right_ops_rational(self):
         # the pencil holds the integer-scaled constants: its value at x is
-        # den * R_x, with den the denominator of the integer tensor
+        # den * R_x at the pivot rows, with den the denominator of the
+        # integer tensor
         A, _, _ = scramble(make_family(2, 3), None, 4)
         assert any(x.denominator > 1 for row in A.c for vec in row for x in vec)
         _, den = A.int_tensor()
@@ -64,7 +80,9 @@ class TestRightPencil:
         for x in ([2, -1, 3], [0, 5, -7]):
             values = right_pencil(A).eval(x)
             assert all(isinstance(v, int) for row in values for v in row)
-            assert values == [[den * v for v in row] for row in A.right_op(x).data]
+            R = A.right_op(x).data
+            assert values == [[den * v for v in R[m]] for m in A.derived_pivots()]
+            assert rank(A.right_op(x)) == rank(Mat(values))
 
 
 class TestMaxRankElement:
@@ -137,13 +155,12 @@ class TestCanonicalBasis:
 
     def test_singular_basis_change(self, monkeypatch):
         # a complement vector inside span(u_1, w_1) makes P singular; the
-        # inverse that transport_basis takes fails, and that surfaces as
-        # CanonError
+        # reduction of P's columns in transport_columns fails, and that
+        # surfaces as CanonError
         A, B = family_with_form(1, 3)
         x0, k = max_rank_element(A, seed=1)
         assert (A.dim, k) == (3, 1)
-        z, den = B.matrix.scaled()
-        Binv = [[QQ(y * den, p) for y in ym] for ym, p in int_inverse(z)]
+        Binv = fraction_inverse(B.matrix.data)
 
         def complement_in_span(M):
             # M's rows are B u_1 and B w_1; <u_1 + w_1, u_1 + w_1> = 2 w_1 is
@@ -208,8 +225,8 @@ class TestVerifyStructure:
         assert k == 1
         rep = canonical_basis(A, B, x0)
         transports = []
-        real = canon.transport_basis
-        monkeypatch.setattr(canon, "transport_basis", lambda *a: transports.append(a) or real(*a))
+        real = canon.transport_columns
+        monkeypatch.setattr(canon, "transport_columns", lambda *a: transports.append(a) or real(*a))
         cases = [
             (A, B, rep),
             (Algebra(A.dim, A.c), B, rep),

@@ -183,6 +183,20 @@ class TestClassify:
         assert code == 0
         assert json.loads(out)["classification"] == "k>=2"
 
+    def test_non_left_symmetric_is_named(self, capsys, tmp_path):
+        # e_0 e_1 = e_0 is not left-symmetric; the message is canon's
+        from fnovikov import Algebra
+
+        path = tmp_path / "skew.json"
+        path.write_text(serialize(Algebra.from_products(2, [(0, 1, 0, 1)])))
+        code, out, err = run(capsys, "classify", "--input", str(path), "--json")
+        assert (code, out, err) == (1, "", "error: algebra must be left-symmetric\n")
+
+    def test_non_fermionic_is_named(self, capsys, idempotent_file):
+        # e_0 e_0 = e_0 is left-symmetric, but R_{e_0}^2 = R_{e_0} != 0
+        code, out, err = run(capsys, "classify", "--input", idempotent_file, "--json")
+        assert (code, out, err) == (1, "", "error: right multiplications must anticommute\n")
+
 
 class TestVerify:
     def test_small_run_passes(self, capsys):

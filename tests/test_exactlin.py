@@ -14,7 +14,6 @@ from fnovikov import (
     rank,
     signature,
 )
-from fnovikov.exactlin import int_inverse
 from fnovikov.scalars import QQ, ONE
 
 
@@ -234,25 +233,3 @@ class TestFindGenericPoint:
     def test_deterministic(self):
         M = single_var_pencil()
         assert find_generic_point(M, seed=9) == find_generic_point(M, seed=9)
-
-
-class TestInverse:
-    def test_roundtrip(self):
-        rnd = random.Random(5)
-        done = 0
-        while done < 20:
-            n = rnd.randint(1, 5)
-            M = rand_mat(rnd, n, n, -3, 3)
-            if det(M) == 0:
-                continue
-            # M = z / den, so M^-1 = den z^-1, row m of z^-1 being y_m / p_m
-            z, den = M.scaled()
-            inv = Mat([[QQ(y * den, p) for y in ym] for ym, p in int_inverse(z)])
-            assert M * inv == inv * M == Mat.identity(n)
-            done += 1
-
-    def test_singular(self):
-        with pytest.raises(ValueError):
-            int_inverse([[0, 0], [0, 0]])
-        with pytest.raises(ValueError):
-            int_inverse([[1, 2], [2, 4]])

@@ -7,6 +7,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +18,7 @@ from fnovikov import (
     Mat,
     Pencil,
     SymForm,
+    canonicalize,
     check_fermionic,
     check_left_symmetric,
     check_novikov,
@@ -31,6 +33,7 @@ from fnovikov import (
     make_family,
     make_k2,
     max_rank_element,
+    normalize_orientation,
     parse,
     random_k2,
     rank,
@@ -45,7 +48,7 @@ from fnovikov import (
 from fnovikov import algebra, canon, classify, cli, exactlin, forms
 from fnovikov.algebra import int_right_products
 from fnovikov.cli import main as cli_main
-from fnovikov.exactlin import int_inverse, scale_to_int
+from fnovikov.exactlin import scale_to_int
 from fnovikov.scalars import QQ
 
 
@@ -65,6 +68,18 @@ def ref_right_op(A, x):
          for i in range(n)]
         for m in range(n)
     ]
+
+
+def ref_right_pencil(A):
+    """The full n x n pencil sum_j t_j R_{e_j}, built from the Fraction
+    structure constants over their common denominator: its value at x is
+    that multiple of R_x."""
+    n = A.dim
+    c = as_fractions(A)
+    den = lcm(*[x.denominator for row in c for vec in row for x in vec])
+    return Pencil(
+        [[[int(c[i][j][m] * den) for i in range(n)] for m in range(n)] for j in range(n)], n, n
+    )
 
 
 def ref_left_symmetric(A):
@@ -239,12 +254,6 @@ def ref_inverse(p):
     return [row[n:] for row in a]
 
 
-def int_inverse_of(P):
-    """P^-1 from int_inverse: P = z / den, so P^-1 = den z^-1."""
-    z, den = P.scaled()
-    return [[Fraction(y * den, p) for y in ym] for ym, p in int_inverse(z)]
-
-
 def ref_transport(A, B, P):
     """(c', P^T B P) in plain Fractions, with c'[i][j][m] =
     sum_{a,b,s} P[a][i] P[b][j] c[a][b][s] Pinv[m][s]; the form part is
@@ -293,11 +302,12 @@ def test_transport_basis_matches_reference():
 
 
 @st.composite
-def column_scaled_bases(draw):
-    """(rows of P, forced): P is n x n, n <= 5, each column over its own
-    denominator; with forced, one column is a rational multiple of another,
-    so P is singular."""
-    n = draw(st.integers(1, 5))
+def column_scaled_bases(draw, n=None):
+    """(rows of P, forced): P is n x n, n <= 5 when not given, each column
+    over its own denominator; with forced, one column is a rational
+    multiple of another, so P is singular."""
+    if n is None:
+        n = draw(st.integers(1, 5))
     dens = draw(st.lists(st.integers(1, 40), min_size=n, max_size=n))
     cols = [[Fraction(draw(st.integers(-6, 6)), d) for _ in range(n)] for d in dens]
     forced = n > 1 and draw(st.booleans())
@@ -312,23 +322,18 @@ def column_scaled_bases(draw):
 @settings(max_examples=60, deadline=None)
 def test_per_column_transport_matches_fractions(base, seed, with_form):
     # transport_basis scales each column of P over its own denominator;
-    # it and int_inverse against plain Fraction formulas
+    # it against plain Fraction formulas
     p, forced = base
     n = len(p)
     rnd = random.Random(seed)
     A = rand_algebra(rnd, n, density=0.5)
     B = rand_sym_form(rnd, n) if with_form else None
     P = Mat(p)
-    pinv = ref_inverse(p)
-    if pinv is None:
-        with pytest.raises(ValueError):
-            int_inverse_of(P)
+    if ref_inverse(p) is None:
         with pytest.raises(ValueError):
             transport_basis(A, B, P)
         return
     assert not forced
-    assert int_inverse_of(P) == pinv
-    assert int_inverse_of(Mat(pinv)) == p
     new, newB = transport_basis(A, B, P)
     c, b = ref_transport(A, B, P)
     assert new.c == c
@@ -351,7 +356,8 @@ def test_products_vanish_sees_one_nonzero_product():
     cases = [(D, False) for D in single.values()] + [(Algebra.zero(3), True)]
     for algebra, vanish in cases:
         # transported back by P in verify_structure, A is `algebra` again
-        A, B = transport_basis(algebra, SymForm(Mat.identity(3)), Mat(int_inverse_of(P)))
+        pinv = Mat(ref_inverse([[Fraction(str(x)) for x in row] for row in P.data]))
+        A, B = transport_basis(algebra, SymForm(Mat.identity(3)), pinv)
         assert transport_basis(A, None, P)[0] == algebra
         assert verify_structure(A, B, rep)["products_vanish"] is vanish
 
@@ -411,6 +417,107 @@ def test_checks_on_derived_pivots_match_reference(case):
     assert all(len(entry) == k * n for row in table for entry in row)
     got = (check_left_symmetric(A), check_fermionic(A, table), check_novikov(A, table))
     assert got == (ref_left_symmetric(A), ref_right_products(A, 1), ref_right_products(A, -1))
+
+
+@st.composite
+def transport_cases(draw):
+    """(A, rows of P, forced): an algebra of sparse_algebras() and a
+    per-column basis change of its dimension, singular when forced and
+    possibly otherwise."""
+    A, _ = draw(sparse_algebras())
+    return (A, *draw(column_scaled_bases(A.dim)))
+
+
+@given(transport_cases(), st.integers(0, 2**30))
+@settings(max_examples=120, deadline=None)
+def test_transport_and_invariance_through_derived_basis(case, seed):
+    # the cached reduced basis F of AA, and the transport and invariance
+    # test that read products through it, against Fraction references
+    A, p, forced = case
+    n = A.dim
+    rnd = random.Random(seed)
+    pivots, F, L = A.derived_basis()
+    assert A.derived_basis()[1] is F and A.derived_pivots() is pivots
+    k = len(pivots)
+    products = [vec for row in A.c for vec in row]
+    assert k == len(F) == A.derived_dim() == (rank(Mat(products, n)) if n else 0)
+    # F[a] is L at p_a and 0 at every other pivot, lies in AA, and every
+    # product v is sum_a v[p_a] F[a] / L
+    for a, f in enumerate(F):
+        assert [f[q] for q in pivots] == [L if b == a else 0 for b in range(k)]
+    if n:
+        assert rank(Mat(products + F, n)) == k
+    for v in products:
+        assert v == [sum((v[q] * f[m] for q, f in zip(pivots, F)), QQ(0)) / L for m in range(n)]
+
+    B = rand_sym_form(rnd, n) if rnd.random() < 0.5 else None
+    P = Mat(p, n)
+    if ref_inverse([[Fraction(str(x)) for x in row] for row in p]) is None:
+        with pytest.raises(ValueError):
+            transport_basis(A, B, P)
+    else:
+        assert not forced
+        new, newB = transport_basis(A, B, P)
+        c, b = ref_transport(A, B, P)
+        assert new.c == c
+        assert (newB is None) if B is None else (newB.matrix.data == b)
+
+    space = invariant_form_space(A)
+    for M in space[:3]:
+        assert is_invariant(A, SymForm(M)) and ref_is_invariant(A, SymForm(M))
+    for form in (rand_sym_form(rnd, n), rand_sym_form(rnd, n)):
+        assert is_invariant(A, form) == ref_is_invariant(A, form)
+
+
+def planes_sum(m):
+    """The direct sum of m planes e_{2b} e_{2b} = e_{2b+1}, so k = m = n/2."""
+    return Algebra.from_products(2 * m, [(2 * b, 2 * b, 2 * b + 1, 1) for b in range(m)])
+
+
+def test_direct_sum_with_half_dimensional_derived_algebra():
+    # dim 8, k = 4 = n/2, scrambled so that the four pivots of AA carry
+    # different scales; the pipeline, transport and invariance test on it
+    A = planes_sum(4)
+    A, B, _ = scramble(A, find_nondegenerate(invariant_form_space(A), seed=1), 3)
+    pivots, F, L = A.derived_basis()
+    assert len(pivots) == 4 and L > 1
+    assert is_invariant(A, B) and ref_is_invariant(A, B)
+    rep = canonicalize(A, B, 1)
+    assert rep.k == 4 and all(rep.claims.values())
+    assert verify_structure(A, normalize_orientation(B), rep) == rep.claims
+    new, newB = transport_basis(A, B, rep.P)
+    c, b = ref_transport(A, B, rep.P)
+    assert new.c == c and newB.matrix.data == b
+    assert theorem_check(A, B, seed=1)
+
+
+def test_each_claim_reads_its_own_block():
+    # one nonzero entry of a transported product, R'_j[r][s] = c'[s][j][r],
+    # in the lower-right block, a side block, a forbidden core entry or off
+    # the weighted symmetry makes exactly that claim false
+    A, B = next((A, B) for name, A, B in generate_corpus(7, 40) if name.startswith("k2"))
+    rep = canonicalize(A, B, 1)
+    n, k = A.dim, rep.k
+    assert k == 2 and n > 2 * k
+    new, newB = transport_basis(A, normalize_orientation(B), rep.P)
+    table = int_right_products(A)
+
+    def claims(c):
+        return canon._read_claims(Algebra(n, c), newB, k, rep.pair_weights,
+                                  rep.complement_diag, True, table)
+
+    assert claims(new.c) == rep.claims
+    breaks = {
+        "lower_right_zero": [(4, 4), (n - 1, 4)],
+        "side_blocks_zero": [(0, 4), (4, 0), (3, n - 1)],
+        "core_block_shape": [(0, 0), (2, 1), (1, 1), (3, 3), (0, 3)],
+        "weighted_symmetry": [(1, 2), (3, 0)],
+    }
+    for name, entries in breaks.items():
+        for j, (r, s) in itertools.product(range(n), entries):
+            c = [[vec[:] for vec in row] for row in new.c]
+            c[s][j][r] += QQ(1, 3)
+            assert claims(c) == {**rep.claims, name: False}, (name, j, r, s)
 
 
 def test_left_symmetry_sees_a_single_failing_triple():
@@ -476,9 +583,14 @@ def test_rank_det_inverse_kernel_match_sympy():
         assert all((M * Mat([[x] for x in v])).is_zero() for v in ker)
         if r == c:
             assert det(M) == QQ(str(S.det()))
+            # transport_basis reduces M's columns, and fails exactly when
+            # M is singular; through zero tensors only the form moves
             if S.det() != 0:
-                expected = [[QQ(str(x)) for x in S.inv().row(i)] for i in range(r)]
-                assert int_inverse_of(M) == expected == ref_inverse([list(row) for row in M.data])
+                _, newB = transport_basis(Algebra.zero(r), SymForm(Mat.identity(r)), M)
+                assert newB.matrix == M.transpose() * M
+            else:
+                with pytest.raises(ValueError):
+                    transport_basis(Algebra.zero(r), None, M)
     assert det(Mat.zeros(0, 0)) == 1
 
 
@@ -510,7 +622,7 @@ def test_certificate_path_rank(A, monkeypatch):
     calls = _count_generic_rank(monkeypatch, canon)
     x0, k = max_rank_element(A, seed=2)
     assert calls == []  # certified: rank R_{x0} reached dim AA
-    assert k == A.derived_dim() == generic_rank(right_pencil(A))
+    assert k == A.derived_dim() == generic_rank(ref_right_pencil(A)) == generic_rank(right_pencil(A))
     assert rank(A.right_op(x0)) == k
 
 
@@ -521,7 +633,7 @@ def test_fallback_path_rank(monkeypatch):
         x0, k = max_rank_element(A, seed=i)
         assert A.derived_dim() == 3 and k == 2
         assert calls == [A.dim]  # the symbolic rank, computed once
-        assert k == generic_rank(right_pencil(A))
+        assert k == generic_rank(ref_right_pencil(A)) == generic_rank(right_pencil(A))
         assert rank(A.right_op(x0)) == k
 
 
@@ -633,7 +745,7 @@ def test_max_rank_element_is_maximal_along_lines(anticommuting):
     certified = set()
     for i, A in enumerate(anticommuting):
         x0, k = max_rank_element(A, seed=i)
-        pencil = right_pencil(A)
+        pencil = ref_right_pencil(A)
         assert k == generic_rank(pencil)
         # every R_x on the line x0 + l e_j, l = 0..k+1, has rank <= k
         for j in range(A.dim):
@@ -677,7 +789,7 @@ def _count_calls(monkeypatch, name, modules):
 def test_one_product_table_per_theorem_check(monkeypatch):
     instances = list(generate_corpus(7, 8))
     tables = _count_calls(monkeypatch, "int_right_products", (algebra, canon, cli))
-    transports = _count_calls(monkeypatch, "transport_basis", (classify, canon))
+    transports = _count_calls(monkeypatch, "transport_columns", (classify, canon))
     for i, (_, A, B) in enumerate(instances):
         tables.clear()
         transports.clear()
@@ -705,7 +817,7 @@ def test_one_fermionic_check_per_canon(monkeypatch, tmp_path, capsys):
         paths[-1].write_text(text)
     fermionic = _count_calls(monkeypatch, "check_fermionic", (algebra, canon, cli))
     tables = _count_calls(monkeypatch, "int_right_products", (algebra, canon, cli))
-    transports = _count_calls(monkeypatch, "transport_basis", (classify, canon))
+    transports = _count_calls(monkeypatch, "transport_columns", (classify, canon))
     for path in paths:
         fermionic.clear()
         tables.clear()
