@@ -35,17 +35,18 @@ class Algebra:
 
     Immutable once read: code that builds an algebra writes c right after
     the constructor or Algebra.zero, before any method reads it.  The
-    integer tensor and the reduced basis of the derived algebra are
-    computed on first use and cached, so a later write to c would leave
-    them stale.
+    integer tensor, the reduced basis of the derived algebra and the
+    verdicts of the three defining identities are computed on first use
+    and cached, so a later write to c would leave them stale.
     """
 
-    __slots__ = ("dim", "c", "_int_tensor", "_derived_basis")
+    __slots__ = ("dim", "c", "_int_tensor", "_derived_basis", "_identities")
 
     def __init__(self, dim, c):
         self.dim = dim
         self._int_tensor = None
         self._derived_basis = None
+        self._identities = None
         self.c = [
             [[QQ(x) for x in vec] for vec in row] for row in c
         ]
@@ -61,6 +62,7 @@ class Algebra:
         a.dim = dim
         a._int_tensor = None
         a._derived_basis = None
+        a._identities = None
         a.c = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
         return a
 
@@ -183,31 +185,39 @@ class Algebra:
         number of derived_pivots()."""
         return len(self.derived_pivots())
 
+    def identities(self):
+        """(left_symmetric, fermionic, novikov): the verdicts of the three
+        defining identities, decided once per instance at the coordinates
+        derived_pivots(), on one set of pivot rows of the R_{e_j}."""
+        if self._identities is None:
+            rows = self.derived_pivots()
+            right = _int_right_ops(self.int_tensor()[0], rows)
+            self._identities = (_left_symmetric(self, rows, right),
+                                *_product_identities(self, rows, right))
+        return self._identities
+
 
 # The identity checks run on int_tensor(): every identity is homogeneous in
 # the structure constants, so scaling them to integers keeps each verdict.
 # Every term of every identity is a product, so it lies in AA, and each
-# check reads only the coordinates `rows`, onto which AA projects
+# pass reads only the coordinates `rows`, onto which AA projects
 # injectively: A.derived_pivots(), k = dim AA of them, unless the caller
-# knows such coordinates without an elimination.  That makes left-symmetry
-# and the product table cost k n^4 multiply-adds, not n^5.
+# knows such coordinates without an elimination.  That makes each pass cost
+# k n^4 multiply-adds, not n^5.
 
 
-def int_right_ops(C, rows):
+def _int_right_ops(C, rows):
     """ops[j][r][t] = C[t][j][m] with m = rows[r]: the rows `rows` of the
     integer matrix of R_{e_j}."""
     n = len(C)
     return [[[C[t][j][m] for t in range(n)] for m in rows] for j in range(n)]
 
 
-def check_left_symmetric(A: Algebra, rows=None) -> bool:
+def _left_symmetric(A: Algebra, rows, right) -> bool:
     """(xy)z - x(yz) = (yx)z - y(xz) on all basis triples, compared at the
-    coordinates rows (A.derived_pivots() when omitted)."""
+    coordinates rows; right = _int_right_ops(C, rows)."""
     n = A.dim
     C, _ = A.int_tensor()
-    if rows is None:
-        rows = A.derived_pivots()
-    right = int_right_ops(C, rows)
     # left[i][r][t] = C[i][t][m] with m = rows[r]: the rows `rows` of the
     # integer matrix of L_{e_i}
     left = [[[C[i][t][m] for t in range(n)] for m in rows] for i in range(n)]
@@ -228,51 +238,47 @@ def check_left_symmetric(A: Algebra, rows=None) -> bool:
     return True
 
 
-def int_right_products(A: Algebra, rows=None):
-    """table[i][j] = the rows `rows` (A.derived_pivots() when omitted) of
-    the integer matrix R_i R_j of A.int_tensor(), flattened row-major:
-    entry (r, t) is (R_i R_j)[m][t] = sum_s C[s][i][m] C[t][j][s] with
-    m = rows[r].
+def _product_identities(A: Algebra, rows, right):
+    """(fermionic, novikov): whether R_i R_j + R_j R_i = 0 for all i, j, and
+    whether R_i R_j = R_j R_i, compared on the rows `rows` of each product
+    (right = _int_right_ops(C, rows)), one pair i <= j at a time.
 
-    Column t of R_i R_j is the product (e_t e_j) e_i, which lies in AA, so
-    these len(rows) * n integers decide every identity read off the
-    table."""
+    Entry (r, t) of R_i R_j is sum_s C[s][i][m] C[t][j][s] with m =
+    rows[r].  Its column t is the product (e_t e_j) e_i, which lies in AA,
+    so these len(rows) * n integers decide both identities."""
     n = A.dim
     C, _ = A.int_tensor()
-    if rows is None:
-        rows = A.derived_pivots()
     # cols[j][t] = C[t][j], the column t of R_{e_j}
     cols = [[C[t][j] for t in range(n)] for j in range(n)]
-    return [
-        [[sum(map(mul, rim, ctj)) for rim in Ri for ctj in Cj] for Cj in cols]
-        for Ri in int_right_ops(C, rows)
-    ]
+
+    def product(i, j):
+        return [sum(map(mul, rim, ctj)) for rim in right[i] for ctj in cols[j]]
+
+    fermionic = novikov = True
+    for i in range(n):
+        for j in range(i, n):
+            pij = product(i, j)
+            pji = product(j, i) if j > i else pij
+            fermionic = fermionic and not any(map(add, pij, pji))
+            novikov = novikov and pij == pji
+            if not (fermionic or novikov):
+                return False, False
+    return fermionic, novikov
 
 
-def check_fermionic(A: Algebra, products=None) -> bool:
-    """(xy)z = -(xz)y, i.e. the right multiplications pairwise anticommute.
-
-    Decided on the table products = int_right_products(A), the rows of
-    each R_i R_j at the pivot coordinates of AA: R_i R_j + R_j R_i maps
-    into AA, so it vanishes when those rows do.  A caller that reads the
-    table again passes it; it is built here when omitted."""
-    table = int_right_products(A) if products is None else products
-    return not any(
-        any(map(add, table[i][j], table[j][i]))
-        for i in range(A.dim)
-        for j in range(i, A.dim)
-    )
+def check_left_symmetric(A: Algebra) -> bool:
+    """(xy)z - x(yz) = (yx)z - y(xz): A.identities()[0]."""
+    return A.identities()[0]
 
 
-def check_novikov(A: Algebra, products=None) -> bool:
-    """(xy)z = (xz)y, i.e. the right multiplications pairwise commute.
+def check_fermionic(A: Algebra) -> bool:
+    """(xy)z = -(xz)y, the R_x pairwise anticommute: A.identities()[1]."""
+    return A.identities()[1]
 
-    Decided, like check_fermionic, on the pivot rows of AA of the table
-    products = int_right_products(A), built here when omitted."""
-    table = int_right_products(A) if products is None else products
-    return all(
-        table[i][j] == table[j][i] for i in range(A.dim) for j in range(i + 1, A.dim)
-    )
+
+def check_novikov(A: Algebra) -> bool:
+    """(xy)z = (xz)y, the R_x pairwise commute: A.identities()[2]."""
+    return A.identities()[2]
 
 
 def commutator_check(A: Algebra) -> bool:
@@ -357,10 +363,11 @@ def search_fermionic_not_novikov(values=(-1, 0, 1)):
                         A.c[i][j][w[0]] += coeff * w[1]
         # every rank-2 candidate anticommutes and few are left-symmetric,
         # so left-symmetry rejects them soonest
-        if not check_left_symmetric(A, _WEDGE_ROWS):
+        right = _int_right_ops(A.int_tensor()[0], _WEDGE_ROWS)
+        if not _left_symmetric(A, _WEDGE_ROWS, right):
             continue
-        products = int_right_products(A, _WEDGE_ROWS)
-        if check_fermionic(A, products) and not check_novikov(A, products):
+        fermionic, novikov = _product_identities(A, _WEDGE_ROWS, right)
+        if fermionic and not novikov:
             yield A
 
 

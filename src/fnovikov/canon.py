@@ -28,7 +28,6 @@ from .exactlin import (
     find_generic_point,
     generic_rank,
     int_rank,
-    kernel_basis,
     lowest_terms,
     rref_kernel,
     sample_points,
@@ -37,10 +36,10 @@ from .exactlin import (
 )
 from .algebra import (
     Algebra,
+    _int_right_ops,
     check_fermionic,
     check_left_symmetric,
-    int_right_ops,
-    int_right_products,
+    check_novikov,
 )
 from .forms import (
     SymForm,
@@ -93,10 +92,10 @@ def right_pencil(A: Algebra) -> Pencil:
     R_x, and the pencil the generic rank of the full n x n one."""
     C, _ = A.int_tensor()
     pivots = A.derived_pivots()
-    return Pencil(int_right_ops(C, pivots), len(pivots), A.dim)
+    return Pencil(_int_right_ops(C, pivots), len(pivots), A.dim)
 
 
-def max_rank_element(A: Algebra, seed, products=None):
+def max_rank_element(A: Algebra, seed):
     """(x0, k): an integer element whose right multiplication attains the
     generic rank k of the right-multiplication pencil.
 
@@ -110,11 +109,9 @@ def max_rank_element(A: Algebra, seed, products=None):
     specialization of the pencil exceeds its generic rank.
 
     The right multiplications must anticommute, or PreconditionError is
-    raised.  A caller that has already checked this with
-    check_fermionic(A, products) passes the same right-product table as
-    products, and the check is not repeated.
+    raised; the verdict is A's cached check_fermionic(A).
     """
-    if products is None and not check_fermionic(A):
+    if not check_fermionic(A):
         raise PreconditionError("right multiplications must anticommute")
     n = A.dim
     k = A.derived_dim()
@@ -177,7 +174,7 @@ def _reaches_jordan(Rk, FT, den, cols, k):
     return True
 
 
-def canonical_basis(A: Algebra, B: SymForm, x0, products=None) -> CanonReport:
+def canonical_basis(A: Algebra, B: SymForm, x0) -> CanonReport:
     """Build the canonical basis for R_{x0} and the metric; every
     intermediate claim is asserted, not assumed.
 
@@ -189,8 +186,7 @@ def canonical_basis(A: Algebra, B: SymForm, x0, products=None) -> CanonReport:
     weights, and P's entries, built last for the report.
 
     P's integer columns are transported once (transport_columns), and
-    every claim of CLAIMS is read on that transport; products is A's
-    right-product table int_right_products(A), built when not given."""
+    every claim of CLAIMS is read on that transport."""
     n = A.dim
     if B.dim != n or len(x0) != n:
         raise PreconditionError("dimension mismatch")
@@ -268,10 +264,10 @@ def canonical_basis(A: Algebra, B: SymForm, x0, products=None) -> CanonReport:
 
     # orthogonal complement of span(u, w), metric-diagonalized; its rows
     # B v are integer, and the kernel does not depend on their scale
-    comp = kernel_basis(Mat._raw([apply_form(v) for v, _ in us + ws], n))
+    rows = [apply_form(v) for v, _ in us + ws]
+    comp = rref_kernel(rows, _rref(rows, 2 * k, n), n)
     if len(comp) != n - 2 * k:
         raise CanonError("complement dimension mismatch")
-    comp = [scale_vector(c) for c in comp]
     Pc, Dc = congruent_diagonalize(Mat._raw(gram(comp, comp), n - 2 * k))
     comp = [combine(comp, Pc.col(i)) for i in range(n - 2 * k)]
     comp_diag = [Dc.data[i][i] for i in range(n - 2 * k)]
@@ -288,10 +284,9 @@ def canonical_basis(A: Algebra, B: SymForm, x0, products=None) -> CanonReport:
         new, newB = transport_columns(A, B, cols)
     except ValueError:
         raise CanonError("basis change is singular") from None
-    if products is None:
-        products = int_right_products(A)
     claims = _read_claims(new, newB, k, weights, comp_diag,
-                          _reaches_jordan(Rk, FT, den, cols, k), products)
+                          _reaches_jordan(Rk, FT, den, cols, k),
+                          check_fermionic(A) and check_novikov(A))
     # the metric and the shape of R_{x0} hold by construction
     if not claims["metric_canonical"]:
         raise CanonError("metric does not reach the canonical block form")
@@ -327,7 +322,7 @@ CLAIMS = (
 )
 
 
-def _read_claims(new, newB, k, weights, comp_diag, rx0_canonical, products):
+def _read_claims(new, newB, k, weights, comp_diag, rx0_canonical, products_vanish):
     """Each claim of CLAIMS, in that order, read on new and newB, the
     algebra and the form rewritten in the canonical basis P.  The targets
     are rebuilt from k, the pair weights and the complement diagonal;
@@ -338,11 +333,11 @@ def _read_claims(new, newB, k, weights, comp_diag, rx0_canonical, products):
     the core allows them only at (2a+1, 2b).  weighted_symmetry reads its
     entries by index, as canonical_basis reads d_forms.
 
-    products_vanish reads A's own table int_right_products(A), as no basis
-    is needed: R'_i R'_j = Pinv R_{P e_i} R_{P e_j} P, and the transport's
-    reduction of P's integer columns proves P invertible.  The table holds
-    only the rows of each R_i R_j at A.derived_pivots(), which vanish
-    exactly when R_i R_j does, as its columns lie in AA."""
+    products_vanish is whether every R_i R_j = 0, read on A itself, as no
+    basis is needed: R'_i R'_j = Pinv R_{P e_i} R_{P e_j} P, and the
+    transport's reduction of P's integer columns proves P invertible.  It
+    is check_fermionic(A) and check_novikov(A), as R_i R_j = -R_j R_i and
+    R_i R_j = R_j R_i force R_i R_j = 0."""
     n, h, c = newB.dim, 2 * k, new.c
     zero = dict.fromkeys(("lower_right_zero", "side_blocks_zero", "core_block_shape"), True)
     for s, row in enumerate(c):
@@ -364,7 +359,7 @@ def _read_claims(new, newB, k, weights, comp_diag, rx0_canonical, products):
             for a in range(k)
             for b in range(a + 1, k)
         ),
-        "products_vanish": not any(any(p) for row in products for p in row),
+        "products_vanish": products_vanish,
     }
 
 
@@ -383,40 +378,38 @@ def verify_structure(A: Algebra, B: SymForm, rep: CanonReport):
     new, newB = transport_columns(A, B, cols)
     rx0_canonical = _reaches_jordan(*_int_right_op(A, rep.x0), cols, rep.k)
     return _read_claims(new, newB, rep.k, rep.pair_weights,
-                        rep.complement_diag, rx0_canonical, int_right_products(A))
+                        rep.complement_diag, rx0_canonical,
+                        check_fermionic(A) and check_novikov(A))
 
 
 def check_identities(A: Algebra):
-    """A's right-product table int_right_products(A), once A is checked to
-    be left-symmetric and, on that table, to have anticommuting right
-    multiplications; a failed identity raises PreconditionError naming it."""
+    """Raise PreconditionError naming the first of left-symmetry and
+    anticommuting right multiplications that A fails."""
     if not check_left_symmetric(A):
         raise PreconditionError("algebra must be left-symmetric")
-    products = int_right_products(A)
-    if not check_fermionic(A, products):
+    if not check_fermionic(A):
         raise PreconditionError("right multiplications must anticommute")
-    return products
 
 
 def canonicalize(A: Algebra, B, seed) -> CanonReport:
     """The theorem's pipeline: check the preconditions, pick a maximal-rank
     x0, and build the canonical basis, every claim read on it.
 
-    One right-product table decides the anticommutation precondition and
-    products_vanish, which is the Novikov identity once the R_i anticommute:
-    R_i R_j = R_j R_i = -R_i R_j forces R_i R_j = 0.  With B None, a
-    nondegenerate member of A's invariant form space is searched for with
-    seed.  The identities are checked before the form is searched for or
-    normalized, so they win over a degenerate form.  A failed precondition
-    raises PreconditionError naming it."""
-    products = check_identities(A)
+    A's identity verdicts, decided once, give the anticommutation
+    precondition and products_vanish, which is the Novikov identity once
+    the R_i anticommute.  With B None, a nondegenerate member of A's
+    invariant form space is searched for with seed.  The identities are
+    checked before the form is searched for or normalized, so they win
+    over a degenerate form.  A failed precondition raises
+    PreconditionError naming it."""
+    check_identities(A)
     if B is None:
         B = find_nondegenerate(invariant_form_space(A), seed=seed)
         if B is None:
             raise PreconditionError("no nondegenerate invariant form exists")
     B = normalize_orientation(B)
-    x0, _ = max_rank_element(A, seed, products)
-    return canonical_basis(A, B, x0, products)
+    x0, _ = max_rank_element(A, seed)
+    return canonical_basis(A, B, x0)
 
 
 def theorem_check(A: Algebra, B: SymForm, seed) -> bool:

@@ -30,6 +30,7 @@ from fnovikov import (
     verify_structure,
 )
 from fnovikov import canon
+from fnovikov.exactlin import scale_vector
 from fnovikov.scalars import QQ, ONE
 
 
@@ -161,14 +162,21 @@ class TestCanonicalBasis:
         x0, k = max_rank_element(A, seed=1)
         assert (A.dim, k) == (3, 1)
         Binv = fraction_inverse(B.matrix.data)
+        real = canon.rref_kernel
 
-        def complement_in_span(M):
-            # M's rows are B u_1 and B w_1; <u_1 + w_1, u_1 + w_1> = 2 w_1 is
-            # nonzero, so the complement metric check passes
-            u, w = ([sum(b * x for b, x in zip(brow, row)) for brow in Binv] for row in M.data)
-            return [[a + b for a, b in zip(u, w)]]
+        def complement_in_span(z, pivots, cols):
+            # the kernel of R_{x0} has one pivot, the complement's two
+            if len(pivots) < 2:
+                return real(z, pivots, cols)
+            # z's rows span B u_1 and B w_1, so v_0, v_1 = Binv z span the
+            # hyperbolic plane span(u_1, w_1): v_0, v_1 or v_0 + v_1 pairs
+            # with itself to a nonzero value, so the complement metric check
+            # passes
+            v0, v1 = ([sum(b * x for b, x in zip(brow, row)) for brow in Binv] for row in z)
+            v = next(v for v in (v0, v1, [a + b for a, b in zip(v0, v1)]) if B.pair(v, v))
+            return [scale_vector(v)]
 
-        monkeypatch.setattr(canon, "kernel_basis", complement_in_span)
+        monkeypatch.setattr(canon, "rref_kernel", complement_in_span)
         with pytest.raises(CanonError, match="basis change is singular"):
             canonical_basis(A, B, x0)
 

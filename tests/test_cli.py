@@ -5,7 +5,8 @@ from itertools import islice
 import pytest
 
 from fnovikov import CanonError, GenericPointError, Mat, SymForm, make_family, parse, serialize
-from fnovikov import canon
+from fnovikov import canon, cli
+from fnovikov.fileio import MAX_DIM
 from fnovikov.cli import main
 
 
@@ -251,6 +252,17 @@ class TestGenScramble:
         assert code == 0
         A, _, _ = parse(out)
         assert A == make_family(1, 2)
+
+    @pytest.mark.parametrize("dim", [MAX_DIM + 1, 10**9])
+    def test_gen_dim_above_the_file_limit(self, capsys, monkeypatch, dim):
+        # parse refuses such a file, so gen exits 2 before it allocates the
+        # dim^3 structure constants
+        def no_alloc(*args):
+            pytest.fail("make_family called")
+
+        monkeypatch.setattr(cli, "make_family", no_alloc)
+        assert run(capsys, "gen", "--variant", "1", "--dim", str(dim)) == (
+            2, "", f"error: dim {dim} exceeds the limit {MAX_DIM}\n")
 
 
 class TestUsage:

@@ -46,7 +46,6 @@ from fnovikov import (
     verify_structure,
 )
 from fnovikov import algebra, canon, classify, cli, exactlin, forms
-from fnovikov.algebra import int_right_products
 from fnovikov.cli import main as cli_main
 from fnovikov.exactlin import scale_to_int
 from fnovikov.scalars import QQ
@@ -103,6 +102,16 @@ def ref_right_products(A, sign):
         if xy_z + sign * xz_y:
             return False
     return True
+
+
+def ref_nonzero_products(A):
+    """The pairs (i, j) with R_i R_j != 0: R_i R_j e_t = (e_t e_j) e_i."""
+    n = A.dim
+    c = as_fractions(A)
+    return [
+        (i, j) for i in range(n) for j in range(n)
+        if any(sum(c[t][j][s] * c[s][i][m] for s in range(n)) for t in range(n) for m in range(n))
+    ]
 
 
 def ref_is_invariant(A, B):
@@ -348,8 +357,7 @@ def test_products_vanish_sees_one_nonzero_product():
         (0, 2): Algebra.from_products(3, [(0, 2, 1, 1), (1, 0, 2, 1)]),
     }
     for ij, D in single.items():
-        table = int_right_products(D)
-        assert [(i, j) for i in range(3) for j in range(3) if any(table[i][j])] == [ij]
+        assert ref_nonzero_products(D) == [ij]
     P = Mat([[1, QQ(1, 2), 0], [0, 1, QQ(-2, 3)], [2, 0, 1]])
     rep = CanonReport(x0=[QQ(0)] * 3, k=0, P=P, pair_weights=[], signs=[],
                       complement_diag=[QQ(1)] * 3, d_forms=[], claims={})
@@ -413,10 +421,7 @@ def test_checks_on_derived_pivots_match_reference(case):
     assert pivots == sorted(set(pivots)) and all(0 <= m < n for m in pivots)
     assert rank(Mat([[v[m] for m in pivots] for v in products], k)) == k
     assert k == {"zero": 0, "full": n}.get(shape, k)
-    table = int_right_products(A)
-    assert all(len(entry) == k * n for row in table for entry in row)
-    got = (check_left_symmetric(A), check_fermionic(A, table), check_novikov(A, table))
-    assert got == (ref_left_symmetric(A), ref_right_products(A, 1), ref_right_products(A, -1))
+    assert A.identities() == (ref_left_symmetric(A), ref_right_products(A, 1), ref_right_products(A, -1))
 
 
 @st.composite
@@ -500,11 +505,10 @@ def test_each_claim_reads_its_own_block():
     n, k = A.dim, rep.k
     assert k == 2 and n > 2 * k
     new, newB = transport_basis(A, normalize_orientation(B), rep.P)
-    table = int_right_products(A)
 
     def claims(c):
         return canon._read_claims(Algebra(n, c), newB, k, rep.pair_weights,
-                                  rep.complement_diag, True, table)
+                                  rep.complement_diag, True, True)
 
     assert claims(new.c) == rep.claims
     breaks = {
@@ -728,8 +732,9 @@ def test_canon_json_golden_digest_on_scrambled_form(source, digest, tmp_path, ca
 
 
 # ---------------------------------------------------------------------------
-# what theorem_check reads from one right-product table, and the maximality
-# of max_rank_element, which is no longer checked at run time
+# what theorem_check reads from the identity verdicts, decided once per
+# algebra, and the maximality of max_rank_element, which is no longer
+# checked at run time
 
 
 @pytest.fixture(scope="module")
@@ -762,52 +767,63 @@ def test_novikov_is_products_vanish_when_anticommuting(anticommuting):
     # products_vanish: R_i R_j = -R_j R_i and R_i R_j = R_j R_i force 0
     verdicts = set()
     for A in anticommuting:
-        table = int_right_products(A)
-        assert check_fermionic(A, table)
-        vanish = not any(any(p) for row in table for p in row)
+        assert check_fermionic(A)
+        vanish = not ref_nonzero_products(A)
         assert check_novikov(A) == vanish
         verdicts.add(vanish)
     assert verdicts == {True, False}
 
 
 def _count_calls(monkeypatch, name, modules):
-    """Record the result of every call of the function `name` through any
-    of modules."""
+    """Record the arguments of every call of the function `name` through
+    any of modules."""
     calls = []
     real = getattr(modules[0], name)
 
-    def counted(*args, **kwargs):
-        result = real(*args, **kwargs)
-        calls.append(result)
-        return result
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
 
     for module in modules:
         monkeypatch.setattr(module, name, counted)
     return calls
 
 
-def test_one_product_table_per_theorem_check(monkeypatch):
+def _count_passes(monkeypatch):
+    """The calls of the two identity passes, left-symmetry and the product
+    identities, as (A, rows, right)."""
+    return (_count_calls(monkeypatch, "_left_symmetric", (algebra,)),
+            _count_calls(monkeypatch, "_product_identities", (algebra,)))
+
+
+def _at_derived_pivots(passes):
+    return all(rows is A.derived_pivots() for A, rows, _ in passes)
+
+
+def test_one_identity_pass_per_theorem_check(monkeypatch):
     instances = list(generate_corpus(7, 8))
-    tables = _count_calls(monkeypatch, "int_right_products", (algebra, canon, cli))
+    symmetric, products = _count_passes(monkeypatch)
     transports = _count_calls(monkeypatch, "transport_columns", (classify, canon))
     for i, (_, A, B) in enumerate(instances):
-        tables.clear()
-        transports.clear()
+        for calls in (symmetric, products, transports):
+            calls.clear()
         assert theorem_check(A, B, seed=i)
-        assert len(tables) == len(transports) == 1
-        # the table holds R_i R_j only at the k pivot rows of AA
-        assert all(len(entry) == A.derived_dim() * A.dim for row in tables[0] for entry in row)
+        assert len(symmetric) == len(products) == len(transports) == 1
+        # each pass reads the k pivot rows of AA
+        assert _at_derived_pivots(symmetric + products)
     # the witness search reads its products at e_1, e_2, e_3 (v1, v2 and
     # v1^v2) only; the digest pins the 210 witnesses that checks reading
     # all four coordinates found
-    tables.clear()
+    symmetric.clear()
+    products.clear()
     found = list(search_fermionic_not_novikov())
-    assert tables and all(len(entry) == 3 * 4 for table in tables for row in table for entry in row)
+    assert products and {rows for _, rows, _ in symmetric + products} == {(1, 2, 3)}
+    assert all(len(Rj) == 3 for _, _, right in products for Rj in right)
     digest = hashlib.sha256("".join(serialize(W) for W in found).encode()).hexdigest()
     assert digest == "40044c2fb5b3e7e33eb310aff2b411d8cb2e593c3823415dc53deb10f3883d9d"
 
 
-def test_one_fermionic_check_per_canon(monkeypatch, tmp_path, capsys):
+def test_one_identity_pass_per_canon(monkeypatch, tmp_path, capsys):
     A = make_family(2, 4)
     K = k2_instances(23, 1)[0]
     paths = []
@@ -815,29 +831,56 @@ def test_one_fermionic_check_per_canon(monkeypatch, tmp_path, capsys):
                        ("k2.json", serialize(K))):
         paths.append(tmp_path / name)
         paths[-1].write_text(text)
-    fermionic = _count_calls(monkeypatch, "check_fermionic", (algebra, canon, cli))
-    tables = _count_calls(monkeypatch, "int_right_products", (algebra, canon, cli))
+    symmetric, products = _count_passes(monkeypatch)
     transports = _count_calls(monkeypatch, "transport_columns", (classify, canon))
     for path in paths:
-        fermionic.clear()
-        tables.clear()
-        transports.clear()
+        for calls in (symmetric, products, transports):
+            calls.clear()
         assert cli_main(["canon", "--input", str(path), "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["claims"]["products_vanish"]
-        assert len(fermionic) == len(tables) == len(transports) == 1
+        assert len(symmetric) == len(products) == len(transports) == 1
+        assert _at_derived_pivots(symmetric + products)
 
 
-def test_one_product_table_per_check(monkeypatch, tmp_path, capsys):
+def _one_pass_per_command(monkeypatch, tmp_path, capsys, command):
+    """The exit code and --json report of `fnovikov command` on family 2 at
+    dim 4 and on a witness, each run checked to make one pass of each
+    identity at the pivots of AA."""
     witness = next(search_fermionic_not_novikov())
-    tables = _count_calls(monkeypatch, "int_right_products", (algebra, cli))
-    for A, novikov in ((make_family(2, 4), True), (witness, False)):
+    symmetric, products = _count_passes(monkeypatch)
+    results = []
+    for A in (make_family(2, 4), witness):
         path = tmp_path / "algebra.json"
         path.write_text(serialize(A))
-        tables.clear()
-        assert cli_main(["check", "--input", str(path), "--json"]) == (0 if novikov else 1)
-        report = json.loads(capsys.readouterr().out)
-        assert report == {"left_symmetric": True, "fermionic": True, "novikov": novikov}
-        assert len(tables) == 1
+        symmetric.clear()
+        products.clear()
+        code = cli_main([command, "--input", str(path), "--json"])
+        results.append((code, json.loads(capsys.readouterr().out)))
+        assert len(symmetric) == len(products) == 1
+        assert _at_derived_pivots(symmetric + products)
+    return results
+
+
+def test_one_identity_pass_per_check(monkeypatch, tmp_path, capsys):
+    report = {"left_symmetric": True, "fermionic": True, "novikov": True}
+    assert _one_pass_per_command(monkeypatch, tmp_path, capsys, "check") == [
+        (0, report), (1, {**report, "novikov": False})]
+
+
+def test_one_identity_pass_per_classify(monkeypatch, tmp_path, capsys):
+    assert _one_pass_per_command(monkeypatch, tmp_path, capsys, "classify") == [
+        (0, {"classification": "2"}), (0, {"classification": "k>=2"})]
+
+
+def test_checks_in_any_order_run_one_pass_each(monkeypatch):
+    # the order of the negative controls: each check after the first reads
+    # the verdicts the first one decided
+    witness, _, _ = scramble(next(search_fermionic_not_novikov()), None, 3)
+    symmetric, products = _count_passes(monkeypatch)
+    A = Algebra(witness.dim, witness.c)
+    got = (check_fermionic(A), check_left_symmetric(A), check_novikov(A))
+    assert got == A.identities() == (True, True, False)
+    assert len(symmetric) == len(products) == 1 and _at_derived_pivots(symmetric + products)
 
 
 # ---------------------------------------------------------------------------
