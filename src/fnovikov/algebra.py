@@ -8,8 +8,9 @@ trilinearity.
 
 from __future__ import annotations
 
+import itertools
 from math import lcm
-from operator import add, mul
+from operator import add, mul, sub
 
 from .scalars import QQ, ZERO, ONE
 from .exactlin import Mat, _rref, scale_to_int
@@ -287,24 +288,9 @@ def commutator_check(A: Algebra) -> bool:
     Must hold whenever A is left-symmetric; exposed as a cross-check.
     """
     n = A.dim
-    b = [
-        [[A.c[i][j][m] - A.c[j][i][m] for m in range(n)] for j in range(n)]
-        for i in range(n)
-    ]
-
-    def brk(x, y):
-        out = [ZERO] * n
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                f = xi * yj
-                for m in range(n):
-                    if b[i][j][m]:
-                        out[m] += f * b[i][j][m]
-        return out
+    # multiplication in the algebra of the bracket's structure constants
+    brk = Algebra(n, [[list(map(sub, A.c[i][j], A.c[j][i])) for j in range(n)]
+                      for i in range(n)]).multiply
 
     for i in range(n):
         for j in range(i + 1, n):
@@ -347,7 +333,7 @@ def search_fermionic_not_novikov(values=(-1, 0, 1)):
     the full identity checkers.  Yields witnesses as Algebra instances.
     """
     coords = [(a, b) for a in values for b in values]
-    for phi in _phi_choices(coords):
+    for phi in itertools.product(coords, repeat=4):
         # R_x R_y != 0 needs phi of rank 2; cheap prefilter
         if not any(
             p[0] * q[1] - p[1] * q[0]
@@ -369,14 +355,6 @@ def search_fermionic_not_novikov(values=(-1, 0, 1)):
         fermionic, novikov = _product_identities(A, _WEDGE_ROWS, right)
         if fermionic and not novikov:
             yield A
-
-
-def _phi_choices(coords):
-    for a in coords:
-        for b in coords:
-            for c in coords:
-                for d in coords:
-                    yield (a, b, c, d)
 
 
 def search_breaking_mutation(A: Algebra, values=(-1, 1, 2)):

@@ -16,17 +16,18 @@ of the weights are recorded separately and every claim is weight-aware.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from operator import mul
 
-from .scalars import QQ, ZERO, ONE
+from .scalars import QQ, ZERO
 from .exactlin import (
     CERTIFY_ATTEMPTS,
     Mat,
     Pencil,
     _rref,
-    congruent_diagonalize,
     find_generic_point,
     generic_rank,
+    int_congruence,
     int_rank,
     lowest_terms,
     rref_kernel,
@@ -129,18 +130,6 @@ def max_rank_element(A: Algebra, seed):
     return x0, k
 
 
-def _canonical_metric(n, k, weights, comp_diag):
-    """The entries that P^T B P must equal: hyperbolic pairs of the given
-    weights, then the diagonal complement."""
-    metric = Mat.zeros(n, n).copy_data()
-    for i in range(k):
-        metric[2 * i][2 * i + 1] = weights[i]
-        metric[2 * i + 1][2 * i] = weights[i]
-    for t, d in enumerate(comp_diag):
-        metric[2 * k + t][2 * k + t] = d
-    return metric
-
-
 def _int_right_op(A: Algebra, x0):
     """(Rk, FT, den): R_{x0} = FT Rk / den, with F, L = A.derived_basis().
 
@@ -180,13 +169,12 @@ def canonical_basis(A: Algebra, B: SymForm, x0) -> CanonReport:
 
     R_{x0} enters as FT Rk / den (_int_right_op): its k rows Rk at the
     pivots of AA have its reduced form, pivots and kernel.  Every basis
-    vector is built as integer numerators over its own denominator, an
-    (ints, den) pair.  Rationals appear only at the boundary: the pairings
-    that congruent_diagonalize takes and the coefficients it returns, the
-    weights, and P's entries, built last for the report.
-
-    P's integer columns are transported once (transport_columns), and
-    every claim of CLAIMS is read on that transport."""
+    vector is an (ints, den) pair, every pairing <x, y> is x^T Bi y over
+    dx dy db, and int_congruence diagonalizes both Gram matrices, of
+    vectors over one denominator, carrying the vectors along.  Rationals
+    are built only for the report: P, the weights, the complement
+    diagonal and d_forms.  P's integer columns are transported once
+    (transport_columns), and every claim of CLAIMS is read on that."""
     n = A.dim
     if B.dim != n or len(x0) != n:
         raise PreconditionError("dimension mismatch")
@@ -204,16 +192,14 @@ def canonical_basis(A: Algebra, B: SymForm, x0) -> CanonReport:
         return [sum(map(mul, row, v)) for row in Bi]
 
     def gram(xs, ys):
-        # the pairings <x, y> of (ints, den) pairs, a row per x
-        bys = [(apply_form(y), dy) for y, dy in ys]
-        return [[QQ(sum(map(mul, x, by)), dx * dy * db) for by, dy in bys] for x, dx in xs]
+        # x^T Bi y for integer vectors, a row per x
+        bys = [apply_form(y) for y in ys]
+        return [[sum(map(mul, x, by)) for by in bys] for x in xs]
 
-    def combine(vectors, coeffs):
-        # sum_t coeffs[t] vectors[t] as an (ints, den) pair
-        terms = [(c / d, v) for c, (v, d) in zip(coeffs, vectors) if c]
-        mults, den = scale_vector([f for f, _ in terms])
-        out = [sum(map(mul, mults, col)) for col in zip(*[v for _, v in terms])]
-        return lowest_terms(out, den)
+    def over(vectors):
+        # (ints, den) pairs as integer vectors over their lcm m, and m
+        m = lcm(*[d for _, d in vectors])
+        return [[x * (m // d) for x in v] for v, d in vectors], m
 
     # preimages u_i = e_j with w_i = R u_i spanning Im R: the pivot
     # columns of R's reduced row echelon form, which is Rk's
@@ -222,69 +208,74 @@ def canonical_basis(A: Algebra, B: SymForm, x0) -> CanonReport:
     k = len(pivots)
     if k > nm:
         raise CanonError("rank of R_{x0} exceeds the negative index")
-    us = [([int(t == j) for t in range(n)], 1) for j in pivots]
-    ws = [lowest_terms([sum(map(mul, fm, [row[j] for row in Rk])) for fm in FT], den)
-          for j in pivots]
+    U = [[int(t == j) for t in range(n)] for j in pivots]
+    W, dw = [[sum(map(mul, fm, [row[j] for row in Rk])) for fm in FT] for j in pivots], den
 
     # Im R totally isotropic, and Im R = (Ker R)^perp
-    if any(any(row) for row in gram(ws, ws)):
+    if any(any(row) for row in gram(W, W)):
         raise CanonError("Im R_{x0} is not totally isotropic")
     ker = rref_kernel(reduced, pivots, n)
     if len(ker) != n - k:
         raise CanonError("kernel dimension mismatch")
-    if any(any(row) for row in gram(ker, ws)):
+    if any(any(row) for row in gram([v for v, _ in ker], W)):
         raise CanonError("Im R_{x0} not orthogonal to Ker R_{x0}")
 
-    # pairing G_{ij} = <u_i, w_j>: symmetric and nondegenerate
-    G = Mat._raw(gram(us, ws), k)
-    if not G.is_symmetric():
+    # pairing G_{ij} = <u_i, w_j>, G / (dw db): symmetric and nondegenerate;
+    # u_i and w_i take the same column operations, carried side by side
+    G = gram(U, W)
+    if any(G[i][j] != G[j][i] for i in range(k) for j in range(i)):
         raise CanonError("preimage/image pairing is not symmetric")
-    Q, D = congruent_diagonalize(G)
-    weights = [D.data[i][i] for i in range(k)]
-    if any(not g for g in weights):
+    d, p, s = int_congruence(G, [u + w for u, w in zip(U, W)])
+    if not all(d):
         raise CanonError("preimage/image pairing is degenerate")
-    us = [combine(us, Q.col(i)) for i in range(k)]
-    ws = [combine(ws, Q.col(i)) for i in range(k)]
+    # <u_i, w_i> = wn / wd for (wn, wd) in pws
+    pws = [(di, dw * db * si) for di, si in zip(d, s)]
+    us = [lowest_terms(v[:n], si) for v, si in zip(p, s)]
+    ws = [lowest_terms(v[n:], dw * si) for v, si in zip(p, s)]
 
-    # isotropize the u_i inside span(u, w); corrections along w leave the
-    # pairing with w untouched and are killed by R
-    H = gram(us, us)
-    half = QQ(1, 2)
-    us = [
-        combine([us[i]] + ws, [ONE] + [-half * H[i][j] / weights[j] for j in range(k)])
-        for i in range(k)
-    ]
-    isotropic, cross = gram(us, us), gram(us, ws)
+    # isotropize the u_i inside span(u, w): u_i -= <u_i, u_j> / (2 w_j) w_j,
+    # over 2 du^2 db dw m, m the lcm of the weights' numerators; the
+    # corrections along w leave the pairing with w untouched and are
+    # killed by R
+    U, du = over(us)
+    W, dw = over(ws)
+    H, Wt = gram(U, U), list(zip(*W))
+    m = lcm(*[wn for wn, _ in pws])
+    f = 2 * du * db * dw * m
+    for i in range(k):
+        cs = [h * wd * (m // wn) for h, (wn, wd) in zip(H[i], pws)]
+        us[i] = lowest_terms([f * x - sum(map(mul, cs, col)) for x, col in zip(U[i], Wt)], f * du)
+    U, du = over(us)
+    isotropic, cross = gram(U, U), gram(U, W)
     for i in range(k):
         for j in range(k):
             if isotropic[i][j]:
                 raise CanonError("isotropization failed")
-            if cross[i][j] != (weights[i] if i == j else ZERO):
+            wn, wd = pws[i]
+            if cross[i][j] * wd != (wn * du * dw * db if i == j else 0):
                 raise CanonError("pair weights corrupted")
 
     # orthogonal complement of span(u, w), metric-diagonalized; its rows
     # B v are integer, and the kernel does not depend on their scale
-    rows = [apply_form(v) for v, _ in us + ws]
+    rows = [apply_form(v) for v in U + W]
     comp = rref_kernel(rows, _rref(rows, 2 * k, n), n)
     if len(comp) != n - 2 * k:
         raise CanonError("complement dimension mismatch")
-    Pc, Dc = congruent_diagonalize(Mat._raw(gram(comp, comp), n - 2 * k))
-    comp = [combine(comp, Pc.col(i)) for i in range(n - 2 * k)]
-    comp_diag = [Dc.data[i][i] for i in range(n - 2 * k)]
-    if any(not d for d in comp_diag):
+    Z, dz = over(comp)
+    d, p, s = int_congruence(gram(Z, Z), Z)
+    if not all(d):
         raise CanonError("complement metric is degenerate")
+    comp = [lowest_terms(v, dz * si) for v, si in zip(p, s)]
+    weights = [QQ(wn, wd) for wn, wd in pws]
+    comp_diag = [QQ(di, dz * dz * db * si) for di, si in zip(d, s)]
 
-    cols = []
-    for i in range(k):
-        cols.append(us[i])
-        cols.append(ws[i])
-    cols.extend(comp)
+    cols = [v for pair in zip(us, ws) for v in pair] + comp
     # transport_columns raises ValueError when P is singular
     try:
-        new, newB = transport_columns(A, B, cols)
+        transport = transport_columns(A, B, cols)
     except ValueError:
         raise CanonError("basis change is singular") from None
-    claims = _read_claims(new, newB, k, weights, comp_diag,
+    claims = _read_claims(transport, k, weights, comp_diag,
                           _reaches_jordan(Rk, FT, den, cols, k),
                           check_fermionic(A) and check_novikov(A))
     # the metric and the shape of R_{x0} hold by construction
@@ -294,8 +285,11 @@ def canonical_basis(A: Algebra, B: SymForm, x0) -> CanonReport:
         raise CanonError("R_{x0} does not reach the canonical Jordan form")
 
     # d_forms[j][a][b] = R'_j[2a+1][2b] = c'[2b][j][2a+1]
+    prods, _ = transport
+    none = ([0] * n, 1)
     d_forms = [
-        Mat._raw([[new.c[2 * b][j][2 * a + 1] for b in range(k)] for a in range(k)], k)
+        Mat._raw([[QQ(v[2 * a + 1], t) for v, t in (prods.get((2 * b, j), none) for b in range(k))]
+                  for a in range(k)], k)
         for j in range(n)
     ]
 
@@ -322,39 +316,61 @@ CLAIMS = (
 )
 
 
-def _read_claims(new, newB, k, weights, comp_diag, rx0_canonical, products_vanish):
-    """Each claim of CLAIMS, in that order, read on new and newB, the
-    algebra and the form rewritten in the canonical basis P.  The targets
-    are rebuilt from k, the pair weights and the complement diagonal;
+def _read_claims(transport, k, weights, comp_diag, rx0_canonical, products_vanish):
+    """Each claim of CLAIMS, in that order, read on transport, the algebra
+    and the form in the canonical basis P as transport_columns returns
+    them: integer numerators with their scales.  The targets are rebuilt
+    from k and the rational pair weights and complement diagonal, and
+    compared by cross-multiplying with their numerators and denominators;
     rx0_canonical is whether R_{x0} P = P J.
 
-    R'_j[r][s] = c'[s][j][r] is read from new.c, with no matrix built.
-    The zero-block claims are decided by where the nonzero entries fall:
-    the core allows them only at (2a+1, 2b).  weighted_symmetry reads its
-    entries by index, as canonical_basis reads d_forms.
+    R'_j[r][s] = c'[s][j][r] is read from the numerators, with no matrix
+    built.  The zero-block claims are decided by where the nonzero
+    numerators fall: the core allows them only at (2a+1, 2b).
+    weighted_symmetry reads its entries by index, as canonical_basis reads
+    d_forms.
 
     products_vanish is whether every R_i R_j = 0, read on A itself, as no
     basis is needed: R'_i R'_j = Pinv R_{P e_i} R_{P e_j} P, and the
     transport's reduction of P's integer columns proves P invertible.  It
     is check_fermionic(A) and check_novikov(A), as R_i R_j = -R_j R_i and
     R_i R_j = R_j R_i force R_i R_j = 0."""
-    n, h, c = newB.dim, 2 * k, new.c
+    prods, form = transport
+    n, h = len(form), 2 * k
     zero = dict.fromkeys(("lower_right_zero", "side_blocks_zero", "core_block_shape"), True)
-    for s, row in enumerate(c):
-        for r, v in ((r, v) for vec in row for r, v in enumerate(vec) if v):
+    for (s, _), (v, _) in prods.items():
+        for r in (r for r, x in enumerate(v) if x):
             if r >= h and s >= h:
                 zero["lower_right_zero"] = False
             elif (r < h) != (s < h):
                 zero["side_blocks_zero"] = False
             elif r % 2 == 0 or s % 2:
                 zero["core_block_shape"] = False
+    # the canonical metric as (numerator, denominator) pairs: hyperbolic
+    # pairs of the given weights, then the diagonal complement, 0 elsewhere
+    target = {(h + t, h + t): (c.numerator, c.denominator) for t, c in enumerate(comp_diag)}
+    for a, w in enumerate(weights[:k]):
+        target[2 * a, 2 * a + 1] = target[2 * a + 1, 2 * a] = (w.numerator, w.denominator)
+
+    def weighted(i, j, m, w):
+        # c'[i][j][m] w as a (numerator, denominator) pair
+        v, t = prods.get((i, j), ([0] * n, 1))
+        return v[m] * w.numerator, t * w.denominator
+
+    def equal(x, y):
+        return x[0] * y[1] == y[0] * x[1]
+
     return {
-        "metric_canonical": newB.matrix.data == _canonical_metric(n, k, weights, comp_diag),
+        "metric_canonical": len(comp_diag) == n - h and all(
+            equal(e, target.get((i, j), (0, 1)))
+            for i, row in enumerate(form) for j, e in enumerate(row)
+        ),
         "rx0_canonical": rx0_canonical,
         **zero,
         # the pair (a, b) reads the equation of (b, a), and a = b holds
         "weighted_symmetry": all(
-            c[2 * b][j][2 * a + 1] * weights[a] == c[2 * a][j][2 * b + 1] * weights[b]
+            equal(weighted(2 * b, j, 2 * a + 1, weights[a]),
+                  weighted(2 * a, j, 2 * b + 1, weights[b]))
             for j in range(n)
             for a in range(k)
             for b in range(a + 1, k)
@@ -375,9 +391,9 @@ def verify_structure(A: Algebra, B: SymForm, rep: CanonReport):
     if B.dim != n or rep.P.rows != n:
         raise PreconditionError("report/algebra mismatch")
     cols = scale_columns(rep.P)
-    new, newB = transport_columns(A, B, cols)
+    transport = transport_columns(A, B, cols)
     rx0_canonical = _reaches_jordan(*_int_right_op(A, rep.x0), cols, rep.k)
-    return _read_claims(new, newB, rep.k, rep.pair_weights,
+    return _read_claims(transport, rep.k, rep.pair_weights,
                         rep.complement_diag, rx0_canonical,
                         check_fermionic(A) and check_novikov(A))
 

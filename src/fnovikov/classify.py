@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import lcm
 from operator import mul
 
 from .scalars import QQ, ZERO, ONE
@@ -130,15 +131,26 @@ def transport_basis(A: Algebra, B, P: Mat):
     """Rewrite the algebra (and optional form) in the basis given by the
     columns of the invertible matrix P; raises ValueError when P is
     singular.  Each column of P is scaled to integers over its own
-    denominator, and transport_columns rewrites A and B in that basis."""
+    denominator, and transport_columns rewrites A and B in that basis on
+    integers, divided here by their scales."""
     if (P.rows, P.cols) != (A.dim, A.dim):
         raise DimensionMismatchError("basis change dimension mismatch")
-    return transport_columns(A, B, scale_columns(P))
+    n = A.dim
+    prods, form = transport_columns(A, B, scale_columns(P))
+    new = Algebra.zero(n)
+    for (i, j), (v, t) in prods.items():
+        new.c[i][j] = [QQ(x, t) if x else ZERO for x in v]
+    if form is None:
+        return new, None
+    return new, SymForm(Mat._raw([[QQ(x, t) if x else ZERO for x, t in row] for row in form], n))
 
 
 def transport_columns(A: Algebra, B, cols):
     """transport_basis for P = Z diag(1/d) given by its columns, the
-    (ints, den) pairs (z_i, d_i); raises ValueError when P is singular.
+    (ints, den) pairs (z_i, d_i), on integers: (prods, form); raises
+    ValueError when P is singular.  prods maps each (i, j) with f_i f_j
+    nonzero to that product as an (ints, den) pair, and form is None
+    without B, else the (numerator, denominator) pairs of B's entries.
 
     Every product lies in AA; F, L = A.derived_basis().  With C = dc c the
     integer tensor, f_i f_j = sum_a pi_ij[a] F[a] / (L dc d_i d_j) for
@@ -146,8 +158,9 @@ def transport_columns(A: Algebra, B, cols):
     pivot p_a: k n^3 multiply-adds, not the n^4 of a full contraction.  The
     integer reduction of [Z | F^T] ends with p_m at (m, m) and y_m after
     column n, so Pinv F^T = diag(d) Z^-1 F^T has row m d_m y_m / p_m, and
-    c'[i][j][m] = sum_a pi_ij[a] d_m y_m[a] / (dc L d_i d_j p_m), expanded
-    only where pi_ij is nonzero.  The form becomes z_i^T B z_j / (d_i d_j).
+    c'[i][j][m] = sum_a pi_ij[a] q_m[a] / (dc L d_i d_j g), q_m = d_m y_m
+    g / p_m with g the lcm of the p_m, expanded only where pi_ij is
+    nonzero.  The form entry is z_i^T Bi z_j / (d_i d_j db).
     """
     n = A.dim
     zcols = [z for z, _ in cols]
@@ -156,34 +169,27 @@ def transport_columns(A: Algebra, B, cols):
     a = [list(row) + [f[m] for f in F] for m, row in enumerate(zip(*zcols))]
     if _rref(a, n, n + len(F))[:n] != list(range(n)):
         raise ValueError("singular basis change")
-    qs = [[y * dm for y in row[n:]] for dm, row in zip(d, a)]
-    ps = [row[m] for m, row in enumerate(a)]
+    g = lcm(*[row[m] for m, row in enumerate(a)])
+    qs = [[y * dm * (g // row[m]) for y in row[n:]] for m, (dm, row) in enumerate(zip(d, a))]
     C, dc = A.int_tensor()
     # W[a][j][s] = (C^(p_a) z_j)[s] = sum_t C[s][t][p_a] z_j[t]
     W = []
     for p in pivots:
         Cp = [[ct[p] for ct in Cs] for Cs in C]
         W.append([[sum(map(mul, row, zj)) for row in Cp] for zj in zcols])
-    new = Algebra.zero(n)
+    prods = {}
     for i, zi in enumerate(zcols):
         for j in range(n):
             pi = [sum(map(mul, zi, Wa[j])) for Wa in W]
             if any(pi):
-                s = dc * L * d[i] * d[j]
-                new.c[i][j] = [
-                    QQ(v, s * p) if v else ZERO
-                    for v, p in zip((sum(map(mul, pi, q)) for q in qs), ps)
-                ]
+                prods[i, j] = ([sum(map(mul, pi, q)) for q in qs], dc * L * d[i] * d[j] * g)
     if B is None:
-        return new, None
+        return prods, None
     Bi, db = B.matrix.scaled()
     Bz = [[sum(map(mul, row, zj)) for row in Bi] for zj in zcols]
-    newB = [
-        [QQ(v, di * dj * db) if v else ZERO
-         for v, dj in zip((sum(map(mul, zi, bz)) for bz in Bz), d)]
-        for zi, di in zip(zcols, d)
-    ]
-    return new, SymForm(Mat._raw(newB, n))
+    form = [[(sum(map(mul, zi, bz)), di * dj * db) for bz, dj in zip(Bz, d)]
+            for zi, di in zip(zcols, d)]
+    return prods, form
 
 
 def scramble(A: Algebra, B, seed):

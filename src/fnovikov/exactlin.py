@@ -3,7 +3,7 @@ linear pencils.
 
 Everything here is over exact rationals (see scalars.py).  Rational
 matrices are scaled to Python ints over a common denominator for products,
-rank, determinant and row reduction, which run fraction-free.
+rank, determinant, row reduction and congruence, which run fraction-free.
 A vector, or a column of a basis change (scale_columns), scaled over its
 own denominator is an (ints, den) pair.  A linear pencil sum_t x_t M_t
 holds integer matrices M_t, since rank is scale-free; it is evaluated at
@@ -58,9 +58,10 @@ def scale_vector(v):
 
 def lowest_terms(v, den):
     """The (ints, den) pair of the rational vector v / den, for integers v
-    and den > 0, with the gcd of den and v's entries divided out."""
-    g = gcd(*v, den)
-    return ([x // g for x in v], den // g) if g > 1 else (v, den)
+    and den != 0, with den made positive and the gcd of den and v's
+    entries divided out."""
+    g = gcd(*v, den) if den > 0 else -gcd(*v, den)
+    return ([x // g for x in v], den // g) if g != 1 else (v, den)
 
 
 def scale_columns(M):
@@ -183,9 +184,6 @@ class Mat:
             self.rows,
         )
 
-    def col(self, j):
-        return [row[j] for row in self.data]
-
     def is_zero(self):
         return all(not x for row in self.data for x in row)
 
@@ -196,9 +194,6 @@ class Mat:
         return all(
             d[i][j] == d[j][i] for i in range(self.rows) for j in range(i + 1, self.rows)
         )
-
-    def copy_data(self):
-        return [row[:] for row in self.data]
 
 
 def _bareiss(a, cols):
@@ -324,71 +319,74 @@ def det(M: Mat):
     return QQ(sign * a[-1][-1], den**n)
 
 
-def congruent_diagonalize(S: Mat):
-    """Return (P, D) with P invertible and P^T S P = D diagonal, exactly.
+def int_congruence(rows, cols=None):
+    """Symmetric Gaussian congruence of the symmetric integer matrix rows,
+    fraction-free: (d, p, s) with P^T rows P = diag(d_i / s_i).
 
-    Symmetric Gaussian congruence over the rationals; replaces orthogonal
-    diagonalization, which would need real eigenvalues.
+    The pivot sequence is the rational elimination's: a zero diagonal
+    entry is swapped with the first later nonzero one, else col_i += col_j
+    (and row_i += row_j) for the first nonzero a_ij, else the zero row is
+    skipped.  The trailing block is updated as (a_ii a_jt - a_ij a_it) / q,
+    q the previous nonzero pivot and s_i the q in force at step i, so each
+    entry is q times the rational one: a minor (Sylvester's identity), and
+    each division is exact.  cols, one integer vector per row, take the
+    same column operations: p[i] is s_i times column i of V P, V the
+    matrix of cols, and empty without cols.
     """
+    # row j of rows, then the vector cols[j]: row operations act on both
+    a = [list(row) + list(v) for row, v in zip(rows, cols or [()] * len(rows))]
+    d, p, s = [], [], []
+    q = 1
+    while a:
+        m = len(a)
+        if not a[0][0]:
+            j = next((j for j in range(1, m) if a[j][j]), None)
+            if j is not None:
+                a[0], a[j] = a[j], a[0]
+                for row in a:
+                    row[0], row[j] = row[j], row[0]
+            else:
+                j = next((j for j in range(1, m) if a[0][j]), None)
+                if j is not None:
+                    a[0] = list(map(add, a[0], a[j]))
+                    for row in a:
+                        row[0] += row[j]
+        top = a[0]
+        piv = top[0]
+        d.append(piv)
+        s.append(q)
+        p.append(top[m:])
+        if piv:
+            a = [[(piv * x - row[0] * y) // q for x, y in zip(row[1:], top[1:])] for row in a[1:]]
+            q = piv
+        else:
+            a = [row[1:] for row in a[1:]]
+    return d, p, s
+
+
+def congruent_diagonalize(S: Mat):
+    """Return (P, D) with P invertible and P^T S P = D diagonal, exactly:
+    int_congruence on S = rows / den, so P's column i is p[i] / s_i and
+    D_i = d_i / (den s_i).  Replaces orthogonal diagonalization, which
+    would need real eigenvalues."""
     if not S.is_symmetric():
         raise ValueError("symmetric matrix required")
     n = S.rows
-    a = S.copy_data()
-    p = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-
-    def swap(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        a[i], a[j] = a[j], a[i]
-        for row in p:
-            row[i], row[j] = row[j], row[i]
-
-    def add_col(i, j, f):
-        # col_i += f * col_j (and the matching row op on a)
-        for row in a:
-            row[i] = row[i] + f * row[j]
-        for t in range(n):
-            a[i][t] = a[i][t] + f * a[j][t]
-        for row in p:
-            row[i] = row[i] + f * row[j]
-
-    for i in range(n):
-        if not a[i][i]:
-            # bring a nonzero diagonal entry into position i, or create one
-            for j in range(i + 1, n):
-                if a[j][j]:
-                    swap(i, j)
-                    break
-            else:
-                for j in range(i + 1, n):
-                    if a[i][j]:
-                        add_col(i, j, ONE)
-                        break
-        if not a[i][i]:
-            # row/col i is zero on the trailing block: zero diagonal entry
-            continue
-        inv = ONE / a[i][i]
-        for j in range(i + 1, n):
-            if a[i][j]:
-                add_col(j, i, -a[i][j] * inv)
-    P = Mat._raw(p, n)
-    D = Mat.diagonal([a[i][i] for i in range(n)])
-    return P, D
+    rows, den = S.scaled()
+    d, p, s = int_congruence(rows, [[int(i == j) for i in range(n)] for j in range(n)])
+    P = Mat._raw([[QQ(v[r], si) if v[r] else ZERO for v, si in zip(p, s)] for r in range(n)], n)
+    return P, Mat.diagonal([QQ(di, den * si) for di, si in zip(d, s)])
 
 
 def signature(S: Mat):
-    """(n_plus, n_minus, n_zero) of a symmetric matrix, by congruence."""
-    _, D = congruent_diagonalize(S)
-    np_ = nm = nz = 0
-    for i in range(S.rows):
-        d = D.data[i][i]
-        if d > 0:
-            np_ += 1
-        elif d < 0:
-            nm += 1
-        else:
-            nz += 1
-    return np_, nm, nz
+    """(n_plus, n_minus, n_zero) of a symmetric matrix, by congruence: the
+    sign of D_i = d_i / (den s_i) is that of d_i s_i (int_congruence), and
+    no P is built."""
+    if not S.is_symmetric():
+        raise ValueError("symmetric matrix required")
+    d, _, s = int_congruence(S.scaled()[0])
+    signs = [(x > 0) - (x < 0) for x in map(mul, d, s)]
+    return signs.count(1), signs.count(-1), signs.count(0)
 
 
 # ---------------------------------------------------------------------------

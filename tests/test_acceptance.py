@@ -125,7 +125,7 @@ def test_criterion_5_image_isotropy_and_bound():
         for j in range(A.dim):
             R = A.right_op(basis_element(A.dim, j))
             assert rank(R) <= p, name
-            image = [R.col(t) for t in range(A.dim)]
+            image = [list(col) for col in zip(*R.data)]
             for u in image:
                 for v in image:
                     assert Bn.pair(u, v) == 0, name

@@ -112,7 +112,7 @@ class TestMakeK2:
         for _ in range(5):
             n = rnd.randint(5, 7)
             A = make_k2(random_k2(rnd, n, structured=False))
-            data = Mat.zeros(n, n).copy_data()
+            data = [[0] * n for _ in range(n)]
             data[0][1] = data[1][0] = QQ(1)
             data[2][3] = data[3][2] = QQ(1)
             for t in range(4, n):

@@ -213,6 +213,12 @@ class TestVerify:
         _, out2, _ = run(capsys, "verify", "--seed", "5", "--count", "3", "--json")
         assert out1 == out2
 
+    @pytest.mark.parametrize("count", ["-3", "-1"])
+    def test_negative_count_is_a_usage_error(self, capsys, count):
+        # a run that verifies nothing must not pass
+        assert run(capsys, "verify", "--count", count, "--json") == (
+            2, "", f"error: --count must be non-negative, got {count}\n")
+
     def test_json_golden_digest(self, capsys):
         # the byte-stable --json output, pinned across code changes
         code, out, _ = run(capsys, "verify", "--json", "--count", "20", "--seed", "7")

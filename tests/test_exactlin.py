@@ -24,7 +24,7 @@ def matvec(M, v):
 def jordan_pairs(k, n):
     """Block-diagonal matrix of k nilpotent 2x2 Jordan blocks padded with
     zeros up to size n."""
-    M = Mat.zeros(n, n).copy_data()
+    M = [[0] * n for _ in range(n)]
     for i in range(k):
         M[2 * i + 1][2 * i] = ONE
     return Mat(M)
@@ -128,7 +128,7 @@ class TestSignature:
     def test_pair_block_metric(self):
         # k hyperbolic 2x2 blocks, then -I_{p-k}, then I_{n-p-k}
         for n, p, k in ((4, 1, 1), (6, 2, 2), (7, 3, 2)):
-            data = Mat.zeros(n, n).copy_data()
+            data = [[0] * n for _ in range(n)]
             for i in range(k):
                 data[2 * i][2 * i + 1] = ONE
                 data[2 * i + 1][2 * i] = ONE

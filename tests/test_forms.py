@@ -203,16 +203,17 @@ class TestNormalizeOrientation:
     def test_negation_carries_the_cached_signature(self, monkeypatch):
         # normalize_orientation diagonalizes the form once; the flipped form
         # it returns holds the swapped signature, so theorem_check's
-        # canonical_basis diagonalizes only its two pairings after that
+        # canonical_basis diagonalizes only its two pairings after that;
+        # every diagonalization runs through the integer kernel
         calls = []
-        real = exactlin.congruent_diagonalize
+        real = exactlin.int_congruence
 
-        def counted(S):
-            calls.append(S.rows)
-            return real(S)
+        def counted(rows, cols=None):
+            calls.append(len(rows))
+            return real(rows, cols)
 
-        monkeypatch.setattr(exactlin, "congruent_diagonalize", counted)
-        monkeypatch.setattr(canon, "congruent_diagonalize", counted)
+        monkeypatch.setattr(exactlin, "int_congruence", counted)
+        monkeypatch.setattr(canon, "int_congruence", counted)
         A = make_family(2, 5)
         B = normalize_orientation(find_nondegenerate(invariant_form_space(A), seed=1))
         np_, nm, nz = B.signature()
@@ -240,7 +241,7 @@ class TestIsotropyBounds:
         _, p, _ = B.signature()
         for j in range(A.dim):
             R = A.right_op(basis_element(A.dim, j))
-            image = [R.col(t) for t in range(A.dim)]
+            image = [list(col) for col in zip(*R.data)]
             for u in image:
                 for v in image:
                     assert B.pair(u, v) == 0
