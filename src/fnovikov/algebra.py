@@ -13,7 +13,7 @@ from math import lcm
 from operator import add, mul, sub
 
 from .scalars import QQ, ZERO, ONE
-from .exactlin import Mat, _rref, scale_to_int
+from .exactlin import Mat, rref, scale_to_int
 
 
 class DimensionMismatchError(ValueError):
@@ -169,9 +169,7 @@ class Algebra:
         AA is sum_a v[p_a] F[a] / L.  The lists are shared; never mutate."""
         if self._derived_basis is None:
             C, _ = self.int_tensor()
-            rows = [vec for row in C for vec in row if any(vec)]
-            pivots = _rref(rows, len(rows), self.dim)
-            F = rows[:len(pivots)]
+            F, pivots = rref((vec for row in C for vec in row), self.dim)
             L = lcm(*[f[p] for f, p in zip(F, pivots)])
             F = [f if f[p] == L else [x * (L // f[p]) for x in f] for f, p in zip(F, pivots)]
             self._derived_basis = pivots, F, L

@@ -24,12 +24,12 @@ from .exactlin import (
     CERTIFY_ATTEMPTS,
     Mat,
     Pencil,
-    _rref,
     find_generic_point,
     generic_rank,
     int_congruence,
     int_rank,
     lowest_terms,
+    rref,
     rref_kernel,
     sample_points,
     scale_columns,
@@ -203,8 +203,7 @@ def canonical_basis(A: Algebra, B: SymForm, x0) -> CanonReport:
 
     # preimages u_i = e_j with w_i = R u_i spanning Im R: the pivot
     # columns of R's reduced row echelon form, which is Rk's
-    reduced = [row[:] for row in Rk]
-    pivots = _rref(reduced, len(reduced), n)
+    reduced, pivots = rref(Rk, n)
     k = len(pivots)
     if k > nm:
         raise CanonError("rank of R_{x0} exceeds the negative index")
@@ -258,7 +257,7 @@ def canonical_basis(A: Algebra, B: SymForm, x0) -> CanonReport:
     # orthogonal complement of span(u, w), metric-diagonalized; its rows
     # B v are integer, and the kernel does not depend on their scale
     rows = [apply_form(v) for v in U + W]
-    comp = rref_kernel(rows, _rref(rows, 2 * k, n), n)
+    comp = rref_kernel(*rref(rows, n), n)
     if len(comp) != n - 2 * k:
         raise CanonError("complement dimension mismatch")
     Z, dz = over(comp)

@@ -16,7 +16,7 @@ from math import lcm
 from operator import mul
 
 from .scalars import QQ, ZERO, ONE
-from .exactlin import Mat, _rref, det, scale_columns
+from .exactlin import Mat, det, rref, scale_columns
 from .algebra import (
     Algebra,
     DimensionMismatchError,
@@ -166,8 +166,9 @@ def transport_columns(A: Algebra, B, cols):
     zcols = [z for z, _ in cols]
     d = [dj for _, dj in cols]
     pivots, F, L = A.derived_basis()
-    a = [list(row) + [f[m] for f in F] for m, row in enumerate(zip(*zcols))]
-    if _rref(a, n, n + len(F))[:n] != list(range(n)):
+    a, apivots = rref([list(row) + [f[m] for f in F] for m, row in enumerate(zip(*zcols))],
+                      n + len(F))
+    if apivots[:n] != list(range(n)):
         raise ValueError("singular basis change")
     g = lcm(*[row[m] for m, row in enumerate(a)])
     qs = [[y * dm * (g // row[m]) for y in row[n:]] for m, (dm, row) in enumerate(zip(d, a))]

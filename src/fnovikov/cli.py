@@ -139,8 +139,8 @@ def cmd_classify(args):
 
 
 def cmd_verify(args):
-    if args.count < 0:
-        raise ValueError(f"--count must be non-negative, got {args.count}")
+    if args.count < 1:
+        raise ValueError(f"--count must be positive, got {args.count}")
     seed = _default_seed(args)
     results = []
     failures = 0

@@ -4,6 +4,9 @@ linear pencils.
 Everything here is over exact rationals (see scalars.py).  Rational
 matrices are scaled to Python ints over a common denominator for products,
 rank, determinant, row reduction and congruence, which run fraction-free.
+Rank and determinant use forward (Bareiss) elimination; every reduced row
+echelon form, and every kernel read from one, comes from rref, which
+reduces its rows as they are streamed in and stores only the pivot rows.
 A vector, or a column of a basis change (scale_columns), scaled over its
 own denominator is an (ints, den) pair.  A linear pencil sum_t x_t M_t
 holds integer matrices M_t, since rank is scale-free; it is evaluated at
@@ -18,6 +21,7 @@ order.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from math import gcd, lcm
 from operator import add, mul, sub
 
@@ -241,53 +245,69 @@ def rank(M: Mat) -> int:
     return int_rank(M.scaled()[0], M.cols)
 
 
-def _rref(z, rows, cols):
-    """In-place reduced row echelon form of the integer rows z; returns the
-    pivot column list.
+def rref(rows, cols):
+    """(z, pivots): the integer reduced row echelon form of the integer
+    rows, which may be any iterable of rows, eliminated as they arrive.
 
-    Eliminates without division, dividing each new row by the gcd of its
-    entries; scaling a row leaves the reduced form unchanged.  Row i <
-    len(pivots) ends with its pivot z[i][pivots[i]] nonzero and zeros in
-    the other pivot columns, so the rational reduced form is row i divided
-    by its pivot; the rows after them are zero.
+    Each row is reduced against the rows kept so far and kept only when
+    something nonzero is left; it is then divided by its gcd and clears
+    its pivot column from the other kept rows.  So only the rank-many
+    pivot rows are ever stored, and reading stops once every column is a
+    pivot.  z[i] has its pivot z[i][pivots[i]] > 0, zeros at every other
+    pivot column and entries with gcd 1, so the rational reduced form is
+    z[i] divided by its pivot and z is unique for the row space; pivots
+    increase.  The input rows are not modified, but a row kept as it came
+    may be z's own.
+
+    A kept row is zero at every other pivot, so reducing by one kept row
+    leaves the entries at the others as they were: a row's coefficients
+    are its entries at the pivots, and it is reduced in one pass over the
+    lcm of the pivots used, not their product.
     """
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if z[i][c]:
-                piv = i
-                break
-        if piv is None:
+    z, pivots = [], []
+    for row in rows:
+        used = [(prow, row[c], prow[c]) for prow, c in zip(z, pivots) if row[c]]
+        if used:
+            m = lcm(*[p for _, _, p in used])
+            if m > 1:
+                row = [x * m for x in row]
+            for prow, f, p in used:
+                f *= m // p
+                row = [x - f * y for x, y in zip(row, prow)]
+        lead = next(filter(None, row), 0)
+        if not lead:
             continue
-        z[r], z[piv] = z[piv], z[r]
-        prow = z[r]
-        p = prow[c]
-        for i in range(rows):
-            f = z[i][c]
-            if i != r and f:
-                row = [x * p - f * y for x, y in zip(z[i], prow)]
-                g = gcd(*row)
-                z[i] = [x // g for x in row] if g > 1 else row
-        pivots.append(c)
-        r += 1
-        if r == rows:
+        c = row.index(lead)
+        g = gcd(*row) if lead > 0 else -gcd(*row)
+        if g != 1:
+            row = [x // g for x in row]
+        p = row[c]
+        for i, prow in enumerate(z):
+            f = prow[c]
+            if f:
+                prow = [x * p - f * y for x, y in zip(prow, row)]
+                g = gcd(*prow)
+                z[i] = [x // g for x in prow] if g > 1 else prow
+        at = bisect_left(pivots, c)
+        z.insert(at, row)
+        pivots.insert(at, c)
+        if len(pivots) == cols:
             break
-    return pivots
+    return z, pivots
 
 
 def kernel_basis(M: Mat):
     """Basis of the right kernel of M, as a list of length-cols vectors."""
-    z, _ = scale_to_int([row for row in M.data if any(row)])
-    pivots = _rref(z, len(z), M.cols)
-    return [[QQ(x, d) if x else ZERO for x in v] for v, d in rref_kernel(z, pivots, M.cols)]
+    return [
+        [QQ(x, d) if x else ZERO for x in v]
+        for v, d in rref_kernel(*rref(M.scaled()[0], M.cols), M.cols)
+    ]
 
 
 def rref_kernel(z, pivots, cols):
     """Basis of the right kernel read from the integer reduced row echelon
-    form z and its pivot columns, as _rref leaves them: for each free column
-    c, the vector with entry 1 at c, as an (ints, den) pair."""
+    form z and its pivot columns, as rref returns them: for each free
+    column c, the vector with entry 1 at c, as an (ints, den) pair."""
     pivot_set = set(pivots)
     basis = []
     for fc in range(cols):

@@ -17,7 +17,8 @@ from .exactlin import (
     find_generic_point,
     generic_rank,
     int_rank,
-    kernel_basis,
+    rref,
+    rref_kernel,
     sample_points,
     scale_to_int,
     signature,
@@ -110,36 +111,41 @@ def invariant_form_space(A: Algebra):
     the integer-scaled structure constants, for r < s only: R^T B - B R is
     antisymmetric when B is symmetric, so entry (s, r) is the negated
     equation of entry (r, s) and the diagonal entries vanish.
+
+    The n^2 (n - 1) / 2 equations are streamed into rref, which reduces
+    each against the rows kept so far, so at most n (n + 1) / 2 rows are
+    ever stored.  The basis is read from the reduced form (rref_kernel),
+    which is unique for the row space: it does not depend on the rows'
+    scale or order.
     """
     n = A.dim
     C, _ = A.int_tensor()
     unknowns = [(u, v) for u in range(n) for v in range(u, n)]
+    m = len(unknowns)
     index = {uv: t for t, uv in enumerate(unknowns)}
     uidx = [[index[(r, s) if r <= s else (s, r)] for s in range(n)] for r in range(n)]
-    rows = []
-    for j in range(n):
-        for r in range(n):
-            crj, ur = C[r][j], uidx[r]
-            for s in range(r + 1, n):
-                # entry (r, s) of R^T B - B R, with R[t][r] = C[r][j][t]
-                row = [0] * len(unknowns)
-                csj = C[s][j]
-                for t in range(n):
-                    if crj[t]:
-                        row[uidx[t][s]] += crj[t]
-                    if csj[t]:
-                        row[ur[t]] -= csj[t]
-                if any(row):
-                    rows.append(row)
-    # kernel_basis row-reduces over the integers anyway, so the integer
-    # rows go in as they are; a reduced row echelon form is unique, so the
-    # basis does not depend on the rows' scale or order
+
+    def equations():
+        for j in range(n):
+            for r in range(n):
+                crj, ur = C[r][j], uidx[r]
+                for s in range(r + 1, n):
+                    # entry (r, s) of R^T B - B R, with R[t][r] = C[r][j][t]
+                    row = [0] * m
+                    csj = C[s][j]
+                    for t in range(n):
+                        if crj[t]:
+                            row[uidx[t][s]] += crj[t]
+                        if csj[t]:
+                            row[ur[t]] -= csj[t]
+                    yield row
+
     out = []
-    for vec in kernel_basis(Mat._raw(rows, len(unknowns))):
+    for vec, den in rref_kernel(*rref(equations(), m), m):
         data = [[ZERO] * n for _ in range(n)]
-        for (u, v), coeff in zip(unknowns, vec):
-            data[u][v] = coeff
-            data[v][u] = coeff
+        for (u, v), x in zip(unknowns, vec):
+            if x:
+                data[u][v] = data[v][u] = QQ(x, den)
         out.append(Mat._raw(data, n))
     return out
 
@@ -157,6 +163,15 @@ def find_nondegenerate(space, seed, sweep_cap=12):
     dimension <= sweep_cap) looks for a small certificate before the
     seeded randomized search.
 
+    The sweep skips a support S, with all its sign patterns, when no
+    combination on it can be nonsingular: the column space of a sum of
+    the M_t, t in S, lies in the sum of their column spaces, so its rank
+    is at most that of the n x n|S| block [M_t for t in S], which is at
+    most the sum of the rank(M_t).  S is skipped when either bound is
+    below n; every skipped candidate is singular, so the sweep returns
+    the same combination as trying them all.  The member ranks are the
+    support-1 pass: rank(M_t) == n makes +M_t the first hit.
+
     The search runs on the members scaled to integers over one common
     denominator, which no determinant test depends on; only the returned
     combination is converted back.
@@ -168,7 +183,8 @@ def find_nondegenerate(space, seed, sweep_cap=12):
     if n == 0:
         return SymForm(Mat.zeros(0, 0))
     flat, den = scale_to_int([row for M in space for row in M.data])
-    pencil = Pencil([flat[t * n:(t + 1) * n] for t in range(d)], n, n)
+    mats = [flat[t * n:(t + 1) * n] for t in range(d)]
+    pencil = Pencil(mats, n, n)
 
     def nonsingular(coeffs):
         return int_rank(pencil.eval(coeffs), n) == n
@@ -180,8 +196,18 @@ def find_nondegenerate(space, seed, sweep_cap=12):
     if point is None and generic_rank(pencil) < n:
         return None
     if d <= sweep_cap:
-        for support in range(1, d + 1):
+        ranks = []
+        for M in mats:
+            ranks.append(int_rank(M, n))
+            if ranks[-1] == n:
+                return _form(M, den)
+        for support in range(2, d + 1):
             for idxs in itertools.combinations(range(d), support):
+                if sum(ranks[t] for t in idxs) < n:
+                    continue
+                block = [[x for t in idxs for x in mats[t][r]] for r in range(n)]
+                if int_rank(block, n * support) < n:
+                    continue
                 for signs in itertools.product((1, -1), repeat=support):
                     coeffs = [0] * d
                     for t, sgn in zip(idxs, signs):

@@ -213,11 +213,11 @@ class TestVerify:
         _, out2, _ = run(capsys, "verify", "--seed", "5", "--count", "3", "--json")
         assert out1 == out2
 
-    @pytest.mark.parametrize("count", ["-3", "-1"])
+    @pytest.mark.parametrize("count", ["-3", "-1", "0"])
     def test_negative_count_is_a_usage_error(self, capsys, count):
         # a run that verifies nothing must not pass
         assert run(capsys, "verify", "--count", count, "--json") == (
-            2, "", f"error: --count must be non-negative, got {count}\n")
+            2, "", f"error: --count must be positive, got {count}\n")
 
     def test_json_golden_digest(self, capsys):
         # the byte-stable --json output, pinned across code changes
@@ -240,6 +240,20 @@ class TestGenScramble:
         assert B is not None and B.is_nondegenerate()
         code, _, _ = run(capsys, "check", "--input", str(path))
         assert code == 0
+
+    def test_gen_golden_digest(self, capsys):
+        # the forms gen finds at dims 3-5, where the members of the form
+        # space have low rank and the {-1, 0, 1} sweep stops at supports
+        # 2-3; the nine outputs are pinned
+        outs = []
+        for variant in ("1", "2", "3"):
+            for dim in ("3", "4", "5"):
+                code, out, _ = run(capsys, "gen", "--variant", variant, "--dim", dim, "--seed", "1")
+                assert code == 0
+                outs.append(out)
+        assert hashlib.sha256("".join(outs).encode()).hexdigest() == (
+            "947a40f1ccb1f90889d245a451ce9de9d98f779a8e70fc0247162691c34e79e0"
+        )
 
     def test_scramble_preserves_classification(self, capsys, tmp_path):
         src = tmp_path / "src.json"

@@ -7,6 +7,7 @@ import itertools
 import json
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from math import lcm
 
@@ -1087,10 +1088,11 @@ def ref_form_space(A):
 
 
 def form_cases():
-    cases = [Algebra.zero(2)]
+    cases = [Algebra.zero(n) for n in (2, 4, 5)]
     cases += [make_family(v, n) for v in (1, 2, 3) for n in range(v + 1, 6)]
     cases += k2_instances(33, 2)
     cases += witnesses(4)
+    cases.append(planes_sum(4))  # k = 4
     return cases + [scramble(A, None, 40 + i)[0] for i, A in enumerate(cases)]
 
 
@@ -1109,6 +1111,20 @@ def test_invariant_form_space_matches_reference():
             [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in equations],
         )
         assert len(space) == unknowns - S.to_field().rank()
+
+
+def test_form_space_memory_is_bounded():
+    # the n^2 (n - 1) / 2 = 1920 dense equations are reduced as they are
+    # built, so at most n (n + 1) / 2 = 136 rows are stored at once
+    A, _, _ = scramble(make_family(2, 16), None, 3)
+    tracemalloc.start()
+    try:
+        space = invariant_form_space(A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(space) > 0
+    assert peak < 2 * 2**20
 
 
 def ref_det(rows):
@@ -1137,11 +1153,9 @@ def ref_find_nondegenerate(space, seed, sweep_cap=12):
     mats = [[[Fraction(str(x)) for x in row] for row in M.data] for M in space]
 
     def combine(coeffs):
-        return [
-            [sum((Fraction(str(k)) * M[r][s] for k, M in zip(coeffs, mats)), Fraction(0))
-             for s in range(n)]
-            for r in range(n)
-        ]
+        terms = [(Fraction(str(k)), M) for k, M in zip(coeffs, mats) if k]
+        return [[sum((k * M[r][s] for k, M in terms), Fraction(0)) for s in range(n)]
+                for r in range(n)]
 
     points = list(exactlin.sample_points(d, seed))
     if d <= sweep_cap:
@@ -1156,17 +1170,88 @@ def ref_find_nondegenerate(space, seed, sweep_cap=12):
     return combine(next(p for p in points if ref_det(combine(p))))
 
 
+def k2_draws(seed, dims):
+    """The first k2 draw of random.Random(seed) passing k2_condition at
+    each of dims."""
+    rnd = random.Random(seed)
+    out = []
+    for n in dims:
+        while True:
+            A = make_k2(random_k2(rnd, n))
+            if k2_condition(A):
+                out.append(A)
+                break
+    return out
+
+
 def test_find_nondegenerate_matches_reference():
     cases = [make_family(v, n) for v in (1, 2, 3) for n in range(v + 1, 6)]
     cases += k2_instances(34, 2)
-    for i, A in enumerate(cases):
-        A, _, _ = scramble(A, None, 50 + i)
+    cases = [scramble(A, None, 50 + i)[0] for i, A in enumerate(cases)]
+    # unscrambled, the members have low rank: the sweep runs to supports
+    # 2-3 and skips the supports whose ranks cannot reach n
+    cases += [make_family(v, n) for v in (1, 2, 3) for n in range(max(3, v + 1), 6)]
+    cases += k2_draws(34, (5, 6))
+    cases += [Algebra.zero(n) for n in range(1, 5)]
+    for A in cases:
         space = invariant_form_space(A)
         for seed in range(3):
             expected = ref_find_nondegenerate(space, seed)
             assert find_nondegenerate(space, seed).matrix.data == expected
             no_sweep = ref_find_nondegenerate(space, seed, sweep_cap=0)
             assert find_nondegenerate(space, seed, sweep_cap=0).matrix.data == no_sweep
+
+
+def low_rank_spaces(seed, count):
+    """Random spaces of symmetric integer matrices, each member a sum of
+    one or two terms +-v v^T, so that most supports are singular and some
+    spaces hold no nondegenerate member."""
+    rnd = random.Random(seed)
+    for _ in range(count):
+        n, d = rnd.randint(2, 5), rnd.randint(1, 7)
+        space = []
+        for _ in range(d):
+            M = [[0] * n for _ in range(n)]
+            for _ in range(rnd.randint(1, 2)):
+                v = [rnd.randint(-2, 2) if rnd.random() < 0.6 else 0 for _ in range(n)]
+                sgn = rnd.choice((1, -1))
+                for r in range(n):
+                    for c in range(n):
+                        M[r][c] += sgn * v[r] * v[c]
+            space.append(M)
+        yield space
+
+
+def test_find_nondegenerate_on_low_rank_spaces():
+    rnd = random.Random(36)
+    absent = set()
+    for i, mats in enumerate(low_rank_spaces(35, 150)):
+        n = len(mats[0])
+        space = [Mat(M) for M in mats]
+        B = find_nondegenerate(space, seed=i)
+        if B is None:
+            # the determinant of the pencil has degree n <= 5, so unless it
+            # is zero it vanishes at a random point of [-10^6, 10^6]^d with
+            # probability below 3e-6
+            for _ in range(3):
+                x = [rnd.randint(-10**6, 10**6) for _ in mats]
+                assert not ref_det([[Fraction(sum(k * M[r][c] for k, M in zip(x, mats)))
+                                     for c in range(n)] for r in range(n)])
+        else:
+            assert B.matrix.data == ref_find_nondegenerate(space, i)
+        absent.add(B is None)
+    assert absent == {True, False}
+
+
+def test_sweep_skips_supports_that_cannot_be_nonsingular(monkeypatch):
+    # the 11 members of make_family(1, 5)'s space have rank <= 2, and the
+    # first nonsingular combination has support 3: trying every candidate
+    # before it takes 797 rank tests
+    space = invariant_form_space(make_family(1, 5))
+    calls = _count_calls(monkeypatch, "int_rank", (forms,))
+    B = find_nondegenerate(space, seed=0)
+    assert B is not None and B.is_nondegenerate()
+    assert len(calls) <= 100
 
 
 def test_no_nondegenerate_form_on_any_witness():
