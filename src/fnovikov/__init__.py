@@ -8,11 +8,8 @@ from .exactlin import (
     GenericPointError,
     Mat,
     Pencil,
-    congruent_diagonalize,
-    det,
     find_generic_point,
     generic_rank,
-    kernel_basis,
     rank,
     signature,
 )

@@ -16,7 +16,7 @@ from math import lcm
 from operator import mul
 
 from .scalars import QQ, ZERO, ONE
-from .exactlin import Mat, det, rref, scale_columns
+from .exactlin import Mat, int_rank, rref, scale_columns
 from .algebra import (
     Algebra,
     DimensionMismatchError,
@@ -148,7 +148,8 @@ def transport_basis(A: Algebra, B, P: Mat):
 def transport_columns(A: Algebra, B, cols):
     """transport_basis for P = Z diag(1/d) given by its columns, the
     (ints, den) pairs (z_i, d_i), on integers: (prods, form); raises
-    ValueError when P is singular.  prods maps each (i, j) with f_i f_j
+    ValueError when P is singular, and DimensionMismatchError when B is
+    not of A's dimension.  prods maps each (i, j) with f_i f_j
     nonzero to that product as an (ints, den) pair, and form is None
     without B, else the (numerator, denominator) pairs of B's entries.
 
@@ -163,6 +164,8 @@ def transport_columns(A: Algebra, B, cols):
     nonzero.  The form entry is z_i^T Bi z_j / (d_i d_j db).
     """
     n = A.dim
+    if B is not None and B.dim != n:
+        raise DimensionMismatchError("form dimension mismatch")
     zcols = [z for z, _ in cols]
     d = [dj for _, dj in cols]
     pivots, F, L = A.derived_basis()
@@ -205,9 +208,9 @@ def scramble(A: Algebra, B, seed):
     rnd = random.Random(seed)
     P = None
     for _ in range(64):
-        cand = Mat([[rnd.randint(-3, 3) for _ in range(n)] for _ in range(n)])
-        if n == 0 or det(cand):
-            P = cand
+        cand = [[rnd.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        if int_rank(cand, n) == n:
+            P = Mat(cand)
             break
     if P is None:
         raise ScrambleError("no invertible basis change found in 64 attempts")

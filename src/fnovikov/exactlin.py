@@ -3,16 +3,17 @@ linear pencils.
 
 Everything here is over exact rationals (see scalars.py).  Rational
 matrices are scaled to Python ints over a common denominator for products,
-rank, determinant, row reduction and congruence, which run fraction-free.
-Rank and determinant use forward (Bareiss) elimination; every reduced row
-echelon form, and every kernel read from one, comes from rref, which
-reduces its rows as they are streamed in and stores only the pivot rows.
-A vector, or a column of a basis change (scale_columns), scaled over its
-own denominator is an (ints, den) pair.  A linear pencil sum_t x_t M_t
-holds integer matrices M_t, since rank is scale-free; it is evaluated at
-integer points, and its generic rank over the fraction field comes from
-fraction-free (Bareiss) elimination on integer polynomial term dicts, with
-no rational-function arithmetic.
+rank, row reduction and congruence.  One integer elimination serves them:
+rows are kept primitive, their gcd divided out after each update.  rref
+reduces its rows as they are streamed in and stores only the pivot rows;
+rank counts its pivots, every kernel is read from it, and int_congruence
+keeps each row over its own scale the same way.  A vector, or a column of
+a basis change (scale_columns), scaled over its own denominator is an
+(ints, den) pair.  A linear pencil sum_t x_t M_t holds integer matrices
+M_t, since rank is scale-free; it is evaluated at integer points, and its
+generic rank over the fraction field comes from fraction-free (Bareiss)
+elimination on integer polynomial term dicts, where an exact division is
+cheaper than a polynomial gcd, with no rational-function arithmetic.
 
 Pivoting is deterministic everywhere: first nonzero entry in row-major
 order.
@@ -75,8 +76,9 @@ def scale_columns(M):
 
 
 def int_rank(rows, cols):
-    """Rank of an integer matrix given as a list of row lists."""
-    return len(_bareiss(list(rows), cols)[0])
+    """Rank of an integer matrix given as an iterable of row lists: the
+    number of pivots rref keeps."""
+    return len(rref(rows, cols)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -200,48 +202,8 @@ class Mat:
         )
 
 
-def _bareiss(a, cols):
-    """Fraction-free (Bareiss) forward elimination of the integer rows a,
-    in place, with row-major pivot choice.
-
-    Returns (pivots, sign of the row permutation): pivots lists the
-    columns where a pivot was found, in increasing order, so the rank is
-    its length and the row space projects injectively onto those
-    coordinates.  Every entry stays an integer minor of the input, so each
-    division by the previous pivot is exact; for a square nonsingular
-    input a[-1][-1] * sign is its determinant.
-    """
-    rows = len(a)
-    pivots = []
-    r = 0
-    sign = 1
-    prev = 1
-    for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if a[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            a[r], a[piv] = a[piv], a[r]
-            sign = -sign
-        prow = a[r]
-        p = prow[c]
-        for i in range(r + 1, rows):
-            f = a[i][c]
-            a[i] = [(x * p - f * y) // prev for x, y in zip(a[i], prow)]
-        prev = p
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return pivots, sign
-
-
 def rank(M: Mat) -> int:
-    """Row rank, by fraction-free elimination of the integer-scaled rows."""
+    """Row rank, by rref on the integer-scaled rows."""
     return int_rank(M.scaled()[0], M.cols)
 
 
@@ -261,19 +223,23 @@ def rref(rows, cols):
 
     A kept row is zero at every other pivot, so reducing by one kept row
     leaves the entries at the others as they were: a row's coefficients
-    are its entries at the pivots, and it is reduced in one pass over the
-    lcm of the pivots used, not their product.
+    are its entries at the pivots, and it is reduced over the lcm of the
+    pivots used, not their product, one pass per kept row it uses.
     """
     z, pivots = [], []
     for row in rows:
-        used = [(prow, row[c], prow[c]) for prow, c in zip(z, pivots) if row[c]]
-        if used:
-            m = lcm(*[p for _, _, p in used])
-            if m > 1:
-                row = [x * m for x in row]
-            for prow, f, p in used:
-                f *= m // p
-                row = [x - f * y for x, y in zip(row, prow)]
+        m, used = 1, []
+        for prow, c in zip(z, pivots):
+            if f := row[c]:
+                p = prow[c]
+                m = lcm(m, p)
+                used.append((prow, f, p))
+        # the first subtraction also scales row to the lcm m
+        s = m
+        for prow, f, p in used:
+            f *= m // p
+            row = [s * x - f * y for x, y in zip(row, prow)]
+            s = 1
         lead = next(filter(None, row), 0)
         if not lead:
             continue
@@ -296,14 +262,6 @@ def rref(rows, cols):
     return z, pivots
 
 
-def kernel_basis(M: Mat):
-    """Basis of the right kernel of M, as a list of length-cols vectors."""
-    return [
-        [QQ(x, d) if x else ZERO for x in v]
-        for v, d in rref_kernel(*rref(M.scaled()[0], M.cols), M.cols)
-    ]
-
-
 def rref_kernel(z, pivots, cols):
     """Basis of the right kernel read from the integer reduced row echelon
     form z and its pivot columns, as rref returns them: for each free
@@ -323,89 +281,63 @@ def rref_kernel(z, pivots, cols):
     return basis
 
 
-def det(M: Mat):
-    """Determinant, by fraction-free elimination of the integer-scaled
-    rows: det(M) = det(den * M) / den**n."""
-    if M.rows != M.cols:
-        raise ValueError("square matrix required")
-    n = M.rows
-    if n == 0:
-        return ONE
-    a, den = M.scaled()
-    a = list(a)
-    pivots, sign = _bareiss(a, n)
-    if len(pivots) < n:
-        return ZERO
-    return QQ(sign * a[-1][-1], den**n)
-
-
 def int_congruence(rows, cols=None):
     """Symmetric Gaussian congruence of the symmetric integer matrix rows,
-    fraction-free: (d, p, s) with P^T rows P = diag(d_i / s_i).
+    on primitive rows: (d, p, s) with P^T rows P = diag(d_i / s_i).
 
     The pivot sequence is the rational elimination's: a zero diagonal
     entry is swapped with the first later nonzero one, else col_i += col_j
     (and row_i += row_j) for the first nonzero a_ij, else the zero row is
-    skipped.  The trailing block is updated as (a_ii a_jt - a_ij a_it) / q,
-    q the previous nonzero pivot and s_i the q in force at step i, so each
-    entry is q times the rational one: a minor (Sylvester's identity), and
-    each division is exact.  cols, one integer vector per row, take the
+    skipped.  Each row of the trailing block is a pair (R, sigma) standing
+    for the rational row R / sigma, kept in lowest terms as rref keeps its
+    rows primitive: the pivot row (T, tau) with piv = T[0] updates row i
+    to (piv R - R[0] T, sigma piv), and the gcd is divided out, so the
+    entries stay the size of the rationals they stand for.  d_i / s_i is
+    piv / tau, with s_i > 0.  cols, one integer vector per row, take the
     same column operations: p[i] is s_i times column i of V P, V the
     matrix of cols, and empty without cols.
     """
-    # row j of rows, then the vector cols[j]: row operations act on both
-    a = [list(row) + list(v) for row, v in zip(rows, cols or [()] * len(rows))]
+    # row j of rows, then the vector cols[j], over the scale 1: row
+    # operations act on both
+    a = [(list(row) + list(v), 1) for row, v in zip(rows, cols or [()] * len(rows))]
     d, p, s = [], [], []
-    q = 1
     while a:
         m = len(a)
-        if not a[0][0]:
-            j = next((j for j in range(1, m) if a[j][j]), None)
+        if not a[0][0][0]:
+            j = next((j for j in range(1, m) if a[j][0][j]), None)
             if j is not None:
                 a[0], a[j] = a[j], a[0]
-                for row in a:
+                for row, _ in a:
                     row[0], row[j] = row[j], row[0]
             else:
-                j = next((j for j in range(1, m) if a[0][j]), None)
+                j = next((j for j in range(1, m) if a[0][0][j]), None)
                 if j is not None:
-                    a[0] = list(map(add, a[0], a[j]))
-                    for row in a:
+                    (x, sx), (y, sy) = a[0], a[j]
+                    a[0] = lowest_terms([sy * u + sx * v for u, v in zip(x, y)], sx * sy)
+                    for row, _ in a:
                         row[0] += row[j]
-        top = a[0]
+        top, tau = a[0]
         piv = top[0]
         d.append(piv)
-        s.append(q)
+        s.append(tau)
         p.append(top[m:])
         if piv:
-            a = [[(piv * x - row[0] * y) // q for x, y in zip(row[1:], top[1:])] for row in a[1:]]
-            q = piv
+            # a row with 0 in the pivot column is left as it is
+            a = [lowest_terms([piv * x - f * y for x, y in zip(row[1:], top[1:])], sigma * piv)
+                 if (f := row[0]) else (row[1:], sigma) for row, sigma in a[1:]]
         else:
-            a = [row[1:] for row in a[1:]]
+            a = [(row[1:], sigma) for row, sigma in a[1:]]
     return d, p, s
-
-
-def congruent_diagonalize(S: Mat):
-    """Return (P, D) with P invertible and P^T S P = D diagonal, exactly:
-    int_congruence on S = rows / den, so P's column i is p[i] / s_i and
-    D_i = d_i / (den s_i).  Replaces orthogonal diagonalization, which
-    would need real eigenvalues."""
-    if not S.is_symmetric():
-        raise ValueError("symmetric matrix required")
-    n = S.rows
-    rows, den = S.scaled()
-    d, p, s = int_congruence(rows, [[int(i == j) for i in range(n)] for j in range(n)])
-    P = Mat._raw([[QQ(v[r], si) if v[r] else ZERO for v, si in zip(p, s)] for r in range(n)], n)
-    return P, Mat.diagonal([QQ(di, den * si) for di, si in zip(d, s)])
 
 
 def signature(S: Mat):
     """(n_plus, n_minus, n_zero) of a symmetric matrix, by congruence: the
-    sign of D_i = d_i / (den s_i) is that of d_i s_i (int_congruence), and
-    no P is built."""
+    sign of D_i = d_i / (den s_i) is that of d_i, as s_i > 0
+    (int_congruence), and no P is built."""
     if not S.is_symmetric():
         raise ValueError("symmetric matrix required")
-    d, _, s = int_congruence(S.scaled()[0])
-    signs = [(x > 0) - (x < 0) for x in map(mul, d, s)]
+    d, _, _ = int_congruence(S.scaled()[0])
+    signs = [(x > 0) - (x < 0) for x in d]
     return signs.count(1), signs.count(-1), signs.count(0)
 
 

@@ -17,7 +17,6 @@ from fnovikov import (
     check_left_symmetric,
     check_novikov,
     classify_k1,
-    det,
     find_generic_point,
     find_nondegenerate,
     generate_corpus,
@@ -175,7 +174,7 @@ def test_criterion_6_oracle_equivalences():
                     for _ in range(S.rows)
                 ]
             )
-            if det(Q) == 0:
+            if rank(Q) < S.rows:
                 continue
             assert signature(Q.transpose() * S * Q) == sig
             count += 1

@@ -4,6 +4,7 @@ import pytest
 
 from fnovikov import (
     Algebra,
+    DimensionMismatchError,
     K2Params,
     Mat,
     Pencil,
@@ -170,6 +171,17 @@ class TestScramble:
     def test_dim_zero(self):
         A2, B2, P = scramble(Algebra.zero(0), None, 0)
         assert A2.dim == 0
+
+    @pytest.mark.parametrize("m", [2, 4])
+    def test_form_of_wrong_dimension_is_refused(self, m):
+        # a 2x2 form would come back 3x3 with a zero last row, and a 4x4
+        # one truncated to 3x3
+        A = make_family(2, 3)
+        B = SymForm(Mat.diagonal([1] * m))
+        with pytest.raises(DimensionMismatchError):
+            transport_basis(A, B, Mat.identity(3))
+        with pytest.raises(DimensionMismatchError):
+            scramble(A, B, 1)
 
 
 class TestGenerateCorpus:

@@ -24,14 +24,12 @@ from fnovikov import (
     check_fermionic,
     check_left_symmetric,
     check_novikov,
-    det,
     find_nondegenerate,
     generate_corpus,
     generic_rank,
     invariant_form_space,
     is_invariant,
     k2_condition,
-    kernel_basis,
     make_family,
     make_k2,
     max_rank_element,
@@ -49,7 +47,7 @@ from fnovikov import (
 )
 from fnovikov import algebra, canon, classify, cli, exactlin, forms
 from fnovikov.cli import main as cli_main
-from fnovikov.exactlin import scale_to_int, scale_vector
+from fnovikov.exactlin import rref, rref_kernel, scale_to_int, scale_vector
 from fnovikov.scalars import QQ
 
 
@@ -298,7 +296,7 @@ def test_transport_basis_matches_reference():
             while True:
                 P = Mat([[rnd.randint(-3, 3) if integer else rand_q(rnd) for _ in range(n)]
                          for _ in range(n)])
-                if det(P):
+                if rank(P) == n:
                     break
             B = rand_sym_form(rnd, n)
             new, newB = transport_basis(A, B, P)
@@ -640,25 +638,53 @@ def symmetric_matrices(draw):
 @given(symmetric_matrices())
 @settings(max_examples=300, deadline=None)
 def test_congruence_matches_fraction_reference(S):
+    # int_congruence on S = rows / den, carrying the unit vectors: the
+    # rationals d_i / (den s_i) and p[i] / s_i are the reference's
+    # diagonal and the columns of its P
     p, d = ref_congruent_diagonalize(S)
-    P, D = exactlin.congruent_diagonalize(Mat(S))
-    assert P.data == p and D == Mat.diagonal(d)
+    n = len(S)
+    rows, den = Mat(S).scaled()
+    di, pi, si = exactlin.int_congruence(rows, [[int(i == j) for i in range(n)] for j in range(n)])
+    assert [Fraction(x, den * s) for x, s in zip(di, si)] == d
+    assert [[Fraction(x, s) for x in v] for v, s in zip(pi, si)] == [list(col) for col in zip(*p)]
     signs = [(x > 0) - (x < 0) for x in d]
     assert exactlin.signature(Mat(S)) == (signs.count(1), signs.count(-1), signs.count(0))
 
 
 def test_signature_of_a_scrambled_dim32_form_is_fast():
-    # the fraction-free elimination divides by the previous pivot, so
-    # every entry stays a minor: 0.003 s here on a 2-vCPU Xeon under
-    # Python 3.11.7, against 0.15 s for the Fraction elimination; without
-    # the division the entries double in length at each step and it
-    # takes minutes
+    # the congruence keeps every row primitive over its own scale, so the
+    # entries stay the size of the rationals they stand for: 0.007 s here
+    # on a 2-vCPU Xeon under Python 3.11.7, against 0.15 s for the
+    # Fraction elimination; with neither the gcd nor an exact division the
+    # entries double in length at each step and it takes minutes
     n = 32
     diag = [(-1) ** t * (t % 3 + 1) for t in range(n)]
     _, B, _ = scramble(Algebra.zero(n), SymForm(Mat.diagonal(diag)), 3)
     start = time.perf_counter()
     assert exactlin.signature(B.matrix) == (n // 2, n // 2, 0)
     assert time.perf_counter() - start < 1.0
+
+
+def test_congruence_coefficients_stay_near_the_rationals(monkeypatch):
+    # the complement Gram matrix of a searched form at dim 32 (30 x 30,
+    # entries of 511 bits, carrying 30 vectors): every d_i, s_i and
+    # carried entry stays within twice the bits of the rationals
+    # d_i / s_i and p[i] / s_i in lowest terms (916).  Bareiss elimination
+    # keeps every entry a minor of the input, and its pivots reach 15 251
+    # bits here
+    calls = []
+    real = exactlin.int_congruence
+    monkeypatch.setattr(canon, "int_congruence", lambda rows, cols=None: calls.append((rows, cols)) or real(rows, cols))
+    A = scramble(make_family(2, 32), None, 3)[0]
+    canonicalize(A, find_nondegenerate(invariant_form_space(A), seed=0), 0)
+    G, Z = calls[-1]
+    assert len(G) == 30
+    d, p, s = real(G, Z)
+    raw = max(x.bit_length() for x in [*d, *s, *(y for v in p for y in v)])
+    reduced = [Fraction(x, y) for x, y in zip(d, s)]
+    reduced += [Fraction(x, y) for v, y in zip(p, s) for x in v]
+    bits = max(max(q.numerator.bit_length(), q.denominator.bit_length()) for q in reduced)
+    assert raw <= 2 * bits
 
 
 def test_rank_det_inverse_kernel_match_sympy():
@@ -675,11 +701,10 @@ def test_rank_det_inverse_kernel_match_sympy():
             M = Mat(data)
         S = sympy.Matrix(r, c, [sympy.Rational(str(x)) for row in M.data for x in row])
         assert rank(M) == S.rank()
-        ker = kernel_basis(M)
+        ker = rref_kernel(*rref(M.scaled()[0], c), c)
         assert len(ker) == c - S.rank()
-        assert all((M * Mat([[x] for x in v])).is_zero() for v in ker)
+        assert all((M * Mat([[QQ(x, d)] for x in v])).is_zero() for v, d in ker)
         if r == c:
-            assert det(M) == QQ(str(S.det()))
             # transport_basis reduces M's columns, and fails exactly when
             # M is singular; through zero tensors only the form moves
             if S.det() != 0:
@@ -688,7 +713,7 @@ def test_rank_det_inverse_kernel_match_sympy():
             else:
                 with pytest.raises(ValueError):
                     transport_basis(Algebra.zero(r), None, M)
-    assert det(Mat.zeros(0, 0)) == 1
+    assert exactlin.int_rank([], 0) == 0
 
 
 # ---------------------------------------------------------------------------
