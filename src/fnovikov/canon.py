@@ -21,17 +21,13 @@ from operator import mul
 
 from .scalars import QQ, ZERO
 from .exactlin import (
-    CERTIFY_ATTEMPTS,
     Mat,
     Pencil,
     find_generic_point,
-    generic_rank,
     int_congruence,
-    int_rank,
     lowest_terms,
     rref,
     rref_kernel,
-    sample_points,
     scale_columns,
     scale_vector,
 )
@@ -97,37 +93,19 @@ def right_pencil(A: Algebra) -> Pencil:
 
 
 def max_rank_element(A: Algebra, seed):
-    """(x0, k): an integer element whose right multiplication attains the
-    generic rank k of the right-multiplication pencil.
-
-    Every R_x maps into AA, so k <= dim AA, and a sampled point whose
-    rank reaches dim AA proves k without polynomial arithmetic.  The first
-    CERTIFY_ATTEMPTS points of find_generic_point's seeded sequence are
-    tried; only when none reaches dim AA is the symbolic generic_rank
-    computed, and its value handed on as the target.  Either way x0 is the
-    first point of that sequence of rank k, and k is maximal: on the
-    certificate path no R_x can exceed dim AA, and on the fallback path no
-    specialization of the pencil exceeds its generic rank.
+    """(x0, k): the first point of find_generic_point's seeded sequence
+    where the right-multiplication pencil attains its generic rank k.  The
+    pencil has dim AA rows, so a point of rank dim AA proves k with no
+    polynomial arithmetic; the symbolic rank runs only when none does.
 
     The right multiplications must anticommute, or PreconditionError is
     raised; the verdict is A's cached check_fermionic(A).
     """
     if not check_fermionic(A):
         raise PreconditionError("right multiplications must anticommute")
-    n = A.dim
-    k = A.derived_dim()
-    if k == 0:
-        return [0] * n, 0
-    pencil = right_pencil(A)
-    x0 = next(
-        (x for x in sample_points(n, seed, CERTIFY_ATTEMPTS)
-         if int_rank(pencil.eval(x), n) == k),
-        None,
-    )
-    if x0 is None:
-        k = generic_rank(pencil)
-        x0 = find_generic_point(pencil, seed, target=k)
-    return x0, k
+    if A.derived_dim() == 0:
+        return [0] * A.dim, 0
+    return find_generic_point(right_pencil(A), seed)
 
 
 def _int_right_op(A: Algebra, x0):

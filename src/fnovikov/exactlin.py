@@ -14,6 +14,8 @@ M_t, since rank is scale-free; it is evaluated at integer points, and its
 generic rank over the fraction field comes from fraction-free (Bareiss)
 elimination on integer polynomial term dicts, where an exact division is
 cheaper than a polynomial gcd, with no rational-function arithmetic.
+find_generic_point is the one rank search: a sampled point of rank
+min(rows, cols) proves a pencil's rank, else generic_rank runs once.
 
 Pivoting is deterministic everywhere: first nonzero entry in row-major
 order.
@@ -21,6 +23,7 @@ order.
 
 from __future__ import annotations
 
+import itertools
 import random
 from bisect import bisect_left
 from math import gcd, lcm
@@ -462,8 +465,8 @@ def generic_rank(M: Pencil) -> int:
     return r
 
 
-# Points of sample_points' sequence tried for a rank certificate before a
-# caller falls back to the symbolic generic_rank: the first box.
+# Points of sample_points' sequence ranked against min(rows, cols) before
+# find_generic_point computes the symbolic generic_rank: the first box.
 CERTIFY_ATTEMPTS = 8
 
 
@@ -476,18 +479,28 @@ def sample_points(nvars, seed, count=64):
         yield [rnd.randint(-width, width) for _ in range(nvars)]
 
 
-def find_generic_point(M: Pencil, seed, target=None, max_attempts=64):
-    """An integer point where the specialized rank equals generic_rank(M).
+def find_generic_point(M: Pencil, seed):
+    """(point, r): the first point of sample_points' seeded sequence where
+    M has its generic rank r.
 
-    Samples integer points from boxes of doubling width (deterministic
-    given seed).  target overrides the rank to hit (used to exercise the
-    failure guard); by Schwartz-Zippel the genuine search essentially never
-    exhausts the attempt cap, so hitting GenericPointError means a bug.
+    No specialization exceeds min(M.rows, M.cols), so a point among the
+    first CERTIFY_ATTEMPTS that reaches it proves r without polynomial
+    arithmetic.  Only when none does is generic_rank computed, once, and
+    the search goes on from where it stopped, each point ranked once.  By
+    Schwartz-Zippel the search essentially never exhausts the sequence, so
+    hitting GenericPointError means a bug.
     """
-    r = generic_rank(M) if target is None else target
-    for point in sample_points(M.nvars, seed, max_attempts):
-        if int_rank(M.eval(point), M.cols) == r:
-            return point
-    raise GenericPointError(
-        f"no rank-{r} specialization found in {max_attempts} attempts"
-    )
+    bound = min(M.rows, M.cols)
+    points = sample_points(M.nvars, seed)
+    tried = []
+    for point in itertools.islice(points, CERTIFY_ATTEMPTS):
+        s = int_rank(M.eval(point), M.cols)
+        if s == bound:
+            return point, s
+        tried.append((point, s))
+    r = generic_rank(M)
+    rest = ((point, int_rank(M.eval(point), M.cols)) for point in points)
+    for point, s in itertools.chain(tried, rest):
+        if s == r:
+            return point, r
+    raise GenericPointError(f"no rank-{r} specialization found")

@@ -13,7 +13,8 @@ Indices i, j, m are 1-based.  Rationals are written "p" or "p/q" with a
 positive denominator; anything else (floats in particular) is rejected.
 Only nonzero structure constants need to be listed, each (i, j) at most
 once and each m at most once within its entry.  dim is at most MAX_DIM.
-JSON nested deeper than the decoder's recursion limit is a syntax error.
+JSON nested deeper than the decoder's recursion limit, and a number with
+more digits than Python's integer conversion limit, are syntax errors.
 """
 
 from __future__ import annotations
@@ -61,16 +62,21 @@ MAX_DIM = 64
 # digits, which int() reads, and $ a trailing newline.
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
+# int() refuses a decimal string longer than sys.get_int_max_str_digits().
+_TOO_LONG = "number has more digits than the integer conversion limit"
+
 
 def parse_rational(s):
     if not isinstance(s, str) or not _RATIONAL_RE.fullmatch(s):
         raise AlgebraFileSyntaxError(f"malformed rational {s!r}")
-    if "/" in s:
-        num, den = s.split("/")
-        if int(den) == 0:
-            raise ZeroDenominatorError(f"zero denominator in {s!r}")
-        return QQ(int(num), int(den))
-    return QQ(int(s))
+    num, _, den = s.partition("/")
+    try:
+        num, den = int(num), int(den or 1)
+    except ValueError:
+        raise AlgebraFileSyntaxError(_TOO_LONG) from None
+    if den == 0:
+        raise ZeroDenominatorError(f"zero denominator in {s!r}")
+    return QQ(num, den)
 
 
 def parse(text):
@@ -84,6 +90,9 @@ def parse(text):
     except RecursionError:
         # the decoder recurses once per nested array or object
         raise AlgebraFileSyntaxError("JSON nested too deeply") from None
+    except ValueError:
+        # the decoder's int() of a JSON number, as in parse_rational
+        raise AlgebraFileSyntaxError(_TOO_LONG) from None
     if not isinstance(doc, dict):
         raise AlgebraFileSyntaxError("top level must be an object")
     dim = doc.get("dim")

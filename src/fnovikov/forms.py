@@ -11,15 +11,12 @@ from operator import mul
 
 from .scalars import QQ, ZERO
 from .exactlin import (
-    CERTIFY_ATTEMPTS,
     Mat,
     Pencil,
     find_generic_point,
-    generic_rank,
     int_rank,
     rref,
     rref_kernel,
-    sample_points,
     scale_to_int,
     signature,
 )
@@ -150,18 +147,23 @@ def invariant_form_space(A: Algebra):
     return out
 
 
-def find_nondegenerate(space, seed, sweep_cap=12):
+# The largest form space find_nondegenerate sweeps over {-1, 0, 1}
+# coefficients before it takes the seeded point.
+SWEEP_CAP = 12
+
+
+def find_nondegenerate(space, seed):
     """A nondegenerate rational combination of the given symmetric
     matrices, or None when none exists.
 
-    Existence is certified first by a combination with nonzero
-    determinant among the first CERTIFY_ATTEMPTS points of
-    find_generic_point's seeded sequence; without such a certificate the
-    determinant of a generic combination is checked symbolically, so
-    absence is decided exactly.  When a member exists, a deterministic
-    sweep over {-1, 0, 1} coefficients (small supports first, space
-    dimension <= sweep_cap) looks for a small certificate before the
-    seeded randomized search.
+    Every combination's rows lie in the span of all the members' rows, so
+    when that span, streamed into rref, has rank below n, no member is
+    nonsingular.  Otherwise find_generic_point decides existence exactly:
+    a seeded point of rank n certifies it, else the symbolic generic rank
+    of the pencil does.  When a member exists, a deterministic sweep over
+    {-1, 0, 1} coefficients (small supports first, space dimension <=
+    SWEEP_CAP) looks for a small certificate before the seeded point is
+    taken.
 
     The sweep skips a support S, with all its sign patterns, when no
     combination on it can be nonsingular: the column space of a sum of
@@ -183,19 +185,14 @@ def find_nondegenerate(space, seed, sweep_cap=12):
     if n == 0:
         return SymForm(Mat.zeros(0, 0))
     flat, den = scale_to_int([row for M in space for row in M.data])
+    if int_rank(flat, n) < n:
+        return None
     mats = [flat[t * n:(t + 1) * n] for t in range(d)]
     pencil = Pencil(mats, n, n)
-
-    def nonsingular(coeffs):
-        return int_rank(pencil.eval(coeffs), n) == n
-
-    point = next(
-        (p for p in sample_points(d, seed, CERTIFY_ATTEMPTS) if nonsingular(p)),
-        None,
-    )
-    if point is None and generic_rank(pencil) < n:
+    point, r = find_generic_point(pencil, seed)
+    if r < n:
         return None
-    if d <= sweep_cap:
+    if d <= SWEEP_CAP:
         ranks = []
         for M in mats:
             ranks.append(int_rank(M, n))
@@ -205,17 +202,16 @@ def find_nondegenerate(space, seed, sweep_cap=12):
             for idxs in itertools.combinations(range(d), support):
                 if sum(ranks[t] for t in idxs) < n:
                     continue
-                block = [[x for t in idxs for x in mats[t][r]] for r in range(n)]
+                block = [[x for t in idxs for x in mats[t][i]] for i in range(n)]
                 if int_rank(block, n * support) < n:
                     continue
                 for signs in itertools.product((1, -1), repeat=support):
                     coeffs = [0] * d
                     for t, sgn in zip(idxs, signs):
                         coeffs[t] = sgn
-                    if nonsingular(coeffs):
-                        return _form(pencil.eval(coeffs), den)
-    if point is None:
-        point = find_generic_point(pencil, seed, target=n)
+                    C = pencil.eval(coeffs)
+                    if int_rank(C, n) == n:
+                        return _form(C, den)
     return _form(pencil.eval(point), den)
 
 

@@ -152,7 +152,7 @@ def test_criterion_6_oracle_equivalences():
         ]
         M = Pencil(mats, n, n)
         r = generic_rank(M)
-        point = find_generic_point(M, seed=rnd.randrange(2**30))
+        point = find_generic_point(M, seed=rnd.randrange(2**30))[0]
         assert rank(Mat(M.eval(point))) == r
         for _ in range(3):
             pt = [rnd.randint(-4, 4) for _ in range(nv)]

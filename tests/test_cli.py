@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 from itertools import islice
 
 import pytest
@@ -70,6 +71,18 @@ class TestCheck:
         code, out, err = run(capsys, "check", "--input", str(path))
         assert (code, out) == (2, "")
         assert err.startswith("error: JSON nested too deeply")
+
+    @pytest.mark.parametrize("template", [
+        '{"dim": %s}',
+        '{"dim": 2, "products": [[%s, 1, [[2, "1"]]]]}',
+        '{"dim": 2, "products": [[1, 1, [[2, "1/%s"]]]]}',
+    ])
+    def test_overlong_number(self, capsys, tmp_path, template):
+        path = tmp_path / "long.json"
+        path.write_text(template % ("1" * (sys.get_int_max_str_digits() + 1)))
+        code, out, err = run(capsys, "check", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: number has more digits than the integer conversion limit\n"
 
 
 class TestForms:

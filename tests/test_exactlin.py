@@ -11,6 +11,7 @@ from fnovikov import (
     rank,
     signature,
 )
+from fnovikov import exactlin
 from fnovikov.exactlin import int_congruence, rref, rref_kernel
 from fnovikov.scalars import QQ, ONE
 
@@ -227,23 +228,24 @@ class TestGenericRank:
             for _ in range(5):
                 point = [rnd.randint(-5, 5) for _ in range(nv)]
                 assert rank(Mat(M.eval(point))) <= r
-            point = find_generic_point(M, seed=rnd.randint(0, 10**6))
-            assert rank(Mat(M.eval(point))) == r
+            point, s = find_generic_point(M, seed=rnd.randint(0, 10**6))
+            assert s == r == rank(Mat(M.eval(point)))
 
 
 class TestFindGenericPoint:
     def test_single_entry(self):
-        point = find_generic_point(single_var_pencil(), seed=0)
-        assert point[0] != 0
+        point, r = find_generic_point(single_var_pencil(), seed=0)
+        assert point[0] != 0 and r == 1
 
     def test_zero_pencil(self):
-        point = find_generic_point(zero_pencil(2, 2, 2), seed=0)
-        assert len(point) == 2
+        point, r = find_generic_point(zero_pencil(2, 2, 2), seed=0)
+        assert len(point) == 2 and r == 0
 
-    def test_attempt_cap_guard(self):
-        # an unreachable target rank must raise the dedicated error
+    def test_attempt_cap_guard(self, monkeypatch):
+        # a generic rank no point reaches must raise the dedicated error
+        monkeypatch.setattr(exactlin, "generic_rank", lambda M: 2)
         with pytest.raises(GenericPointError):
-            find_generic_point(single_var_pencil(), seed=0, target=2)
+            find_generic_point(single_var_pencil(), seed=0)
 
     def test_deterministic(self):
         M = single_var_pencil()

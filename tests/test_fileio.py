@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -141,6 +142,15 @@ class TestParseErrors:
         # the decoder's RecursionError used to escape as a traceback
         for text in ("[" * 200000 + "]" * 200000, '{"dim": 1, "metadata": %s}' % ("[" * 5000 + "]" * 5000)):
             with pytest.raises(AlgebraFileSyntaxError, match="nested too deeply"):
+                parse(text)
+
+    def test_overlong_numbers_are_syntax_errors(self):
+        # int() refuses them with a bare ValueError that used to escape
+        big = "1" * (sys.get_int_max_str_digits() + 1)
+        for text in ('{"dim": %s}' % big,
+                     '{"dim": 2, "products": [[%s, 1, [[2, "1"]]]]}' % big,
+                     '{"dim": 2, "products": [[1, 1, [[2, "1/%s"]]]]}' % big):
+            with pytest.raises(AlgebraFileSyntaxError, match="integer conversion limit"):
                 parse(text)
 
     def test_dim_cap_is_inclusive(self):

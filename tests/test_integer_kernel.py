@@ -720,9 +720,8 @@ def test_rank_det_inverse_kernel_match_sympy():
 # certified ranks against the symbolic generic rank
 
 
-def _count_generic_rank(monkeypatch, module):
-    """Record every generic_rank call made from module, directly or through
-    find_generic_point."""
+def _count_generic_rank(monkeypatch):
+    """Record every generic_rank call find_generic_point makes."""
     calls = []
     real = exactlin.generic_rank
 
@@ -730,7 +729,6 @@ def _count_generic_rank(monkeypatch, module):
         calls.append(M.nvars)
         return real(M)
 
-    monkeypatch.setattr(module, "generic_rank", counted)
     monkeypatch.setattr(exactlin, "generic_rank", counted)
     return calls
 
@@ -741,7 +739,7 @@ def _count_generic_rank(monkeypatch, module):
 )
 def test_certificate_path_rank(A, monkeypatch):
     A, _, _ = scramble(A, None, 8)
-    calls = _count_generic_rank(monkeypatch, canon)
+    calls = _count_generic_rank(monkeypatch)
     x0, k = max_rank_element(A, seed=2)
     assert calls == []  # certified: rank R_{x0} reached dim AA
     assert k == A.derived_dim() == generic_rank(ref_right_pencil(A)) == generic_rank(right_pencil(A))
@@ -751,7 +749,7 @@ def test_certificate_path_rank(A, monkeypatch):
 def test_fallback_path_rank(monkeypatch):
     for i, W in enumerate(witnesses(4)):
         A, _, _ = scramble(W, None, i)
-        calls = _count_generic_rank(monkeypatch, canon)
+        calls = _count_generic_rank(monkeypatch)
         x0, k = max_rank_element(A, seed=i)
         assert A.derived_dim() == 3 and k == 2
         assert calls == [A.dim]  # the symbolic rank, computed once
@@ -760,31 +758,62 @@ def test_fallback_path_rank(monkeypatch):
 
 
 def test_nondegenerate_form_certified_or_computed_once(monkeypatch):
-    calls = _count_generic_rank(monkeypatch, forms)
+    calls = _count_generic_rank(monkeypatch)
     for v, n in ((1, 4), (2, 5), (3, 6)):
         B = find_nondegenerate(invariant_form_space(make_family(v, n)), seed=3)
         assert B is not None and B.is_nondegenerate()
-    assert calls == []
+    # the witnesses' members have rows of rank 3 < 4 together, so absence
+    # is decided before any point is ranked
     for W in witnesses(3):
         assert find_nondegenerate(invariant_form_space(W), seed=3) is None
-    assert len(calls) == 3
+    assert calls == []
 
 
-def test_nondegenerate_form_without_certificate(monkeypatch):
-    # diag(t1..t4) is singular whenever a coordinate is 0: pick a seed whose
-    # first CERTIFY_ATTEMPTS points all have a zero coordinate, so the
-    # symbolic rank must prove existence and find_generic_point picks the
-    # point (the sweep is switched off)
+def test_compression_space_decided_by_generic_rank(monkeypatch):
+    # E12 + E21 and E13 + E31: their rows together have rank 3 = n, but
+    # every combination [[0, a, b], [a, 0, 0], [b, 0, 0]] has rank 2, so
+    # the symbolic rank decides, once
+    E = [[[int({r, c} == {0, t}) for c in range(3)] for r in range(3)] for t in (1, 2)]
+    calls = _count_generic_rank(monkeypatch)
+    assert find_nondegenerate([Mat(M) for M in E], seed=0) is None
+    assert calls == [2]
+
+
+def _diagonal_space_without_certificate():
+    """(space, seed, points, i): diag(t1..t4), which is singular whenever a
+    coordinate is 0, with a seed whose first CERTIFY_ATTEMPTS points all
+    have a zero coordinate; points is the seed's sequence, and points[i]
+    the first point with none."""
     space = [Mat.diagonal([1 if i == t else 0 for i in range(4)]) for t in range(4)]
     seed = next(
         s for s in range(10**4)
         if all(0 in p for p in exactlin.sample_points(4, s, exactlin.CERTIFY_ATTEMPTS))
     )
-    point = next(p for p in exactlin.sample_points(4, seed) if 0 not in p)
-    calls = _count_generic_rank(monkeypatch, forms)
-    B = find_nondegenerate(space, seed=seed, sweep_cap=0)
+    points = list(exactlin.sample_points(4, seed))
+    return space, seed, points, next(i for i, p in enumerate(points) if 0 not in p)
+
+
+def test_nondegenerate_form_without_certificate(monkeypatch):
+    # the symbolic rank must prove existence, and find_generic_point picks
+    # the point (the sweep is switched off)
+    space, seed, points, i = _diagonal_space_without_certificate()
+    monkeypatch.setattr(forms, "SWEEP_CAP", 0)
+    calls = _count_generic_rank(monkeypatch)
+    B = find_nondegenerate(space, seed=seed)
     assert calls == [4]
-    assert B.matrix == Mat.diagonal(point)
+    assert B.matrix == Mat.diagonal(points[i])
+
+
+def test_each_point_ranked_once(monkeypatch):
+    # the first CERTIFY_ATTEMPTS points are ranked before the symbolic
+    # rank and not again after it, so the points up to points[i] take one
+    # rank of a 4 x 4 combination each
+    space, seed, _, i = _diagonal_space_without_certificate()
+    assert i >= exactlin.CERTIFY_ATTEMPTS
+    monkeypatch.setattr(forms, "SWEEP_CAP", 0)
+    calls = _count_calls(monkeypatch, "int_rank", (exactlin, forms))
+    assert find_nondegenerate(space, seed=seed) is not None
+    assert sum(len(rows) == 4 for rows, _ in calls) == i + 1
 
 
 def test_canon_json_golden_digest_on_symbolic_form(monkeypatch, tmp_path, capsys):
@@ -801,7 +830,7 @@ def test_canon_json_golden_digest_on_symbolic_form(monkeypatch, tmp_path, capsys
     ])
     path = tmp_path / "sum.json"
     path.write_text(serialize(A))
-    calls = _count_generic_rank(monkeypatch, forms)
+    calls = _count_generic_rank(monkeypatch)
     code = cli_main(["canon", "--input", str(path), "--json", "--seed", "4"])
     out = capsys.readouterr().out
     assert code == 0
@@ -1209,7 +1238,7 @@ def k2_draws(seed, dims):
     return out
 
 
-def test_find_nondegenerate_matches_reference():
+def test_find_nondegenerate_matches_reference(monkeypatch):
     cases = [make_family(v, n) for v in (1, 2, 3) for n in range(v + 1, 6)]
     cases += k2_instances(34, 2)
     cases = [scramble(A, None, 50 + i)[0] for i, A in enumerate(cases)]
@@ -1224,7 +1253,9 @@ def test_find_nondegenerate_matches_reference():
             expected = ref_find_nondegenerate(space, seed)
             assert find_nondegenerate(space, seed).matrix.data == expected
             no_sweep = ref_find_nondegenerate(space, seed, sweep_cap=0)
-            assert find_nondegenerate(space, seed, sweep_cap=0).matrix.data == no_sweep
+            with monkeypatch.context() as m:
+                m.setattr(forms, "SWEEP_CAP", 0)
+                assert find_nondegenerate(space, seed).matrix.data == no_sweep
 
 
 def low_rank_spaces(seed, count):
