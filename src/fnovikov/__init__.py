@@ -41,7 +41,6 @@ from .canon import (
     canonical_basis,
     canonicalize,
     max_rank_element,
-    right_pencil,
     theorem_check,
     verify_structure,
 )

@@ -13,7 +13,7 @@ from math import lcm
 from operator import add, mul, sub
 
 from .scalars import QQ, ZERO, ONE
-from .exactlin import Mat, rref, scale_to_int
+from .exactlin import Mat, Pencil, rref, scale_to_int
 
 
 class DimensionMismatchError(ValueError):
@@ -36,18 +36,17 @@ class Algebra:
 
     Immutable once read: code that builds an algebra writes c right after
     the constructor or Algebra.zero, before any method reads it.  The
-    integer tensor, the reduced basis of the derived algebra and the
-    verdicts of the three defining identities are computed on first use
-    and cached, so a later write to c would leave them stale.
+    integer tensor, the reduced basis of the derived algebra, the right
+    pencil (the one integer table of the R_x) and the verdicts of the
+    three defining identities are computed on first use and cached, so a
+    later write to c would leave them stale.
     """
 
-    __slots__ = ("dim", "c", "_int_tensor", "_derived_basis", "_identities")
+    __slots__ = ("dim", "c", "_int_tensor", "_derived_basis", "_right_pencil", "_identities")
 
     def __init__(self, dim, c):
         self.dim = dim
-        self._int_tensor = None
-        self._derived_basis = None
-        self._identities = None
+        self._int_tensor = self._derived_basis = self._right_pencil = self._identities = None
         self.c = [
             [[QQ(x) for x in vec] for vec in row] for row in c
         ]
@@ -61,9 +60,7 @@ class Algebra:
     def zero(cls, dim):
         a = object.__new__(cls)
         a.dim = dim
-        a._int_tensor = None
-        a._derived_basis = None
-        a._identities = None
+        a._int_tensor = a._derived_basis = a._right_pencil = a._identities = None
         a.c = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
         return a
 
@@ -184,13 +181,25 @@ class Algebra:
         number of derived_pivots()."""
         return len(self.derived_pivots())
 
+    def right_pencil(self) -> Pencil:
+        """The k x n pencil sum_j t_j R_{e_j} on the rows derived_pivots(),
+        on int_tensor() C, computed once per instance: mats[j][a][t] =
+        C[t][j][p_a].  Every R_x maps into AA, which projects injectively
+        onto those rows, so the value at x has the rank of R_x, and the
+        pencil the generic rank of the full n x n one."""
+        if self._right_pencil is None:
+            rows = self.derived_pivots()
+            self._right_pencil = Pencil(_int_right_ops(self.int_tensor()[0], rows),
+                                        len(rows), self.dim)
+        return self._right_pencil
+
     def identities(self):
         """(left_symmetric, fermionic, novikov): the verdicts of the three
         defining identities, decided once per instance at the coordinates
-        derived_pivots(), on one set of pivot rows of the R_{e_j}."""
+        derived_pivots(), on the members of right_pencil()."""
         if self._identities is None:
             rows = self.derived_pivots()
-            right = _int_right_ops(self.int_tensor()[0], rows)
+            right = self.right_pencil().mats
             self._identities = (_left_symmetric(self, rows, right),
                                 *_product_identities(self, rows, right))
         return self._identities
@@ -319,18 +328,18 @@ _WEDGE = (
 _WEDGE_ROWS = (1, 2, 3)
 
 
-def search_fermionic_not_novikov(values=(-1, 0, 1)):
+def search_fermionic_not_novikov():
     """Search for algebras that pass the anticommutation identity and
     left-symmetry but fail the commutation identity (so some R_x R_y != 0).
 
     Two anticommuting square-zero operators with nonzero product need at
     least a 4-dimensional space, where they act like exterior
     multiplications on Lambda(R^2).  The search therefore enumerates all
-    maps phi: A -> span(v1, v2) with coordinates drawn from `values`,
+    maps phi: A -> span(v1, v2) with coordinates in {-1, 0, 1},
     forms the product y x = y ^ phi(x), and keeps candidates confirmed by
     the full identity checkers.  Yields witnesses as Algebra instances.
     """
-    coords = [(a, b) for a in values for b in values]
+    coords = [(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)]
     for phi in itertools.product(coords, repeat=4):
         # R_x R_y != 0 needs phi of rank 2; cheap prefilter
         if not any(
@@ -355,15 +364,15 @@ def search_fermionic_not_novikov(values=(-1, 0, 1)):
             yield A
 
 
-def search_breaking_mutation(A: Algebra, values=(-1, 1, 2)):
-    """First single-entry mutation of the structure tensor that breaks one
-    of the three defining identities; returns (i, j, m, value, mutated)
-    or None."""
+def search_breaking_mutation(A: Algebra):
+    """First single-entry mutation of the structure tensor, to -1, 1 or 2,
+    that breaks one of the defining identities; returns (i, j, m, value,
+    mutated) or None."""
     n = A.dim
     for i in range(n):
         for j in range(n):
             for m in range(n):
-                for v in values:
+                for v in (-1, 1, 2):
                     if A.c[i][j][m] == v:
                         continue
                     mutated = Algebra(n, A.c)

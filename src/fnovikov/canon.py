@@ -22,7 +22,6 @@ from operator import mul
 from .scalars import QQ, ZERO
 from .exactlin import (
     Mat,
-    Pencil,
     find_generic_point,
     int_congruence,
     lowest_terms,
@@ -33,7 +32,6 @@ from .exactlin import (
 )
 from .algebra import (
     Algebra,
-    _int_right_ops,
     check_fermionic,
     check_left_symmetric,
     check_novikov,
@@ -82,21 +80,11 @@ class CanonReport:
     claims: dict
 
 
-def right_pencil(A: Algebra) -> Pencil:
-    """The k x n pencil sum_j t_j R_{e_j} on the rows A.derived_pivots(),
-    times the denominator of A.int_tensor().  Every R_x maps into AA, which
-    projects injectively onto those rows, so the value at x has the rank of
-    R_x, and the pencil the generic rank of the full n x n one."""
-    C, _ = A.int_tensor()
-    pivots = A.derived_pivots()
-    return Pencil(_int_right_ops(C, pivots), len(pivots), A.dim)
-
-
 def max_rank_element(A: Algebra, seed):
     """(x0, k): the first point of find_generic_point's seeded sequence
-    where the right-multiplication pencil attains its generic rank k.  The
-    pencil has dim AA rows, so a point of rank dim AA proves k with no
-    polynomial arithmetic; the symbolic rank runs only when none does.
+    where A.right_pencil() attains its generic rank k.  The pencil has
+    dim AA rows, so a point of rank dim AA proves k with no polynomial
+    arithmetic; the symbolic rank runs only when none does.
 
     The right multiplications must anticommute, or PreconditionError is
     raised; the verdict is A's cached check_fermionic(A).
@@ -105,21 +93,20 @@ def max_rank_element(A: Algebra, seed):
         raise PreconditionError("right multiplications must anticommute")
     if A.derived_dim() == 0:
         return [0] * A.dim, 0
-    return find_generic_point(right_pencil(A), seed)
+    return find_generic_point(A.right_pencil(), seed)
 
 
 def _int_right_op(A: Algebra, x0):
     """(Rk, FT, den): R_{x0} = FT Rk / den, with F, L = A.derived_basis().
 
-    Rk[a][t] is the entry at the pivot p_a of e_t x0, times x0's
-    denominator and that of A.int_tensor(), and FT = F^T as n rows.  Every
-    column of R_{x0} lies in AA, and F has full rank, so R_{x0} has Rk's
-    row space, and R_{x0} v vanishes exactly when Rk v does."""
-    pivots, F, L = A.derived_basis()
-    C, dc = A.int_tensor()
+    Rk = A.right_pencil() at x0 scaled to integers, so Rk[a][t] is the
+    entry at the pivot p_a of e_t x0 times den / L, and FT = F^T as n rows.
+    Every column of R_{x0} lies in AA, and F has full rank, so R_{x0} has
+    Rk's row space, and R_{x0} v vanishes exactly when Rk v does."""
+    _, F, L = A.derived_basis()
     xv, dx = scale_vector(x0)
-    Rk = [[sum(x * ctj[p] for x, ctj in zip(xv, Ct)) for Ct in C] for p in pivots]
-    return Rk, [[f[m] for f in F] for m in range(A.dim)], dx * dc * L
+    Rk = A.right_pencil().eval(xv)
+    return Rk, [[f[m] for f in F] for m in range(A.dim)], dx * A.int_tensor()[1] * L
 
 
 def _reaches_jordan(Rk, FT, den, cols, k):

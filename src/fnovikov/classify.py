@@ -24,7 +24,7 @@ from .algebra import (
     check_fermionic,
     check_left_symmetric,
 )
-from .forms import SymForm
+from .forms import SymForm, find_nondegenerate, invariant_form_space
 
 
 class ScrambleError(RuntimeError):
@@ -156,9 +156,10 @@ def transport_columns(A: Algebra, B, cols):
     Every product lies in AA; F, L = A.derived_basis().  With C = dc c the
     integer tensor, f_i f_j = sum_a pi_ij[a] F[a] / (L dc d_i d_j) for
     f_i = z_i / d_i, where pi_ij[a] = z_i^T C^(p_a) z_j is its entry at the
-    pivot p_a: k n^3 multiply-adds, not the n^4 of a full contraction.  The
-    integer reduction of [Z | F^T] ends with p_m at (m, m) and y_m after
-    column n, so Pinv F^T = diag(d) Z^-1 F^T has row m d_m y_m / p_m, and
+    pivot p_a, and C^(p_a) z_j is row a of A.right_pencil() at z_j: k n^3
+    multiply-adds, not the n^4 of a full contraction.  The integer
+    reduction of [Z | F^T] ends with p_m at (m, m) and y_m after column n,
+    so Pinv F^T = diag(d) Z^-1 F^T has row m d_m y_m / p_m, and
     c'[i][j][m] = sum_a pi_ij[a] q_m[a] / (dc L d_i d_j g), q_m = d_m y_m
     g / p_m with g the lcm of the p_m, expanded only where pi_ij is
     nonzero.  The form entry is z_i^T Bi z_j / (d_i d_j db).
@@ -168,23 +169,20 @@ def transport_columns(A: Algebra, B, cols):
         raise DimensionMismatchError("form dimension mismatch")
     zcols = [z for z, _ in cols]
     d = [dj for _, dj in cols]
-    pivots, F, L = A.derived_basis()
+    _, F, L = A.derived_basis()
     a, apivots = rref([list(row) + [f[m] for f in F] for m, row in enumerate(zip(*zcols))],
                       n + len(F))
     if apivots[:n] != list(range(n)):
         raise ValueError("singular basis change")
     g = lcm(*[row[m] for m, row in enumerate(a)])
     qs = [[y * dm * (g // row[m]) for y in row[n:]] for m, (dm, row) in enumerate(zip(d, a))]
-    C, dc = A.int_tensor()
-    # W[a][j][s] = (C^(p_a) z_j)[s] = sum_t C[s][t][p_a] z_j[t]
-    W = []
-    for p in pivots:
-        Cp = [[ct[p] for ct in Cs] for Cs in C]
-        W.append([[sum(map(mul, row, zj)) for row in Cp] for zj in zcols])
+    # W[j][a][s] = (R_{z_j} e_s)[p_a] = sum_t C[s][t][p_a] z_j[t]
+    W = [A.right_pencil().eval(zj) for zj in zcols]
+    _, dc = A.int_tensor()
     prods = {}
     for i, zi in enumerate(zcols):
-        for j in range(n):
-            pi = [sum(map(mul, zi, Wa[j])) for Wa in W]
+        for j, Wj in enumerate(W):
+            pi = [sum(map(mul, zi, w)) for w in Wj]
             if any(pi):
                 prods[i, j] = ([sum(map(mul, pi, q)) for q in qs], dc * L * d[i] * d[j] * g)
     if B is None:
@@ -224,8 +222,6 @@ def generate_corpus(seed, count):
     admitting a nondegenerate invariant form, each scrambled.
 
     Yields (name, Algebra, SymForm)."""
-    from .forms import find_nondegenerate, invariant_form_space
-
     rnd = random.Random(seed)
     made = 0
     while made < count:

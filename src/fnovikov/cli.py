@@ -73,8 +73,11 @@ def _load(path):
 def _default_seed(args):
     if args.seed is not None:
         return args.seed
-    env = os.environ.get("FNOVIKOV_SEED")
-    return int(env) if env else 0
+    try:
+        return int(os.environ.get("FNOVIKOV_SEED") or 0)
+    except ValueError:
+        # not an integer, or more digits than int() converts
+        raise ValueError("FNOVIKOV_SEED must be an integer within the conversion limit") from None
 
 
 def cmd_check(args):

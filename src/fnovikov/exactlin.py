@@ -354,14 +354,16 @@ class Pencil:
     of rows.
 
     Rank is scale-free, so a rational pencil enters as its members scaled
-    to integers over one denominator.  entries[r][c] holds the
-    coefficients of entry (r, c), one per variable.
+    to integers over one denominator.  mats keeps the members, shared with
+    the caller; entries[r][c] holds the coefficients of entry (r, c), one
+    per variable.
     """
 
-    __slots__ = ("nvars", "rows", "cols", "entries")
+    __slots__ = ("nvars", "rows", "cols", "mats", "entries")
 
     def __init__(self, mats, rows, cols):
         self.nvars = len(mats)
+        self.mats = mats
         self.rows = rows
         self.cols = cols
         if mats:

@@ -78,20 +78,22 @@ class SymForm:
 def is_invariant(A: Algebra, B: SymForm) -> bool:
     """True iff R^T B = B R, i.e. B R is symmetric, for every basis right
     multiplication R = R_{e_j}.  R_j maps into AA, so R_j = F^T Lambda_j / L
-    with F, L = A.derived_basis() and Lambda_j[a][t] = (e_t e_j)[p_a]: the
-    test reads (B F^T) Lambda_j on integers scaled from c and B, which it
-    is bilinear in, in k n^3 multiply-adds."""
+    with F, L = A.derived_basis() and Lambda_j = A.right_pencil().mats[j],
+    the (e_t e_j)[p_a] scaled: the test reads (B F^T) Lambda_j on integers
+    scaled from c and B, which it is bilinear in, in k n^3 multiply-adds.
+    With AA = 0 every form is invariant."""
     if B.dim != A.dim:
         raise DimensionMismatchError("form dimension mismatch")
     n = A.dim
-    C, _ = A.int_tensor()
-    pivots, F, _ = A.derived_basis()
+    _, F, _ = A.derived_basis()
+    if not F:
+        return True
     Bi, _ = B.matrix.scaled()
     # BF[r][a] = (B F[a])[r]
     BF = [[sum(map(mul, row, f)) for f in F] for row in Bi]
-    for j in range(n):
+    for Lam in A.right_pencil().mats:
         # lam[t] = column t of Lambda_j
-        lam = [[C[t][j][p] for p in pivots] for t in range(n)]
+        lam = list(zip(*Lam))
         for r in range(n):
             for t in range(r + 1, n):
                 if sum(map(mul, BF[r], lam[t])) != sum(map(mul, BF[t], lam[r])):

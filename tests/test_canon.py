@@ -24,7 +24,6 @@ from fnovikov import (
     normalize_orientation,
     random_k2,
     rank,
-    right_pencil,
     scramble,
     theorem_check,
     verify_structure,
@@ -60,12 +59,12 @@ def family_with_form(variant, n, seed=0):
 class TestRightPencil:
     def test_family3_generic_rank(self):
         # only the third basis direction acts nontrivially
-        assert generic_rank(right_pencil(make_family(3, 3))) == 1
+        assert generic_rank(make_family(3, 3).right_pencil()) == 1
 
     def test_matches_right_ops(self):
         # the pencil holds the rows of R_x at the pivots of AA only
         A = make_family(2, 3)
-        pencil = right_pencil(A)
+        pencil = A.right_pencil()
         x = [2, -1, 3]
         assert A.derived_pivots() == [1]
         assert pencil.eval(x) == [A.right_op(x).data[1]]
@@ -79,7 +78,7 @@ class TestRightPencil:
         _, den = A.int_tensor()
         assert den > 1
         for x in ([2, -1, 3], [0, 5, -7]):
-            values = right_pencil(A).eval(x)
+            values = A.right_pencil().eval(x)
             assert all(isinstance(v, int) for row in values for v in row)
             R = A.right_op(x).data
             assert values == [[den * v for v in R[m]] for m in A.derived_pivots()]

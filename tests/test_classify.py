@@ -22,7 +22,6 @@ from fnovikov import (
     make_family,
     make_k2,
     random_k2,
-    right_pencil,
     scramble,
     signature,
     transport_basis,
@@ -32,7 +31,7 @@ from fnovikov.scalars import QQ
 
 def full_right_pencil(A):
     """The n x n pencil sum_j t_j R_{e_j} of A's integer tensor, every row
-    kept, as an oracle for the k x n right_pencil."""
+    kept, as an oracle for the k x n A.right_pencil()."""
     C, _ = A.int_tensor()
     n = A.dim
     return Pencil([[[C[i][j][m] for i in range(n)] for m in range(n)] for j in range(n)], n, n)
@@ -166,7 +165,7 @@ class TestScramble:
             assert signature(B2.matrix) == signature(B.matrix)
             assert is_invariant(A2, B2)
             rank_A = generic_rank(full_right_pencil(A))
-            assert generic_rank(full_right_pencil(A2)) == rank_A == generic_rank(right_pencil(A2))
+            assert generic_rank(full_right_pencil(A2)) == rank_A == generic_rank(A2.right_pencil())
 
     def test_dim_zero(self):
         A2, B2, P = scramble(Algebra.zero(0), None, 0)

@@ -311,3 +311,12 @@ class TestUsage:
         monkeypatch.delenv("FNOVIKOV_SEED")
         _, out2, _ = run(capsys, "verify", "--seed", "5", "--count", "2", "--json")
         assert out1 == out2
+
+    @pytest.mark.parametrize("value", ["abc", "7" * 5000], ids=["word", "5000-digits"])
+    def test_bad_env_seed(self, capsys, monkeypatch, value):
+        # a seed int() refuses, as not an integer or as too long, is a
+        # usage error that names the variable
+        monkeypatch.setenv("FNOVIKOV_SEED", value)
+        code, out, err = run(capsys, "verify", "--count", "1", "--json")
+        assert (code, out) == (2, "")
+        assert "FNOVIKOV_SEED" in err and "set_int_max_str_digits" not in err

@@ -37,7 +37,6 @@ from fnovikov import (
     parse,
     random_k2,
     rank,
-    right_pencil,
     scramble,
     search_fermionic_not_novikov,
     serialize,
@@ -742,7 +741,7 @@ def test_certificate_path_rank(A, monkeypatch):
     calls = _count_generic_rank(monkeypatch)
     x0, k = max_rank_element(A, seed=2)
     assert calls == []  # certified: rank R_{x0} reached dim AA
-    assert k == A.derived_dim() == generic_rank(ref_right_pencil(A)) == generic_rank(right_pencil(A))
+    assert k == A.derived_dim() == generic_rank(ref_right_pencil(A)) == generic_rank(A.right_pencil())
     assert rank(A.right_op(x0)) == k
 
 
@@ -753,7 +752,7 @@ def test_fallback_path_rank(monkeypatch):
         x0, k = max_rank_element(A, seed=i)
         assert A.derived_dim() == 3 and k == 2
         assert calls == [A.dim]  # the symbolic rank, computed once
-        assert k == generic_rank(ref_right_pencil(A)) == generic_rank(right_pencil(A))
+        assert k == generic_rank(ref_right_pencil(A)) == generic_rank(A.right_pencil())
         assert rank(A.right_op(x0)) == k
 
 
@@ -987,6 +986,27 @@ def test_one_identity_pass_per_canon(monkeypatch, tmp_path, capsys):
         assert json.loads(capsys.readouterr().out)["claims"]["products_vanish"]
         assert len(symmetric) == len(products) == len(transports) == 1
         assert _at_derived_pivots(symmetric + products)
+
+
+def test_one_right_table_per_algebra(monkeypatch):
+    # the identities, the rank search, R_{x0}, the invariance test and the
+    # transport all read A.right_pencil(), built once per algebra
+    instances = list(generate_corpus(7, 4))
+    tables = _count_calls(monkeypatch, "_int_right_ops", (algebra,))
+    symmetric, products = _count_passes(monkeypatch)
+    for i, (_, A, B) in enumerate(instances):
+        tables.clear()
+        assert theorem_check(A, B, seed=i)
+        B = normalize_orientation(B)
+        rep = canonicalize(A, B, i)
+        assert all(verify_structure(A, B, rep).values())
+        assert is_invariant(A, B)
+        assert len(tables) == 1 and tables[0][1] is A.derived_pivots()
+        assert theorem_check(A, B, seed=i)
+        assert len(tables) == 1
+    # both identity passes read the pencil's own members
+    assert len(symmetric) == len(products) == len(instances)
+    assert all(right is A.right_pencil().mats for A, _, right in symmetric + products)
 
 
 def _one_pass_per_command(monkeypatch, tmp_path, capsys, command):
