@@ -195,23 +195,25 @@ class Algebra:
 
     def identities(self):
         """(left_symmetric, fermionic, novikov): the verdicts of the three
-        defining identities, decided once per instance at the coordinates
-        derived_pivots(), on the members of right_pencil()."""
+        defining identities, decided once per instance by the two passes on
+        int_tensor() at derived_pivots(), with right_pencil()'s members."""
         if self._identities is None:
+            C = self.int_tensor()[0]
             rows = self.derived_pivots()
             right = self.right_pencil().mats
-            self._identities = (_left_symmetric(self, rows, right),
-                                *_product_identities(self, rows, right))
+            self._identities = (_left_symmetric(C, rows, right),
+                                *_product_identities(C, rows, right))
         return self._identities
 
 
-# The identity checks run on int_tensor(): every identity is homogeneous in
-# the structure constants, so scaling them to integers keeps each verdict.
-# Every term of every identity is a product, so it lies in AA, and each
-# pass reads only the coordinates `rows`, onto which AA projects
-# injectively: A.derived_pivots(), k = dim AA of them, unless the caller
-# knows such coordinates without an elimination.  That makes each pass cost
-# k n^4 multiply-adds, not n^5.
+# The identity passes run on an integer structure tensor C, int_tensor() or
+# a witness candidate's: every identity is homogeneous in the structure
+# constants, so scaling them to integers keeps each verdict.  Every term
+# of every identity is a product, so it lies in AA, and each pass reads
+# only the coordinates `rows`, onto which AA projects injectively:
+# derived_pivots(), k = dim AA of them, unless the caller knows such
+# coordinates without an elimination.  So each pass costs k n^4
+# multiply-adds, not n^5.
 
 
 def _int_right_ops(C, rows):
@@ -221,11 +223,11 @@ def _int_right_ops(C, rows):
     return [[[C[t][j][m] for t in range(n)] for m in rows] for j in range(n)]
 
 
-def _left_symmetric(A: Algebra, rows, right) -> bool:
-    """(xy)z - x(yz) = (yx)z - y(xz) on all basis triples, compared at the
-    coordinates rows; right = _int_right_ops(C, rows)."""
-    n = A.dim
-    C, _ = A.int_tensor()
+def _left_symmetric(C, rows, right) -> bool:
+    """(xy)z - x(yz) = (yx)z - y(xz) on all basis triples of the algebra
+    with integer structure tensor C, compared at the coordinates rows;
+    right = _int_right_ops(C, rows)."""
+    n = len(C)
     # left[i][r][t] = C[i][t][m] with m = rows[r]: the rows `rows` of the
     # integer matrix of L_{e_i}
     left = [[[C[i][t][m] for t in range(n)] for m in rows] for i in range(n)]
@@ -246,16 +248,16 @@ def _left_symmetric(A: Algebra, rows, right) -> bool:
     return True
 
 
-def _product_identities(A: Algebra, rows, right):
-    """(fermionic, novikov): whether R_i R_j + R_j R_i = 0 for all i, j, and
-    whether R_i R_j = R_j R_i, compared on the rows `rows` of each product
-    (right = _int_right_ops(C, rows)), one pair i <= j at a time.
+def _product_identities(C, rows, right):
+    """(fermionic, novikov) of the algebra with integer structure tensor C:
+    whether R_i R_j + R_j R_i = 0 for all i, j, and whether R_i R_j =
+    R_j R_i, compared on the rows `rows` of each product (right =
+    _int_right_ops(C, rows)), one pair i <= j at a time.
 
     Entry (r, t) of R_i R_j is sum_s C[s][i][m] C[t][j][s] with m =
     rows[r].  Its column t is the product (e_t e_j) e_i, which lies in AA,
     so these len(rows) * n integers decide both identities."""
-    n = A.dim
-    C, _ = A.int_tensor()
+    n = len(C)
     # cols[j][t] = C[t][j], the column t of R_{e_j}
     cols = [[C[t][j] for t in range(n)] for j in range(n)]
 
@@ -316,16 +318,23 @@ def commutator_check(A: Algebra) -> bool:
 # ---------------------------------------------------------------------------
 # witness search
 
-# Wedge table on a 4-dimensional exterior algebra with basis
-# 1, v1, v2, v1^v2: _WEDGE[s][i] is (index, sign) of e_i ^ v_{s+1}, or None.
-_WEDGE = (
-    ((1, 1), None, (3, -1), None),  # wedge by v1
-    ((2, 1), (3, 1), None, None),  # wedge by v2
-)
-# No wedge by v1 or v2 has a part along 1, so every candidate's AA lies in
-# span(v1, v2, v1^v2), and the checks read these coordinates with no
-# elimination per candidate.
+# The values a v1 + b v2 of phi(e_j) that the search tries, and the wedge
+# by each on Lambda(R^2), with basis 1, v1, v2, v1^v2: _WEDGE_BY[a, b][i] =
+# e_i ^ (a v1 + b v2), the column C[i][j] of every candidate with phi(e_j)
+# = (a, b).  No wedge has a part along 1, so every candidate's AA lies in
+# span(v1, v2, v1^v2): the checks read the rows _WEDGE_ROWS with no
+# elimination, and _WEDGE_RIGHT[p] holds those rows of the wedge by p.
+_WEDGE_BY = {(a, b): [[0, a, b, 0], [0, 0, 0, b], [0, 0, 0, -a], [0, 0, 0, 0]]
+             for a in (-1, 0, 1) for b in (-1, 0, 1)}
 _WEDGE_ROWS = (1, 2, 3)
+_WEDGE_RIGHT = {p: [[col[m] for col in cols] for m in _WEDGE_ROWS] for p, cols in _WEDGE_BY.items()}
+
+
+def _wedge_tensor(phi):
+    """(C, right) of the candidate y x = y ^ phi(x), phi(e_j) = phi[j]: its
+    integer structure tensor, linear in phi, and _int_right_ops(C,
+    _WEDGE_ROWS).  The lists are shared between candidates; never mutate."""
+    return [[_WEDGE_BY[p][i] for p in phi] for i in range(4)], [_WEDGE_RIGHT[p] for p in phi]
 
 
 def search_fermionic_not_novikov():
@@ -335,33 +344,23 @@ def search_fermionic_not_novikov():
     Two anticommuting square-zero operators with nonzero product need at
     least a 4-dimensional space, where they act like exterior
     multiplications on Lambda(R^2).  The search therefore enumerates all
-    maps phi: A -> span(v1, v2) with coordinates in {-1, 0, 1},
-    forms the product y x = y ^ phi(x), and keeps candidates confirmed by
-    the full identity checkers.  Yields witnesses as Algebra instances.
+    maps phi: A -> span(v1, v2) with coordinates in {-1, 0, 1}, with the
+    product y x = y ^ phi(x), and runs the two identity passes on each
+    candidate's integer tensor.  Only a witness is built as an Algebra, and
+    it decides its identities afresh on its own tensor.  Yields witnesses.
     """
-    coords = [(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)]
-    for phi in itertools.product(coords, repeat=4):
+    for phi in itertools.product(_WEDGE_BY, repeat=4):
         # R_x R_y != 0 needs phi of rank 2; cheap prefilter
-        if not any(
-            p[0] * q[1] - p[1] * q[0]
-            for pi, p in enumerate(phi)
-            for q in phi[pi + 1:]
-        ):
+        if not any(p[0] * q[1] - p[1] * q[0] for pi, p in enumerate(phi) for q in phi[pi + 1:]):
             continue
-        A = Algebra.zero(4)
-        for j, (p1, p2) in enumerate(phi):
-            for i in range(4):
-                for coeff, w in ((p1, _WEDGE[0][i]), (p2, _WEDGE[1][i])):
-                    if coeff and w is not None:
-                        A.c[i][j][w[0]] += coeff * w[1]
+        C, right = _wedge_tensor(phi)
         # every rank-2 candidate anticommutes and few are left-symmetric,
         # so left-symmetry rejects them soonest
-        right = _int_right_ops(A.int_tensor()[0], _WEDGE_ROWS)
-        if not _left_symmetric(A, _WEDGE_ROWS, right):
+        if not _left_symmetric(C, _WEDGE_ROWS, right):
             continue
-        fermionic, novikov = _product_identities(A, _WEDGE_ROWS, right)
+        fermionic, novikov = _product_identities(C, _WEDGE_ROWS, right)
         if fermionic and not novikov:
-            yield A
+            yield Algebra(4, C)
 
 
 def search_breaking_mutation(A: Algebra):
@@ -377,10 +376,6 @@ def search_breaking_mutation(A: Algebra):
                         continue
                     mutated = Algebra(n, A.c)
                     mutated.c[i][j][m] = QQ(v)
-                    if not (
-                        check_left_symmetric(mutated)
-                        and check_fermionic(mutated)
-                        and check_novikov(mutated)
-                    ):
+                    if not all(mutated.identities()):
                         return i, j, m, QQ(v), mutated
     return None

@@ -355,21 +355,25 @@ class Pencil:
 
     Rank is scale-free, so a rational pencil enters as its members scaled
     to integers over one denominator.  mats keeps the members, shared with
-    the caller; entries[r][c] holds the coefficients of entry (r, c), one
-    per variable.
+    the caller; entries[r][c], the coefficients of entry (r, c) one per
+    variable, is built on the first eval or generic_rank.
     """
 
-    __slots__ = ("nvars", "rows", "cols", "mats", "entries")
+    __slots__ = ("nvars", "rows", "cols", "mats", "_entries")
 
     def __init__(self, mats, rows, cols):
         self.nvars = len(mats)
         self.mats = mats
         self.rows = rows
         self.cols = cols
-        if mats:
-            self.entries = [list(zip(*members)) for members in zip(*mats)]
-        else:
-            self.entries = [[()] * cols for _ in range(rows)]
+        self._entries = None
+
+    @property
+    def entries(self):
+        if self._entries is None:
+            self._entries = ([list(zip(*members)) for members in zip(*self.mats)]
+                             or [[()] * self.cols for _ in range(self.rows)])
+        return self._entries
 
     def eval(self, point):
         """The integer rows of the pencil at an integer point."""

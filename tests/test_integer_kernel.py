@@ -423,6 +423,74 @@ def test_checks_on_derived_pivots_match_reference(case):
     assert A.identities() == (ref_left_symmetric(A), ref_right_products(A, 1), ref_right_products(A, -1))
 
 
+def wedge_algebra(phi):
+    """The Fraction algebra y x = y ^ phi(x) on Lambda(R^2), with basis 1,
+    v1, v2, v1^v2, built product by product: e_i e_j = e_i ^ phi(e_j)."""
+    by_v1 = {0: (1, 1), 2: (3, -1)}  # e_i ^ v1 as (index, sign)
+    by_v2 = {0: (2, 1), 1: (3, 1)}
+    A = Algebra.zero(4)
+    for j, p in enumerate(phi):
+        for coeff, wedge in zip(p, (by_v1, by_v2)):
+            for i, (m, sign) in wedge.items():
+                A.c[i][j][m] += coeff * sign
+    return A
+
+
+def test_wedge_candidate_passes_match_reference():
+    # the witness search runs both passes on each candidate's integer
+    # tensor, never on an Algebra: a seeded sample of its {-1, 0, 1} grid,
+    # rank-deficient phi included (the zero map is the one sure to be
+    # Novikov), and the phi of the first 20 witnesses (e_0 = 1, so phi(e_j)
+    # is read off e_0 e_j)
+    grid = list(itertools.product(algebra._WEDGE_BY, repeat=4))
+    phis = random.Random(19).sample(grid, 200) + [((0, 0),) * 4]
+    phis += [tuple((int(W.c[0][j][1]), int(W.c[0][j][2])) for j in range(4)) for W in witnesses(20)]
+    verdicts, low_rank = set(), 0
+    for phi in phis:
+        C, right = algebra._wedge_tensor(phi)
+        A = wedge_algebra(phi)
+        assert C == A.int_tensor()[0]
+        assert right == algebra._int_right_ops(C, algebra._WEDGE_ROWS)
+        got = (algebra._left_symmetric(C, algebra._WEDGE_ROWS, right),
+               *algebra._product_identities(C, algebra._WEDGE_ROWS, right))
+        assert got == (ref_left_symmetric(A), ref_right_products(A, 1), ref_right_products(A, -1))
+        verdicts.add(got)
+        low_rank += not any(p[0] * q[1] - p[1] * q[0] for p in phi for q in phi)
+    # the four verdicts of the full grid: its 6561 - 6240 phi of rank
+    # below 2 give the two Novikov ones
+    assert low_rank and verdicts == {(True, True, False), (False, True, False),
+                                     (False, True, True), (True, True, True)}
+
+
+def test_search_builds_an_algebra_per_witness_only(monkeypatch):
+    made = []
+
+    class Counted(Algebra):
+        __slots__ = ()
+
+        def __init__(self, dim, c):
+            made.append(self)
+            super().__init__(dim, c)
+
+        @classmethod
+        def zero(cls, dim):
+            made.append(super().zero(dim))
+            return made[-1]
+
+    monkeypatch.setattr(algebra, "Algebra", Counted)
+    found = list(search_fermionic_not_novikov())
+    assert len(found) == len(made) == 210 and all(W is A for W, A in zip(found, made))
+    # no verdict is carried over from the candidate: each witness decides
+    # its identities on its own tensor
+    assert all(W._identities is None for W in found)
+    assert all(W.identities() == (True, True, False) for W in found)
+    # the checks read the right pencil's members; its transposed table is
+    # built only for an eval or generic_rank
+    assert all(W.right_pencil()._entries is None for W in found)
+    digest = hashlib.sha256("".join(serialize(W) for W in found).encode()).hexdigest()
+    assert digest == "40044c2fb5b3e7e33eb310aff2b411d8cb2e593c3823415dc53deb10f3883d9d"
+
+
 @st.composite
 def transport_cases(draw):
     """(A, rows of P, forced): an algebra of sparse_algebras() and a
@@ -937,13 +1005,28 @@ def _count_calls(monkeypatch, name, modules):
 
 def _count_passes(monkeypatch):
     """The calls of the two identity passes, left-symmetry and the product
-    identities, as (A, rows, right)."""
+    identities, as (C, rows, right)."""
     return (_count_calls(monkeypatch, "_left_symmetric", (algebra,)),
             _count_calls(monkeypatch, "_product_identities", (algebra,)))
 
 
-def _at_derived_pivots(passes):
-    return all(rows is A.derived_pivots() for A, rows, _ in passes)
+def _at_derived_pivots(A, passes):
+    """Each pass read A's own integer tensor at the k pivot rows of AA."""
+    return all(C is A.int_tensor()[0] and rows is A.derived_pivots() for C, rows, _ in passes)
+
+
+def _count_loads(monkeypatch):
+    """The algebras the CLI reads from its input files, in order."""
+    loaded = []
+    real = cli._load
+
+    def load(path):
+        result = real(path)
+        loaded.append(result[0])
+        return result
+
+    monkeypatch.setattr(cli, "_load", load)
+    return loaded
 
 
 def test_one_identity_pass_per_theorem_check(monkeypatch):
@@ -956,7 +1039,7 @@ def test_one_identity_pass_per_theorem_check(monkeypatch):
         assert theorem_check(A, B, seed=i)
         assert len(symmetric) == len(products) == len(transports) == 1
         # each pass reads the k pivot rows of AA
-        assert _at_derived_pivots(symmetric + products)
+        assert _at_derived_pivots(A, symmetric + products)
     # the witness search reads its products at e_1, e_2, e_3 (v1, v2 and
     # v1^v2) only; the digest pins the 210 witnesses that checks reading
     # all four coordinates found
@@ -979,13 +1062,14 @@ def test_one_identity_pass_per_canon(monkeypatch, tmp_path, capsys):
         paths[-1].write_text(text)
     symmetric, products = _count_passes(monkeypatch)
     transports = _count_calls(monkeypatch, "transport_columns", (classify, canon))
+    loaded = _count_loads(monkeypatch)
     for path in paths:
         for calls in (symmetric, products, transports):
             calls.clear()
         assert cli_main(["canon", "--input", str(path), "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["claims"]["products_vanish"]
         assert len(symmetric) == len(products) == len(transports) == 1
-        assert _at_derived_pivots(symmetric + products)
+        assert _at_derived_pivots(loaded[-1], symmetric + products)
 
 
 def test_one_right_table_per_algebra(monkeypatch):
@@ -1006,7 +1090,9 @@ def test_one_right_table_per_algebra(monkeypatch):
         assert len(tables) == 1
     # both identity passes read the pencil's own members
     assert len(symmetric) == len(products) == len(instances)
-    assert all(right is A.right_pencil().mats for A, _, right in symmetric + products)
+    for calls in (symmetric, products):
+        assert all(right is A.right_pencil().mats and _at_derived_pivots(A, [(C, rows, right)])
+                   for (_, A, _), (C, rows, right) in zip(instances, calls))
 
 
 def _one_pass_per_command(monkeypatch, tmp_path, capsys, command):
@@ -1015,6 +1101,7 @@ def _one_pass_per_command(monkeypatch, tmp_path, capsys, command):
     identity at the pivots of AA."""
     witness = next(search_fermionic_not_novikov())
     symmetric, products = _count_passes(monkeypatch)
+    loaded = _count_loads(monkeypatch)
     results = []
     for A in (make_family(2, 4), witness):
         path = tmp_path / "algebra.json"
@@ -1024,7 +1111,7 @@ def _one_pass_per_command(monkeypatch, tmp_path, capsys, command):
         code = cli_main([command, "--input", str(path), "--json"])
         results.append((code, json.loads(capsys.readouterr().out)))
         assert len(symmetric) == len(products) == 1
-        assert _at_derived_pivots(symmetric + products)
+        assert _at_derived_pivots(loaded[-1], symmetric + products)
     return results
 
 
@@ -1047,7 +1134,7 @@ def test_checks_in_any_order_run_one_pass_each(monkeypatch):
     A = Algebra(witness.dim, witness.c)
     got = (check_fermionic(A), check_left_symmetric(A), check_novikov(A))
     assert got == A.identities() == (True, True, False)
-    assert len(symmetric) == len(products) == 1 and _at_derived_pivots(symmetric + products)
+    assert len(symmetric) == len(products) == 1 and _at_derived_pivots(A, symmetric + products)
 
 
 # ---------------------------------------------------------------------------
