@@ -13,7 +13,7 @@ from math import lcm
 from operator import add, mul, sub
 
 from .scalars import QQ, ZERO, ONE
-from .exactlin import Mat, Pencil, rref, scale_to_int
+from .exactlin import Pencil, rref, scale_to_int
 
 
 class DimensionMismatchError(ValueError):
@@ -104,44 +104,6 @@ class Algebra:
                     if cij[m]:
                         out[m] += f * cij[m]
         return out
-
-    def right_op(self, x) -> Mat:
-        """Matrix of y -> yx in the standard basis."""
-        n = self.dim
-        if len(x) != n:
-            raise DimensionMismatchError("element dimension mismatch")
-        js = [j for j in range(n) if x[j]]
-        data = [[ZERO] * n for _ in range(n)]
-        if not js:
-            return Mat._raw(data, n)
-        (xv,), dx = scale_to_int([[x[j] for j in js]])
-        vecs, dc = scale_to_int([self.c[i][j] for i in range(n) for j in js])
-        den = dx * dc
-        s = len(js)
-        for i in range(n):
-            # column i is sum_j x_j c[i][j]
-            for m, col in enumerate(zip(*vecs[i * s:(i + 1) * s])):
-                v = sum(map(mul, xv, col))
-                if v:
-                    data[m][i] = QQ(v, den)
-        return Mat._raw(data, n)
-
-    def left_op(self, x) -> Mat:
-        """Matrix of y -> xy in the standard basis."""
-        n = self.dim
-        if len(x) != n:
-            raise DimensionMismatchError("element dimension mismatch")
-        data = [[ZERO] * n for _ in range(n)]
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            ci = self.c[i]
-            for j in range(n):
-                cij = ci[j]
-                for m in range(n):
-                    if cij[m]:
-                        data[m][j] += xi * cij[m]
-        return Mat._raw(data, n)
 
     def int_tensor(self):
         """(C, den): C is the structure constants times den, the lcm of

@@ -107,10 +107,15 @@ def make_k2(params: K2Params) -> Algebra:
 
 def k2_condition(A: Algebra) -> bool:
     """Left multiplications of e1 and e3 commute.  On make_k2 outputs this
-    is equivalent to the full identity checks."""
-    L1 = A.left_op(basis_element(A.dim, 0))
-    L3 = A.left_op(basis_element(A.dim, 2))
-    return (L1 * L3 - L3 * L1).is_zero()
+    is equivalent to the full identity checks.  L1 L3 e_j = L3 L1 e_j
+    reads sum_t c[0][t][m] c[2][j][t] = sum_t c[2][t][m] c[0][j][t] for
+    every m; both sides are quadratic in c, so int_tensor() decides it."""
+    C, _ = A.int_tensor()
+    n = A.dim
+    return all(
+        sum(C[0][t][m] * C[2][j][t] - C[2][t][m] * C[0][j][t] for t in range(n)) == 0
+        for j in range(n) for m in range(n)
+    )
 
 
 def random_k2(rnd: random.Random, n: int, structured: bool = True) -> K2Params:

@@ -206,8 +206,10 @@ def build_parser():
         p = sub.add_parser(name)
         if flags.get("input"):
             p.add_argument("--input", required=True, help="algebra file path")
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--seed", type=int, default=None)
+        if flags.get("json"):
+            p.add_argument("--json", action="store_true", help="machine-readable output")
+        if flags.get("seed"):
+            p.add_argument("--seed", type=int, default=None)
         if flags.get("variant"):
             p.add_argument("--variant", type=int, required=True, choices=[0, 1, 2, 3])
             p.add_argument("--dim", type=int, required=True)
@@ -218,13 +220,13 @@ def build_parser():
         p.set_defaults(func=func)
         return p
 
-    add("check", cmd_check, input=True)
-    add("forms", cmd_forms, input=True)
-    add("canon", cmd_canon, input=True)
-    add("classify", cmd_classify, input=True)
-    add("verify", cmd_verify, count=True)
-    add("gen", cmd_gen, variant=True, output=True)
-    add("scramble", cmd_scramble, input=True, output=True)
+    add("check", cmd_check, input=True, json=True)
+    add("forms", cmd_forms, input=True, json=True, seed=True)
+    add("canon", cmd_canon, input=True, json=True, seed=True)
+    add("classify", cmd_classify, input=True, json=True)
+    add("verify", cmd_verify, count=True, json=True, seed=True)
+    add("gen", cmd_gen, variant=True, output=True, seed=True)
+    add("scramble", cmd_scramble, input=True, output=True, seed=True)
     return parser
 
 

@@ -2,8 +2,8 @@
 linear pencils.
 
 Everything here is over exact rationals (see scalars.py).  Rational
-matrices are scaled to Python ints over a common denominator for products,
-rank, row reduction and congruence.  One integer elimination serves them:
+matrices are scaled to Python ints over a common denominator for rank,
+row reduction and congruence.  One integer elimination serves them:
 rows are kept primitive, their gcd divided out after each update.  rref
 reduces its rows as they are streamed in and stores only the pivot rows;
 rank counts its pivots, every kernel is read from it, and int_congruence
@@ -89,10 +89,11 @@ def int_rank(rows, cols):
 
 
 class Mat:
-    """Dense row-major matrix over exact rationals.
+    """Dense row-major matrix over exact rationals: the container of the
+    file format and the reports, with no matrix arithmetic.
 
-    Treated as immutable after construction; all operations return new
-    matrices, and the integer-scaled entries are computed once (scaled()).
+    Treated as immutable after construction; negation returns a new
+    matrix, and the integer-scaled entries are computed once (scaled()).
     """
 
     __slots__ = ("rows", "cols", "data", "_scaled")
@@ -154,47 +155,8 @@ class Mat:
     def __repr__(self):
         return f"Mat({self.data!r})"
 
-    def __sub__(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return Mat._raw(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.data, other.data)
-            ],
-            self.cols,
-        )
-
     def __neg__(self):
         return Mat._raw([[-a for a in row] for row in self.data], self.cols)
-
-    def scale(self, c):
-        c = QQ(c)
-        return Mat._raw([[c * a for a in row] for row in self.data], self.cols)
-
-    def __mul__(self, other):
-        if not isinstance(other, Mat):
-            return self.scale(other)
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        a, da = self.scaled()
-        b, db = other.scaled()
-        den = da * db
-        bcols = list(zip(*b)) if b else [()] * other.cols
-        return Mat._raw(
-            [[QQ(s, den) if s else ZERO for s in (sum(map(mul, ra, col)) for col in bcols)]
-             for ra in a],
-            other.cols,
-        )
-
-    def transpose(self):
-        return Mat._raw(
-            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            self.rows,
-        )
-
-    def is_zero(self):
-        return all(not x for row in self.data for x in row)
 
     def is_symmetric(self):
         if self.rows != self.cols:

@@ -61,13 +61,6 @@ class SymForm:
             out._signature = (nm, np_, nz)
         return out
 
-    def pair(self, x, y):
-        """<x, y>."""
-        b, db = self.matrix.scaled()
-        (xv, yv), dxy = scale_to_int([x, y])
-        by = [sum(map(mul, row, yv)) for row in b]
-        return QQ(sum(map(mul, xv, by)), dxy * dxy * db)
-
     def __eq__(self, other):
         return isinstance(other, SymForm) and self.matrix == other.matrix
 

@@ -320,3 +320,16 @@ class TestUsage:
         code, out, err = run(capsys, "verify", "--count", "1", "--json")
         assert (code, out) == (2, "")
         assert "FNOVIKOV_SEED" in err and "set_int_max_str_digits" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--variant", "1", "--dim", "2", "--json"],
+        ["scramble", "--input", None, "--json"],
+        ["check", "--input", None, "--seed", "5"],
+        ["classify", "--input", None, "--seed", "5"],
+    ], ids=["gen-json", "scramble-json", "check-seed", "classify-seed"])
+    def test_unread_flag_is_usage_error(self, capsys, family2_file, argv):
+        # a subcommand takes only the flags it reads: gen and scramble
+        # write no report, check and classify draw no random point
+        code, out, err = run(capsys, *[family2_file if a is None else a for a in argv])
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments" in err

@@ -15,6 +15,8 @@ from fnovikov import exactlin
 from fnovikov.exactlin import int_congruence, rref, rref_kernel
 from fnovikov.scalars import QQ, ONE
 
+from test_integer_kernel import from_sympy, to_sympy
+
 
 def kernel_basis(M):
     """Basis of the right kernel of M, as rational vectors: rref_kernel
@@ -31,6 +33,12 @@ def congruent_diagonalize(S):
     d, p, s = int_congruence(rows, [[int(i == j) for i in range(n)] for j in range(n)])
     P = Mat([[QQ(v[r], si) for v, si in zip(p, s)] for r in range(n)])
     return P, Mat.diagonal([QQ(di, den * si) for di, si in zip(d, s)])
+
+
+def congruent(P, S):
+    """P^T S P, computed by sympy."""
+    P = to_sympy(P.data)
+    return P.T * to_sympy(S.data) * P
 
 
 def matvec(M, v):
@@ -110,7 +118,7 @@ class TestCongruence:
     def test_hyperbolic_plane(self):
         S = Mat([[0, 1], [1, 0]])
         P, D = congruent_diagonalize(S)
-        assert P.transpose() * S * P == D
+        assert congruent(P, S) == to_sympy(D.data)
         diag = [D.data[i][i] for i in range(2)]
         assert sum(1 for d in diag if d > 0) == 1
         assert sum(1 for d in diag if d < 0) == 1
@@ -128,7 +136,7 @@ class TestCongruence:
             S = symmetrize(M)
             P, D = congruent_diagonalize(S)
             assert rank(P) == n
-            assert P.transpose() * S * P == D
+            assert congruent(P, S) == to_sympy(D.data)
             assert all(
                 D.data[i][j] == 0 for i in range(n) for j in range(n) if i != j
             )
@@ -165,7 +173,7 @@ class TestSignature:
                 Q = rand_mat(rnd, n, n, -3, 3)
                 if rank(Q) < n:
                     continue
-                assert signature(Q.transpose() * S * Q) == sig
+                assert signature(from_sympy(congruent(Q, S))) == sig
                 done += 1
 
 

@@ -24,6 +24,9 @@ from fnovikov import (
 from fnovikov import canon, exactlin
 from fnovikov.scalars import QQ
 
+from test_exactlin import congruent
+from test_integer_kernel import ref_right_op
+
 
 HYP2 = SymForm(Mat([[0, 1], [1, 0]]))
 
@@ -240,9 +243,7 @@ class TestIsotropyBounds:
         B = normalize_orientation(find_nondegenerate(invariant_form_space(A), seed=3))
         _, p, _ = B.signature()
         for j in range(A.dim):
-            R = A.right_op(basis_element(A.dim, j))
-            image = [list(col) for col in zip(*R.data)]
-            for u in image:
-                for v in image:
-                    assert B.pair(u, v) == 0
+            R = Mat(ref_right_op(A, basis_element(A.dim, j)))
+            # <u, v> = 0 for every pair of columns of R
+            assert congruent(R, B.matrix).is_zero_matrix
             assert rank(R) <= p

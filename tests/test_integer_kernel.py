@@ -127,6 +127,17 @@ def ref_is_invariant(A, B):
     return True
 
 
+def to_sympy(rows):
+    """The sympy matrix of nonempty rational rows, the oracle for products
+    of rational matrices."""
+    sympy = pytest.importorskip("sympy")
+    return sympy.Matrix([[sympy.Rational(str(x)) for x in row] for row in rows])
+
+
+def from_sympy(S):
+    return Mat([[QQ(str(x)) for x in row] for row in S.tolist()])
+
+
 def rand_q(rnd):
     if rnd.random() < 0.3:
         return QQ(0)
@@ -185,42 +196,7 @@ def algebra_cases():
 
 
 # ---------------------------------------------------------------------------
-# products and right multiplications
-
-
-def test_mat_mul_matches_sympy():
-    sympy = pytest.importorskip("sympy")
-
-    def to_sympy(M):
-        return sympy.Matrix(M.rows, M.cols, [sympy.Rational(str(x)) for row in M.data for x in row])
-
-    rnd = random.Random(11)
-    shapes = [(0, 0, 0), (0, 3, 2), (2, 0, 3), (3, 2, 0), (1, 1, 1)]
-    shapes += [(rnd.randint(1, 6), rnd.randint(1, 6), rnd.randint(1, 6)) for _ in range(60)]
-    for r, k, c in shapes:
-        X, Y = rand_mat(rnd, r, k), rand_mat(rnd, k, c)
-        if r == 0 or k == 0:
-            X = Mat([[0] * k for _ in range(r)], k)
-        if k == 0 or c == 0:
-            Y = Mat([[0] * c for _ in range(k)], c)
-        got = X * Y
-        assert (got.rows, got.cols) == (r, c)
-        expected = to_sympy(X) * to_sympy(Y)
-        assert [[sympy.Rational(str(x)) for x in row] for row in got.data] == [
-            [expected[i, j] for j in range(c)] for i in range(r)
-        ]
-        assert all(isinstance(x, QQ) for row in got.data for x in row)
-
-
-def test_right_op_matches_reference():
-    rnd = random.Random(12)
-    for A in algebra_cases():
-        for _ in range(3):
-            x = [rand_q(rnd) for _ in range(A.dim)]
-            R = A.right_op(x)
-            assert R.data == ref_right_op(A, x)
-            assert all(isinstance(v, QQ) for row in R.data for v in row)
-    assert Algebra.zero(0).right_op([]).data == []
+# the integer tensor
 
 
 def test_int_tensor_is_cached_scale_to_int():
@@ -626,7 +602,7 @@ def test_is_invariant_matches_reference():
     assert is_invariant(Algebra.zero(0), SymForm(Mat.zeros(0, 0)))
     for _, A, B in generate_corpus(7, 12):
         sym = rand_sym_form(rnd, A.dim)
-        scaled = SymForm(B.matrix.scale(QQ(1, 3)))
+        scaled = SymForm(Mat([[x / 3 for x in row] for row in B.matrix.data]))
         for form in (B, scaled, sym):
             got = is_invariant(A, form)
             assert got == ref_is_invariant(A, form)
@@ -770,13 +746,13 @@ def test_rank_det_inverse_kernel_match_sympy():
         assert rank(M) == S.rank()
         ker = rref_kernel(*rref(M.scaled()[0], c), c)
         assert len(ker) == c - S.rank()
-        assert all((M * Mat([[QQ(x, d)] for x in v])).is_zero() for v, d in ker)
+        assert all((S * to_sympy([[QQ(x, d)] for x in v])).is_zero_matrix for v, d in ker)
         if r == c:
             # transport_basis reduces M's columns, and fails exactly when
             # M is singular; through zero tensors only the form moves
             if S.det() != 0:
                 _, newB = transport_basis(Algebra.zero(r), SymForm(Mat.identity(r)), M)
-                assert newB.matrix == M.transpose() * M
+                assert to_sympy(newB.matrix.data) == S.T * S
             else:
                 with pytest.raises(ValueError):
                     transport_basis(Algebra.zero(r), None, M)
@@ -810,7 +786,7 @@ def test_certificate_path_rank(A, monkeypatch):
     x0, k = max_rank_element(A, seed=2)
     assert calls == []  # certified: rank R_{x0} reached dim AA
     assert k == A.derived_dim() == generic_rank(ref_right_pencil(A)) == generic_rank(A.right_pencil())
-    assert rank(A.right_op(x0)) == k
+    assert rank(Mat(ref_right_op(A, x0))) == k
 
 
 def test_fallback_path_rank(monkeypatch):
@@ -821,7 +797,7 @@ def test_fallback_path_rank(monkeypatch):
         assert A.derived_dim() == 3 and k == 2
         assert calls == [A.dim]  # the symbolic rank, computed once
         assert k == generic_rank(ref_right_pencil(A)) == generic_rank(A.right_pencil())
-        assert rank(A.right_op(x0)) == k
+        assert rank(Mat(ref_right_op(A, x0))) == k
 
 
 def test_nondegenerate_form_certified_or_computed_once(monkeypatch):
