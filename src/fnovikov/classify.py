@@ -109,9 +109,12 @@ def k2_condition(A: Algebra) -> bool:
     """Left multiplications of e1 and e3 commute.  On make_k2 outputs this
     is equivalent to the full identity checks.  L1 L3 e_j = L3 L1 e_j
     reads sum_t c[0][t][m] c[2][j][t] = sum_t c[2][t][m] c[0][j][t] for
-    every m; both sides are quadratic in c, so int_tensor() decides it."""
-    C, _ = A.int_tensor()
+    every m; both sides are quadratic in c, so int_tensor() decides it.
+    Raises DimensionMismatchError below dimension 3, which has no e3."""
     n = A.dim
+    if n < 3:
+        raise DimensionMismatchError(f"k2_condition needs e1 and e3, so dimension >= 3, not {n}")
+    C, _ = A.int_tensor()
     return all(
         sum(C[0][t][m] * C[2][j][t] - C[2][t][m] * C[0][j][t] for t in range(n)) == 0
         for j in range(n) for m in range(n)

@@ -121,6 +121,21 @@ class Mat:
         return m
 
     @classmethod
+    def from_ints(cls, rows, den):
+        """The matrix rows / den, for integer rows and den > 0, with its
+        scaled() pair set.  The gcd of den and the entries is divided out,
+        so den is then the lcm of the entries' lowest-terms denominators
+        and the pair is the one scale_to_int(data) gives.  The rows may be
+        kept as they came: never mutate them."""
+        g = gcd(*itertools.chain.from_iterable(rows), den)
+        if g != 1:
+            rows = [[x // g for x in row] for row in rows]
+            den //= g
+        m = cls._raw([[QQ(x, den) if x else ZERO for x in row] for row in rows])
+        m._scaled = rows, den
+        return m
+
+    @classmethod
     def zeros(cls, rows, cols):
         return cls._raw([[ZERO] * cols for _ in range(rows)], cols)
 
@@ -139,7 +154,8 @@ class Mat:
         )
 
     def scaled(self):
-        """scale_to_int(self.data), computed once per matrix."""
+        """scale_to_int(self.data), computed once per matrix, or set by
+        from_ints."""
         if self._scaled is None:
             self._scaled = scale_to_int(self.data)
         return self._scaled

@@ -7,9 +7,9 @@ it, i.e. R^T B = B R for each basis right-multiplication matrix R.
 from __future__ import annotations
 
 import itertools
+from math import lcm
 from operator import mul
 
-from .scalars import QQ, ZERO
 from .exactlin import (
     Mat,
     Pencil,
@@ -17,7 +17,6 @@ from .exactlin import (
     int_rank,
     rref,
     rref_kernel,
-    scale_to_int,
     signature,
 )
 from .algebra import Algebra, DimensionMismatchError
@@ -96,7 +95,8 @@ def is_invariant(A: Algebra, B: SymForm) -> bool:
 
 def invariant_form_space(A: Algebra):
     """Basis of the space of symmetric matrices B with R^T B = B R for all
-    basis right multiplications R.  Returned as a list of symmetric Mat.
+    basis right multiplications R.  Returned as a list of symmetric Mat,
+    each built from integers over its own denominator (Mat.from_ints).
 
     Unknowns are the upper-triangle coordinates b_{uv} (u <= v) in
     row-major order; equations are assembled row-major over (j, r, s) from
@@ -104,11 +104,22 @@ def invariant_form_space(A: Algebra):
     antisymmetric when B is symmetric, so entry (s, r) is the negated
     equation of entry (r, s) and the diagonal entries vanish.
 
-    The n^2 (n - 1) / 2 equations are streamed into rref, which reduces
-    each against the rows kept so far, so at most n (n + 1) / 2 rows are
-    ever stored.  The basis is read from the reduced form (rref_kernel),
-    which is unique for the row space: it does not depend on the rows'
-    scale or order.
+    The equations are linear in R_j, so only the j whose R_j is
+    independent of the earlier ones are kept: j is kept when its pivot
+    rows in A.right_pencil().mats raise the rank of those of the earlier
+    j, which one rref reads as its pivot columns.  AA projects injectively
+    onto the pivots, so this is independence of the R_j themselves, and
+    every other R_j is a combination of the kept ones: the row space, and
+    so the basis, is the same.  The equations are read from the structure
+    constants of the kept j as they are, never from reduced combinations,
+    whose entries grow large.  With AA = 0 no j is kept and every
+    symmetric B is invariant.
+
+    The rho n (n - 1) / 2 equations, rho = rank of the R_j, are streamed
+    into rref, which reduces each against the rows kept so far, so at
+    most n (n + 1) / 2 rows are ever stored.  The basis is read from the
+    reduced form (rref_kernel), which is unique for the row space: it
+    does not depend on the rows' scale or order.
     """
     n = A.dim
     C, _ = A.int_tensor()
@@ -117,8 +128,12 @@ def invariant_form_space(A: Algebra):
     index = {uv: t for t, uv in enumerate(unknowns)}
     uidx = [[index[(r, s) if r <= s else (s, r)] for s in range(n)] for r in range(n)]
 
+    # column j of this k n x n matrix is R_j's pivot rows, flattened: its
+    # pivot columns are the j whose R_j is independent of the earlier ones
+    _, kept = rref(zip(*map(itertools.chain.from_iterable, A.right_pencil().mats)), n)
+
     def equations():
-        for j in range(n):
+        for j in kept:
             for r in range(n):
                 crj, ur = C[r][j], uidx[r]
                 for s in range(r + 1, n):
@@ -134,11 +149,10 @@ def invariant_form_space(A: Algebra):
 
     out = []
     for vec, den in rref_kernel(*rref(equations(), m), m):
-        data = [[ZERO] * n for _ in range(n)]
+        rows = [[0] * n for _ in range(n)]
         for (u, v), x in zip(unknowns, vec):
-            if x:
-                data[u][v] = data[v][u] = QQ(x, den)
-        out.append(Mat._raw(data, n))
+            rows[u][v] = rows[v][u] = x
+        out.append(Mat.from_ints(rows, den))
     return out
 
 
@@ -169,9 +183,10 @@ def find_nondegenerate(space, seed):
     the same combination as trying them all.  The member ranks are the
     support-1 pass: rank(M_t) == n makes +M_t the first hit.
 
-    The search runs on the members scaled to integers over one common
-    denominator, which no determinant test depends on; only the returned
-    combination is converted back.
+    The search runs on the members' integer scaled() pairs, put over the
+    lcm of their denominators, which no determinant test depends on: the
+    members of invariant_form_space carry their pairs, so no rational is
+    read.  Only the returned combination is converted back.
     """
     d = len(space)
     if d == 0:
@@ -179,10 +194,12 @@ def find_nondegenerate(space, seed):
     n = space[0].rows
     if n == 0:
         return SymForm(Mat.zeros(0, 0))
-    flat, den = scale_to_int([row for M in space for row in M.data])
-    if int_rank(flat, n) < n:
+    pairs = [M.scaled() for M in space]
+    den = lcm(*[e for _, e in pairs])
+    mats = [rows if e == den else [[x * (den // e) for x in row] for row in rows]
+            for rows, e in pairs]
+    if int_rank([row for M in mats for row in M], n) < n:
         return None
-    mats = [flat[t * n:(t + 1) * n] for t in range(d)]
     pencil = Pencil(mats, n, n)
     point, r = find_generic_point(pencil, seed)
     if r < n:
@@ -212,7 +229,7 @@ def find_nondegenerate(space, seed):
 
 def _form(rows, den):
     """The SymForm of the integer matrix rows / den."""
-    return SymForm(Mat._raw([[QQ(v, den) if v else ZERO for v in row] for row in rows], len(rows)))
+    return SymForm(Mat.from_ints(rows, den))
 
 
 def normalize_orientation(B: SymForm) -> SymForm:

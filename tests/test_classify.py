@@ -146,6 +146,12 @@ class TestK2Condition:
             assert check_fermionic(A)
             assert k2_condition(A) == check_left_symmetric(A)
 
+    def test_refuses_dim_below_three(self):
+        # the condition reads e1 and e3: a named error, not an IndexError
+        with pytest.raises(DimensionMismatchError, match="e1 and e3"):
+            k2_condition(Algebra.zero(2))
+        assert k2_condition(Algebra.zero(3))
+
 
 class TestScramble:
     def test_identity_transport_is_noop(self):

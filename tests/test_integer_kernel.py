@@ -522,6 +522,18 @@ def planes_sum(m):
     return Algebra.from_products(2 * m, [(2 * b, 2 * b, 2 * b + 1, 1) for b in range(m)])
 
 
+def direct_sum(A, N):
+    """A + N: A's products on the first A.dim coordinates, N's on the rest,
+    and every product across the two blocks zero."""
+    a = A.dim
+
+    def products(X, shift):
+        return [(shift + i, shift + j, shift + m, x) for i, row in enumerate(X.c)
+                for j, vec in enumerate(row) for m, x in enumerate(vec) if x]
+
+    return Algebra.from_products(a + N.dim, products(A, 0) + products(N, a))
+
+
 def test_direct_sum_with_half_dimensional_derived_algebra():
     # dim 8, k = 4 = n/2, scrambled so that the four pivots of AA carry
     # different scales; the pipeline, transport and invariance test on it
@@ -1230,7 +1242,11 @@ def form_cases():
     cases += k2_instances(33, 2)
     cases += witnesses(4)
     cases.append(planes_sum(4))  # k = 4
-    return cases + [scramble(A, None, 40 + i)[0] for i, A in enumerate(cases)]
+    # W + N, a witness plus a family algebra, at dims 6-8: R_j dependent
+    # but nonzero, and only scrambled
+    sums = [direct_sum(W, N) for W, N in
+            zip(witnesses(3), (make_family(1, 2), make_family(2, 3), make_family(3, 4)))]
+    return cases + [scramble(A, None, 40 + i)[0] for i, A in enumerate(cases + sums)]
 
 
 def test_invariant_form_space_matches_reference():
@@ -1251,17 +1267,66 @@ def test_invariant_form_space_matches_reference():
 
 
 def test_form_space_memory_is_bounded():
-    # the n^2 (n - 1) / 2 = 1920 dense equations are reduced as they are
-    # built, so at most n (n + 1) / 2 = 136 rows are stored at once
-    A, _, _ = scramble(make_family(2, 16), None, 3)
-    tracemalloc.start()
-    try:
-        space = invariant_form_space(A)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(space) > 0
-    assert peak < 2 * 2**20
+    # the rho n (n - 1) / 2 dense equations, rho = rank of the R_j, are
+    # reduced as they are built, so at most n (n + 1) / 2 = 136 rows are
+    # stored at once; 120 equations stream for scrambled family 2
+    # (rho = 1), so the scrambled sum of eight planes (rho = 8, 960
+    # equations) is the case that needs the streaming
+    for A in (make_family(2, 16), planes_sum(8)):
+        A, _, _ = scramble(A, None, 3)
+        tracemalloc.start()
+        try:
+            space = invariant_form_space(A)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(space) > 0
+        assert peak < 2 * 2**20
+
+
+def test_form_equations_from_independent_right_multiplications(monkeypatch):
+    # the equations are linear in R_j, so only the R_j independent of the
+    # earlier ones give equations: rho n (n - 1) / 2 rows, rho = rank of
+    # the R_j, streamed into rref's last call
+    sympy = pytest.importorskip("sympy")
+    streamed = []
+    real = forms.rref
+
+    def counted(rows, cols):
+        rows = list(rows)
+        streamed.append(len(rows))
+        return real(rows, cols)
+
+    monkeypatch.setattr(forms, "rref", counted)
+    cases = [
+        (scramble(witnesses(1)[0], None, 1)[0], 2),
+        (scramble(make_family(2, 8), None, 3)[0], 1),
+        (planes_sum(4), 4),
+        (scramble(planes_sum(4), None, 3)[0], 4),
+        (Algebra.zero(4), 0),
+    ]
+    for A, rho in cases:
+        n = A.dim
+        flat = [[x for row in M for x in row] for M in ref_right_pencil(A).mats]
+        assert sympy.Matrix(flat).rank() == rho
+        streamed.clear()
+        assert [M.data for M in invariant_form_space(A)] == ref_form_space(A)[0]
+        assert streamed[-1] == rho * n * (n - 1) // 2
+
+
+def test_form_members_carry_their_scaled_pairs():
+    for A in form_cases():
+        for M in invariant_form_space(A):
+            assert M.scaled() == scale_to_int(M.data)
+    for rows, den, data in (
+        ([[2, -4], [6, 8]], 4, [["1/2", -1], ["3/2", 2]]),  # a factor 2 shared with den
+        ([[6, 0], [0, 3]], 9, [["2/3", 0], [0, "1/3"]]),
+        ([[0, 0], [0, 0]], 5, [[0, 0], [0, 0]]),
+        ([[1, -2], [3, 0]], 1, [[1, -2], [3, 0]]),
+    ):
+        M = Mat.from_ints(rows, den)
+        assert M == Mat(data)
+        assert M.scaled() == scale_to_int(M.data)
 
 
 def ref_det(rows):
