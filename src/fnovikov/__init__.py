@@ -61,6 +61,7 @@ from .fileio import (
     AlgebraFileSyntaxError,
     IndexRangeError,
     NonSymmetricFormError,
+    ScaledSizeError,
     ZeroDenominatorError,
     parse,
     serialize,

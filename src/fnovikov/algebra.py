@@ -1,15 +1,15 @@
 """Structure-constant algebras and the defining identity checkers.
 
-An algebra of dimension n is a rank-3 tensor c with e_i e_j = sum_m
-c[i][j][m] e_m.  Elements are plain length-n lists of exact rationals.
-All identity checks run over basis triples, which suffices by
-trilinearity.
+An algebra of dimension n is held as one integer tensor C over one
+denominator den: e_i e_j = sum_m (C[i][j][m] / den) e_m.  Elements are
+plain length-n lists of exact rationals.  All identity checks run over
+basis triples, which suffices by trilinearity.
 """
 
 from __future__ import annotations
 
 import itertools
-from math import lcm
+from math import gcd, lcm
 from operator import add, mul, sub
 
 from .scalars import QQ, ZERO, ONE
@@ -34,54 +34,70 @@ def zero_element(dim):
 class Algebra:
     """Finite-dimensional algebra given by its structure constants.
 
-    Immutable once read: code that builds an algebra writes c right after
-    the constructor or Algebra.zero, before any method reads it.  The
-    integer tensor, the reduced basis of the derived algebra, the right
-    pencil (the one integer table of the R_x) and the verdicts of the
-    three defining identities are computed on first use and cached, so a
-    later write to c would leave them stale.
+    Its one state is int_tensor(), the pair (C, den), set by the
+    constructors and never changed: den is the lcm of the constants'
+    lowest-terms denominators.  The reduced basis of the derived algebra,
+    the right pencil (the one integer table of the R_x) and the verdicts
+    of the three defining identities are computed from it on first use
+    and cached.
     """
 
-    __slots__ = ("dim", "c", "_int_tensor", "_derived_basis", "_right_pencil", "_identities")
+    __slots__ = ("dim", "_tensor", "_derived_basis", "_right_pencil", "_identities")
 
     def __init__(self, dim, c):
-        self.dim = dim
-        self._int_tensor = self._derived_basis = self._right_pencil = self._identities = None
-        self.c = [
-            [[QQ(x) for x in vec] for vec in row] for row in c
-        ]
-        if len(self.c) != dim or any(
+        c = [[[QQ(x) for x in vec] for vec in row] for row in c]
+        if len(c) != dim or any(
             len(row) != dim or any(len(vec) != dim for vec in row)
-            for row in self.c
+            for row in c
         ):
             raise ValueError("structure tensor must be dim x dim x dim")
+        flat, den = scale_to_int([vec for row in c for vec in row])
+        self.dim, self._tensor = dim, ([flat[i * dim:(i + 1) * dim] for i in range(dim)], den)
+        self._derived_basis = self._right_pencil = self._identities = None
+
+    @classmethod
+    def from_ints(cls, C, den):
+        """The algebra with structure constants C[i][j][m] / den, for ints
+        and den > 0, with the gcd of den and the entries divided out.  C
+        may be kept as it came: never mutate it."""
+        g = gcd(den, *(x for row in C for vec in row for x in vec))
+        if g != 1:
+            C = [[[x // g for x in vec] for vec in row] for row in C]
+        return cls._reduced(C, den // g)
+
+    @classmethod
+    def _reduced(cls, C, den):
+        """from_ints for a den known to be that lcm: no gcd is taken."""
+        a = object.__new__(cls)
+        a.dim, a._tensor = len(C), (C, den)
+        a._derived_basis = a._right_pencil = a._identities = None
+        return a
 
     @classmethod
     def zero(cls, dim):
-        a = object.__new__(cls)
-        a.dim = dim
-        a._int_tensor = a._derived_basis = a._right_pencil = a._identities = None
-        a.c = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
-        return a
+        return cls._reduced([[[0] * dim for _ in range(dim)] for _ in range(dim)], 1)
 
     @classmethod
     def from_products(cls, dim, products):
         """Build from sparse products: iterable of (i, j, m, coeff), 0-based."""
-        a = cls.zero(dim)
-        for i, j, m, coeff in products:
-            a.c[i][j][m] = QQ(coeff)
-        return a
+        products = [(i, j, m, QQ(x)) for i, j, m, x in products]
+        den = lcm(*[x.denominator for *_, x in products])
+        C = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
+        for i, j, m, x in products:
+            C[i][j][m] = x.numerator * (den // x.denominator)
+        return cls.from_ints(C, den)
 
     def __eq__(self, other):
-        return isinstance(other, Algebra) and self.dim == other.dim and self.c == other.c
+        return isinstance(other, Algebra) and self.dim == other.dim and self._tensor == other._tensor
 
     def __repr__(self):
+        C, den = self._tensor
         nz = [
-            (i, j, m, str(v))
-            for i, row in enumerate(self.c)
+            (i, j, m, str(QQ(x, den)))
+            for i, row in enumerate(C)
             for j, vec in enumerate(row)
-            for m, v in enumerate(vec)
-            if v
+            for m, x in enumerate(vec)
+            if x
         ]
         return f"Algebra(dim={self.dim}, nonzero={nz!r})"
 
@@ -90,32 +106,26 @@ class Algebra:
         n = self.dim
         if len(x) != n or len(y) != n:
             raise DimensionMismatchError("element dimension mismatch")
+        C, den = self._tensor
         out = [ZERO] * n
-        for i, xi in enumerate(x):
+        for xi, ci in zip(x, C):
             if not xi:
                 continue
-            ci = self.c[i]
-            for j, yj in enumerate(y):
+            for yj, cij in zip(y, ci):
                 if not yj:
                     continue
-                f = xi * yj
-                cij = ci[j]
-                for m in range(n):
-                    if cij[m]:
-                        out[m] += f * cij[m]
+                f = QQ(xi * yj, den)
+                for m, v in enumerate(cij):
+                    if v:
+                        out[m] += f * v
         return out
 
     def int_tensor(self):
         """(C, den): C is the structure constants times den, the lcm of
-        their denominators, as a nested list of ints indexed like c.
-
-        Computed once per instance; every caller shares the lists, which
-        must not be mutated."""
-        if self._int_tensor is None:
-            n = self.dim
-            flat, den = scale_to_int([vec for row in self.c for vec in row])
-            self._int_tensor = [flat[i * n:(i + 1) * n] for i in range(n)], den
-        return self._int_tensor
+        their lowest-terms denominators, as a nested list of ints indexed
+        C[i][j][m].  Every caller shares the lists, which must not be
+        mutated."""
+        return self._tensor
 
     def derived_basis(self):
         """(pivots, F, L): the integer reduced row echelon form of the n^2
@@ -259,21 +269,20 @@ def commutator_check(A: Algebra) -> bool:
     Must hold whenever A is left-symmetric; exposed as a cross-check.
     """
     n = A.dim
+    C, den = A.int_tensor()
     # multiplication in the algebra of the bracket's structure constants
-    brk = Algebra(n, [[list(map(sub, A.c[i][j], A.c[j][i])) for j in range(n)]
-                      for i in range(n)]).multiply
+    brk = Algebra.from_ints([[list(map(sub, C[i][j], C[j][i])) for j in range(n)]
+                             for i in range(n)], den).multiply
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                ei, ej, ek = (basis_element(n, t) for t in (i, j, k))
-                total = brk(brk(ei, ej), ek)
-                for m, v in enumerate(brk(brk(ej, ek), ei)):
-                    total[m] += v
-                for m, v in enumerate(brk(brk(ek, ei), ej)):
-                    total[m] += v
-                if any(total):
-                    return False
+    for i, j, k in itertools.combinations(range(n), 3):
+        ei, ej, ek = (basis_element(n, t) for t in (i, j, k))
+        total = brk(brk(ei, ej), ek)
+        for m, v in enumerate(brk(brk(ej, ek), ei)):
+            total[m] += v
+        for m, v in enumerate(brk(brk(ek, ei), ej)):
+            total[m] += v
+        if any(total):
+            return False
     return True
 
 
@@ -322,22 +331,20 @@ def search_fermionic_not_novikov():
             continue
         fermionic, novikov = _product_identities(C, _WEDGE_ROWS, right)
         if fermionic and not novikov:
-            yield Algebra(4, C)
+            yield Algebra.from_ints(C, 1)
 
 
 def search_breaking_mutation(A: Algebra):
     """First single-entry mutation of the structure tensor, to -1, 1 or 2,
     that breaks one of the defining identities; returns (i, j, m, value,
     mutated) or None."""
-    n = A.dim
-    for i in range(n):
-        for j in range(n):
-            for m in range(n):
-                for v in (-1, 1, 2):
-                    if A.c[i][j][m] == v:
-                        continue
-                    mutated = Algebra(n, A.c)
-                    mutated.c[i][j][m] = QQ(v)
-                    if not all(mutated.identities()):
-                        return i, j, m, QQ(v), mutated
+    C, den = A.int_tensor()
+    for i, j, m in itertools.product(range(A.dim), repeat=3):
+        for v in (-1, 1, 2):
+            if C[i][j][m] != v * den:
+                T = [[vec[:] for vec in row] for row in C]
+                T[i][j][m] = v * den
+                mutated = Algebra.from_ints(T, den)
+                if not all(mutated.identities()):
+                    return i, j, m, QQ(v), mutated
     return None

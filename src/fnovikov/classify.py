@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import lcm
 from operator import mul
 
-from .scalars import QQ, ZERO, ONE
+from .scalars import QQ, ZERO
 from .exactlin import Mat, int_rank, rref, scale_columns
 from .algebra import (
     Algebra,
@@ -40,21 +40,12 @@ def make_family(variant: int, n: int) -> Algebra:
         raise ValueError(f"unknown family variant {variant}")
     if n < minimum[variant]:
         raise ValueError(f"variant {variant} needs dimension >= {minimum[variant]}")
-    A = Algebra.zero(n)
-    if variant == 1:
-        A.c[0][0][1] = ONE
-    elif variant == 2:
-        A.c[0][1][1] = ONE
-    elif variant == 3:
-        A.c[0][2][1] = ONE
-    return A
+    return Algebra.from_products(n, [(0, variant - 1, 1, 1)] if variant else [])
 
 
 def _is_commutative(A: Algebra) -> bool:
-    n = A.dim
-    return all(
-        A.c[i][j] == A.c[j][i] for i in range(n) for j in range(i + 1, n)
-    )
+    C, _ = A.int_tensor()
+    return C == [list(col) for col in zip(*C)]
 
 
 def classify_k1(A: Algebra) -> int:
@@ -66,9 +57,9 @@ def classify_k1(A: Algebra) -> int:
         raise ValueError("derived subspace must be one-dimensional")
     if _is_commutative(A):
         return 1
-    # any nonzero product spans the derived line
+    # the one row of the reduced basis spans the derived line
     n = A.dim
-    v = next(A.c[i][j] for i in range(n) for j in range(n) if any(A.c[i][j]))
+    v = A.derived_basis()[1][0]
     for i in range(n):
         if any(A.multiply(basis_element(n, i), v)):
             return 2
@@ -96,13 +87,9 @@ class K2Params:
 
 
 def make_k2(params: K2Params) -> Algebra:
-    A = Algebra.zero(params.n)
-    for i in range(params.n):
-        A.c[0][i][1] = params.lam[i]
-        A.c[0][i][3] = params.mu[i]
-        A.c[2][i][1] = params.mu[i]
-        A.c[2][i][3] = params.gam[i]
-    return A
+    return Algebra.from_products(params.n, [
+        t for i, (l, u, g) in enumerate(zip(params.lam, params.mu, params.gam))
+        for t in ((0, i, 1, l), (0, i, 3, u), (2, i, 1, u), (2, i, 3, g))])
 
 
 def k2_condition(A: Algebra) -> bool:
@@ -140,14 +127,16 @@ def transport_basis(A: Algebra, B, P: Mat):
     columns of the invertible matrix P; raises ValueError when P is
     singular.  Each column of P is scaled to integers over its own
     denominator, and transport_columns rewrites A and B in that basis on
-    integers, divided here by their scales."""
+    integers; the products are put here over the lcm of their scales."""
     if (P.rows, P.cols) != (A.dim, A.dim):
         raise DimensionMismatchError("basis change dimension mismatch")
     n = A.dim
     prods, form = transport_columns(A, B, scale_columns(P))
-    new = Algebra.zero(n)
+    den = lcm(*[t for _, t in prods.values()])
+    C = [[[0] * n for _ in range(n)] for _ in range(n)]
     for (i, j), (v, t) in prods.items():
-        new.c[i][j] = [QQ(x, t) if x else ZERO for x in v]
+        C[i][j] = v if t == den else [x * (den // t) for x in v]
+    new = Algebra.from_ints(C, den)
     if form is None:
         return new, None
     return new, SymForm(Mat._raw([[QQ(x, t) if x else ZERO for x, t in row] for row in form], n))

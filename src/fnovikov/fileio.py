@@ -13,6 +13,10 @@ Indices i, j, m are 1-based.  Rationals are written "p" or "p/q" with a
 positive denominator; anything else (floats in particular) is rejected.
 Only nonzero structure constants need to be listed, each (i, j) at most
 once and each m at most once within its entry.  dim is at most MAX_DIM.
+The structure constants are held over their common denominator, the lcm
+of their lowest-terms denominators, and so are the form's entries: a file
+is refused when the nonzero entries of either, times the bit length of
+that lcm, exceed MAX_SCALED_BITS.
 JSON nested deeper than the decoder's recursion limit, and a number with
 more digits than Python's integer conversion limit, are syntax errors.
 """
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 import json
 import re
+from math import gcd, lcm
 
 from .scalars import QQ, rational_str
 from .exactlin import Mat
@@ -53,10 +58,21 @@ class ZeroDenominatorError(AlgebraFileError):
     pass
 
 
+class ScaledSizeError(AlgebraFileError):
+    """The entries over their common denominator would be too large."""
+
+
 # The largest dim a file may declare.  The structure tensor is stored
 # densely (dim**3 entries) and the checks cost about k * dim**4 operations,
 # k = dim AA <= dim, so the cap is checked before anything is allocated.
 MAX_DIM = 64
+
+# The most bits that the nonzero structure constants, or the form's
+# entries, may take over their common denominator: their count times the
+# lcm's bit length.  Entries whose denominators are pairwise coprime make
+# that lcm grow with their count, and the scaled tensor with it, about as
+# n^6.  The generated files up to MAX_DIM stay below 2**26.
+MAX_SCALED_BITS = 2**28
 
 # ASCII digits only, and the whole string: \d would admit other scripts'
 # digits, which int() reads, and $ a trailing newline.
@@ -67,6 +83,7 @@ _TOO_LONG = "number has more digits than the integer conversion limit"
 
 
 def parse_rational(s):
+    """(num, den) of the rational string s, in lowest terms."""
     if not isinstance(s, str) or not _RATIONAL_RE.fullmatch(s):
         raise AlgebraFileSyntaxError(f"malformed rational {s!r}")
     num, _, den = s.partition("/")
@@ -76,7 +93,22 @@ def parse_rational(s):
         raise AlgebraFileSyntaxError(_TOO_LONG) from None
     if den == 0:
         raise ZeroDenominatorError(f"zero denominator in {s!r}")
-    return QQ(num, den)
+    g = gcd(num, den)
+    return num // g, den // g
+
+
+def _common_denominator(pairs, what):
+    """The lcm of the denominators of the (num, den) pairs.  Raises
+    ScaledSizeError, as soon as the lcm grows that far, when the nonzero
+    pairs times its bit length exceed MAX_SCALED_BITS."""
+    nonzero = [d for num, d in pairs if num]
+    den = 1
+    for d in set(nonzero):
+        den = lcm(den, d)
+        if len(nonzero) * den.bit_length() > MAX_SCALED_BITS:
+            raise ScaledSizeError(f"the {len(nonzero)} nonzero {what} over their common"
+                                  f" denominator exceed {MAX_SCALED_BITS} bits")
+    return den
 
 
 def parse(text):
@@ -103,7 +135,7 @@ def parse(text):
     products = doc.get("products", [])
     if not isinstance(products, list):
         raise AlgebraFileSyntaxError("products must be a list")
-    A = Algebra.zero(dim)
+    C = [[[(0, 1)] * dim for _ in range(dim)] for _ in range(dim)]
     seen = set()
     for entry in products:
         if (
@@ -127,7 +159,13 @@ def parse(text):
             if m in ms:
                 raise AlgebraFileSyntaxError(f"repeated index {m} in product entry ({i}, {j})")
             ms.add(m)
-            A.c[i - 1][j - 1][m - 1] = parse_rational(coeff)
+            C[i - 1][j - 1][m - 1] = parse_rational(coeff)
+    den = _common_denominator((p for row in C for vec in row for p in vec), "structure constants")
+    for row in C:
+        for vec in row:
+            vec[:] = [num * (den // d) for num, d in vec]
+    # every pair is in lowest terms, so den is already the lcm from_ints takes
+    A = Algebra._reduced(C, den)
     form = None
     if doc.get("form") is not None:
         rows = doc["form"]
@@ -135,8 +173,9 @@ def parse(text):
             not isinstance(r, list) or len(r) != dim for r in rows
         ):
             raise AlgebraFileSyntaxError("form must be a dim x dim matrix")
-        data = [[parse_rational(x) for x in row] for row in rows]
-        M = Mat(data, dim)
+        pairs = [[parse_rational(x) for x in row] for row in rows]
+        _common_denominator([p for row in pairs for p in row], "form entries")
+        M = Mat([[QQ(*p) for p in row] for row in pairs], dim)
         if not M.is_symmetric():
             raise NonSymmetricFormError("form matrix is not symmetric")
         form = SymForm(M)
@@ -153,14 +192,11 @@ def _check_index(i, dim):
 
 def serialize(A: Algebra, form: SymForm | None = None, metadata=None) -> str:
     """Serialize to the file format; exact round-trip with parse."""
+    C, den = A.int_tensor()
     products = []
-    for i in range(A.dim):
-        for j in range(A.dim):
-            terms = [
-                [m + 1, rational_str(v)]
-                for m, v in enumerate(A.c[i][j])
-                if v
-            ]
+    for i, row in enumerate(C):
+        for j, vec in enumerate(row):
+            terms = [[m + 1, rational_str(QQ(x, den))] for m, x in enumerate(vec) if x]
             if terms:
                 products.append([i + 1, j + 1, terms])
     doc = {"dim": A.dim, "products": products}

@@ -33,7 +33,7 @@ from fnovikov.exactlin import scale_vector
 from fnovikov.scalars import QQ, ONE
 
 from test_exactlin import congruent
-from test_integer_kernel import ref_right_op
+from test_integer_kernel import as_fractions, ref_right_op
 
 
 HYP2 = SymForm(Mat([[0, 1], [1, 0]]))
@@ -77,7 +77,7 @@ class TestRightPencil:
         # den * R_x at the pivot rows, with den the denominator of the
         # integer tensor
         A, _, _ = scramble(make_family(2, 3), None, 4)
-        assert any(x.denominator > 1 for row in A.c for vec in row for x in vec)
+        assert any(x.denominator > 1 for row in as_fractions(A) for vec in row for x in vec)
         _, den = A.int_tensor()
         assert den > 1
         for x in ([2, -1, 3], [0, 5, -7]):
@@ -240,7 +240,7 @@ class TestVerifyStructure:
         monkeypatch.setattr(canon, "transport_columns", lambda *a: transports.append(a) or real(*a))
         cases = [
             (A, B, rep),
-            (Algebra(A.dim, A.c), B, rep),
+            (Algebra(A.dim, as_fractions(A)), B, rep),
             (A, SymForm(Mat(B.matrix.data)), rep),
             (A, B, dataclasses.replace(rep, P=Mat(rep.P.data))),
         ]
@@ -323,9 +323,9 @@ class TestHighDimension:
     def test_dim24_k2_theorem_check_time(self):
         # one scrambled dim-24 k2 instance, the first k2 draw of
         # random.Random(1) with the seed-1 form and scramble: its
-        # theorem_check took 3.80, 3.92 and 4.08 s (median 3.92 s) on a
-        # 2-vCPU Xeon under Python 3.11.7; the bound is 3x that median,
-        # rounded up
+        # theorem_check took 0.208, 0.251, 0.281, 0.296 and 0.300 s
+        # (median 0.281 s) on a 2-vCPU Xeon under Python 3.11.7; the bound
+        # is 3x that median, rounded up to the second
         rnd = random.Random(1)
         while True:
             A = make_k2(random_k2(rnd, 24))
@@ -336,7 +336,7 @@ class TestHighDimension:
         assert A.derived_dim() == 2
         start = time.perf_counter()
         assert theorem_check(A, B, seed=1)
-        assert time.perf_counter() - start < 12.0
+        assert time.perf_counter() - start < 1.0
 
 
 class TestScrambleInvariance:

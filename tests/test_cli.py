@@ -1,14 +1,17 @@
 import hashlib
 import json
 import sys
+import time
 from itertools import islice
 
 import pytest
 
 from fnovikov import CanonError, GenericPointError, Mat, SymForm, make_family, parse, serialize
 from fnovikov import canon, cli
-from fnovikov.fileio import MAX_DIM
+from fnovikov.fileio import MAX_DIM, MAX_SCALED_BITS
 from fnovikov.cli import main
+
+from test_fileio import coprime_denominator_text
 
 
 def run(capsys, *argv):
@@ -285,6 +288,18 @@ class TestGenScramble:
         assert code == 0
         A, _, _ = parse(out)
         assert A == make_family(1, 2)
+
+    def test_coprime_denominators_refused(self, capsys, tmp_path):
+        # a 239 KB dim-24 file whose common denominator has 215418 bits:
+        # a usage error, before the tensor over it is built
+        path = tmp_path / "primes24.json"
+        path.write_text(coprime_denominator_text(24))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "check", "--input", str(path), "--json")
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (2, "")
+        assert err == (f"error: the 13824 nonzero structure constants over their common"
+                       f" denominator exceed {MAX_SCALED_BITS} bits\n")
 
     @pytest.mark.parametrize("dim", [MAX_DIM + 1, 10**9])
     def test_gen_dim_above_the_file_limit(self, capsys, monkeypatch, dim):

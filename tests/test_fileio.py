@@ -1,6 +1,8 @@
 import json
 import re
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -14,14 +16,39 @@ from fnovikov import (
     IndexRangeError,
     Mat,
     NonSymmetricFormError,
+    ScaledSizeError,
     SymForm,
     ZeroDenominatorError,
     is_invariant,
     make_family,
     parse,
+    scramble,
     serialize,
 )
 from fnovikov.scalars import QQ
+
+from test_integer_kernel import as_fractions
+
+
+def primes(count):
+    """The first count primes, by a sieve up to 200000 (17984 primes)."""
+    sieve = bytearray([1]) * 200000
+    sieve[:2] = b"\0\0"
+    for p in range(2, 448):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, len(sieve), p)))
+    found = [p for p, prime in enumerate(sieve) if prime]
+    assert len(found) >= count
+    return found[:count]
+
+
+def coprime_denominator_text(n):
+    """A dim-n file whose n**3 structure constants are 1/p over distinct
+    primes p: their common denominator has about 17 n**3 bits, so the
+    tensor over it takes about 17 n**6 bits."""
+    it = iter(primes(n ** 3))
+    return json.dumps({"dim": n, "products": [[i + 1, j + 1, [[m + 1, f"1/{next(it)}"] for m in range(n)]]
+                                              for i in range(n) for j in range(n)]})
 
 
 FAMILY1_TEXT = """
@@ -56,12 +83,24 @@ class TestParse:
             ' "metadata": {"name": "x"}}'
         )
         A, _, meta = parse(text)
-        assert A.c[0][1][1] == QQ(-3, 4)
+        assert as_fractions(A)[0][1][1] == QQ(-3, 4)
         assert meta == {"name": "x"}
 
     def test_bytes_accepted(self):
         A, _, _ = parse(FAMILY1_TEXT.encode())
         assert A == make_family(1, 2)
+
+    def test_scrambled_dim64_is_accepted(self):
+        # the scaled tensor of the largest generated file, a scrambled sum
+        # of 32 planes, took 55.3e6 bits; this one 38.7e6, at least 4x
+        # below the bound
+        A, _, _ = scramble(make_family(2, fileio.MAX_DIM), None, 3)
+        text = serialize(A)
+        A2, _, _ = parse(text)
+        assert A2 == A
+        C, den = A2.int_tensor()
+        nonzero = sum(1 for row in C for vec in row for x in vec if x)
+        assert 4 * nonzero * den.bit_length() <= fileio.MAX_SCALED_BITS
 
 
 class TestParseErrors:
@@ -85,7 +124,7 @@ class TestParseErrors:
                 parse(json.dumps({"dim": 2, "products": [[1, 1, [[2, bad]]]]}))
             with pytest.raises(AlgebraFileSyntaxError, match="malformed rational"):
                 parse(json.dumps({"dim": 1, "products": [], "form": [[bad]]}))
-        assert fileio.parse_rational("-12/34") == QQ(-6, 17)
+        assert fileio.parse_rational("-12/34") == (-6, 17)
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexRangeError):
@@ -127,16 +166,20 @@ class TestParseErrors:
         with pytest.raises(AlgebraFileSyntaxError, match="repeated index 2"):
             parse('{"dim": 2, "products": [[1,1,[[2,"1"],[2,"5"]]]]}')
         A, _, _ = parse('{"dim": 2, "products": [[1,1,[[1,"1"],[2,"5"]]],[2,1,[[2,"1"]]]]}')
-        assert (A.c[0][0], A.c[1][0]) == ([1, 5], [0, 1])
+        c = as_fractions(A)
+        assert (c[0][0], c[1][0]) == ([1, 5], [0, 1])
 
-    def test_dim_cap_checked_before_allocation(self, monkeypatch):
-        def no_alloc(dim):
-            raise AssertionError(f"allocated a dim-{dim} tensor")
-
-        monkeypatch.setattr(fileio.Algebra, "zero", no_alloc)
+    def test_dim_cap_checked_before_allocation(self):
+        # the dense tensor of a dim-65 file has 65**3 slots, over 2 MiB
         for dim in (fileio.MAX_DIM + 1, 10**9):
-            with pytest.raises(AlgebraFileSyntaxError, match="exceeds the limit"):
-                parse('{"dim": %d}' % dim)
+            tracemalloc.start()
+            try:
+                with pytest.raises(AlgebraFileSyntaxError, match="exceeds the limit"):
+                    parse('{"dim": %d}' % dim)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20, peak
 
     def test_deep_nesting_is_a_syntax_error(self):
         # the decoder's RecursionError used to escape as a traceback
@@ -153,6 +196,39 @@ class TestParseErrors:
             with pytest.raises(AlgebraFileSyntaxError, match="integer conversion limit"):
                 parse(text)
 
+    def test_scaled_size_is_refused_fast(self):
+        # dim 24: 13824 coprime denominators, whose lcm has 215418 bits, so
+        # 2.98e9 bits over it; the parent took 1.8 s and 400 MB to build
+        # that tensor.  The lcm is abandoned at about 1000 primes, and the
+        # refusal took 0.03 s on a 2-vCPU Xeon, Python 3.11.7
+        text = coprime_denominator_text(24)
+        start = time.perf_counter()
+        with pytest.raises(ScaledSizeError, match="13824 nonzero structure constants"):
+            parse(text)
+        assert time.perf_counter() - start < 0.5
+        assert issubclass(ScaledSizeError, AlgebraFileError)
+
+    def test_scaled_size_bound_is_exact(self, monkeypatch):
+        # the count of nonzero entries times the bit length of their lcm,
+        # for the structure constants and the form's entries apart, with
+        # each entry in lowest terms: 1/2, -1/3 and 2/8 = 1/4 over 12 (4
+        # bits) take 12 bits (over 24, 15); the form's 1/2, 1/3, 1/3, 1/5
+        # over 30 (5 bits) 20
+        text = json.dumps({"dim": 2, "products": [[1, 1, [[1, "1/2"], [2, "-1/3"]]], [2, 1, [[2, "2/8"]]]]})
+        form_text = json.dumps({"dim": 2, "products": [[1, 1, [[2, "1"]]]],
+                                "form": [["1/2", "1/3"], ["1/3", "1/5"]]})
+        monkeypatch.setattr(fileio, "MAX_SCALED_BITS", 20)
+        assert parse(form_text)[1] == SymForm(Mat([[QQ(1, 2), QQ(1, 3)], [QQ(1, 3), QQ(1, 5)]]))
+        monkeypatch.setattr(fileio, "MAX_SCALED_BITS", 19)
+        with pytest.raises(ScaledSizeError, match="the 4 nonzero form entries"):
+            parse(form_text)
+        monkeypatch.setattr(fileio, "MAX_SCALED_BITS", 12)
+        A, _, _ = parse(text)
+        assert A.int_tensor() == ([[[6, -4], [0, 0]], [[0, 3], [0, 0]]], 12)
+        monkeypatch.setattr(fileio, "MAX_SCALED_BITS", 11)
+        with pytest.raises(ScaledSizeError, match="the 3 nonzero structure constants"):
+            parse(text)
+
     def test_dim_cap_is_inclusive(self):
         A, _, _ = parse('{"dim": %d}' % fileio.MAX_DIM)
         assert A.dim == fileio.MAX_DIM
@@ -163,7 +239,7 @@ def test_readme_example_parses():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     (block,) = re.findall(r"```json\n(.*?)```", readme, re.S)
     A, form, meta = parse(block)
-    assert A.c[0][0] == [0, QQ(1, 2)]
+    assert as_fractions(A)[0][0] == [0, QQ(1, 2)]
     assert form == SymForm(Mat([[0, 1], [1, 0]]))
     assert meta == {"name": "example"}
     assert is_invariant(A, form)
@@ -191,8 +267,7 @@ class TestRoundTrip:
         assert serialize(A) == serialize(A)
 
     def test_rationals_never_floats(self):
-        A = make_family(1, 2)
-        A.c[0][0][1] = QQ(1, 3)
+        A = Algebra.from_products(2, [(0, 0, 1, QQ(1, 3))])
         text = serialize(A)
         assert "0.3" not in text
         assert '"1/3"' in text
@@ -211,12 +286,11 @@ def algebra_files(draw):
     """(A, form or None, metadata or None): dim <= 5, sparse structure
     constants and a dense symmetric form, all rational."""
     n = draw(st.integers(0, 5))
-    A = Algebra.zero(n)
+    entries = {}
     if n:
         index = st.integers(0, n - 1)
         entries = draw(st.dictionaries(st.tuples(index, index, index), rationals, max_size=12))
-        for (i, j, m), v in entries.items():
-            A.c[i][j][m] = v
+    A = Algebra.from_products(n, [(i, j, m, v) for (i, j, m), v in entries.items()])
     form = None
     if draw(st.booleans()):
         upper = {(a, b): draw(rationals) for a in range(n) for b in range(a, n)}

@@ -7,7 +7,6 @@ from fnovikov import (
     DegenerateFormError,
     Mat,
     SymForm,
-    basis_element,
     check_fermionic,
     check_left_symmetric,
     check_novikov,
@@ -25,7 +24,7 @@ from fnovikov import canon, exactlin
 from fnovikov.scalars import QQ
 
 from test_exactlin import congruent
-from test_integer_kernel import ref_right_op
+from test_integer_kernel import as_fractions, ref_right_ops
 
 
 HYP2 = SymForm(Mat([[0, 1], [1, 0]]))
@@ -42,6 +41,7 @@ def sympy_form_space_dim(A):
     import sympy
 
     n = A.dim
+    c = as_fractions(A)
     unknowns = [(u, v) for u in range(n) for v in range(u, n)]
     index = {uv: t for t, uv in enumerate(unknowns)}
     rows = []
@@ -49,7 +49,7 @@ def sympy_form_space_dim(A):
         R = sympy.zeros(n, n)
         for i in range(n):
             for m in range(n):
-                R[m, i] = sympy.Rational(str(A.c[i][j][m]))
+                R[m, i] = sympy.Rational(str(c[i][j][m]))
         for r in range(n):
             for s in range(n):
                 row = [sympy.Integer(0)] * len(unknowns)
@@ -169,10 +169,11 @@ class TestFindNondegenerate:
         for i in picks:
             W = witness_list[i]
             n = W.dim + extra
+            w = as_fractions(W)
             padded = Algebra.from_products(n, [
-                (a, b, m, W.c[a][b][m])
+                (a, b, m, w[a][b][m])
                 for a in range(W.dim) for b in range(W.dim) for m in range(W.dim)
-                if W.c[a][b][m]
+                if w[a][b][m]
             ])
             A, _, _ = scramble(padded, None, i)
             assert check_fermionic(A) and check_left_symmetric(A)
@@ -242,8 +243,8 @@ class TestIsotropyBounds:
         assert check_fermionic(A)
         B = normalize_orientation(find_nondegenerate(invariant_form_space(A), seed=3))
         _, p, _ = B.signature()
-        for j in range(A.dim):
-            R = Mat(ref_right_op(A, basis_element(A.dim, j)))
+        for R in ref_right_ops(A):
+            R = Mat(R)
             # <u, v> = 0 for every pair of columns of R
             assert congruent(R, B.matrix).is_zero_matrix
             assert rank(R) <= p

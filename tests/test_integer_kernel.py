@@ -55,7 +55,18 @@ from fnovikov.scalars import QQ
 
 
 def as_fractions(A):
-    return [[[Fraction(str(x)) for x in vec] for vec in row] for row in A.c]
+    """A's structure constants c[i][j][m] as Fractions, from int_tensor():
+    the one way the tests read them."""
+    C, den = A.int_tensor()
+    return [[[Fraction(x, den) for x in vec] for vec in row] for row in C]
+
+
+def ref_right_ops(A):
+    """R_{e_j} for each j, as Fraction matrices R[m][i] = c[i][j][m], with
+    the structure constants converted once."""
+    n = A.dim
+    c = as_fractions(A)
+    return [[[c[i][j][m] for i in range(n)] for m in range(n)] for j in range(n)]
 
 
 def ref_right_op(A, x):
@@ -204,10 +215,58 @@ def test_int_tensor_is_cached_scale_to_int():
         T = A.int_tensor()
         assert A.int_tensor() is T
         n = A.dim
-        flat, den = scale_to_int([vec for row in A.c for vec in row])
+        rows = [vec for row in as_fractions(A) for vec in row]
+        flat, den = scale_to_int(rows)
         assert T == ([flat[i * n:(i + 1) * n] for i in range(n)], den)
-        rows = [vec for row in A.c for vec in row]
         assert A.derived_dim() == (rank(Mat(rows, n)) if rows else 0)
+
+
+@st.composite
+def rational_tensors(draw):
+    """(n, c): an n x n x n tensor of Fractions, n <= 4, all zero, of
+    integers only or of rationals, with negative entries."""
+    n = draw(st.integers(0, 4))
+    entries = draw(st.sampled_from([
+        st.just(0),
+        st.integers(-9, 9),
+        st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12)),
+    ]))
+    flat = [Fraction(x) for x in draw(st.lists(entries, min_size=n ** 3, max_size=n ** 3))]
+    return n, [[flat[(i * n + j) * n:(i * n + j + 1) * n] for j in range(n)] for i in range(n)]
+
+
+@given(rational_tensors(), st.integers(2, 60), st.integers(0, 2**30))
+@settings(max_examples=80, deadline=None)
+def test_constructors_give_one_normal_form(case, s, seed):
+    # (C, den) is the one state: den is the lcm of the lowest-terms
+    # denominators whichever constructor built the algebra, so equal
+    # algebras compare, serialize and transport alike
+    n, c = case
+    A = Algebra(n, c)
+    C, den = A.int_tensor()
+    assert den == lcm(1, *[x.denominator for row in c for vec in row for x in vec])
+    assert as_fractions(A) == c and not hasattr(A, "c")
+    scaled = Algebra.from_ints([[[s * x for x in vec] for vec in row] for row in C], s * den)
+    assert scaled == A and scaled.int_tensor() == (C, den)
+    nonzero = [(i, j, m, x) for i, row in enumerate(c) for j, vec in enumerate(row)
+               for m, x in enumerate(vec) if x]
+    assert Algebra.from_products(n, nonzero) == A
+    if nonzero:
+        i, j, m, x = nonzero[0]
+        assert Algebra.from_products(n, [(i, j, m, 2 * x)] + nonzero[1:]) != A
+    text = serialize(A)
+    A2, _, _ = parse(text)
+    assert A2 == A and A2.int_tensor() == (C, den) and serialize(A2) == text
+    if n:
+        rnd = random.Random(seed)
+        while True:
+            P = Mat([[rand_q(rnd) for _ in range(n)] for _ in range(n)])
+            if rank(P) == n:
+                break
+        new, _ = transport_basis(A, None, P)
+        c2, _ = ref_transport(A, None, P)
+        assert as_fractions(new) == c2
+        assert new.int_tensor()[1] == lcm(1, *[x.denominator for row in c2 for vec in row for x in vec])
 
 
 # ---------------------------------------------------------------------------
@@ -276,9 +335,9 @@ def test_transport_basis_matches_reference():
             B = rand_sym_form(rnd, n)
             new, newB = transport_basis(A, B, P)
             c, b = ref_transport(A, B, P)
-            assert new.c == c
+            assert as_fractions(new) == c
             assert newB.matrix.data == b
-            assert all(isinstance(x, QQ) for row in new.c for vec in row for x in vec)
+            assert all(type(x) is int for row in new.int_tensor()[0] for vec in row for x in vec)
             assert transport_basis(A, None, P)[1] is None
         singular = Mat([[1] * n for _ in range(n)]) if n > 1 else Mat([[0]])
         with pytest.raises(ValueError):
@@ -320,7 +379,7 @@ def test_per_column_transport_matches_fractions(base, seed, with_form):
     assert not forced
     new, newB = transport_basis(A, B, P)
     c, b = ref_transport(A, B, P)
-    assert new.c == c
+    assert as_fractions(new) == c
     assert (newB is None) if B is None else (newB.matrix.data == b)
 
 
@@ -370,14 +429,15 @@ def sparse_algebras(draw):
     n = draw(st.integers(0, 5))
     shape = draw(st.sampled_from(["zero", "full", "sparse"])) if n else "zero"
     rnd = random.Random(draw(st.integers(0, 2**30)))
-    A = Algebra.zero(n)
+    c = [[[QQ(0)] * n for _ in range(n)] for _ in range(n)]
     if shape != "zero":
         # a few constants, so that an identity can fail in one coordinate
         for _ in range(draw(st.integers(1, 2 * n))):
-            A.c[rnd.randrange(n)][rnd.randrange(n)][rnd.randrange(n)] = rand_q(rnd)
+            c[rnd.randrange(n)][rnd.randrange(n)][rnd.randrange(n)] = rand_q(rnd)
     if shape == "full":
         for m in range(n):
-            A.c[0][m] = [QQ(int(t == m)) for t in range(n)]
+            c[0][m] = [QQ(int(t == m)) for t in range(n)]
+    A = Algebra(n, c)
     if n and draw(st.booleans()):
         A, _, _ = scramble(A, None, rnd.randrange(2**30))
     return A, shape
@@ -390,7 +450,7 @@ def test_checks_on_derived_pivots_match_reference(case):
     # AA projects injectively: the product vectors keep their rank there
     A, shape = case
     n, k = A.dim, A.derived_dim()
-    products = [vec for row in A.c for vec in row]
+    products = [vec for row in as_fractions(A) for vec in row]
     pivots = A.derived_pivots()
     assert len(pivots) == k == rank(Mat(products, n))
     assert pivots == sorted(set(pivots)) and all(0 <= m < n for m in pivots)
@@ -404,12 +464,12 @@ def wedge_algebra(phi):
     v1, v2, v1^v2, built product by product: e_i e_j = e_i ^ phi(e_j)."""
     by_v1 = {0: (1, 1), 2: (3, -1)}  # e_i ^ v1 as (index, sign)
     by_v2 = {0: (2, 1), 1: (3, 1)}
-    A = Algebra.zero(4)
+    c = [[[Fraction(0)] * 4 for _ in range(4)] for _ in range(4)]
     for j, p in enumerate(phi):
         for coeff, wedge in zip(p, (by_v1, by_v2)):
             for i, (m, sign) in wedge.items():
-                A.c[i][j][m] += coeff * sign
-    return A
+                c[i][j][m] += coeff * sign
+    return Algebra(4, c)
 
 
 def test_wedge_candidate_passes_match_reference():
@@ -420,7 +480,8 @@ def test_wedge_candidate_passes_match_reference():
     # is read off e_0 e_j)
     grid = list(itertools.product(algebra._WEDGE_BY, repeat=4))
     phis = random.Random(19).sample(grid, 200) + [((0, 0),) * 4]
-    phis += [tuple((int(W.c[0][j][1]), int(W.c[0][j][2])) for j in range(4)) for W in witnesses(20)]
+    phis += [tuple((int(c[0][j][1]), int(c[0][j][2])) for j in range(4))
+             for c in map(as_fractions, witnesses(20))]
     verdicts, low_rank = set(), 0
     for phi in phis:
         C, right = algebra._wedge_tensor(phi)
@@ -449,8 +510,8 @@ def test_search_builds_an_algebra_per_witness_only(monkeypatch):
             super().__init__(dim, c)
 
         @classmethod
-        def zero(cls, dim):
-            made.append(super().zero(dim))
+        def from_ints(cls, C, den):
+            made.append(super().from_ints(C, den))
             return made[-1]
 
     monkeypatch.setattr(algebra, "Algebra", Counted)
@@ -487,7 +548,7 @@ def test_transport_and_invariance_through_derived_basis(case, seed):
     pivots, F, L = A.derived_basis()
     assert A.derived_basis()[1] is F and A.derived_pivots() is pivots
     k = len(pivots)
-    products = [vec for row in A.c for vec in row]
+    products = [vec for row in as_fractions(A) for vec in row]
     assert k == len(F) == A.derived_dim() == (rank(Mat(products, n)) if n else 0)
     # F[a] is L at p_a and 0 at every other pivot, lies in AA, and every
     # product v is sum_a v[p_a] F[a] / L
@@ -507,7 +568,7 @@ def test_transport_and_invariance_through_derived_basis(case, seed):
         assert not forced
         new, newB = transport_basis(A, B, P)
         c, b = ref_transport(A, B, P)
-        assert new.c == c
+        assert as_fractions(new) == c
         assert (newB is None) if B is None else (newB.matrix.data == b)
 
     space = invariant_form_space(A)
@@ -528,7 +589,7 @@ def direct_sum(A, N):
     a = A.dim
 
     def products(X, shift):
-        return [(shift + i, shift + j, shift + m, x) for i, row in enumerate(X.c)
+        return [(shift + i, shift + j, shift + m, x) for i, row in enumerate(as_fractions(X))
                 for j, vec in enumerate(row) for m, x in enumerate(vec) if x]
 
     return Algebra.from_products(a + N.dim, products(A, 0) + products(N, a))
@@ -547,7 +608,7 @@ def test_direct_sum_with_half_dimensional_derived_algebra():
     assert verify_structure(A, normalize_orientation(B), rep) == rep.claims
     new, newB = transport_basis(A, B, rep.P)
     c, b = ref_transport(A, B, rep.P)
-    assert new.c == c and newB.matrix.data == b
+    assert as_fractions(new) == c and newB.matrix.data == b
     assert theorem_check(A, B, seed=1)
 
 
@@ -571,7 +632,7 @@ def test_each_claim_reads_its_own_block():
         return canon._read_claims((prods, form), k, rep.pair_weights,
                                   rep.complement_diag, True, True)
 
-    assert claims(new.c) == rep.claims
+    assert claims(as_fractions(new)) == rep.claims
     breaks = {
         "lower_right_zero": [(4, 4), (n - 1, 4)],
         "side_blocks_zero": [(0, 4), (4, 0), (3, n - 1)],
@@ -580,7 +641,7 @@ def test_each_claim_reads_its_own_block():
     }
     for name, entries in breaks.items():
         for j, (r, s) in itertools.product(range(n), entries):
-            c = [[vec[:] for vec in row] for row in new.c]
+            c = [[vec[:] for vec in row] for row in as_fractions(new)]
             c[s][j][r] += QQ(1, 3)
             assert claims(c) == {**rep.claims, name: False}, (name, j, r, s)
 
@@ -601,8 +662,9 @@ def test_single_mutations_match_reference():
     rnd = random.Random(13)
     A, _, _ = scramble(make_family(2, 3), None, 5)
     for i, j, m in itertools.product(range(3), repeat=3):
-        mutated = Algebra(3, A.c)
-        mutated.c[i][j][m] += rand_q(rnd) or QQ(1, 2)
+        c = as_fractions(A)
+        c[i][j][m] += rand_q(rnd) or QQ(1, 2)
+        mutated = Algebra(3, c)
         assert check_left_symmetric(mutated) == ref_left_symmetric(mutated)
         assert check_fermionic(mutated) == ref_right_products(mutated, 1)
         assert check_novikov(mutated) == ref_right_products(mutated, -1)
@@ -877,11 +939,11 @@ def test_canon_json_golden_digest_on_symbolic_form(monkeypatch, tmp_path, capsys
     # seed 4 every one of the first CERTIFY_ATTEMPTS points gives a singular
     # combination, so the form comes from the symbolic generic_rank and
     # find_generic_point; the byte-stable --json output is pinned
-    A1 = make_family(1, 2)
+    c1 = as_fractions(make_family(1, 2))
     A = Algebra.from_products(8, [
-        (2 * b + i, 2 * b + j, 2 * b + m, A1.c[i][j][m])
+        (2 * b + i, 2 * b + j, 2 * b + m, c1[i][j][m])
         for b in range(4) for i in range(2) for j in range(2) for m in range(2)
-        if A1.c[i][j][m]
+        if c1[i][j][m]
     ])
     path = tmp_path / "sum.json"
     path.write_text(serialize(A))
@@ -1119,7 +1181,7 @@ def test_checks_in_any_order_run_one_pass_each(monkeypatch):
     # the verdicts the first one decided
     witness, _, _ = scramble(next(search_fermionic_not_novikov()), None, 3)
     symmetric, products = _count_passes(monkeypatch)
-    A = Algebra(witness.dim, witness.c)
+    A = Algebra(witness.dim, as_fractions(witness))
     got = (check_fermionic(A), check_left_symmetric(A), check_novikov(A))
     assert got == A.identities() == (True, True, False)
     assert len(symmetric) == len(products) == 1 and _at_derived_pivots(A, symmetric + products)
