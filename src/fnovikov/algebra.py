@@ -36,7 +36,9 @@ class Algebra:
 
     Its one state is int_tensor(), the pair (C, den), set by the
     constructors and never changed: den is the lcm of the constants'
-    lowest-terms denominators.  The reduced basis of the derived algebra,
+    lowest-terms denominators.  Algebra(dim, c) scales rational constants
+    c[i][j][m] once; from_ints, from_products and zero take integers or
+    sparse products.  The reduced basis of the derived algebra,
     the right pencil (the one integer table of the R_x) and the verdicts
     of the three defining identities are computed from it on first use
     and cached.
@@ -274,15 +276,17 @@ def commutator_check(A: Algebra) -> bool:
     brk = Algebra.from_ints([[list(map(sub, C[i][j], C[j][i])) for j in range(n)]
                              for i in range(n)], den).multiply
 
-    for i, j, k in itertools.combinations(range(n), 3):
-        ei, ej, ek = (basis_element(n, t) for t in (i, j, k))
-        total = brk(brk(ei, ej), ek)
-        for m, v in enumerate(brk(brk(ej, ek), ei)):
-            total[m] += v
-        for m, v in enumerate(brk(brk(ek, ei), ej)):
-            total[m] += v
-        if any(total):
-            return False
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                ei, ej, ek = (basis_element(n, t) for t in (i, j, k))
+                total = brk(brk(ei, ej), ek)
+                for m, v in enumerate(brk(brk(ej, ek), ei)):
+                    total[m] += v
+                for m, v in enumerate(brk(brk(ek, ei), ej)):
+                    total[m] += v
+                if any(total):
+                    return False
     return True
 
 

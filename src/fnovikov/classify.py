@@ -45,6 +45,7 @@ def make_family(variant: int, n: int) -> Algebra:
 
 def _is_commutative(A: Algebra) -> bool:
     C, _ = A.int_tensor()
+    # e_i e_j = e_j e_i for all i, j: C equals its transpose in i, j
     return C == [list(col) for col in zip(*C)]
 
 
@@ -88,8 +89,8 @@ class K2Params:
 
 def make_k2(params: K2Params) -> Algebra:
     return Algebra.from_products(params.n, [
-        t for i, (l, u, g) in enumerate(zip(params.lam, params.mu, params.gam))
-        for t in ((0, i, 1, l), (0, i, 3, u), (2, i, 1, u), (2, i, 3, g))])
+        t for i, (lam, mu, gam) in enumerate(zip(params.lam, params.mu, params.gam))
+        for t in ((0, i, 1, lam), (0, i, 3, mu), (2, i, 1, mu), (2, i, 3, gam))])
 
 
 def k2_condition(A: Algebra) -> bool:
