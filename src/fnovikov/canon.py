@@ -151,7 +151,7 @@ def canonical_basis(A: Algebra, B: SymForm, x0) -> CanonReport:
     if not is_invariant(A, B):
         raise PreconditionError("form must be invariant")
     Rk, FT, den = _int_right_op(A, x0)
-    Bi, db = B.matrix.scaled()
+    Bi, db = B.int_matrix()
 
     def apply_form(v):
         return [sum(map(mul, row, v)) for row in Bi]

@@ -128,7 +128,7 @@ def transport_basis(A: Algebra, B, P: Mat):
     columns of the invertible matrix P; raises ValueError when P is
     singular.  Each column of P is scaled to integers over its own
     denominator, and transport_columns rewrites A and B in that basis on
-    integers; the products are put here over the lcm of their scales."""
+    integers; the products, and the form, go over the lcm of their scales."""
     if (P.rows, P.cols) != (A.dim, A.dim):
         raise DimensionMismatchError("basis change dimension mismatch")
     n = A.dim
@@ -140,7 +140,8 @@ def transport_basis(A: Algebra, B, P: Mat):
     new = Algebra.from_ints(C, den)
     if form is None:
         return new, None
-    return new, SymForm(Mat._raw([[QQ(x, t) if x else ZERO for x, t in row] for row in form], n))
+    db = lcm(*[t for row in form for _, t in row])
+    return new, SymForm.from_ints([[x * (db // t) for x, t in row] for row in form], db)
 
 
 def transport_columns(A: Algebra, B, cols):
@@ -185,7 +186,7 @@ def transport_columns(A: Algebra, B, cols):
                 prods[i, j] = ([sum(map(mul, pi, q)) for q in qs], dc * L * d[i] * d[j] * g)
     if B is None:
         return prods, None
-    Bi, db = B.matrix.scaled()
+    Bi, db = B.int_matrix()
     Bz = [[sum(map(mul, row, zj)) for row in Bi] for zj in zcols]
     form = [[(sum(map(mul, zi, bz)), di * dj * db) for bz, dj in zip(Bz, d)]
             for zi, di in zip(zcols, d)]

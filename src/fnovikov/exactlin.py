@@ -84,16 +84,21 @@ def int_rank(rows, cols):
     return len(rref(rows, cols)[1])
 
 
+def is_symmetric(rows):
+    """Whether the matrix given by its row lists is square and symmetric."""
+    return rows == [list(col) for col in zip(*rows)]
+
+
 # ---------------------------------------------------------------------------
 # rational matrices
 
 
 class Mat:
     """Dense row-major matrix over exact rationals: the container of the
-    file format and the reports, with no matrix arithmetic.
+    reports and the form-space members, with no matrix arithmetic.
 
-    Treated as immutable after construction; negation returns a new
-    matrix, and the integer-scaled entries are computed once (scaled()).
+    Treated as immutable after construction; the integer-scaled entries
+    are computed once (scaled()).
     """
 
     __slots__ = ("rows", "cols", "data", "_scaled")
@@ -170,17 +175,6 @@ class Mat:
 
     def __repr__(self):
         return f"Mat({self.data!r})"
-
-    def __neg__(self):
-        return Mat._raw([[-a for a in row] for row in self.data], self.cols)
-
-    def is_symmetric(self):
-        if self.rows != self.cols:
-            return False
-        d = self.data
-        return all(
-            d[i][j] == d[j][i] for i in range(self.rows) for j in range(i + 1, self.rows)
-        )
 
 
 def rank(M: Mat) -> int:
@@ -312,12 +306,15 @@ def int_congruence(rows, cols=None):
 
 
 def signature(S: Mat):
-    """(n_plus, n_minus, n_zero) of a symmetric matrix, by congruence: the
-    sign of D_i = d_i / (den s_i) is that of d_i, as s_i > 0
-    (int_congruence), and no P is built."""
-    if not S.is_symmetric():
+    """(n_plus, n_minus, n_zero) of a symmetric matrix (int_signature)."""
+    if S.cols != S.rows or not is_symmetric(S.data):
         raise ValueError("symmetric matrix required")
-    d, _, _ = int_congruence(S.scaled()[0])
+    return int_signature(S.scaled()[0])
+
+
+def int_signature(rows):
+    """signature of symmetric integer rows: the signs of int_congruence's d_i."""
+    d, _, _ = int_congruence(rows)
     signs = [(x > 0) - (x < 0) for x in d]
     return signs.count(1), signs.count(-1), signs.count(0)
 

@@ -28,7 +28,7 @@ import re
 from math import gcd, lcm
 
 from .scalars import QQ, rational_str
-from .exactlin import Mat
+from .exactlin import is_symmetric
 from .algebra import Algebra
 from .forms import SymForm
 
@@ -174,11 +174,11 @@ def parse(text):
         ):
             raise AlgebraFileSyntaxError("form must be a dim x dim matrix")
         pairs = [[parse_rational(x) for x in row] for row in rows]
-        _common_denominator([p for row in pairs for p in row], "form entries")
-        M = Mat([[QQ(*p) for p in row] for row in pairs], dim)
-        if not M.is_symmetric():
+        den = _common_denominator([p for row in pairs for p in row], "form entries")
+        Bi = [[num * (den // d) for num, d in row] for row in pairs]
+        if not is_symmetric(Bi):
             raise NonSymmetricFormError("form matrix is not symmetric")
-        form = SymForm(M)
+        form = SymForm.from_ints(Bi, den)
     metadata = doc.get("metadata")
     if metadata is not None and not isinstance(metadata, dict):
         raise AlgebraFileSyntaxError("metadata must be an object")
@@ -201,7 +201,8 @@ def serialize(A: Algebra, form: SymForm | None = None, metadata=None) -> str:
                 products.append([i + 1, j + 1, terms])
     doc = {"dim": A.dim, "products": products}
     if form is not None:
-        doc["form"] = [[rational_str(x) for x in row] for row in form.matrix.data]
+        Bi, db = form.int_matrix()
+        doc["form"] = [[rational_str(QQ(x, db)) for x in row] for row in Bi]
     if metadata:
         doc["metadata"] = metadata
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"

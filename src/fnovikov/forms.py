@@ -7,7 +7,7 @@ it, i.e. R^T B = B R for each basis right-multiplication matrix R.
 from __future__ import annotations
 
 import itertools
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 from .exactlin import (
@@ -15,9 +15,10 @@ from .exactlin import (
     Pencil,
     find_generic_point,
     int_rank,
+    int_signature,
+    is_symmetric,
     rref,
     rref_kernel,
-    signature,
 )
 from .algebra import Algebra, DimensionMismatchError
 
@@ -27,25 +28,42 @@ class DegenerateFormError(ValueError):
 
 
 class SymForm:
-    """Symmetric bilinear form with cached signature data."""
+    """Symmetric bilinear form with cached signature data.  Its one state is
+    int_matrix(), (Bi, db): the entries times db, the lcm of their denominators."""
 
-    __slots__ = ("matrix", "_signature")
+    __slots__ = ("_ints", "_signature")
 
     def __init__(self, matrix: Mat):
-        if not matrix.is_symmetric():
+        if matrix.cols != matrix.rows or not is_symmetric(matrix.data):
             raise ValueError("form matrix must be symmetric")
-        self.matrix = matrix
-        self._signature = None
+        self._ints, self._signature = matrix.scaled(), None
+
+    @classmethod
+    def from_ints(cls, rows, den):
+        """The form of the symmetric integer matrix rows / den, den > 0, with
+        the gcd of den and the entries divided out: equal forms, equal pairs."""
+        g = gcd(den, *itertools.chain.from_iterable(rows))
+        B = object.__new__(cls)
+        B._ints, B._signature = ([[x // g for x in row] for row in rows], den // g), None
+        return B
 
     @property
     def dim(self):
-        return self.matrix.rows
+        return len(self._ints[0])
+
+    @property
+    def matrix(self):
+        return Mat.from_ints(*self._ints)
+
+    def int_matrix(self):
+        """(Bi, db), shared by every caller: never mutate the lists."""
+        return self._ints
 
     def signature(self):
         """(n_plus, n_minus, n_zero); the type of the form is
         (n_plus, n_minus) when nondegenerate."""
         if self._signature is None:
-            self._signature = signature(self.matrix)
+            self._signature = int_signature(self._ints[0])
         return self._signature
 
     def is_nondegenerate(self):
@@ -54,14 +72,15 @@ class SymForm:
     def negate(self):
         """-B; a cached signature (n_plus, n_minus, n_zero) is carried over
         as (n_minus, n_plus, n_zero), so it is not diagonalized again."""
-        out = SymForm(-self.matrix)
+        rows, den = self._ints
+        out = SymForm.from_ints([[-x for x in row] for row in rows], den)
         if self._signature is not None:
             np_, nm, nz = self._signature
             out._signature = (nm, np_, nz)
         return out
 
     def __eq__(self, other):
-        return isinstance(other, SymForm) and self.matrix == other.matrix
+        return isinstance(other, SymForm) and self._ints == other._ints
 
     def __repr__(self):
         return f"SymForm({self.matrix.data!r})"
@@ -80,7 +99,7 @@ def is_invariant(A: Algebra, B: SymForm) -> bool:
     _, F, _ = A.derived_basis()
     if not F:
         return True
-    Bi, _ = B.matrix.scaled()
+    Bi, _ = B.int_matrix()
     # BF[r][a] = (B F[a])[r]
     BF = [[sum(map(mul, row, f)) for f in F] for row in Bi]
     for Lam in A.right_pencil().mats:
@@ -186,14 +205,12 @@ def find_nondegenerate(space, seed):
     The search runs on the members' integer scaled() pairs, put over the
     lcm of their denominators, which no determinant test depends on: the
     members of invariant_form_space carry their pairs, so no rational is
-    read.  Only the returned combination is converted back.
+    read, and the returned form holds the combination over that lcm.
     """
     d = len(space)
     if d == 0:
         return None
     n = space[0].rows
-    if n == 0:
-        return SymForm(Mat.zeros(0, 0))
     pairs = [M.scaled() for M in space]
     den = lcm(*[e for _, e in pairs])
     mats = [rows if e == den else [[x * (den // e) for x in row] for row in rows]
@@ -209,7 +226,7 @@ def find_nondegenerate(space, seed):
         for M in mats:
             ranks.append(int_rank(M, n))
             if ranks[-1] == n:
-                return _form(M, den)
+                return SymForm.from_ints(M, den)
         for support in range(2, d + 1):
             for idxs in itertools.combinations(range(d), support):
                 if sum(ranks[t] for t in idxs) < n:
@@ -223,13 +240,8 @@ def find_nondegenerate(space, seed):
                         coeffs[t] = sgn
                     C = pencil.eval(coeffs)
                     if int_rank(C, n) == n:
-                        return _form(C, den)
-    return _form(pencil.eval(point), den)
-
-
-def _form(rows, den):
-    """The SymForm of the integer matrix rows / den."""
-    return SymForm(Mat.from_ints(rows, den))
+                        return SymForm.from_ints(C, den)
+    return SymForm.from_ints(pencil.eval(point), den)
 
 
 def normalize_orientation(B: SymForm) -> SymForm:

@@ -124,9 +124,9 @@ class TestCongruence:
         assert sum(1 for d in diag if d < 0) == 1
 
     def test_negative_identity(self):
-        P, D = congruent_diagonalize(-Mat.identity(2))
+        P, D = congruent_diagonalize(Mat.diagonal([-1, -1]))
         assert P == Mat.identity(2)
-        assert D == -Mat.identity(2)
+        assert D == Mat.diagonal([-1, -1])
 
     def test_exact_on_random_symmetric(self):
         rnd = random.Random(2)

@@ -223,7 +223,7 @@ class TestNormalizeOrientation:
         np_, nm, nz = B.signature()
         assert nm < np_
         calls.clear()
-        N = normalize_orientation(SymForm(-B.matrix))
+        N = normalize_orientation(SymForm(Mat([[-x for x in row] for row in B.matrix.data])))
         assert N.signature() == (np_, nm, nz)
         assert N.negate().signature() == (nm, np_, nz)
         assert calls == [5]
@@ -231,7 +231,7 @@ class TestNormalizeOrientation:
         assert N.signature() == exactlin.signature(N.matrix)
         assert N.negate().signature() == exactlin.signature(N.negate().matrix)
         calls.clear()
-        assert theorem_check(A, SymForm(-B.matrix), seed=1)
+        assert theorem_check(A, SymForm(Mat([[-x for x in row] for row in B.matrix.data])), seed=1)
         # the form's signature, then <u_i, w_j> (k = 1) and the complement
         assert calls == [5, 1, 3]
 

@@ -1389,6 +1389,21 @@ def test_form_members_carry_their_scaled_pairs():
         M = Mat.from_ints(rows, den)
         assert M == Mat(data)
         assert M.scaled() == scale_to_int(M.data)
+    # a SymForm holds the same reduced pair, however it was built
+    assert SymForm.from_ints([[4, -2], [-2, 8]], 6) == SymForm(Mat([["2/3", "-1/3"], ["-1/3", "4/3"]]))
+    assert SymForm.from_ints([[0, 0], [0, 0]], 5) == SymForm(Mat.zeros(2, 2))
+    # mixed and unreduced denominators, and a zero over 7
+    parsed = parse(json.dumps({"dim": 2, "products": [[1, 1, [[2, "1"]]]],
+                               "form": [["2/8", "-1/6"], ["-1/6", "0/7"]]}))[1]
+    forms_built = [parsed]
+    for A in (scramble(make_family(2, 5), None, 3)[0], planes_sum(3), k2_instances(33, 1)[0]):
+        found = find_nondegenerate(invariant_form_space(A), seed=1)
+        moved = scramble(A, found, 4)[1]
+        forms_built += [found, moved, found.negate(), moved.negate()]
+    forms_built.append(transport_basis(make_family(2, 2), parsed, Mat([["1/2", "1/3"], [0, "-3/5"]]))[1])
+    for B in forms_built:
+        assert B.int_matrix() == scale_to_int(B.matrix.data)
+        assert SymForm(B.matrix) == B
 
 
 def ref_det(rows):
@@ -1518,6 +1533,23 @@ def test_sweep_skips_supports_that_cannot_be_nonsingular(monkeypatch):
     B = find_nondegenerate(space, seed=0)
     assert B is not None and B.is_nondegenerate()
     assert len(calls) <= 100
+
+
+def test_no_nondegenerate_form_on_witness_sums_above_dim_4():
+    # W + N for a witness W and an N passing all three identities is
+    # fermionic and left-symmetric but not Novikov, so by the theorem it
+    # has no nondegenerate invariant form at any dim: here 8-16, scrambled
+    found = witnesses(210)
+    sums = [direct_sum(found[0], make_family(1, 4)), direct_sum(found[70], make_family(2, 8)),
+            direct_sum(found[140], make_family(3, 12)), direct_sum(found[209], k2_draws(35, (8,))[0]),
+            direct_sum(found[105], planes_sum(4))]
+    for i, S in enumerate(sums):
+        A, _, _ = scramble(S, None, 60 + i)
+        assert A.dim in (8, 12, 16)
+        assert A.identities() == (True, True, False)
+        assert find_nondegenerate(invariant_form_space(A), seed=i) is None
+        with pytest.raises(canon.PreconditionError, match="^no nondegenerate invariant form exists$"):
+            canonicalize(A, None, i)
 
 
 def test_no_nondegenerate_form_on_any_witness():
