@@ -97,21 +97,21 @@ class Mat:
     """Dense row-major matrix over exact rationals: the container of the
     reports and the form-space members, with no matrix arithmetic.
 
-    Treated as immutable after construction; the integer-scaled entries
-    are computed once (scaled()).
+    Treated as immutable after construction; scaled() is computed once,
+    and a from_ints matrix builds its rationals on the first read of data.
     """
 
-    __slots__ = ("rows", "cols", "data", "_scaled")
+    __slots__ = ("rows", "cols", "_data", "_scaled")
 
     def __init__(self, data, cols=None):
         self._scaled = None
-        self.data = [[QQ(x) for x in row] for row in data]
-        self.rows = len(self.data)
-        if self.data:
-            self.cols = len(self.data[0])
+        self._data = [[QQ(x) for x in row] for row in data]
+        self.rows = len(self._data)
+        if self._data:
+            self.cols = len(self._data[0])
         else:
             self.cols = 0 if cols is None else cols
-        for row in self.data:
+        for row in self._data:
             if len(row) != self.cols:
                 raise ValueError("ragged rows")
 
@@ -120,25 +120,33 @@ class Mat:
         # internal: entries already exact scalars, skip conversion
         m = object.__new__(cls)
         m._scaled = None
-        m.data = data
+        m._data = data
         m.rows = len(data)
         m.cols = len(data[0]) if data else (0 if cols is None else cols)
         return m
 
     @classmethod
     def from_ints(cls, rows, den):
-        """The matrix rows / den, for integer rows and den > 0, with its
-        scaled() pair set.  The gcd of den and the entries is divided out,
-        so den is then the lcm of the entries' lowest-terms denominators
-        and the pair is the one scale_to_int(data) gives.  The rows may be
-        kept as they came: never mutate them."""
+        """rows / den, for integer rows and den > 0, held as its scaled()
+        pair until data is read.  The gcd of den and the entries is divided
+        out, so den is the lcm of the entries' lowest-terms denominators and
+        the pair is the one scale_to_int(data) gives.  Never mutate rows."""
         g = gcd(*itertools.chain.from_iterable(rows), den)
         if g != 1:
             rows = [[x // g for x in row] for row in rows]
             den //= g
-        m = cls._raw([[QQ(x, den) if x else ZERO for x in row] for row in rows])
+        m = object.__new__(cls)
+        m.rows, m.cols, m._data = len(rows), len(rows[0]) if rows else 0, None
         m._scaled = rows, den
         return m
+
+    @property
+    def data(self):
+        """The rows of rationals, built on the first read after from_ints."""
+        if self._data is None:
+            rows, den = self._scaled
+            self._data = [[QQ(x, den) if x else ZERO for x in row] for row in rows]
+        return self._data
 
     @classmethod
     def zeros(cls, rows, cols):

@@ -118,10 +118,10 @@ def invariant_form_space(A: Algebra):
     each built from integers over its own denominator (Mat.from_ints).
 
     Unknowns are the upper-triangle coordinates b_{uv} (u <= v) in
-    row-major order; equations are assembled row-major over (j, r, s) from
-    the integer-scaled structure constants, for r < s only: R^T B - B R is
-    antisymmetric when B is symmetric, so entry (s, r) is the negated
-    equation of entry (r, s) and the diagonal entries vanish.
+    row-major order; equations are assembled over (j, r, s), last to
+    first, from the integer-scaled structure constants, for r < s only:
+    R^T B - B R is antisymmetric when B is symmetric, so entry (s, r) is
+    the negated equation of entry (r, s) and the diagonal entries vanish.
 
     The equations are linear in R_j, so only the j whose R_j is
     independent of the earlier ones are kept: j is kept when its pivot
@@ -151,11 +151,13 @@ def invariant_form_space(A: Algebra):
     # pivot columns are the j whose R_j is independent of the earlier ones
     _, kept = rref(zip(*map(itertools.chain.from_iterable, A.right_pencil().mats)), n)
 
+    # streamed last to first: a row's leading unknown then more often lies
+    # left of the kept rows', so fewer of them need clearing in its column
     def equations():
-        for j in kept:
-            for r in range(n):
+        for j in reversed(kept):
+            for r in range(n - 1, -1, -1):
                 crj, ur = C[r][j], uidx[r]
-                for s in range(r + 1, n):
+                for s in range(n - 1, r, -1):
                     # entry (r, s) of R^T B - B R, with R[t][r] = C[r][j][t]
                     row = [0] * m
                     csj = C[s][j]
@@ -186,12 +188,13 @@ def find_nondegenerate(space, seed):
 
     Every combination's rows lie in the span of all the members' rows, so
     when that span, streamed into rref, has rank below n, no member is
-    nonsingular.  Otherwise find_generic_point decides existence exactly:
-    a seeded point of rank n certifies it, else the symbolic generic rank
-    of the pencil does.  When a member exists, a deterministic sweep over
-    {-1, 0, 1} coefficients (small supports first, space dimension <=
-    SWEEP_CAP) looks for a small certificate before the seeded point is
-    taken.
+    nonsingular.  Otherwise, with space dimension <= SWEEP_CAP, a member
+    of rank n is the first certificate of a deterministic sweep over
+    {-1, 0, 1} coefficients, small supports first.  When there is none,
+    find_generic_point decides existence exactly: a seeded point of rank
+    n certifies it, else the symbolic generic rank of the pencil does.
+    When a combination of rank n exists, the sweep goes on to supports
+    >= 2 before the seeded point is taken.
 
     The sweep skips a support S, with all its sign patterns, when no
     combination on it can be nonsingular: the column space of a sum of
@@ -199,34 +202,35 @@ def find_nondegenerate(space, seed):
     is at most that of the n x n|S| block [M_t for t in S], which is at
     most the sum of the rank(M_t).  S is skipped when either bound is
     below n; every skipped candidate is singular, so the sweep returns
-    the same combination as trying them all.  The member ranks are the
-    support-1 pass: rank(M_t) == n makes +M_t the first hit.
+    the same combination as trying them all.
 
-    The search runs on the members' integer scaled() pairs, put over the
-    lcm of their denominators, which no determinant test depends on: the
-    members of invariant_form_space carry their pairs, so no rational is
-    read, and the returned form holds the combination over that lcm.
+    The search runs on the members' integer scaled() pairs, which no rank
+    depends on: the members of invariant_form_space carry their pairs, so
+    no rational is built.  The ranks read each member over its own scale;
+    the pencil puts them over the lcm of their denominators, and the
+    returned form holds its combination over that lcm.
     """
     d = len(space)
     if d == 0:
         return None
     n = space[0].rows
     pairs = [M.scaled() for M in space]
+    if int_rank([row for rows, _ in pairs for row in rows], n) < n:
+        return None
+    if d <= SWEEP_CAP:
+        ranks = []
+        for rows, e in pairs:
+            ranks.append(int_rank(rows, n))
+            if ranks[-1] == n:
+                return SymForm.from_ints(rows, e)
     den = lcm(*[e for _, e in pairs])
     mats = [rows if e == den else [[x * (den // e) for x in row] for row in rows]
             for rows, e in pairs]
-    if int_rank([row for M in mats for row in M], n) < n:
-        return None
     pencil = Pencil(mats, n, n)
     point, r = find_generic_point(pencil, seed)
     if r < n:
         return None
     if d <= SWEEP_CAP:
-        ranks = []
-        for M in mats:
-            ranks.append(int_rank(M, n))
-            if ranks[-1] == n:
-                return SymForm.from_ints(M, den)
         for support in range(2, d + 1):
             for idxs in itertools.combinations(range(d), support):
                 if sum(ranks[t] for t in idxs) < n:

@@ -1274,6 +1274,41 @@ def ref_rref_kernel(rows, cols):
     return basis
 
 
+@st.composite
+def integer_row_lists(draw):
+    """(rows, cols, perm): integer matrices of 0-8 rows and 1-8 columns,
+    sparse or dense, some of low rank (every row a combination of a few
+    drawn ones) and some with a repeated row; perm a permutation of the
+    rows."""
+    n, cols = draw(st.integers(0, 8)), draw(st.integers(1, 8))
+    rnd = random.Random(draw(st.integers(0, 2**30)))
+    density = draw(st.sampled_from([0.2, 0.6, 1.0]))
+    rows = [[rnd.randint(-6, 6) if rnd.random() < density else 0 for _ in range(cols)]
+            for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        basis = rows[:rnd.randint(1, n - 1)]
+        rows = [[sum(f * b[c] for f, b in zip(fs, basis)) for c in range(cols)]
+                for fs in ([rnd.randint(-3, 3) for _ in basis] for _ in range(n))]
+    if n > 1 and draw(st.booleans()):
+        i, j = rnd.sample(range(n), 2)
+        rows[j] = rows[i][:]
+    return rows, cols, draw(st.permutations(range(n)))
+
+
+@given(integer_row_lists())
+@settings(max_examples=300, deadline=None)
+def test_rref_is_independent_of_row_order(case):
+    # the reduced form is unique for the row space, so invariant_form_space
+    # may stream its equations in any order and read the same basis
+    rows, cols, perm = case
+    before = [row[:] for row in rows]
+    z, pivots = rref(rows, cols)
+    assert rows == before
+    assert len(pivots) == cols - len(ref_rref_kernel([[Fraction(x) for x in row] for row in rows], cols))
+    assert rref(rows[::-1], cols) == (z, pivots)
+    assert rref([rows[i] for i in perm], cols) == (z, pivots)
+
+
 def ref_form_space(A):
     """(space, equations): every entry (r, s) of R_j^T B - B R_j for every
     j, term by term over Fraction, and the symmetric matrices of its
@@ -1404,6 +1439,37 @@ def test_form_members_carry_their_scaled_pairs():
     for B in forms_built:
         assert B.int_matrix() == scale_to_int(B.matrix.data)
         assert SymForm(B.matrix) == B
+
+
+def test_form_search_builds_no_rationals(monkeypatch):
+    # the members are built from integers and the search reads only their
+    # scaled() pairs, so no Fraction is built until data is read: on a
+    # witness (no form) and on an algebra whose form is found
+    real = exactlin.QQ
+    for A, found in ((scramble(witnesses(1)[0], None, 3)[0], False),
+                     (scramble(make_family(2, 4), None, 3)[0], True)):
+        built = []
+        with monkeypatch.context() as m:
+            m.setattr(exactlin, "QQ", lambda *args: built.append(args) or real(*args))
+            space = invariant_form_space(A)
+            B = find_nondegenerate(space, seed=0)
+        assert built == []
+        assert (B is not None) == found
+        assert [M.data for M in space] == ref_form_space(A)[0]
+
+
+def test_single_members_before_the_generic_point(monkeypatch):
+    # scrambled family 2 at dim 4 has d = 7 members, and members 3 and 5
+    # have rank 4: the support-1 pass returns member 3, over the members'
+    # lcm, before any point is ranked
+    space = invariant_form_space(scramble(make_family(2, 4), None, 3)[0])
+    assert [rank(M) for M in space] == [2, 1, 2, 4, 1, 4, 3]
+    calls = _count_calls(monkeypatch, "find_generic_point", (forms,))
+    B = find_nondegenerate(space, seed=0)
+    assert calls == []
+    den = lcm(*[M.scaled()[1] for M in space])
+    rows, e = space[3].scaled()
+    assert B == SymForm.from_ints([[x * (den // e) for x in row] for row in rows], den)
 
 
 def ref_det(rows):
