@@ -1,19 +1,20 @@
 """Exact rational linear algebra kernel, and the generic rank of integer
 linear pencils.
 
-Everything here is over exact rationals (see scalars.py).  Rational
-matrices are scaled to Python ints over a common denominator for rank,
-row reduction and congruence.  One integer elimination serves them:
-rows are kept primitive, their gcd divided out after each update.  rref
-reduces its rows as they are streamed in and stores only the pivot rows;
-rank counts its pivots, every kernel is read from it, and int_congruence
-keeps each row over its own scale the same way.  A vector, or a column of
-a basis change (scale_columns), scaled over its own denominator is an
-(ints, den) pair.  A linear pencil sum_t x_t M_t holds integer matrices
-M_t, since rank is scale-free; it is evaluated at integer points, and its
-generic rank over the fraction field comes from fraction-free (Bareiss)
-elimination on integer polynomial term dicts, where an exact division is
-cheaper than a polynomial gcd, with no rational-function arithmetic.
+Everything here is over exact rationals (see scalars.py).  Mat only
+holds the rationals of the reports; rank and signature scale it to
+Python ints over a common denominator on each call.  One integer
+elimination serves them: rows are kept primitive, their gcd divided out
+after each update.  rref reduces its rows as they are streamed in and
+stores only the pivot rows; rank counts its pivots, every kernel is read
+from it, and int_congruence keeps each row over its own scale the same
+way.  A vector, or a column of a basis change (scale_columns), scaled
+over its own denominator is an (ints, den) pair.  A linear pencil sum_t
+x_t M_t holds integer matrices M_t, since rank is scale-free; it is
+evaluated at integer points, and its generic rank over the fraction
+field comes from fraction-free (Bareiss) elimination on integer
+polynomial term dicts, where an exact division is cheaper than a
+polynomial gcd, with no rational-function arithmetic.
 find_generic_point is the one rank search: a sampled point of rank
 min(rows, cols) proves a pencil's rank, else generic_rank runs once.
 
@@ -95,23 +96,19 @@ def is_symmetric(rows):
 
 class Mat:
     """Dense row-major matrix over exact rationals: the container of the
-    reports and the form-space members, with no matrix arithmetic.
+    reports and of SymForm.matrix, with no matrix arithmetic.  Treated as
+    immutable after construction."""
 
-    Treated as immutable after construction; scaled() is computed once,
-    and a from_ints matrix builds its rationals on the first read of data.
-    """
-
-    __slots__ = ("rows", "cols", "_data", "_scaled")
+    __slots__ = ("rows", "cols", "data")
 
     def __init__(self, data, cols=None):
-        self._scaled = None
-        self._data = [[QQ(x) for x in row] for row in data]
-        self.rows = len(self._data)
-        if self._data:
-            self.cols = len(self._data[0])
+        self.data = [[QQ(x) for x in row] for row in data]
+        self.rows = len(self.data)
+        if self.data:
+            self.cols = len(self.data[0])
         else:
             self.cols = 0 if cols is None else cols
-        for row in self._data:
+        for row in self.data:
             if len(row) != self.cols:
                 raise ValueError("ragged rows")
 
@@ -119,34 +116,10 @@ class Mat:
     def _raw(cls, data, cols=None):
         # internal: entries already exact scalars, skip conversion
         m = object.__new__(cls)
-        m._scaled = None
-        m._data = data
+        m.data = data
         m.rows = len(data)
         m.cols = len(data[0]) if data else (0 if cols is None else cols)
         return m
-
-    @classmethod
-    def from_ints(cls, rows, den):
-        """rows / den, for integer rows and den > 0, held as its scaled()
-        pair until data is read.  The gcd of den and the entries is divided
-        out, so den is the lcm of the entries' lowest-terms denominators and
-        the pair is the one scale_to_int(data) gives.  Never mutate rows."""
-        g = gcd(*itertools.chain.from_iterable(rows), den)
-        if g != 1:
-            rows = [[x // g for x in row] for row in rows]
-            den //= g
-        m = object.__new__(cls)
-        m.rows, m.cols, m._data = len(rows), len(rows[0]) if rows else 0, None
-        m._scaled = rows, den
-        return m
-
-    @property
-    def data(self):
-        """The rows of rationals, built on the first read after from_ints."""
-        if self._data is None:
-            rows, den = self._scaled
-            self._data = [[QQ(x, den) if x else ZERO for x in row] for row in rows]
-        return self._data
 
     @classmethod
     def zeros(cls, rows, cols):
@@ -166,13 +139,6 @@ class Mat:
             [[entries[i] if i == j else ZERO for j in range(n)] for i in range(n)], n
         )
 
-    def scaled(self):
-        """scale_to_int(self.data), computed once per matrix, or set by
-        from_ints."""
-        if self._scaled is None:
-            self._scaled = scale_to_int(self.data)
-        return self._scaled
-
     def __eq__(self, other):
         return (
             isinstance(other, Mat)
@@ -187,7 +153,7 @@ class Mat:
 
 def rank(M: Mat) -> int:
     """Row rank, by rref on the integer-scaled rows."""
-    return int_rank(M.scaled()[0], M.cols)
+    return int_rank(scale_to_int(M.data)[0], M.cols)
 
 
 def rref(rows, cols):
@@ -317,7 +283,7 @@ def signature(S: Mat):
     """(n_plus, n_minus, n_zero) of a symmetric matrix (int_signature)."""
     if S.cols != S.rows or not is_symmetric(S.data):
         raise ValueError("symmetric matrix required")
-    return int_signature(S.scaled()[0])
+    return int_signature(scale_to_int(S.data)[0])
 
 
 def int_signature(rows):

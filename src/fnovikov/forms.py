@@ -19,8 +19,10 @@ from .exactlin import (
     is_symmetric,
     rref,
     rref_kernel,
+    scale_to_int,
 )
 from .algebra import Algebra, DimensionMismatchError
+from .scalars import QQ, ZERO
 
 
 class DegenerateFormError(ValueError):
@@ -29,22 +31,27 @@ class DegenerateFormError(ValueError):
 
 class SymForm:
     """Symmetric bilinear form with cached signature data.  Its one state is
-    int_matrix(), (Bi, db): the entries times db, the lcm of their denominators."""
+    int_matrix(), (Bi, db): the entries times db, the lcm of their
+    denominators; matrix rebuilds the rationals on each read."""
 
     __slots__ = ("_ints", "_signature")
 
     def __init__(self, matrix: Mat):
         if matrix.cols != matrix.rows or not is_symmetric(matrix.data):
             raise ValueError("form matrix must be symmetric")
-        self._ints, self._signature = matrix.scaled(), None
+        self._ints, self._signature = scale_to_int(matrix.data), None
 
     @classmethod
     def from_ints(cls, rows, den):
         """The form of the symmetric integer matrix rows / den, den > 0, with
-        the gcd of den and the entries divided out: equal forms, equal pairs."""
+        the gcd of den and the entries divided out: equal forms, equal pairs.
+        A pair already in lowest terms is kept as it came: never mutate rows."""
         g = gcd(den, *itertools.chain.from_iterable(rows))
+        if g != 1:
+            rows = [[x // g for x in row] for row in rows]
+            den //= g
         B = object.__new__(cls)
-        B._ints, B._signature = ([[x // g for x in row] for row in rows], den // g), None
+        B._ints, B._signature = (rows, den), None
         return B
 
     @property
@@ -53,7 +60,8 @@ class SymForm:
 
     @property
     def matrix(self):
-        return Mat.from_ints(*self._ints)
+        rows, den = self._ints
+        return Mat._raw([[QQ(x, den) if x else ZERO for x in row] for row in rows])
 
     def int_matrix(self):
         """(Bi, db), shared by every caller: never mutate the lists."""
@@ -114,8 +122,8 @@ def is_invariant(A: Algebra, B: SymForm) -> bool:
 
 def invariant_form_space(A: Algebra):
     """Basis of the space of symmetric matrices B with R^T B = B R for all
-    basis right multiplications R.  Returned as a list of symmetric Mat,
-    each built from integers over its own denominator (Mat.from_ints).
+    basis right multiplications R.  Returned as a list of SymForm, each
+    built from integers over its own denominator (SymForm.from_ints).
 
     Unknowns are the upper-triangle coordinates b_{uv} (u <= v) in
     row-major order; equations are assembled over (j, r, s), last to
@@ -173,7 +181,7 @@ def invariant_form_space(A: Algebra):
         rows = [[0] * n for _ in range(n)]
         for (u, v), x in zip(unknowns, vec):
             rows[u][v] = rows[v][u] = x
-        out.append(Mat.from_ints(rows, den))
+        out.append(SymForm.from_ints(rows, den))
     return out
 
 
@@ -183,8 +191,8 @@ SWEEP_CAP = 12
 
 
 def find_nondegenerate(space, seed):
-    """A nondegenerate rational combination of the given symmetric
-    matrices, or None when none exists.
+    """A nondegenerate rational combination of the given forms, or None
+    when none exists.
 
     Every combination's rows lie in the span of all the members' rows, so
     when that span, streamed into rref, has rank below n, no member is
@@ -204,25 +212,25 @@ def find_nondegenerate(space, seed):
     below n; every skipped candidate is singular, so the sweep returns
     the same combination as trying them all.
 
-    The search runs on the members' integer scaled() pairs, which no rank
-    depends on: the members of invariant_form_space carry their pairs, so
-    no rational is built.  The ranks read each member over its own scale;
-    the pencil puts them over the lcm of their denominators, and the
-    returned form holds its combination over that lcm.
+    The search reads only the members' int_matrix() pairs, so no rational
+    is built.  The ranks read each member over its own scale, and a member
+    of rank n is returned itself; the pencil puts the members over the lcm
+    of their denominators, and a returned combination is held over that
+    lcm.
     """
     d = len(space)
     if d == 0:
         return None
-    n = space[0].rows
-    pairs = [M.scaled() for M in space]
+    n = space[0].dim
+    pairs = [B.int_matrix() for B in space]
     if int_rank([row for rows, _ in pairs for row in rows], n) < n:
         return None
     if d <= SWEEP_CAP:
         ranks = []
-        for rows, e in pairs:
+        for B, (rows, _) in zip(space, pairs):
             ranks.append(int_rank(rows, n))
             if ranks[-1] == n:
-                return SymForm.from_ints(rows, e)
+                return B
     den = lcm(*[e for _, e in pairs])
     mats = [rows if e == den else [[x * (den // e) for x in row] for row in rows]
             for rows, e in pairs]

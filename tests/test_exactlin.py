@@ -12,7 +12,7 @@ from fnovikov import (
     signature,
 )
 from fnovikov import exactlin
-from fnovikov.exactlin import int_congruence, rref, rref_kernel
+from fnovikov.exactlin import int_congruence, rref, rref_kernel, scale_to_int
 from fnovikov.scalars import QQ, ONE
 
 from test_integer_kernel import from_sympy, to_sympy
@@ -21,7 +21,7 @@ from test_integer_kernel import from_sympy, to_sympy
 def kernel_basis(M):
     """Basis of the right kernel of M, as rational vectors: rref_kernel
     read from rref of M's integer-scaled rows."""
-    return [[QQ(x, d) for x in v] for v, d in rref_kernel(*rref(M.scaled()[0], M.cols), M.cols)]
+    return [[QQ(x, d) for x in v] for v, d in rref_kernel(*rref(scale_to_int(M.data)[0], M.cols), M.cols)]
 
 
 def congruent_diagonalize(S):
@@ -29,7 +29,7 @@ def congruent_diagonalize(S):
     den carrying the unit vectors: P's column i is p[i] / s_i and D_i is
     d_i / (den s_i)."""
     n = S.rows
-    rows, den = S.scaled()
+    rows, den = scale_to_int(S.data)
     d, p, s = int_congruence(rows, [[int(i == j) for i in range(n)] for j in range(n)])
     P = Mat([[QQ(v[r], si) for v, si in zip(p, s)] for r in range(n)])
     return P, Mat.diagonal([QQ(di, den * si) for di, si in zip(d, s)])

@@ -89,15 +89,15 @@ class TestFormSpace:
         assert len(space) == 2
         # every member has the shape [[a, b], [b, 0]]
         for M in space:
-            assert M.data[1][1] == 0
+            assert M.matrix.data[1][1] == 0
 
     def test_family3_dim3(self):
         space = invariant_form_space(make_family(3, 3))
         assert len(space) == 4
         # every member has the shape [[a, b, d], [b, 0, 0], [d, 0, f]]
         for M in space:
-            assert M.data[1][1] == 0
-            assert M.data[1][2] == 0
+            assert M.matrix.data[1][1] == 0
+            assert M.matrix.data[1][2] == 0
 
     @pytest.mark.parametrize(
         "algebra",
@@ -111,14 +111,14 @@ class TestFormSpace:
         for variant in (1, 2, 3):
             A = make_family(variant, 4)
             for M in invariant_form_space(A):
-                assert is_invariant(A, SymForm(M))
+                assert is_invariant(A, M)
 
     def test_space_is_complete(self):
         # dimension agrees with the independent oracle, and members are
         # linearly independent, so the span is the full solution space
         A = make_family(2, 3)
         space = invariant_form_space(A)
-        flat = [[M.data[u][v] for u in range(3) for v in range(u, 3)] for M in space]
+        flat = [[M.matrix.data[u][v] for u in range(3) for v in range(u, 3)] for M in space]
         assert rank(Mat(flat)) == len(space) == sympy_form_space_dim(A)
 
 
@@ -152,7 +152,7 @@ class TestFindNondegenerate:
 
     def test_no_member_detected_exactly(self):
         # span of a single rank-1 matrix: no nondegenerate member
-        space = [Mat([[1, 0], [0, 0]])]
+        space = [SymForm(Mat([[1, 0], [0, 0]]))]
         assert find_nondegenerate(space, seed=0) is None
 
     @pytest.mark.parametrize(

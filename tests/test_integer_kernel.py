@@ -573,7 +573,7 @@ def test_transport_and_invariance_through_derived_basis(case, seed):
 
     space = invariant_form_space(A)
     for M in space[:3]:
-        assert is_invariant(A, SymForm(M)) and ref_is_invariant(A, SymForm(M))
+        assert is_invariant(A, M) and ref_is_invariant(A, M)
     for form in (rand_sym_form(rnd, n), rand_sym_form(rnd, n)):
         assert is_invariant(A, form) == ref_is_invariant(A, form)
 
@@ -683,7 +683,7 @@ def test_is_invariant_matches_reference():
             seen.add(got)
     for A in algebra_cases():
         for M in invariant_form_space(A)[:2]:
-            assert is_invariant(A, SymForm(M)) and ref_is_invariant(A, SymForm(M))
+            assert is_invariant(A, M) and ref_is_invariant(A, M)
     assert seen == {True, False}
 
 
@@ -760,7 +760,7 @@ def test_congruence_matches_fraction_reference(S):
     # diagonal and the columns of its P
     p, d = ref_congruent_diagonalize(S)
     n = len(S)
-    rows, den = Mat(S).scaled()
+    rows, den = scale_to_int(Mat(S).data)
     di, pi, si = exactlin.int_congruence(rows, [[int(i == j) for i in range(n)] for j in range(n)])
     assert [Fraction(x, den * s) for x, s in zip(di, si)] == d
     assert [[Fraction(x, s) for x in v] for v, s in zip(pi, si)] == [list(col) for col in zip(*p)]
@@ -818,7 +818,7 @@ def test_rank_det_inverse_kernel_match_sympy():
             M = Mat(data)
         S = sympy.Matrix(r, c, [sympy.Rational(str(x)) for row in M.data for x in row])
         assert rank(M) == S.rank()
-        ker = rref_kernel(*rref(M.scaled()[0], c), c)
+        ker = rref_kernel(*rref(scale_to_int(M.data)[0], c), c)
         assert len(ker) == c - S.rank()
         assert all((S * to_sympy([[QQ(x, d)] for x in v])).is_zero_matrix for v, d in ker)
         if r == c:
@@ -892,7 +892,7 @@ def test_compression_space_decided_by_generic_rank(monkeypatch):
     # the symbolic rank decides, once
     E = [[[int({r, c} == {0, t}) for c in range(3)] for r in range(3)] for t in (1, 2)]
     calls = _count_generic_rank(monkeypatch)
-    assert find_nondegenerate([Mat(M) for M in E], seed=0) is None
+    assert find_nondegenerate([SymForm(Mat(M)) for M in E], seed=0) is None
     assert calls == [2]
 
 
@@ -901,7 +901,7 @@ def _diagonal_space_without_certificate():
     coordinate is 0, with a seed whose first CERTIFY_ATTEMPTS points all
     have a zero coordinate; points is the seed's sequence, and points[i]
     the first point with none."""
-    space = [Mat.diagonal([1 if i == t else 0 for i in range(4)]) for t in range(4)]
+    space = [SymForm(Mat.diagonal([1 if i == t else 0 for i in range(4)])) for t in range(4)]
     seed = next(
         s for s in range(10**4)
         if all(0 in p for p in exactlin.sample_points(4, s, exactlin.CERTIFY_ATTEMPTS))
@@ -1353,7 +1353,7 @@ def test_invariant_form_space_matches_reference():
     for A in form_cases():
         space = invariant_form_space(A)
         ref, equations = ref_form_space(A)
-        assert [M.data for M in space] == ref
+        assert [M.matrix.data for M in space] == ref
         unknowns = A.dim * (A.dim + 1) // 2
         S = DomainMatrix.from_list_sympy(
             len(equations),
@@ -1407,26 +1407,21 @@ def test_form_equations_from_independent_right_multiplications(monkeypatch):
         flat = [[x for row in M for x in row] for M in ref_right_pencil(A).mats]
         assert sympy.Matrix(flat).rank() == rho
         streamed.clear()
-        assert [M.data for M in invariant_form_space(A)] == ref_form_space(A)[0]
+        assert [M.matrix.data for M in invariant_form_space(A)] == ref_form_space(A)[0]
         assert streamed[-1] == rho * n * (n - 1) // 2
 
 
 def test_form_members_carry_their_scaled_pairs():
     for A in form_cases():
         for M in invariant_form_space(A):
-            assert M.scaled() == scale_to_int(M.data)
-    for rows, den, data in (
-        ([[2, -4], [6, 8]], 4, [["1/2", -1], ["3/2", 2]]),  # a factor 2 shared with den
-        ([[6, 0], [0, 3]], 9, [["2/3", 0], [0, "1/3"]]),
-        ([[0, 0], [0, 0]], 5, [[0, 0], [0, 0]]),
-        ([[1, -2], [3, 0]], 1, [[1, -2], [3, 0]]),
-    ):
-        M = Mat.from_ints(rows, den)
-        assert M == Mat(data)
-        assert M.scaled() == scale_to_int(M.data)
+            assert M.int_matrix() == scale_to_int(M.matrix.data)
+            assert SymForm(M.matrix) == M
     # a SymForm holds the same reduced pair, however it was built
     assert SymForm.from_ints([[4, -2], [-2, 8]], 6) == SymForm(Mat([["2/3", "-1/3"], ["-1/3", "4/3"]]))
     assert SymForm.from_ints([[0, 0], [0, 0]], 5) == SymForm(Mat.zeros(2, 2))
+    # a pair already in lowest terms is kept, not copied
+    rows = [[4, -2], [-2, 9]]
+    assert SymForm.from_ints(rows, 6).int_matrix()[0] is rows
     # mixed and unreduced denominators, and a zero over 7
     parsed = parse(json.dumps({"dim": 2, "products": [[1, 1, [[2, "1"]]]],
                                "form": [["2/8", "-1/6"], ["-1/6", "0/7"]]}))[1]
@@ -1443,33 +1438,32 @@ def test_form_members_carry_their_scaled_pairs():
 
 def test_form_search_builds_no_rationals(monkeypatch):
     # the members are built from integers and the search reads only their
-    # scaled() pairs, so no Fraction is built until data is read: on a
-    # witness (no form) and on an algebra whose form is found
+    # int_matrix() pairs, so no Fraction is built until a matrix is read:
+    # on a witness (no form) and on an algebra whose form is found
     real = exactlin.QQ
     for A, found in ((scramble(witnesses(1)[0], None, 3)[0], False),
                      (scramble(make_family(2, 4), None, 3)[0], True)):
         built = []
         with monkeypatch.context() as m:
-            m.setattr(exactlin, "QQ", lambda *args: built.append(args) or real(*args))
+            for module in (exactlin, forms):
+                m.setattr(module, "QQ", lambda *args: built.append(args) or real(*args))
             space = invariant_form_space(A)
             B = find_nondegenerate(space, seed=0)
         assert built == []
         assert (B is not None) == found
-        assert [M.data for M in space] == ref_form_space(A)[0]
+        assert [M.matrix.data for M in space] == ref_form_space(A)[0]
 
 
 def test_single_members_before_the_generic_point(monkeypatch):
     # scrambled family 2 at dim 4 has d = 7 members, and members 3 and 5
-    # have rank 4: the support-1 pass returns member 3, over the members'
-    # lcm, before any point is ranked
+    # have rank 4: the support-1 pass returns member 3 itself before any
+    # point is ranked
     space = invariant_form_space(scramble(make_family(2, 4), None, 3)[0])
-    assert [rank(M) for M in space] == [2, 1, 2, 4, 1, 4, 3]
+    assert [rank(M.matrix) for M in space] == [2, 1, 2, 4, 1, 4, 3]
     calls = _count_calls(monkeypatch, "find_generic_point", (forms,))
     B = find_nondegenerate(space, seed=0)
     assert calls == []
-    den = lcm(*[M.scaled()[1] for M in space])
-    rows, e = space[3].scaled()
-    assert B == SymForm.from_ints([[x * (den // e) for x in row] for row in rows], den)
+    assert B is space[3]
 
 
 def ref_det(rows):
@@ -1494,8 +1488,8 @@ def ref_find_nondegenerate(space, seed, sweep_cap=12):
     """find_nondegenerate's search order over Fraction matrices, for spaces
     that hold a nondegenerate member: a certificate among the first
     points, then the {-1, 0, 1} sweep, then the first nonsingular point."""
-    d, n = len(space), space[0].rows
-    mats = [[[Fraction(str(x)) for x in row] for row in M.data] for M in space]
+    d, n = len(space), space[0].dim
+    mats = [[[Fraction(str(x)) for x in row] for row in M.matrix.data] for M in space]
 
     def combine(coeffs):
         terms = [(Fraction(str(k)), M) for k, M in zip(coeffs, mats) if k]
@@ -1574,7 +1568,7 @@ def test_find_nondegenerate_on_low_rank_spaces():
     absent = set()
     for i, mats in enumerate(low_rank_spaces(35, 150)):
         n = len(mats[0])
-        space = [Mat(M) for M in mats]
+        space = [SymForm(Mat(M)) for M in mats]
         B = find_nondegenerate(space, seed=i)
         if B is None:
             # the determinant of the pencil has degree n <= 5, so unless it
