@@ -128,9 +128,31 @@ def _reaches_jordan(Rk, FT, den, cols, k):
     return True
 
 
+def _check_form(A: Algebra, B: SymForm):
+    """Raise PreconditionError naming the first of these that B fails: the
+    dimension of A, nondegenerate, n_minus <= n_plus, invariant."""
+    if B.dim != A.dim:
+        raise PreconditionError("dimension mismatch")
+    np_, nm, nz = B.signature()
+    if nz:
+        raise PreconditionError("form must be nondegenerate")
+    if nm > np_:
+        raise PreconditionError("orientation must satisfy p <= n - p")
+    if not is_invariant(A, B):
+        raise PreconditionError("form must be invariant")
+
+
 def canonical_basis(A: Algebra, B: SymForm, x0) -> CanonReport:
-    """Build the canonical basis for R_{x0} and the metric; every
-    intermediate claim is asserted, not assumed.
+    """The form's checks (_check_form), then the construction (_build_basis)."""
+    if len(x0) != A.dim:
+        raise PreconditionError("dimension mismatch")
+    _check_form(A, B)
+    return _build_basis(A, B, x0)
+
+
+def _build_basis(A: Algebra, B: SymForm, x0) -> CanonReport:
+    """Build the canonical basis for R_{x0} and the metric, B checked by
+    _check_form; every intermediate claim is asserted, not assumed.
 
     R_{x0} enters as FT Rk / den (_int_right_op): its k rows Rk at the
     pivots of AA have its reduced form, pivots and kernel.  Every basis
@@ -141,15 +163,6 @@ def canonical_basis(A: Algebra, B: SymForm, x0) -> CanonReport:
     diagonal and d_forms.  P's integer columns are transported once
     (transport_columns), and every claim of CLAIMS is read on that."""
     n = A.dim
-    if B.dim != n or len(x0) != n:
-        raise PreconditionError("dimension mismatch")
-    np_, nm, nz = B.signature()
-    if nz:
-        raise PreconditionError("form must be nondegenerate")
-    if nm > np_:
-        raise PreconditionError("orientation must satisfy p <= n - p")
-    if not is_invariant(A, B):
-        raise PreconditionError("form must be invariant")
     Rk, FT, den = _int_right_op(A, x0)
     Bi, db = B.int_matrix()
 
@@ -170,7 +183,7 @@ def canonical_basis(A: Algebra, B: SymForm, x0) -> CanonReport:
     # columns of R's reduced row echelon form, which is Rk's
     reduced, pivots = rref(Rk, n)
     k = len(pivots)
-    if k > nm:
+    if k > B.signature()[1]:
         raise CanonError("rank of R_{x0} exceeds the negative index")
     U = [[int(t == j) for t in range(n)] for j in pivots]
     W, dw = [[sum(map(mul, fm, [row[j] for row in Rk])) for fm in FT] for j in pivots], den
@@ -378,18 +391,22 @@ def canonicalize(A: Algebra, B, seed) -> CanonReport:
     A's identity verdicts, decided once, give the anticommutation
     precondition and products_vanish, which is the Novikov identity once
     the R_i anticommute.  With B None, a nondegenerate member of A's
-    invariant form space is searched for with seed.  The identities are
-    checked before the form is searched for or normalized, so they win
-    over a degenerate form.  A failed precondition raises
+    invariant form space is searched for with seed; at dim 0, whose empty
+    space has no member, the empty form is nondegenerate.  The identities
+    are checked before the form is searched for or normalized, and the
+    form before x0 is searched for, so each wins over what follows and no
+    rank is computed for a refused form.  A failed precondition raises
     PreconditionError naming it."""
     check_identities(A)
     if B is None:
-        B = find_nondegenerate(invariant_form_space(A), seed=seed)
+        B = (find_nondegenerate(invariant_form_space(A), seed=seed) if A.dim
+             else SymForm.from_ints([], 1))
         if B is None:
             raise PreconditionError("no nondegenerate invariant form exists")
     B = normalize_orientation(B)
+    _check_form(A, B)
     x0, _ = max_rank_element(A, seed)
-    return canonical_basis(A, B, x0)
+    return _build_basis(A, B, x0)
 
 
 def theorem_check(A: Algebra, B: SymForm, seed) -> bool:

@@ -18,7 +18,7 @@ import sys
 from .scalars import rational_str
 from .exactlin import GenericPointError, Mat
 from .algebra import check_fermionic, check_left_symmetric, check_novikov
-from .forms import find_nondegenerate, invariant_form_space
+from .forms import SymForm, find_nondegenerate, invariant_form_space
 from .canon import (
     CanonError,
     CanonReport,
@@ -94,7 +94,8 @@ def cmd_check(args):
 def cmd_forms(args):
     A, _, _ = _load(args.input)
     space = invariant_form_space(A)
-    B = find_nondegenerate(space, seed=_default_seed(args))
+    # the empty form is nondegenerate, though the empty space has no member
+    B = find_nondegenerate(space, seed=_default_seed(args)) if A.dim else SymForm.from_ints([], 1)
     report = {"space_dimension": len(space)}
     if B is None:
         report["nondegenerate_member"] = None

@@ -18,8 +18,8 @@ polynomial gcd, with no rational-function arithmetic.
 find_generic_point is the one rank search: a sampled point of rank
 min(rows, cols) proves a pencil's rank, else generic_rank runs once.
 
-Pivoting is deterministic everywhere: first nonzero entry in row-major
-order.
+Pivoting is deterministic everywhere: rref takes each kept row's first
+nonzero entry, generic_rank each column's first nonzero remaining row.
 """
 
 from __future__ import annotations
@@ -299,36 +299,28 @@ def int_signature(rows):
 
 class Pencil:
     """The integer matrix pencil sum_t x_t mats[t] in nvars = len(mats)
-    variables, where mats are rows x cols integer matrices given as lists
-    of rows.
+    variables, mats being rows x cols integer matrices as lists of rows.
 
     Rank is scale-free, so a rational pencil enters as its members scaled
-    to integers over one denominator.  mats keeps the members, shared with
-    the caller; entries[r][c], the coefficients of entry (r, c) one per
-    variable, is built on the first eval or generic_rank.
+    to integers over one denominator.  mats, shared with the caller, is
+    the pencil's one table: eval and generic_rank read it entry by entry.
     """
 
-    __slots__ = ("nvars", "rows", "cols", "mats", "_entries")
+    __slots__ = ("nvars", "rows", "cols", "mats")
 
     def __init__(self, mats, rows, cols):
         self.nvars = len(mats)
         self.mats = mats
         self.rows = rows
         self.cols = cols
-        self._entries = None
-
-    @property
-    def entries(self):
-        if self._entries is None:
-            self._entries = ([list(zip(*members)) for members in zip(*self.mats)]
-                             or [[()] * self.cols for _ in range(self.rows)])
-        return self._entries
 
     def eval(self, point):
         """The integer rows of the pencil at an integer point."""
         if len(point) != self.nvars:
             raise ValueError("wrong number of values")
-        return [[sum(map(mul, point, e)) for e in row] for row in self.entries]
+        if not self.mats:
+            return [[0] * self.cols for _ in range(self.rows)]
+        return [[sum(map(mul, point, e)) for e in zip(*rs)] for rs in zip(*self.mats)]
 
 
 # Integer term dicts map exponent tuples to nonzero Python ints; the
@@ -379,44 +371,33 @@ def _divexact(r, b):
 
 def generic_rank(M: Pencil) -> int:
     """Rank of M over the rational function field in its variables, by
-    fraction-free (Bareiss) elimination with full row-major pivoting.
+    fraction-free (Bareiss) elimination, column by column: the pivot is
+    the first remaining row nonzero in the column, and a column with none
+    is skipped.  By Sylvester's identity each division by the previous
+    pivot is exact whatever the pivot columns, so no column is swapped.
 
-    Equals the maximum rank of M over all rational specializations.  Every
+    Equals the maximum rank of M over all rational specializations; every
     entry is an integer term dict, so every step is integer polynomial
-    arithmetic and each division by the previous pivot is exact.
+    arithmetic.
     """
-    rows, cols = M.rows, M.cols
     units = [tuple(1 if t == u else 0 for t in range(M.nvars)) for u in range(M.nvars)]
-    a = [[{u: v for u, v in zip(units, e) if v} for e in row] for row in M.entries]
+    a = [[{u: v for u, v in zip(units, e) if v} for e in zip(*rs)] for rs in zip(*M.mats)]
     prev = None  # the previous pivot; none before the first step
     r = 0
-    for s in range(min(rows, cols)):
-        piv = None
-        for i in range(s, rows):
-            for j in range(s, cols):
-                if a[i][j]:
-                    piv = (i, j)
-                    break
-            if piv:
-                break
-        if piv is None:
-            break
-        pi, pj = piv
-        if pi != s:
-            a[s], a[pi] = a[pi], a[s]
-        if pj != s:
-            for row in a:
-                row[s], row[pj] = row[pj], row[s]
-        r += 1
-        srow = a[s]
-        pivot = srow[s]
-        for i in range(s + 1, rows):
-            irow = a[i]
-            ais = irow[s]
-            for j in range(s + 1, cols):
-                num = _mul_sub(irow[j], pivot, ais, srow[j])
+    for c in range(M.cols):
+        i = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if i is None:
+            continue
+        a[r], a[i] = a[i], a[r]
+        srow = a[r]
+        pivot = srow[c]
+        for irow in a[r + 1:]:
+            aic = irow[c]
+            for j in range(c + 1, M.cols):
+                num = _mul_sub(irow[j], pivot, aic, srow[j])
                 irow[j] = _divexact(num, prev) if prev else num
         prev = pivot
+        r += 1
     return r
 
 

@@ -14,6 +14,7 @@ from fnovikov import (
     SymForm,
     basis_element,
     canonical_basis,
+    canonicalize,
     find_nondegenerate,
     generic_rank,
     invariant_form_space,
@@ -312,6 +313,49 @@ class TestTheoremCheck:
         monkeypatch.setattr(Algebra, "derived_dim", lambda self: real_derived_dim(self) + 1)
         assert not theorem_check(A, B, seed=1)
         assert len(reports) == 1 and all(reports[0].claims.values())
+
+    def test_noninvariant_form_refused_before_the_rank_search(self, monkeypatch):
+        # four scrambled copies of A3 (e3 e1 = -e2, e3 e3 = -e1), dim 12:
+        # every specialization of the right pencil is singular, so ranking
+        # it falls back to the symbolic generic_rank, which had not
+        # finished after 20 s.  The identity form is not invariant, and
+        # is_invariant decides that in well under a millisecond
+        m = 4
+        n = 3 * m
+        A3s = Algebra.from_products(n, [p for c in range(m) for p in (
+            (3 * c + 2, 3 * c, 3 * c + 1, -1), (3 * c + 2, 3 * c + 2, 3 * c, -1))])
+        A, _, _ = scramble(A3s, None, 3)
+        identity = SymForm.from_ints([[int(i == j) for j in range(n)] for i in range(n)], 1)
+        start = time.perf_counter()
+        with pytest.raises(PreconditionError, match="form must be invariant"):
+            canonicalize(A, identity, 0)
+        assert time.perf_counter() - start < 1.0
+        # x0 is never searched for
+        monkeypatch.setattr(canon, "max_rank_element", None)
+        with pytest.raises(PreconditionError, match="form must be invariant"):
+            canonicalize(A, identity, 0)
+
+    def test_form_checked_once(self, monkeypatch):
+        # canonicalize checks the form before the rank search and builds
+        # the basis without checking it again
+        calls = []
+        real = canon.is_invariant
+        monkeypatch.setattr(canon, "is_invariant", lambda A, B: calls.append(B) or real(A, B))
+        A, B = family_with_form(2, 4)
+        assert all(canonicalize(A, B, 1).claims.values())
+        assert len(calls) == 1
+        canonical_basis(A, normalize_orientation(B), max_rank_element(A, 1)[0])
+        assert len(calls) == 2
+
+    def test_dimension_zero(self):
+        # the 0x0 form is nondegenerate: with no form given, canonicalize
+        # takes it, and the report equals the one for the explicit form
+        A = Algebra.zero(0)
+        assert invariant_form_space(A) == [] and find_nondegenerate([], 0) is None
+        rep = canonicalize(A, None, 0)
+        assert rep.k == 0 and rep.x0 == [] and all(rep.claims.values())
+        assert rep == canonicalize(A, SymForm(Mat.zeros(0, 0)), 0)
+        assert theorem_check(A, SymForm.from_ints([], 1), seed=0)
 
     def test_form_is_required(self):
         # only `fnovikov canon` searches for a form when none is given

@@ -98,6 +98,60 @@ class TestForms:
         assert sum(report["type"]) == 3
 
 
+    def test_dimension_zero(self, capsys, tmp_path):
+        # the 0x0 form is nondegenerate, though the space has no member
+        path = tmp_path / "dim0.json"
+        path.write_text('{"dim": 0}')
+        code, out, _ = run(capsys, "forms", "--input", str(path), "--json")
+        assert code == 0
+        assert json.loads(out) == {"space_dimension": 0, "nondegenerate_member": [], "type": [0, 0]}
+
+    def test_formless_witness(self, capsys, tmp_path):
+        # the scrambled first witness: its members' rows have rank 3 < 4
+        # together, so no member is nondegenerate; the report is pinned
+        from fnovikov import scramble, search_fermionic_not_novikov
+
+        path = tmp_path / "witness.json"
+        path.write_text(serialize(scramble(next(search_fermionic_not_novikov()), None, 3)[0]))
+        code, out, _ = run(capsys, "forms", "--input", str(path), "--json")
+        assert code == 0
+        assert json.loads(out)["nondegenerate_member"] is None
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "c26472400a52d54136bbd43c39d65ca2b59e8088be686e99ff835bca369cbbe0"
+        )
+
+
+CANON_TEXT_FAM4 = """\
+x0:
+  1 1 -2 0
+k: 1
+P:
+    1 0 0 0
+    0 1 0 0
+    0 0 1 -1/2
+    0 0 1 1/2
+pair_weights:
+  1
+signs:
+  1
+complement_diag:
+  2 -1/2
+d_forms:
+      0
+      1
+      0
+      0
+claims:
+  metric_canonical: True
+  rx0_canonical: True
+  lower_right_zero: True
+  side_blocks_zero: True
+  core_block_shape: True
+  weighted_symmetry: True
+  products_vanish: True
+"""
+
+
 class TestCanon:
     def test_family2(self, capsys, family2_file):
         code, out, _ = run(capsys, "canon", "--input", family2_file, "--json")
@@ -105,6 +159,24 @@ class TestCanon:
         report = json.loads(out)
         assert report["k"] == 1
         assert all(report["claims"].values())
+
+    def test_text_report(self, capsys, tmp_path):
+        # without --json the report is printed nested: a key per line, a
+        # list of scalars on one line, a list of lists one level deeper
+        path = tmp_path / "fam4.json"
+        code, _, _ = run(capsys, "gen", "--variant", "2", "--dim", "4", "--seed", "1", "--output", str(path))
+        assert code == 0
+        code, out, err = run(capsys, "canon", "--input", str(path))
+        assert (code, out, err) == (0, CANON_TEXT_FAM4, "")
+
+    def test_dimension_zero(self, capsys, tmp_path):
+        path = tmp_path / "dim0.json"
+        path.write_text('{"dim": 0}')
+        code, out, _ = run(capsys, "canon", "--input", str(path), "--json")
+        assert code == 0
+        report = json.loads(out)
+        assert (report["k"], report["P"], report["x0"]) == (0, [], [])
+        assert len(report["claims"]) == 7 and all(report["claims"].values())
 
     def test_degenerate_form_rejected(self, capsys, tmp_path):
         A = make_family(2, 2)

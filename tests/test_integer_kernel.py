@@ -521,9 +521,6 @@ def test_search_builds_an_algebra_per_witness_only(monkeypatch):
     # its identities on its own tensor
     assert all(W._identities is None for W in found)
     assert all(W.identities() == (True, True, False) for W in found)
-    # the checks read the right pencil's members; its transposed table is
-    # built only for an eval or generic_rank
-    assert all(W.right_pencil()._entries is None for W in found)
     digest = hashlib.sha256("".join(serialize(W) for W in found).encode()).hexdigest()
     assert digest == "40044c2fb5b3e7e33eb310aff2b411d8cb2e593c3823415dc53deb10f3883d9d"
 
@@ -1365,11 +1362,13 @@ def test_invariant_form_space_matches_reference():
 
 def test_form_space_memory_is_bounded():
     # the rho n (n - 1) / 2 dense equations, rho = rank of the R_j, are
-    # reduced as they are built, so at most n (n + 1) / 2 = 136 rows are
-    # stored at once; 120 equations stream for scrambled family 2
-    # (rho = 1), so the scrambled sum of eight planes (rho = 8, 960
-    # equations) is the case that needs the streaming
-    for A in (make_family(2, 16), planes_sum(8)):
+    # reduced as they are built, so at most n (n + 1) / 2 = 78 rows are
+    # stored at once; 66 equations stream for scrambled family 2
+    # (rho = 1), so the scrambled sum of six planes (rho = 6, 396
+    # equations) is the case that needs the streaming.  Streamed, the two
+    # peak at 0.20 and 0.19 MiB; the planes' equations held in a list
+    # before rref peak at 0.67 MiB
+    for A in (make_family(2, 12), planes_sum(6)):
         A, _, _ = scramble(A, None, 3)
         tracemalloc.start()
         try:
@@ -1378,7 +1377,7 @@ def test_form_space_memory_is_bounded():
         finally:
             tracemalloc.stop()
         assert len(space) > 0
-        assert peak < 2 * 2**20
+        assert peak < 2**19
 
 
 def test_form_equations_from_independent_right_multiplications(monkeypatch):
