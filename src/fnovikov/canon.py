@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 from operator import mul
+from typing import NamedTuple
 
 from .scalars import QQ, ZERO
 from .exactlin import (
@@ -65,9 +66,10 @@ class CanonReport:
     d_forms[j] is the k x k matrix of lower-left block entries of the
     leading 2k x 2k block of R_{e'_j} in the new basis.
 
-    claims maps each name of CLAIMS to its truth value, as canonical_basis
-    read it on the basis it built and transported; verify_structure reads
-    the same claims again from the other fields.
+    claims maps each name of CLAIMS to its truth value, as _build_basis
+    read it on integers, on the basis it built and transported;
+    verify_structure reads the same claims again from the other fields.
+    The rational fields are built from that integer state by _report.
     """
 
     x0: list
@@ -143,35 +145,50 @@ def _check_form(A: Algebra, B: SymForm):
 
 
 def canonical_basis(A: Algebra, B: SymForm, x0) -> CanonReport:
-    """The form's checks (_check_form), then the construction (_build_basis)."""
+    """The form's checks (_check_form), then the construction (_build_basis)
+    and its report (_report)."""
     if len(x0) != A.dim:
         raise PreconditionError("dimension mismatch")
     _check_form(A, B)
-    return _build_basis(A, B, x0)
+    return _report(x0, _build_basis(A, B, x0))
 
 
-def _build_basis(A: Algebra, B: SymForm, x0) -> CanonReport:
+class _Basis(NamedTuple):
+    """The canonical basis as _build_basis builds it, on integers: k, the
+    claims, P's columns as (ints, den) pairs, the pair weights and the
+    complement diagonal as (numerator, denominator) pairs with positive
+    denominators, and the transport's prods."""
+
+    k: int
+    claims: dict
+    cols: list
+    weights: list
+    comp_diag: list
+    prods: dict
+
+
+def _build_basis(A: Algebra, B: SymForm, x0) -> _Basis:
     """Build the canonical basis for R_{x0} and the metric, B checked by
     _check_form; every intermediate claim is asserted, not assumed.
 
     R_{x0} enters as FT Rk / den (_int_right_op): its k rows Rk at the
     pivots of AA have its reduced form, pivots and kernel.  Every basis
     vector is an (ints, den) pair, every pairing <x, y> is x^T Bi y over
-    dx dy db, and int_congruence diagonalizes both Gram matrices, of
-    vectors over one denominator, carrying the vectors along.  Rationals
-    are built only for the report: P, the weights, the complement
-    diagonal and d_forms.  P's integer columns are transported once
+    dx dy db, with Bi y computed once per scale of y, and int_congruence
+    diagonalizes both Gram matrices, of vectors over one denominator,
+    carrying the vectors along.  No rational is built: _report builds the
+    report's.  P's integer columns are transported once
     (transport_columns), and every claim of CLAIMS is read on that."""
     n = A.dim
     Rk, FT, den = _int_right_op(A, x0)
     Bi, db = B.int_matrix()
 
-    def apply_form(v):
-        return [sum(map(mul, row, v)) for row in Bi]
+    def apply_form(vectors):
+        # Bi y for each integer vector y
+        return [[sum(map(mul, row, y)) for row in Bi] for y in vectors]
 
-    def gram(xs, ys):
-        # x^T Bi y for integer vectors, a row per x
-        bys = [apply_form(y) for y in ys]
+    def gram(xs, bys):
+        # x^T Bi y for integer vectors x and the products Bi y, a row per x
         return [[sum(map(mul, x, by)) for by in bys] for x in xs]
 
     def over(vectors):
@@ -189,17 +206,18 @@ def _build_basis(A: Algebra, B: SymForm, x0) -> CanonReport:
     W, dw = [[sum(map(mul, fm, [row[j] for row in Rk])) for fm in FT] for j in pivots], den
 
     # Im R totally isotropic, and Im R = (Ker R)^perp
-    if any(any(row) for row in gram(W, W)):
+    BW = apply_form(W)
+    if any(any(row) for row in gram(W, BW)):
         raise CanonError("Im R_{x0} is not totally isotropic")
     ker = rref_kernel(reduced, pivots, n)
     if len(ker) != n - k:
         raise CanonError("kernel dimension mismatch")
-    if any(any(row) for row in gram([v for v, _ in ker], W)):
+    if any(any(row) for row in gram([v for v, _ in ker], BW)):
         raise CanonError("Im R_{x0} not orthogonal to Ker R_{x0}")
 
     # pairing G_{ij} = <u_i, w_j>, G / (dw db): symmetric and nondegenerate;
     # u_i and w_i take the same column operations, carried side by side
-    G = gram(U, W)
+    G = gram(U, BW)
     if any(G[i][j] != G[j][i] for i in range(k) for j in range(i)):
         raise CanonError("preimage/image pairing is not symmetric")
     d, p, s = int_congruence(G, [u + w for u, w in zip(U, W)])
@@ -216,14 +234,16 @@ def _build_basis(A: Algebra, B: SymForm, x0) -> CanonReport:
     # killed by R
     U, du = over(us)
     W, dw = over(ws)
-    H, Wt = gram(U, U), list(zip(*W))
+    BW = apply_form(W)
+    H, Wt = gram(U, apply_form(U)), list(zip(*W))
     m = lcm(*[wn for wn, _ in pws])
     f = 2 * du * db * dw * m
     for i in range(k):
         cs = [h * wd * (m // wn) for h, (wn, wd) in zip(H[i], pws)]
         us[i] = lowest_terms([f * x - sum(map(mul, cs, col)) for x, col in zip(U[i], Wt)], f * du)
     U, du = over(us)
-    isotropic, cross = gram(U, U), gram(U, W)
+    BU = apply_form(U)
+    isotropic, cross = gram(U, BU), gram(U, BW)
     for i in range(k):
         for j in range(k):
             if isotropic[i][j]:
@@ -234,17 +254,15 @@ def _build_basis(A: Algebra, B: SymForm, x0) -> CanonReport:
 
     # orthogonal complement of span(u, w), metric-diagonalized; its rows
     # B v are integer, and the kernel does not depend on their scale
-    rows = [apply_form(v) for v in U + W]
-    comp = rref_kernel(*rref(rows, n), n)
+    comp = rref_kernel(*rref(BU + BW, n), n)
     if len(comp) != n - 2 * k:
         raise CanonError("complement dimension mismatch")
     Z, dz = over(comp)
-    d, p, s = int_congruence(gram(Z, Z), Z)
+    d, p, s = int_congruence(gram(Z, apply_form(Z)), Z)
     if not all(d):
         raise CanonError("complement metric is degenerate")
     comp = [lowest_terms(v, dz * si) for v, si in zip(p, s)]
-    weights = [QQ(wn, wd) for wn, wd in pws]
-    comp_diag = [QQ(di, dz * dz * db * si) for di, si in zip(d, s)]
+    comp_diag = [(di, dz * dz * db * si) for di, si in zip(d, s)]
 
     cols = [v for pair in zip(us, ws) for v in pair] + comp
     # transport_columns raises ValueError when P is singular
@@ -252,7 +270,7 @@ def _build_basis(A: Algebra, B: SymForm, x0) -> CanonReport:
         transport = transport_columns(A, B, cols)
     except ValueError:
         raise CanonError("basis change is singular") from None
-    claims = _read_claims(transport, k, weights, comp_diag,
+    claims = _read_claims(transport, k, pws, comp_diag,
                           _reaches_jordan(Rk, FT, den, cols, k),
                           check_fermionic(A) and check_novikov(A))
     # the metric and the shape of R_{x0} hold by construction
@@ -260,23 +278,29 @@ def _build_basis(A: Algebra, B: SymForm, x0) -> CanonReport:
         raise CanonError("metric does not reach the canonical block form")
     if not claims["rx0_canonical"]:
         raise CanonError("R_{x0} does not reach the canonical Jordan form")
+    return _Basis(k, claims, cols, pws, comp_diag, transport[0])
 
+
+def _report(x0, basis: _Basis) -> CanonReport:
+    """The CanonReport of the basis _build_basis built for x0: its rationals
+    P, pair_weights, complement_diag and d_forms, from the integer state."""
+    k, claims, cols, pws, comp_diag, prods = basis
+    n = len(cols)
+    weights = [QQ(wn, wd) for wn, wd in pws]
     # d_forms[j][a][b] = R'_j[2a+1][2b] = c'[2b][j][2a+1]
-    prods, _ = transport
     none = ([0] * n, 1)
     d_forms = [
         Mat._raw([[QQ(v[2 * a + 1], t) for v, t in (prods.get((2 * b, j), none) for b in range(k))]
                   for a in range(k)], k)
         for j in range(n)
     ]
-
     return CanonReport(
         x0=list(x0),
         k=k,
         P=Mat._raw([[QQ(v[i], d) if v[i] else ZERO for v, d in cols] for i in range(n)], n),
         pair_weights=weights,
         signs=[1 if g > 0 else -1 for g in weights],
-        complement_diag=comp_diag,
+        complement_diag=[QQ(c, d) for c, d in comp_diag],
         d_forms=d_forms,
         claims=claims,
     )
@@ -297,14 +321,15 @@ def _read_claims(transport, k, weights, comp_diag, rx0_canonical, products_vanis
     """Each claim of CLAIMS, in that order, read on transport, the algebra
     and the form in the canonical basis P as transport_columns returns
     them: integer numerators with their scales.  The targets are rebuilt
-    from k and the rational pair weights and complement diagonal, and
-    compared by cross-multiplying with their numerators and denominators;
-    rx0_canonical is whether R_{x0} P = P J.
+    from k, the k pair weights and the complement diagonal, given as
+    (numerator, denominator) pairs with positive denominators, in lowest
+    terms or not, and compared by cross-multiplying; rx0_canonical is
+    whether R_{x0} P = P J.
 
     R'_j[r][s] = c'[s][j][r] is read from the numerators, with no matrix
     built.  The zero-block claims are decided by where the nonzero
     numerators fall: the core allows them only at (2a+1, 2b).
-    weighted_symmetry reads its entries by index, as canonical_basis reads
+    weighted_symmetry reads its entries by index, as _report reads
     d_forms.
 
     products_vanish is whether every R_i R_j = 0, read on A itself, as no
@@ -325,14 +350,14 @@ def _read_claims(transport, k, weights, comp_diag, rx0_canonical, products_vanis
                 zero["core_block_shape"] = False
     # the canonical metric as (numerator, denominator) pairs: hyperbolic
     # pairs of the given weights, then the diagonal complement, 0 elsewhere
-    target = {(h + t, h + t): (c.numerator, c.denominator) for t, c in enumerate(comp_diag)}
-    for a, w in enumerate(weights[:k]):
-        target[2 * a, 2 * a + 1] = target[2 * a + 1, 2 * a] = (w.numerator, w.denominator)
+    target = {(h + t, h + t): c for t, c in enumerate(comp_diag)}
+    for a, w in enumerate(weights):
+        target[2 * a, 2 * a + 1] = target[2 * a + 1, 2 * a] = w
 
     def weighted(i, j, m, w):
         # c'[i][j][m] w as a (numerator, denominator) pair
         v, t = prods.get((i, j), ([0] * n, 1))
-        return v[m] * w.numerator, t * w.denominator
+        return v[m] * w[0], t * w[1]
 
     def equal(x, y):
         return x[0] * y[1] == y[0] * x[1]
@@ -361,18 +386,24 @@ def verify_structure(A: Algebra, B: SymForm, rep: CanonReport):
     value (see CLAIMS): the independent re-check of a report.
 
     The columns of rep.P are transported again, R_{x0} P compared with P J
-    for rep.x0 and rep.k, and the claims read by the helper canonical_basis
-    uses, with every target rebuilt from the report's fields, so a
-    corrupted report is caught.  rep.claims is not read."""
-    n = A.dim
-    if B.dim != n or rep.P.rows != n:
+    for rep.x0 and rep.k, and the claims read by the helper _build_basis
+    uses, with every target rebuilt from the report's fields, its rational
+    weights and complement diagonal taken as (numerator, denominator)
+    pairs, so a corrupted report is caught.  rep.claims is not read.  A
+    report whose shape does not fit A (B of another dimension, P not
+    n x n, x0 not of length n, k not the number of pair weights or more
+    than n / 2) raises PreconditionError("report/algebra mismatch")."""
+    n, k = A.dim, rep.k
+    if (B.dim != n or (rep.P.rows, rep.P.cols) != (n, n) or len(rep.x0) != n
+            or len(rep.pair_weights) != k or 2 * k > n):
         raise PreconditionError("report/algebra mismatch")
     cols = scale_columns(rep.P)
     transport = transport_columns(A, B, cols)
-    rx0_canonical = _reaches_jordan(*_int_right_op(A, rep.x0), cols, rep.k)
-    return _read_claims(transport, rep.k, rep.pair_weights,
-                        rep.complement_diag, rx0_canonical,
-                        check_fermionic(A) and check_novikov(A))
+    rx0_canonical = _reaches_jordan(*_int_right_op(A, rep.x0), cols, k)
+    return _read_claims(transport, k,
+                        [(w.numerator, w.denominator) for w in rep.pair_weights],
+                        [(c.numerator, c.denominator) for c in rep.complement_diag],
+                        rx0_canonical, check_fermionic(A) and check_novikov(A))
 
 
 def check_identities(A: Algebra):
@@ -386,7 +417,8 @@ def check_identities(A: Algebra):
 
 def canonicalize(A: Algebra, B, seed) -> CanonReport:
     """The theorem's pipeline: check the preconditions, pick a maximal-rank
-    x0, and build the canonical basis, every claim read on it.
+    x0, and build the canonical basis, every claim read on it, then its
+    report (_report).
 
     A's identity verdicts, decided once, give the anticommutation
     precondition and products_vanish, which is the Novikov identity once
@@ -397,6 +429,11 @@ def canonicalize(A: Algebra, B, seed) -> CanonReport:
     form before x0 is searched for, so each wins over what follows and no
     rank is computed for a refused form.  A failed precondition raises
     PreconditionError naming it."""
+    return _report(*_pipeline(A, B, seed))
+
+
+def _pipeline(A: Algebra, B, seed):
+    """canonicalize up to the report: (x0, _build_basis's basis)."""
     check_identities(A)
     if B is None:
         B = (find_nondegenerate(invariant_form_space(A), seed=seed) if A.dim
@@ -406,14 +443,16 @@ def canonicalize(A: Algebra, B, seed) -> CanonReport:
     B = normalize_orientation(B)
     _check_form(A, B)
     x0, _ = max_rank_element(A, seed)
-    return _build_basis(A, B, x0)
+    return x0, _build_basis(A, B, x0)
 
 
 def theorem_check(A: Algebra, B: SymForm, seed) -> bool:
     """Whether the theorem's conclusions hold for A and the form B: every
-    claim of canonicalize's report, and dim AA equal to the rank k of
-    R_{x0}.  B is required; a missing form raises PreconditionError."""
+    claim canonicalize's report would hold, and dim AA equal to the rank k
+    of R_{x0}.  It runs canonicalize's pipeline and reads the claims and k
+    on the integer construction, building no report, so no rational.  B
+    is required; a missing form raises PreconditionError."""
     if B is None:
         raise PreconditionError("a form is required")
-    rep = canonicalize(A, B, seed)
-    return all(rep.claims.values()) and A.derived_dim() == rep.k
+    _, basis = _pipeline(A, B, seed)
+    return all(basis.claims.values()) and A.derived_dim() == basis.k

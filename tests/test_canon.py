@@ -1,6 +1,7 @@
 import dataclasses
 import random
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -16,6 +17,7 @@ from fnovikov import (
     canonical_basis,
     canonicalize,
     find_nondegenerate,
+    generate_corpus,
     generic_rank,
     invariant_form_space,
     k2_condition,
@@ -261,8 +263,29 @@ class TestVerifyStructure:
         assert not verify_structure(A, B, rep)["rx0_canonical"]
         rep.x0[:] = x0
         assert verify_structure(A, B, rep)["rx0_canonical"]
-        rep.k = 0
+        # k comes with its k pair weights, as a report of rank 0 has none
+        rep = dataclasses.replace(rep, k=0, pair_weights=[], signs=[])
         assert not verify_structure(A, B, rep)["rx0_canonical"]
+
+    @pytest.mark.parametrize("case", [
+        "P_not_square", "x0_too_short", "k_above_weights", "weights_above_k", "k_above_half",
+    ])
+    def test_malformed_report_refused(self, case):
+        # a report whose shape does not fit the algebra is refused by name,
+        # never by a ValueError of the transport or the pencil, nor by an
+        # IndexError while the claims are read
+        A, B = family_with_form(2, 4)
+        rep = canonical_basis(A, B, max_rank_element(A, seed=1)[0])
+        assert rep.k == 1
+        bad = {
+            "P_not_square": dict(P=Mat([row[:3] for row in rep.P.data])),
+            "x0_too_short": dict(x0=rep.x0[:3]),
+            "k_above_weights": dict(k=2),
+            "weights_above_k": dict(pair_weights=rep.pair_weights * 2),
+            "k_above_half": dict(k=3, pair_weights=rep.pair_weights * 3),
+        }[case]
+        with pytest.raises(PreconditionError, match="report/algebra mismatch"):
+            verify_structure(A, B, dataclasses.replace(rep, **bad))
 
 
 class TestTheoremCheck:
@@ -304,15 +327,36 @@ class TestTheoremCheck:
     def test_derived_dim_must_equal_k(self, monkeypatch):
         # every claim holds, and only the count dim AA = k fails
         A, B = family_with_form(2, 4)
-        reports = []
-        real_canonicalize = canon.canonicalize
+        bases = []
+        real_build_basis = canon._build_basis
         monkeypatch.setattr(
-            canon, "canonicalize", lambda *a: reports.append(real_canonicalize(*a)) or reports[-1]
+            canon, "_build_basis", lambda *a: bases.append(real_build_basis(*a)) or bases[-1]
         )
         real_derived_dim = Algebra.derived_dim
         monkeypatch.setattr(Algebra, "derived_dim", lambda self: real_derived_dim(self) + 1)
         assert not theorem_check(A, B, seed=1)
-        assert len(reports) == 1 and all(reports[0].claims.values())
+        assert len(bases) == 1 and all(bases[0].claims.values())
+
+    def test_builds_no_rational(self, monkeypatch):
+        # the verdict is read on the integer construction: no Fraction is
+        # built, by canon's QQ or otherwise, and no Mat, where the report
+        # took about 14 Fractions at dim 3; the verdict is the report's
+        rnd = random.Random(27)
+        corpus = [(A, B, rnd.randrange(2**30)) for _, A, B in generate_corpus(2024, 30)]
+        expected = []
+        for A, B, seed in corpus:
+            rep = canonicalize(A, B, seed)
+            expected.append(all(rep.claims.values()) and A.derived_dim() == rep.k)
+        assert all(expected)
+        calls = []
+        real_qq, real_raw, real_new = canon.QQ, Mat._raw, Fraction.__new__
+        monkeypatch.setattr(canon, "QQ", lambda *a: calls.append(a) or real_qq(*a))
+        monkeypatch.setattr(Mat, "_raw", classmethod(lambda cls, *a: calls.append(a) or real_raw(*a)))
+        monkeypatch.setattr(Fraction, "__new__", lambda cls, *a, **kw: calls.append(a) or real_new(cls, *a, **kw))
+        got = [theorem_check(A, B, seed) for A, B, seed in corpus]
+        monkeypatch.undo()
+        assert calls == []
+        assert got == expected
 
     def test_noninvariant_form_refused_before_the_rank_search(self, monkeypatch):
         # four scrambled copies of A3 (e3 e1 = -e2, e3 e3 = -e1), dim 12:

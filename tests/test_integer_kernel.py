@@ -622,12 +622,15 @@ def test_each_claim_reads_its_own_block():
     def claims(c):
         # the rational transport handed over as transport_columns gives
         # it: each nonzero product as an (ints, den) pair, and the form's
-        # entries as (numerator, denominator) pairs
+        # entries as (numerator, denominator) pairs; the weights and the
+        # diagonal go as such pairs too, which need not be in lowest terms
         prods = {(i, j): scale_vector(vec) for i, row in enumerate(c)
                  for j, vec in enumerate(row) if any(vec)}
         form = [[(x.numerator, x.denominator) for x in row] for row in newB.matrix.data]
-        return canon._read_claims((prods, form), k, rep.pair_weights,
-                                  rep.complement_diag, True, True)
+        return canon._read_claims((prods, form), k,
+                                  [(3 * q.numerator, 3 * q.denominator) for q in rep.pair_weights],
+                                  [(q.numerator, q.denominator) for q in rep.complement_diag],
+                                  True, True)
 
     assert claims(as_fractions(new)) == rep.claims
     breaks = {
