@@ -31,6 +31,7 @@ from .forms import (
     find_nondegenerate,
     invariant_form_space,
     is_invariant,
+    nondegenerate_form,
     normalize_orientation,
 )
 from .canon import (

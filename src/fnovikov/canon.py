@@ -39,9 +39,8 @@ from .algebra import (
 )
 from .forms import (
     SymForm,
-    find_nondegenerate,
-    invariant_form_space,
     is_invariant,
+    nondegenerate_form,
     normalize_orientation,
 )
 from .classify import transport_columns
@@ -178,7 +177,9 @@ def _build_basis(A: Algebra, B: SymForm, x0) -> _Basis:
     diagonalizes both Gram matrices, of vectors over one denominator,
     carrying the vectors along.  No rational is built: _report builds the
     report's.  P's integer columns are transported once
-    (transport_columns), and every claim of CLAIMS is read on that."""
+    (transport_columns), a singular P raising CanonError, and _read_claims
+    reads every claim of CLAIMS on that transport and on the R_{x0} triple
+    built here, so R_{x0} is evaluated once."""
     n = A.dim
     Rk, FT, den = _int_right_op(A, x0)
     Bi, db = B.int_matrix()
@@ -270,9 +271,7 @@ def _build_basis(A: Algebra, B: SymForm, x0) -> _Basis:
         transport = transport_columns(A, B, cols)
     except ValueError:
         raise CanonError("basis change is singular") from None
-    claims = _read_claims(transport, k, pws, comp_diag,
-                          _reaches_jordan(Rk, FT, den, cols, k),
-                          check_fermionic(A) and check_novikov(A))
+    claims = _read_claims(A, (Rk, FT, den), cols, transport, k, pws, comp_diag)
     # the metric and the shape of R_{x0} hold by construction
     if not claims["metric_canonical"]:
         raise CanonError("metric does not reach the canonical block form")
@@ -317,14 +316,16 @@ CLAIMS = (
 )
 
 
-def _read_claims(transport, k, weights, comp_diag, rx0_canonical, products_vanish):
-    """Each claim of CLAIMS, in that order, read on transport, the algebra
-    and the form in the canonical basis P as transport_columns returns
-    them: integer numerators with their scales.  The targets are rebuilt
+def _read_claims(A: Algebra, rx0, cols, transport, k, weights, comp_diag):
+    """Each claim of CLAIMS, in that order: the one place a claim is
+    decided.  cols are P's columns as (ints, den) pairs, transport is
+    transport_columns(A, B, cols), and rx0 is R_{x0} as _int_right_op's
+    triple, which the caller already holds.  The metric and block claims
+    are read on transport, the algebra and the form in the canonical basis
+    P as integer numerators with their scales.  The targets are rebuilt
     from k, the k pair weights and the complement diagonal, given as
     (numerator, denominator) pairs with positive denominators, in lowest
-    terms or not, and compared by cross-multiplying; rx0_canonical is
-    whether R_{x0} P = P J.
+    terms or not, and compared by cross-multiplying.
 
     R'_j[r][s] = c'[s][j][r] is read from the numerators, with no matrix
     built.  The zero-block claims are decided by where the nonzero
@@ -332,11 +333,12 @@ def _read_claims(transport, k, weights, comp_diag, rx0_canonical, products_vanis
     weighted_symmetry reads its entries by index, as _report reads
     d_forms.
 
-    products_vanish is whether every R_i R_j = 0, read on A itself, as no
-    basis is needed: R'_i R'_j = Pinv R_{P e_i} R_{P e_j} P, and the
-    transport's reduction of P's integer columns proves P invertible.  It
-    is check_fermionic(A) and check_novikov(A), as R_i R_j = -R_j R_i and
-    R_i R_j = R_j R_i force R_i R_j = 0."""
+    rx0_canonical is whether R_{x0} P = P J, compared on integers
+    (_reaches_jordan).  products_vanish is whether every R_i R_j = 0, read
+    on A itself, as no basis is needed: R'_i R'_j = Pinv R_{P e_i} R_{P e_j}
+    P, and the transport's reduction of P's integer columns proves P
+    invertible.  It is A's cached check_fermionic(A) and check_novikov(A),
+    as R_i R_j = -R_j R_i and R_i R_j = R_j R_i force R_i R_j = 0."""
     prods, form = transport
     n, h = len(form), 2 * k
     zero = dict.fromkeys(("lower_right_zero", "side_blocks_zero", "core_block_shape"), True)
@@ -367,7 +369,7 @@ def _read_claims(transport, k, weights, comp_diag, rx0_canonical, products_vanis
             equal(e, target.get((i, j), (0, 1)))
             for i, row in enumerate(form) for j, e in enumerate(row)
         ),
-        "rx0_canonical": rx0_canonical,
+        "rx0_canonical": _reaches_jordan(*rx0, cols, k),
         **zero,
         # the pair (a, b) reads the equation of (b, a), and a = b holds
         "weighted_symmetry": all(
@@ -377,7 +379,7 @@ def _read_claims(transport, k, weights, comp_diag, rx0_canonical, products_vanis
             for a in range(k)
             for b in range(a + 1, k)
         ),
-        "products_vanish": products_vanish,
+        "products_vanish": check_fermionic(A) and check_novikov(A),
     }
 
 
@@ -385,25 +387,27 @@ def verify_structure(A: Algebra, B: SymForm, rep: CanonReport):
     """Read every structural claim again and return each claim's truth
     value (see CLAIMS): the independent re-check of a report.
 
-    The columns of rep.P are transported again, R_{x0} P compared with P J
-    for rep.x0 and rep.k, and the claims read by the helper _build_basis
-    uses, with every target rebuilt from the report's fields, its rational
+    The columns of rep.P are transported again and every claim read by
+    _read_claims, as _build_basis reads them, for R_{x0} at rep.x0 and for
+    rep.k, with every target rebuilt from the report's fields, its rational
     weights and complement diagonal taken as (numerator, denominator)
     pairs, so a corrupted report is caught.  rep.claims is not read.  A
-    report whose shape does not fit A (B of another dimension, P not
-    n x n, x0 not of length n, k not the number of pair weights or more
+    report that does not fit A (B of another dimension, P not n x n or
+    singular, x0 not of length n, k not the number of pair weights or more
     than n / 2) raises PreconditionError("report/algebra mismatch")."""
     n, k = A.dim, rep.k
     if (B.dim != n or (rep.P.rows, rep.P.cols) != (n, n) or len(rep.x0) != n
             or len(rep.pair_weights) != k or 2 * k > n):
         raise PreconditionError("report/algebra mismatch")
     cols = scale_columns(rep.P)
-    transport = transport_columns(A, B, cols)
-    rx0_canonical = _reaches_jordan(*_int_right_op(A, rep.x0), cols, k)
-    return _read_claims(transport, k,
+    # transport_columns raises ValueError when P is singular
+    try:
+        transport = transport_columns(A, B, cols)
+    except ValueError:
+        raise PreconditionError("report/algebra mismatch") from None
+    return _read_claims(A, _int_right_op(A, rep.x0), cols, transport, k,
                         [(w.numerator, w.denominator) for w in rep.pair_weights],
-                        [(c.numerator, c.denominator) for c in rep.complement_diag],
-                        rx0_canonical, check_fermionic(A) and check_novikov(A))
+                        [(c.numerator, c.denominator) for c in rep.complement_diag])
 
 
 def check_identities(A: Algebra):
@@ -422,9 +426,9 @@ def canonicalize(A: Algebra, B, seed) -> CanonReport:
 
     A's identity verdicts, decided once, give the anticommutation
     precondition and products_vanish, which is the Novikov identity once
-    the R_i anticommute.  With B None, a nondegenerate member of A's
-    invariant form space is searched for with seed; at dim 0, whose empty
-    space has no member, the empty form is nondegenerate.  The identities
+    the R_i anticommute; _read_claims reads both.  With B None the form is
+    nondegenerate_form's choice for seed: a nondegenerate member of A's
+    invariant form space, or the empty form at dim 0.  The identities
     are checked before the form is searched for or normalized, and the
     form before x0 is searched for, so each wins over what follows and no
     rank is computed for a refused form.  A failed precondition raises
@@ -436,8 +440,7 @@ def _pipeline(A: Algebra, B, seed):
     """canonicalize up to the report: (x0, _build_basis's basis)."""
     check_identities(A)
     if B is None:
-        B = (find_nondegenerate(invariant_form_space(A), seed=seed) if A.dim
-             else SymForm.from_ints([], 1))
+        _, B = nondegenerate_form(A, seed)
         if B is None:
             raise PreconditionError("no nondegenerate invariant form exists")
     B = normalize_orientation(B)

@@ -20,11 +20,10 @@ from .exactlin import Mat, int_rank, rref, scale_columns
 from .algebra import (
     Algebra,
     DimensionMismatchError,
-    basis_element,
     check_fermionic,
     check_left_symmetric,
 )
-from .forms import SymForm, find_nondegenerate, invariant_form_space
+from .forms import SymForm, nondegenerate_form
 
 
 class ScrambleError(RuntimeError):
@@ -51,20 +50,19 @@ def _is_commutative(A: Algebra) -> bool:
 
 def classify_k1(A: Algebra) -> int:
     """Which of the three one-dimensional-derived-subspace families A is
-    isomorphic to: 1 if commutative, else 2 if A(AA) != 0, else 3."""
+    isomorphic to: 1 if commutative, else 2 if A(AA) != 0, else 3, both
+    read on int_tensor()."""
     if not (check_left_symmetric(A) and check_fermionic(A)):
         raise ValueError("algebra must satisfy both defining identities")
     if A.derived_dim() != 1:
         raise ValueError("derived subspace must be one-dimensional")
     if _is_commutative(A):
         return 1
-    # the one row of the reduced basis spans the derived line
-    n = A.dim
-    v = A.derived_basis()[1][0]
-    for i in range(n):
-        if any(A.multiply(basis_element(n, i), v)):
-            return 2
-    return 3
+    # the one row f of the reduced basis spans the derived line, and
+    # (e_i f)[m] = sum_t f[t] C[i][t][m] / den on the integer tensor
+    C, _ = A.int_tensor()
+    f = A.derived_basis()[1][0]
+    return 2 if any(sum(map(mul, f, col)) for row in C for col in zip(*row)) else 3
 
 
 @dataclass
@@ -236,7 +234,7 @@ def generate_corpus(seed, count):
             if not k2_condition(A):
                 continue
             name = f"k2_dim{n}"
-        B = find_nondegenerate(invariant_form_space(A), seed=rnd.randrange(2**30))
+        _, B = nondegenerate_form(A, rnd.randrange(2**30))
         if B is None:
             continue
         A2, B2, _ = scramble(A, B, rnd.randrange(2**30))

@@ -18,7 +18,7 @@ import sys
 from .scalars import rational_str
 from .exactlin import GenericPointError, Mat
 from .algebra import check_fermionic, check_left_symmetric, check_novikov
-from .forms import SymForm, find_nondegenerate, invariant_form_space
+from .forms import nondegenerate_form
 from .canon import (
     CanonError,
     CanonReport,
@@ -93,9 +93,7 @@ def cmd_check(args):
 
 def cmd_forms(args):
     A, _, _ = _load(args.input)
-    space = invariant_form_space(A)
-    # the empty form is nondegenerate, though the empty space has no member
-    B = find_nondegenerate(space, seed=_default_seed(args)) if A.dim else SymForm.from_ints([], 1)
+    space, B = nondegenerate_form(A, _default_seed(args))
     report = {"space_dimension": len(space)}
     if B is None:
         report["nondegenerate_member"] = None
@@ -167,7 +165,7 @@ def cmd_gen(args):
     if args.dim > MAX_DIM:
         raise ValueError(f"dim {args.dim} exceeds the limit {MAX_DIM}")
     A = make_family(args.variant, args.dim)
-    B = find_nondegenerate(invariant_form_space(A), seed=_default_seed(args))
+    _, B = nondegenerate_form(A, _default_seed(args))
     text = serialize(
         A,
         form=B,

@@ -256,6 +256,18 @@ def find_nondegenerate(space, seed):
     return SymForm.from_ints(pencil.eval(point), den)
 
 
+def nondegenerate_form(A: Algebra, seed):
+    """(space, B): A's invariant form space and the form chosen on it, the
+    one place every caller takes a form from.  B is find_nondegenerate's
+    member for seed, None when no member is nondegenerate; at dim 0 the
+    empty space has no member, but the empty form is nondegenerate, and B
+    is that form."""
+    space = invariant_form_space(A)
+    if not A.dim:
+        return space, SymForm.from_ints([], 1)
+    return space, find_nondegenerate(space, seed)
+
+
 def normalize_orientation(B: SymForm) -> SymForm:
     """Flip the sign of the form if needed so that n_minus <= n_plus."""
     np_, nm, nz = B.signature()

@@ -268,7 +268,8 @@ class TestVerifyStructure:
         assert not verify_structure(A, B, rep)["rx0_canonical"]
 
     @pytest.mark.parametrize("case", [
-        "P_not_square", "x0_too_short", "k_above_weights", "weights_above_k", "k_above_half",
+        "P_not_square", "P_singular", "x0_too_short", "k_above_weights", "weights_above_k",
+        "k_above_half",
     ])
     def test_malformed_report_refused(self, case):
         # a report whose shape does not fit the algebra is refused by name,
@@ -279,6 +280,8 @@ class TestVerifyStructure:
         assert rep.k == 1
         bad = {
             "P_not_square": dict(P=Mat([row[:3] for row in rep.P.data])),
+            # P's second column replaced by its first
+            "P_singular": dict(P=Mat([[row[0], row[0], *row[2:]] for row in rep.P.data])),
             "x0_too_short": dict(x0=rep.x0[:3]),
             "k_above_weights": dict(k=2),
             "weights_above_k": dict(pair_weights=rep.pair_weights * 2),

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -84,6 +85,18 @@ class TestClassifyK1:
     def test_rejects_wrong_derived_dim(self):
         with pytest.raises(ValueError):
             classify_k1(Algebra.zero(3))
+
+    def test_builds_no_rational(self, monkeypatch):
+        # A(AA) != 0 is read on the integer tensor: no Fraction is built
+        cases = [(variant, scramble(make_family(variant, n), None, n)[0])
+                 for variant in (1, 2, 3) for n in range(3, 9)]
+        calls = []
+        real_new = Fraction.__new__
+        monkeypatch.setattr(Fraction, "__new__", lambda cls, *a, **kw: calls.append(a) or real_new(cls, *a, **kw))
+        got = [classify_k1(A) for _, A in cases]
+        monkeypatch.undo()
+        assert calls == []
+        assert got == [variant for variant, _ in cases]
 
 
 class TestMakeK2:

@@ -7,7 +7,7 @@ from itertools import islice
 import pytest
 
 from fnovikov import CanonError, GenericPointError, Mat, SymForm, make_family, parse, serialize
-from fnovikov import canon, cli
+from fnovikov import canon, cli, forms
 from fnovikov.fileio import MAX_DIM, MAX_SCALED_BITS
 from fnovikov.cli import main
 
@@ -231,11 +231,12 @@ class TestCanon:
     )
     def test_internal_claim_failure_exits_1(self, capsys, monkeypatch, family2_file, name, error):
         # CanonError and GenericPointError are RuntimeErrors: an internal
-        # claim failed, reported as a failed property, not a traceback
+        # claim failed, reported as a failed property, not a traceback; the
+        # form search runs in forms, behind nondegenerate_form
         def fail(*args, **kwargs):
             raise error
 
-        monkeypatch.setattr(canon, name, fail)
+        monkeypatch.setattr(forms if name == "find_nondegenerate" else canon, name, fail)
         code, out, err = run(capsys, "canon", "--input", family2_file, "--json")
         assert code == 1
         assert out == ""
@@ -354,6 +355,15 @@ class TestGenScramble:
         code, out, _ = run(capsys, "classify", "--input", str(dst), "--json")
         assert code == 0
         assert json.loads(out)["classification"] == "2"
+
+    def test_gen_dimension_zero(self, capsys):
+        # the 0x0 form is nondegenerate, so gen writes it, as forms reports
+        # it and canon takes it
+        code, out, _ = run(capsys, "gen", "--variant", "0", "--dim", "0")
+        assert code == 0
+        assert json.loads(out)["form"] == []
+        A, B, _ = parse(out)
+        assert A.dim == 0 and B == SymForm.from_ints([], 1)
 
     def test_gen_stdout(self, capsys):
         code, out, _ = run(capsys, "gen", "--variant", "1", "--dim", "2")

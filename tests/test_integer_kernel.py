@@ -46,7 +46,7 @@ from fnovikov import (
 )
 from fnovikov import algebra, canon, classify, cli, exactlin, forms
 from fnovikov.cli import main as cli_main
-from fnovikov.exactlin import rref, rref_kernel, scale_to_int, scale_vector
+from fnovikov.exactlin import rref, rref_kernel, scale_columns, scale_to_int, scale_vector
 from fnovikov.scalars import QQ
 
 
@@ -623,14 +623,15 @@ def test_each_claim_reads_its_own_block():
         # the rational transport handed over as transport_columns gives
         # it: each nonzero product as an (ints, den) pair, and the form's
         # entries as (numerator, denominator) pairs; the weights and the
-        # diagonal go as such pairs too, which need not be in lowest terms
+        # diagonal go as such pairs too, which need not be in lowest terms;
+        # R_{x0} and P's columns are the real ones, read for rx0_canonical
         prods = {(i, j): scale_vector(vec) for i, row in enumerate(c)
                  for j, vec in enumerate(row) if any(vec)}
         form = [[(x.numerator, x.denominator) for x in row] for row in newB.matrix.data]
-        return canon._read_claims((prods, form), k,
+        return canon._read_claims(A, canon._int_right_op(A, rep.x0), scale_columns(rep.P),
+                                  (prods, form), k,
                                   [(3 * q.numerator, 3 * q.denominator) for q in rep.pair_weights],
-                                  [(q.numerator, q.denominator) for q in rep.complement_diag],
-                                  True, True)
+                                  [(q.numerator, q.denominator) for q in rep.complement_diag])
 
     assert claims(as_fractions(new)) == rep.claims
     breaks = {
@@ -894,6 +895,54 @@ def test_compression_space_decided_by_generic_rank(monkeypatch):
     calls = _count_generic_rank(monkeypatch)
     assert find_nondegenerate([SymForm(Mat(M)) for M in E], seed=0) is None
     assert calls == [2]
+
+
+def a3_sum(extra):
+    """A3 (e3 e1 = -e2, e3 e3 = -e1, Novikov, a form space of dimension 3
+    and no nondegenerate member), or, when extra is given, A3 plus
+    make_family(*extra), scrambled with seed 3."""
+    A3 = Algebra.from_products(3, [(2, 0, 1, -1), (2, 2, 0, -1)])
+    return A3 if extra is None else scramble(direct_sum(A3, make_family(*extra)), None, 3)[0]
+
+
+# A3, then scrambled: plus the zero algebra of dim 0 or 1, and plus family
+# 2 at dim 2, so dims 3, 4 and 5; at dim 6 (family 2 at dim 3) the search
+# took 3.7 s
+A3_SUMS = {"A3": None, "dim3": (0, 0), "dim4": (0, 1), "dim5": (2, 2)}
+
+
+@pytest.mark.parametrize("extra", A3_SUMS.values(), ids=A3_SUMS.keys())
+def test_compression_space_without_certificate(extra, monkeypatch):
+    # every combination of the members is singular, yet their stacked rows
+    # have rank n, so only the symbolic generic_rank proves absence, once
+    A = a3_sum(extra)
+    assert A.identities() == (True, True, True)
+    space = invariant_form_space(A)
+    n, d = A.dim, len(space)
+    assert n > 3 or d == 3
+    assert exactlin.int_rank([row for B in space for row in B.int_matrix()[0]], n) == n
+    calls = _count_generic_rank(monkeypatch)
+    assert find_nondegenerate(space, seed=0) is None
+    assert calls == [d]
+    if n <= 4:
+        # the oracle: the pencil's determinant is the zero polynomial
+        # (Berkowitz took 0.12 s at n = 4, 1.1 s at n = 5)
+        sympy = pytest.importorskip("sympy")
+        xs = sympy.symbols(f"x0:{d}")
+        pencil = sum((x * to_sympy(B.matrix.data) for x, B in zip(xs, space)), sympy.zeros(n, n))
+        assert sympy.expand(pencil.det(method="berkowitz")) == 0
+
+
+def test_compression_space_search_at_dim_5_is_fast():
+    # the dim-5 search took a median 0.022 s (11 runs, 2-vCPU Xeon,
+    # Python 3.11): bounded at three times that, best of three runs
+    space = invariant_form_space(a3_sum(A3_SUMS["dim5"]))
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        assert find_nondegenerate(space, seed=0) is None
+        times.append(time.perf_counter() - start)
+    assert min(times) < 3 * 0.022
 
 
 def _diagonal_space_without_certificate():

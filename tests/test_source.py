@@ -39,3 +39,30 @@ def test_unused_imports_detects_one():
 )
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def calls_to(source, names):
+    """The names among `names` that source calls, as a bare name or as an
+    attribute such as `forms.find_nondegenerate(...)`."""
+    called = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            called.add(func.id if isinstance(func, ast.Name) else getattr(func, "attr", None))
+    return sorted(called & set(names))
+
+
+# the form choice has one home, forms.nondegenerate_form: no other module
+# searches the form space itself
+FORM_SEARCH = ("find_nondegenerate", "invariant_form_space")
+
+
+def test_calls_to_detects_both_spellings():
+    source = "from . import forms\nforms.invariant_form_space(A)\nx = find_nondegenerate\nfind_nondegenerate(s, 0)\n"
+    assert calls_to(source, FORM_SEARCH) == ["find_nondegenerate", "invariant_form_space"]
+    assert calls_to("y = invariant_form_space\n", FORM_SEARCH) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_form_searched_in_forms_only(path):
+    assert calls_to(path.read_text(), FORM_SEARCH) == ([] if path.name != "forms.py" else list(FORM_SEARCH))
