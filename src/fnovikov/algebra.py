@@ -266,28 +266,23 @@ def check_novikov(A: Algebra) -> bool:
 
 
 def commutator_check(A: Algebra) -> bool:
-    """Jacobi identity for the commutator [x,y] = xy - yx.
+    """Jacobi identity for the commutator [x,y] = xy - yx on basis triples
+    i < j < k, read on int_tensor() C: with D[i][j] = C[i][j] - C[j][i],
+    sum_m D[i][j][m] D[m][k] plus its two cyclic terms must vanish.
 
     Must hold whenever A is left-symmetric; exposed as a cross-check.
     """
     n = A.dim
-    C, den = A.int_tensor()
-    # multiplication in the algebra of the bracket's structure constants
-    brk = Algebra.from_ints([[list(map(sub, C[i][j], C[j][i])) for j in range(n)]
-                             for i in range(n)], den).multiply
+    C, _ = A.int_tensor()
+    D = [[list(map(sub, C[i][j], C[j][i])) for j in range(n)] for i in range(n)]
+    # cols[k][t] = (D[m][k][t])_m: term(i, j, k) is den^2 [[e_i, e_j], e_k]
+    cols = [list(zip(*(D[m][k] for m in range(n)))) for k in range(n)]
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                ei, ej, ek = (basis_element(n, t) for t in (i, j, k))
-                total = brk(brk(ei, ej), ek)
-                for m, v in enumerate(brk(brk(ej, ek), ei)):
-                    total[m] += v
-                for m, v in enumerate(brk(brk(ek, ei), ej)):
-                    total[m] += v
-                if any(total):
-                    return False
-    return True
+    def term(i, j, k):
+        return [sum(map(mul, D[i][j], col)) for col in cols[k]]
+
+    return not any(any(map(add, term(i, j, k), map(add, term(j, k, i), term(k, i, j))))
+                   for i, j, k in itertools.combinations(range(n), 3))
 
 
 # ---------------------------------------------------------------------------

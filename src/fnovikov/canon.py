@@ -211,8 +211,6 @@ def _build_basis(A: Algebra, B: SymForm, x0) -> _Basis:
     if any(any(row) for row in gram(W, BW)):
         raise CanonError("Im R_{x0} is not totally isotropic")
     ker = rref_kernel(reduced, pivots, n)
-    if len(ker) != n - k:
-        raise CanonError("kernel dimension mismatch")
     if any(any(row) for row in gram([v for v, _ in ker], BW)):
         raise CanonError("Im R_{x0} not orthogonal to Ker R_{x0}")
 
@@ -450,12 +448,19 @@ def _pipeline(A: Algebra, B, seed):
 
 
 def theorem_check(A: Algebra, B: SymForm, seed) -> bool:
-    """Whether the theorem's conclusions hold for A and the form B: every
-    claim canonicalize's report would hold, and dim AA equal to the rank k
-    of R_{x0}.  It runs canonicalize's pipeline and reads the claims and k
-    on the integer construction, building no report, so no rational.  B
-    is required; a missing form raises PreconditionError."""
+    """Whether the theorem's conclusions hold for A and the form B, that is
+    whether failed_conclusions finds none.  It runs canonicalize's pipeline
+    on integers and builds no report, so no rational.  B is required; a
+    missing form raises PreconditionError."""
     if B is None:
         raise PreconditionError("a form is required")
     _, basis = _pipeline(A, B, seed)
-    return all(basis.claims.values()) and A.derived_dim() == basis.k
+    return not failed_conclusions(A, basis.k, basis.claims)
+
+
+def failed_conclusions(A: Algebra, k, claims):
+    """The theorem's conclusions that fail for A, the one verdict of
+    theorem_check and `fnovikov canon`: each false claim of CLAIMS, then
+    "derived_dim_is_k" when dim AA is not the rank k of R_{x0}.  claims
+    maps each name of CLAIMS, in that order, to its truth value."""
+    return [c for c, ok in {**claims, "derived_dim_is_k": A.derived_dim() == k}.items() if not ok]

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from math import lcm
 from operator import mul
 
-from .scalars import QQ, ZERO
-from .exactlin import Mat, int_rank, rref, scale_columns
+from .exactlin import Mat, int_rank, is_symmetric, rref, scale_columns
 from .algebra import (
     Algebra,
     DimensionMismatchError,
@@ -42,21 +41,15 @@ def make_family(variant: int, n: int) -> Algebra:
     return Algebra.from_products(n, [(0, variant - 1, 1, 1)] if variant else [])
 
 
-def _is_commutative(A: Algebra) -> bool:
-    C, _ = A.int_tensor()
-    # e_i e_j = e_j e_i for all i, j: C equals its transpose in i, j
-    return C == [list(col) for col in zip(*C)]
-
-
 def classify_k1(A: Algebra) -> int:
     """Which of the three one-dimensional-derived-subspace families A is
     isomorphic to: 1 if commutative, else 2 if A(AA) != 0, else 3, both
-    read on int_tensor()."""
+    read on int_tensor() C, commutativity as is_symmetric(C)."""
     if not (check_left_symmetric(A) and check_fermionic(A)):
         raise ValueError("algebra must satisfy both defining identities")
     if A.derived_dim() != 1:
         raise ValueError("derived subspace must be one-dimensional")
-    if _is_commutative(A):
+    if is_symmetric(A.int_tensor()[0]):
         return 1
     # the one row f of the reduced basis spans the derived line, and
     # (e_i f)[m] = sum_t f[t] C[i][t][m] / den on the integer tensor
@@ -68,7 +61,8 @@ def classify_k1(A: Algebra) -> int:
 @dataclass
 class K2Params:
     """Parameters of the two-dimensional-derived-subspace family:
-    e1 e_i = lam_i e2 + mu_i e4, e3 e_i = mu_i e2 + gam_i e4."""
+    e1 e_i = lam_i e2 + mu_i e4, e3 e_i = mu_i e2 + gam_i e4.  The
+    length-n vectors are kept as given; make_k2 converts them."""
 
     n: int
     lam: list
@@ -82,7 +76,6 @@ class K2Params:
             vec = getattr(self, name)
             if len(vec) != self.n:
                 raise ValueError(f"{name} must have length {self.n}")
-            setattr(self, name, [QQ(x) for x in vec])
 
 
 def make_k2(params: K2Params) -> Algebra:
@@ -108,14 +101,14 @@ def k2_condition(A: Algebra) -> bool:
 
 
 def random_k2(rnd: random.Random, n: int, structured: bool = True) -> K2Params:
-    """Random parameters; with structured=True the vectors vanish on the
-    two image directions, which forces the commutation condition."""
+    """Random integer parameters in [-3, 3]; with structured=True the
+    vectors vanish on the two image directions (v[1] = v[3] = 0), so
+    L_{e1} L_{e3} = L_{e3} L_{e1} = 0 and k2_condition holds."""
 
     def vec():
-        v = [QQ(rnd.randint(-3, 3)) for _ in range(n)]
+        v = [rnd.randint(-3, 3) for _ in range(n)]
         if structured:
-            v[1] = ZERO
-            v[3] = ZERO
+            v[1] = v[3] = 0
         return v
 
     return K2Params(n=n, lam=vec(), mu=vec(), gam=vec())
@@ -231,8 +224,6 @@ def generate_corpus(seed, count):
         else:
             n = rnd.randint(5, 8)
             A = make_k2(random_k2(rnd, n))
-            if not k2_condition(A):
-                continue
             name = f"k2_dim{n}"
         _, B = nondegenerate_form(A, rnd.randrange(2**30))
         if B is None:

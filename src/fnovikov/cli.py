@@ -25,6 +25,7 @@ from .canon import (
     PreconditionError,
     canonicalize,
     check_identities,
+    failed_conclusions,
     theorem_check,
 )
 from .classify import generate_corpus, make_family, classify_k1, scramble
@@ -122,7 +123,9 @@ def cmd_canon(args):
     A, form, _ = _load(args.input)
     rep = canonicalize(A, form, _default_seed(args))
     _emit(_report_from_canon(rep), args.json)
-    return EXIT_OK if all(rep.claims.values()) else EXIT_PROPERTY_FAILED
+    if failed := failed_conclusions(A, rep.k, rep.claims):
+        print(f"error: failed conclusions: {', '.join(failed)}", file=sys.stderr)
+    return EXIT_PROPERTY_FAILED if failed else EXIT_OK
 
 
 def cmd_classify(args):

@@ -52,8 +52,6 @@ def scale_to_int(rows):
     """
     dens = [x.denominator for row in rows for x in row]
     den = lcm(*dens)
-    if den == 1:
-        return [[x.numerator for x in row] for row in rows], 1
     it = iter(dens)
     return [[x.numerator * (den // next(it)) for x in row] for row in rows], den
 
@@ -406,11 +404,11 @@ def generic_rank(M: Pencil) -> int:
 CERTIFY_ATTEMPTS = 8
 
 
-def sample_points(nvars, seed, count=64):
-    """The seeded sequence of integer points find_generic_point tries:
+def sample_points(nvars, seed):
+    """The seeded sequence of 64 integer points find_generic_point tries:
     boxes of doubling width, eight points per width."""
     rnd = random.Random(seed)
-    for attempt in range(count):
+    for attempt in range(64):
         width = 2 << (attempt // 8)
         yield [rnd.randint(-width, width) for _ in range(nvars)]
 

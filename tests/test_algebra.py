@@ -1,4 +1,6 @@
 import random
+from fractions import Fraction
+from itertools import combinations
 from operator import mul
 
 import pytest
@@ -146,6 +148,53 @@ class TestCommutator:
     @pytest.mark.parametrize("variant", [1, 2, 3])
     def test_families(self, variant):
         assert commutator_check(make_family(variant, 4))
+
+    def test_jacobi_failure(self):
+        # e1 e2 = e1, e1 e3 = e2: the Jacobi sum at (e1, e2, e3) is e2
+        A = Algebra.from_products(3, [(0, 1, 0, 1), (0, 2, 1, 1)])
+        assert A.multiply(e(3, 0), e(3, 1)) == e(3, 0) and A.multiply(e(3, 0), e(3, 2)) == e(3, 1)
+        assert not commutator_check(A)
+        assert not commutator_check(scramble(A, None, 3)[0])
+
+    def test_matches_jacobi_oracle(self):
+        # the bracket [x, y] = xy - yx built from multiply, on random sparse
+        # integer tensors over a random denominator, dims 0-4
+        def bracket(A, x, y):
+            return [a - b for a, b in zip(A.multiply(x, y), A.multiply(y, x))]
+
+        def ref_jacobi(A):
+            n = A.dim
+            for i, j, k in combinations(range(n), 3):
+                x, y, z = e(n, i), e(n, j), e(n, k)
+                terms = (bracket(A, bracket(A, x, y), z), bracket(A, bracket(A, y, z), x),
+                         bracket(A, bracket(A, z, x), y))
+                if any(map(sum, zip(*terms))):
+                    return False
+            return True
+
+        rnd = random.Random(0)
+        verdicts = []
+        for _ in range(250):
+            n, p = rnd.randint(0, 4), rnd.choice((0.05, 0.15, 0.4))
+            C = [[[rnd.randint(-2, 2) if rnd.random() < p else 0 for _ in range(n)]
+                  for _ in range(n)] for _ in range(n)]
+            A = Algebra.from_ints(C, rnd.randint(1, 3))
+            verdicts.append((n, commutator_check(A)))
+            assert verdicts[-1][1] == ref_jacobi(A)
+        assert sum(not ok for _, ok in verdicts) >= 50
+        assert sum(ok for n, ok in verdicts if n >= 3) >= 30
+
+    def test_builds_no_rational(self, monkeypatch):
+        # the identity is read on the integer tensor
+        cases = [scramble(make_family(v, 4), None, 3)[0] for v in (1, 2, 3)]
+        cases.append(Algebra.from_products(3, [(0, 1, 0, QQ(1, 2)), (0, 2, 1, 1)]))
+        calls = []
+        real_new = Fraction.__new__
+        monkeypatch.setattr(Fraction, "__new__", lambda cls, *a, **kw: calls.append(a) or real_new(cls, *a, **kw))
+        got = [commutator_check(A) for A in cases]
+        monkeypatch.undo()
+        assert calls == []
+        assert got == [True, True, True, False]
 
     def test_family1_commutator_is_zero(self):
         c = as_fractions(make_family(1, 3))

@@ -6,7 +6,8 @@ from itertools import islice
 
 import pytest
 
-from fnovikov import CanonError, GenericPointError, Mat, SymForm, make_family, parse, serialize
+from fnovikov import (Algebra, CanonError, GenericPointError, Mat, SymForm, make_family,
+                      nondegenerate_form, parse, serialize, theorem_check)
 from fnovikov import canon, cli, forms
 from fnovikov.fileio import MAX_DIM, MAX_SCALED_BITS
 from fnovikov.cli import main
@@ -159,6 +160,23 @@ class TestCanon:
         report = json.loads(out)
         assert report["k"] == 1
         assert all(report["claims"].values())
+
+    def test_derived_dim_other_than_k_exits_1(self, capsys, monkeypatch, family2_file):
+        # canon exits on theorem_check's verdict: with every claim true but
+        # dim AA != k, the paper's second conclusion fails, canon names it
+        # on stderr and exits 1, and its report does not change
+        _, expected, _ = run(capsys, "canon", "--input", family2_file, "--json")
+        monkeypatch.setattr(Algebra, "derived_dim", lambda self: 2)
+        code, out, err = run(capsys, "canon", "--input", family2_file, "--json")
+        assert (code, out, err) == (1, expected, "error: failed conclusions: derived_dim_is_k\n")
+        A, _, _ = parse(open(family2_file, "rb").read())
+        assert not theorem_check(A, nondegenerate_form(A, 0)[1], 0)
+
+    def test_failed_claim_is_named(self, capsys, monkeypatch, family2_file):
+        monkeypatch.setattr(canon, "check_novikov", lambda A: False)
+        code, out, err = run(capsys, "canon", "--input", family2_file, "--json")
+        assert json.loads(out)["claims"]["products_vanish"] is False
+        assert (code, err) == (1, "error: failed conclusions: products_vanish\n")
 
     def test_text_report(self, capsys, tmp_path):
         # without --json the report is printed nested: a key per line, a

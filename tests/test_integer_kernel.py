@@ -953,7 +953,7 @@ def _diagonal_space_without_certificate():
     space = [SymForm(Mat.diagonal([1 if i == t else 0 for i in range(4)])) for t in range(4)]
     seed = next(
         s for s in range(10**4)
-        if all(0 in p for p in exactlin.sample_points(4, s, exactlin.CERTIFY_ATTEMPTS))
+        if all(0 in p for p in itertools.islice(exactlin.sample_points(4, s), exactlin.CERTIFY_ATTEMPTS))
     )
     points = list(exactlin.sample_points(4, seed))
     return space, seed, points, next(i for i, p in enumerate(points) if 0 not in p)
