@@ -60,24 +60,25 @@ class Algebra:
     @classmethod
     def from_ints(cls, C, den):
         """The algebra with structure constants C[i][j][m] / den, for ints
-        and den > 0, with the gcd of den and the entries divided out.  C
-        may be kept as it came: never mutate it."""
-        g = gcd(den, *(x for row in C for vec in row for x in vec))
+        and den > 0, with the gcd of den and the entries divided out.  The
+        gcd is taken one vector C[i][j] at a time and stops at 1, so no
+        sequence of all n^3 entries is built.  C is kept as it came when
+        the gcd is 1: never mutate it."""
+        g = den
+        for vec in itertools.chain.from_iterable(C):
+            if g == 1:
+                break
+            g = gcd(g, *vec)
         if g != 1:
             C = [[[x // g for x in vec] for vec in row] for row in C]
-        return cls._reduced(C, den // g)
-
-    @classmethod
-    def _reduced(cls, C, den):
-        """from_ints for a den known to be that lcm: no gcd is taken."""
         a = object.__new__(cls)
-        a.dim, a._tensor = len(C), (C, den)
+        a.dim, a._tensor = len(C), (C, den // g)
         a._derived_basis = a._right_pencil = a._identities = None
         return a
 
     @classmethod
     def zero(cls, dim):
-        return cls._reduced([[[0] * dim for _ in range(dim)] for _ in range(dim)], 1)
+        return cls.from_ints([[[0] * dim for _ in range(dim)] for _ in range(dim)], 1)
 
     @classmethod
     def from_products(cls, dim, products):

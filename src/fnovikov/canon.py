@@ -254,8 +254,6 @@ def _build_basis(A: Algebra, B: SymForm, x0) -> _Basis:
     # orthogonal complement of span(u, w), metric-diagonalized; its rows
     # B v are integer, and the kernel does not depend on their scale
     comp = rref_kernel(*rref(BU + BW, n), n)
-    if len(comp) != n - 2 * k:
-        raise CanonError("complement dimension mismatch")
     Z, dz = over(comp)
     d, p, s = int_congruence(gram(Z, apply_form(Z)), Z)
     if not all(d):
@@ -441,7 +439,9 @@ def _pipeline(A: Algebra, B, seed):
         _, B = nondegenerate_form(A, seed)
         if B is None:
             raise PreconditionError("no nondegenerate invariant form exists")
-    B = normalize_orientation(B)
+    # _check_form refuses a form of another dimension before its signature
+    if B.dim == A.dim:
+        B = normalize_orientation(B)
     _check_form(A, B)
     x0, _ = max_rank_element(A, seed)
     return x0, _build_basis(A, B, x0)

@@ -100,15 +100,14 @@ def k2_condition(A: Algebra) -> bool:
     )
 
 
-def random_k2(rnd: random.Random, n: int, structured: bool = True) -> K2Params:
-    """Random integer parameters in [-3, 3]; with structured=True the
-    vectors vanish on the two image directions (v[1] = v[3] = 0), so
-    L_{e1} L_{e3} = L_{e3} L_{e1} = 0 and k2_condition holds."""
+def random_k2(rnd: random.Random, n: int) -> K2Params:
+    """Random integer parameters in [-3, 3] that vanish on the two image
+    directions (v[1] = v[3] = 0), so L_{e1} L_{e3} = L_{e3} L_{e1} = 0 and
+    k2_condition holds."""
 
     def vec():
         v = [rnd.randint(-3, 3) for _ in range(n)]
-        if structured:
-            v[1] = v[3] = 0
+        v[1] = v[3] = 0
         return v
 
     return K2Params(n=n, lam=vec(), mu=vec(), gam=vec())

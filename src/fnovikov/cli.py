@@ -168,13 +168,10 @@ def cmd_gen(args):
     if args.dim > MAX_DIM:
         raise ValueError(f"dim {args.dim} exceeds the limit {MAX_DIM}")
     A = make_family(args.variant, args.dim)
-    _, B = nondegenerate_form(A, _default_seed(args))
-    text = serialize(
-        A,
-        form=B,
-        metadata={"name": f"family{args.variant}_dim{args.dim}", "seed": _default_seed(args)},
-    )
-    _write_output(args.output, text)
+    seed = _default_seed(args)
+    _, B = nondegenerate_form(A, seed)
+    metadata = {"name": f"family{args.variant}_dim{args.dim}", "seed": seed}
+    _write_output(args.output, serialize(A, form=B, metadata=metadata))
     return EXIT_OK
 
 

@@ -164,8 +164,7 @@ def parse(text):
     for row in C:
         for vec in row:
             vec[:] = [num * (den // d) for num, d in vec]
-    # every pair is in lowest terms, so den is already the lcm from_ints takes
-    A = Algebra._reduced(C, den)
+    A = Algebra.from_ints(C, den)
     form = None
     if doc.get("form") is not None:
         rows = doc["form"]

@@ -41,6 +41,7 @@ from fnovikov import (
 from fnovikov.cli import main as cli_main
 from fnovikov.forms import DegenerateFormError
 
+from test_classify import unstructured_k2
 from test_exactlin import congruent
 from test_forms import sympy_form_space_dim
 from test_integer_kernel import from_sympy, ref_right_pencil
@@ -136,7 +137,7 @@ def test_criterion_6_oracle_equivalences():
     seen = set()
     for i in range(100):
         n = rnd.randint(5, 8)
-        A = make_k2(random_k2(rnd, n, structured=i % 2 == 0))
+        A = make_k2(random_k2(rnd, n) if i % 2 == 0 else unstructured_k2(rnd, n))
         assert check_fermionic(A)
         verdict = k2_condition(A)
         assert verdict == check_left_symmetric(A)

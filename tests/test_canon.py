@@ -154,6 +154,12 @@ class TestCanonicalBasis:
         with pytest.raises(PreconditionError):
             canonical_basis(A, B, [QQ(0)] * 3)
 
+    def test_rejects_degenerate_form(self):
+        # the zero algebra leaves every form invariant, so only the
+        # signature refuses diag(1, 1, 0)
+        with pytest.raises(PreconditionError, match="form must be nondegenerate"):
+            canonical_basis(Algebra.zero(3), SymForm(Mat.diagonal([1, 1, 0])), [QQ(0)] * 3)
+
     def test_rejects_noninvariant_form(self):
         A = make_family(1, 2)
         with pytest.raises(PreconditionError):
@@ -322,6 +328,17 @@ class TestTheoremCheck:
         A = Algebra.from_products(1, [(0, 0, 0, 1)])
         with pytest.raises(PreconditionError):
             theorem_check(A, SymForm(Mat([[0]])), seed=0)
+
+    def test_form_of_another_dimension_refused_first(self):
+        # the dimension is checked before the signature is read, so a
+        # degenerate form of another dimension is refused for its size,
+        # and canonicalize, theorem_check and canonical_basis agree
+        A, B = make_family(1, 3), SymForm.from_ints([[1, 0], [0, 0]], 1)
+        for run in (lambda: canonicalize(A, B, seed=0), lambda: theorem_check(A, B, seed=0),
+                    lambda: canonical_basis(A, B, [0, 0, 0])):
+            with pytest.raises(PreconditionError, match="dimension mismatch"):
+                run()
+        assert B._signature is None
 
     def test_precondition_on_noninvariant_form(self):
         with pytest.raises(PreconditionError, match="form must be invariant"):

@@ -32,6 +32,12 @@ from fnovikov.scalars import QQ
 from test_integer_kernel import as_fractions
 
 
+def unstructured_k2(rnd, n):
+    """K2Params of three vectors of n randint(-3, 3) draws each, none
+    zeroed: random_k2's draws before it zeroes the image directions."""
+    return K2Params(n, *([rnd.randint(-3, 3) for _ in range(n)] for _ in range(3)))
+
+
 def full_right_pencil(A):
     """The n x n pencil sum_j t_j R_{e_j} of A's integer tensor, every row
     kept, as an oracle for the k x n A.right_pencil()."""
@@ -111,7 +117,7 @@ class TestMakeK2:
     def test_derived_dim_bounded(self):
         rnd = random.Random(0)
         for _ in range(10):
-            A = make_k2(random_k2(rnd, 6, structured=False))
+            A = make_k2(unstructured_k2(rnd, 6))
             assert A.derived_dim() <= 2
 
     def test_dim_too_small(self):
@@ -124,7 +130,7 @@ class TestMakeK2:
         rnd = random.Random(1)
         for _ in range(5):
             n = rnd.randint(5, 7)
-            A = make_k2(random_k2(rnd, n, structured=False))
+            A = make_k2(unstructured_k2(rnd, n))
             data = [[0] * n for _ in range(n)]
             data[0][1] = data[1][0] = QQ(1)
             data[2][3] = data[3][2] = QQ(1)
@@ -155,7 +161,7 @@ class TestK2Condition:
     def test_equivalence_with_full_checks(self):
         rnd = random.Random(3)
         for _ in range(30):
-            A = make_k2(random_k2(rnd, rnd.randint(5, 7), structured=False))
+            A = make_k2(unstructured_k2(rnd, rnd.randint(5, 7)))
             assert check_fermionic(A)
             assert k2_condition(A) == check_left_symmetric(A)
 

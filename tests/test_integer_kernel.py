@@ -235,6 +235,21 @@ def rational_tensors(draw):
     return n, [[flat[(i * n + j) * n:(i * n + j + 1) * n] for j in range(n)] for i in range(n)]
 
 
+def test_from_ints_divides_out_the_gcd():
+    # the gcd of den and every vector: a tensor whose gcd reaches 1 only
+    # at a later vector is kept as it came, not copied
+    C = [[[2, 4], [0, 0]], [[0, 0], [3, 0]]]
+    assert Algebra.from_ints(C, 6).int_tensor()[0] is C
+    # every vector shares 2 with den
+    even = [[[2, 0], [4, -6]], [[0, 8], [0, 0]]]
+    assert Algebra.from_ints(even, 6).int_tensor() == ([[[1, 0], [2, -3]], [[0, 4], [0, 0]]], 3)
+    zero = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
+    assert Algebra.from_ints(zero, 5).int_tensor() == (zero, 1) == Algebra.zero(2).int_tensor()
+    for den in (1, 4):
+        A = Algebra.from_ints([], den)
+        assert A.dim == 0 and A.int_tensor() == ([], 1) and A == Algebra.zero(0)
+
+
 @given(rational_tensors(), st.integers(2, 60), st.integers(0, 2**30))
 @settings(max_examples=80, deadline=None)
 def test_constructors_give_one_normal_form(case, s, seed):
