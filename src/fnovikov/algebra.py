@@ -3,7 +3,10 @@
 An algebra of dimension n is held as one integer tensor C over one
 denominator den: e_i e_j = sum_m (C[i][j][m] / den) e_m.  Elements are
 plain length-n lists of exact rationals.  All identity checks run over
-basis triples, which suffices by trilinearity.
+basis triples, which suffices by trilinearity.  (AA)A = 0, the theorem's
+conclusion once the R_x anticommute, is decided first: it makes the R_x
+both anticommute and commute, and turns left-symmetry into commuting left
+multiplications.
 """
 
 from __future__ import annotations
@@ -170,14 +173,23 @@ class Algebra:
 
     def identities(self):
         """(left_symmetric, fermionic, novikov): the verdicts of the three
-        defining identities, decided once per instance by the two passes on
-        int_tensor() at derived_pivots(), with right_pencil()'s members."""
+        defining identities, decided once per instance on int_tensor() at
+        derived_pivots().
+
+        (AA)A = 0 is decided first, on derived_basis() and right_pencil()'s
+        members.  In characteristic 0 it holds exactly when the R_x both
+        anticommute and commute, so then both are True, and left-symmetry
+        reads x(yz) = y(xz): the left multiplications commute.  Otherwise
+        the two general passes decide all three."""
         if self._identities is None:
             C = self.int_tensor()[0]
-            rows = self.derived_pivots()
+            rows, F, _ = self.derived_basis()
             right = self.right_pencil().mats
-            self._identities = (_left_symmetric(C, rows, right),
-                                *_product_identities(C, rows, right))
+            if _derived_times_vanish(F, right):
+                self._identities = (_left_commute(C, rows, F), True, True)
+            else:
+                self._identities = (_left_symmetric(C, rows, right),
+                                    *_product_identities(C, rows, right))
         return self._identities
 
 
@@ -187,8 +199,11 @@ class Algebra:
 # of every identity is a product, so it lies in AA, and each pass reads
 # only the coordinates `rows`, onto which AA projects injectively:
 # derived_pivots(), k = dim AA of them, unless the caller knows such
-# coordinates without an elimination.  So each pass costs k n^4
-# multiply-adds, not n^5.
+# coordinates without an elimination.  So each general pass costs k n^4
+# multiply-adds, not n^5.  Algebra.identities() runs them only when
+# (AA)A != 0; the test of (AA)A = 0 costs k^2 n^2, and the commuting-L
+# pass that then decides left-symmetry rho^2 k^2 n, rho <= n the rank of
+# the L_x, after one rref of their pivot rows.
 
 
 def _int_right_ops(C, rows):
@@ -249,6 +264,43 @@ def _product_identities(C, rows, right):
             if not (fermionic or novikov):
                 return False, False
     return fermionic, novikov
+
+
+def _derived_times_vanish(F, right) -> bool:
+    """(AA)A = 0: f_a e_j = R_j f_a vanishes for every row F[a] of
+    derived_basis() and every j.  It lies in AA, so it is read at the
+    pivots, with right = _int_right_ops(C, pivots): k^2 n^2 multiply-adds.
+    """
+    return not any(sum(map(mul, r, f)) for Rj in right for r in Rj for f in F)
+
+
+def _left_commute(C, rows, F) -> bool:
+    """L_x L_y = L_y L_x for all x, y, on the algebra with integer structure
+    tensor C and the reduced basis F of AA at its pivots rows, as
+    derived_basis() gives them.
+
+    Every L_x maps into AA, so it is read at rows: left[x][a][t] =
+    C[x][t][p_a].  The identity is bilinear in L_x and L_y, so it is
+    checked only on the x whose L_x is independent of the earlier ones,
+    which one rref picks as its pivot columns, as invariant_form_space
+    picks its R_j; a pair with a vanishing L holds trivially.  x(yz) at
+    p_b is sum_a G_x[b][a] (yz)[p_a] over L, with G_x[b][a] = (e_x
+    f_a)[p_b], so a pair is compared as the k x n products G_x left[y] =
+    G_y left[x]."""
+    n = len(C)
+    left = [[[C[x][t][m] for t in range(n)] for m in rows] for x in range(n)]
+    _, kept = rref(zip(*map(itertools.chain.from_iterable, left)), n)
+    # for each kept x: G_x, and the columns of left[x]
+    reads = [([[sum(map(mul, row, f)) for f in F] for row in left[x]], list(zip(*left[x])))
+             for x in kept]
+    for (Gx, cols_x), (Gy, cols_y) in itertools.combinations(reads, 2):
+        for gx, gy in zip(Gx, Gy):
+            # row b of both products vanishes when x and y send AA to 0 there
+            if any(gx) or any(gy):
+                for cx, cy in zip(cols_x, cols_y):
+                    if sum(map(mul, gx, cy)) != sum(map(mul, gy, cx)):
+                        return False
+    return True
 
 
 def check_left_symmetric(A: Algebra) -> bool:

@@ -428,7 +428,10 @@ def canonicalize(A: Algebra, B, seed) -> CanonReport:
     are checked before the form is searched for or normalized, and the
     form before x0 is searched for, so each wins over what follows and no
     rank is computed for a refused form.  A failed precondition raises
-    PreconditionError naming it."""
+    PreconditionError naming it, except a degenerate B of A's dimension:
+    normalize_orientation refuses it first with forms.DegenerateFormError,
+    a ValueError (exit 2 in the CLI), where canonical_basis, which takes B
+    as it is, raises PreconditionError."""
     return _report(*_pipeline(A, B, seed))
 
 
@@ -451,7 +454,8 @@ def theorem_check(A: Algebra, B: SymForm, seed) -> bool:
     """Whether the theorem's conclusions hold for A and the form B, that is
     whether failed_conclusions finds none.  It runs canonicalize's pipeline
     on integers and builds no report, so no rational.  B is required; a
-    missing form raises PreconditionError."""
+    missing form raises PreconditionError, and a degenerate one of A's
+    dimension forms.DegenerateFormError, as in canonicalize."""
     if B is None:
         raise PreconditionError("a form is required")
     _, basis = _pipeline(A, B, seed)

@@ -10,6 +10,7 @@ from fnovikov import (
     Algebra,
     CLAIMS,
     CanonError,
+    DegenerateFormError,
     Mat,
     PreconditionError,
     SymForm,
@@ -28,10 +29,12 @@ from fnovikov import (
     random_k2,
     rank,
     scramble,
+    serialize,
     theorem_check,
     verify_structure,
 )
 from fnovikov import canon
+from fnovikov.cli import main as cli_main
 from fnovikov.exactlin import scale_vector
 from fnovikov.scalars import QQ, ONE
 
@@ -340,6 +343,24 @@ class TestTheoremCheck:
                 run()
         assert B._signature is None
 
+    def test_degenerate_form_refused_by_each_entry_point(self, tmp_path, capsys):
+        # a degenerate form of A's dimension: canonicalize and theorem_check
+        # normalize its orientation first, which raises DegenerateFormError,
+        # a ValueError but no PreconditionError, and canon exits 2 on it;
+        # canonical_basis takes the form as it is and raises
+        # PreconditionError
+        A, B = make_family(1, 2), SymForm.from_ints([[1, 0], [0, 0]], 1)
+        for run in (lambda: canonicalize(A, B, seed=0), lambda: theorem_check(A, B, seed=0)):
+            with pytest.raises(DegenerateFormError) as err:
+                run()
+            assert not isinstance(err.value, PreconditionError)
+        with pytest.raises(PreconditionError, match="form must be nondegenerate"):
+            canonical_basis(A, B, [0, 0])
+        path = tmp_path / "degenerate.json"
+        path.write_text(serialize(A, form=B))
+        assert cli_main(["canon", "--input", str(path)]) == 2
+        capsys.readouterr()
+
     def test_precondition_on_noninvariant_form(self):
         with pytest.raises(PreconditionError, match="form must be invariant"):
             theorem_check(make_family(1, 2), SymForm(Mat.identity(2)), seed=0)
@@ -459,6 +480,20 @@ class TestHighDimension:
         start = time.perf_counter()
         assert theorem_check(A, B, seed=1)
         assert time.perf_counter() - start < 1.0
+
+    def test_dim32_half_rank_identities_time(self):
+        # the sum of sixteen planes, k = 16 = n/2, scrambled with seed 3:
+        # identities() on a fresh Algebra, which decides (AA)A = 0 and then
+        # the commuting left multiplications, took 0.128, 0.129, 0.129,
+        # 0.130 and 0.131 s (median 0.129 s) on a 2-vCPU Xeon under Python
+        # 3.11.7, where the two general passes took 2.8 s; the bound is 3x
+        # that median, rounded up to the second
+        A, _, _ = scramble(planes_sum(16), None, 3)
+        A = Algebra.from_ints(*A.int_tensor())
+        start = time.perf_counter()
+        assert A.identities() == (True, True, True)
+        assert time.perf_counter() - start < 1.0
+        assert A.derived_dim() == 16
 
 
 class TestScrambleInvariance:

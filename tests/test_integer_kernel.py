@@ -673,6 +673,49 @@ def test_left_symmetry_sees_a_single_failing_triple():
         assert not ref_left_symmetric(A)
 
 
+@st.composite
+def derived_times_zero_algebras(draw):
+    """A random rational algebra of dim 2-7 with (AA)A = 0, under a
+    rational basis change half the time: every product e_i e_j with i among
+    the first n - w coordinates lies in the span W of the last w, and every
+    e_i of W multiplies to 0 from the left, so (AA)A lies in WA = 0."""
+    n = draw(st.integers(2, 7))
+    w = draw(st.integers(1, n - 1))
+    density = draw(st.sampled_from([0.1, 0.3, 0.6]))
+    rnd = random.Random(draw(st.integers(0, 2**30)))
+    c = [[[QQ(0)] * n for _ in range(n)] for _ in range(n)]
+    for i, j, m in itertools.product(range(n - w), range(n), range(n - w, n)):
+        if rnd.random() < density:
+            c[i][j][m] = rand_q(rnd)
+    A = Algebra(n, c)
+    if draw(st.booleans()):
+        A, _, _ = scramble(A, None, rnd.randrange(2**30))
+    return A
+
+
+@given(derived_times_zero_algebras())
+@settings(max_examples=60, deadline=None)
+def test_commuting_left_pass_matches_reference(A):
+    # with (AA)A = 0 both product identities hold and left-symmetry is
+    # decided by the commuting-L pass alone, checked against the sums
+    # over all basis quadruples
+    assert A.identities() == (ref_left_symmetric(A), ref_right_products(A, 1), ref_right_products(A, -1))
+    assert A.identities()[1:] == (True, True)
+
+
+def test_commuting_left_pass_sees_a_non_left_symmetric_algebra(monkeypatch):
+    # e1 e3 = e3, e2 e1 = e3 (1-based): AA = span(e3) and e3 A = 0, so
+    # (AA)A = 0, yet e1(e2 e1) = e3 while e2(e1 e1) = 0
+    A = Algebra.from_products(3, [(0, 2, 2, 1), (1, 0, 2, 1)])
+    symmetric, products = _count_passes(monkeypatch)
+    tests, commutes = _count_route(monkeypatch)
+    for X in (A, scramble(A, None, 3)[0]):
+        assert X.identities() == (False, True, True)
+        assert (ref_left_symmetric(X), ref_right_products(X, 1), ref_right_products(X, -1)) == (
+            False, True, True)
+    assert len(tests) == len(commutes) == 2 and not symmetric and not products
+
+
 def test_single_mutations_match_reference():
     # one changed structure constant of an algebra passing all three
     rnd = random.Random(13)
@@ -1129,6 +1172,23 @@ def _at_derived_pivots(A, passes):
     return all(C is A.int_tensor()[0] and rows is A.derived_pivots() for C, rows, _ in passes)
 
 
+def _count_route(monkeypatch):
+    """The calls of the test of (AA)A = 0, as (F, right), and of the
+    commuting-L pass that then decides left-symmetry, as (C, rows, F)."""
+    return (_count_calls(monkeypatch, "_derived_times_vanish", (algebra,)),
+            _count_calls(monkeypatch, "_left_commute", (algebra,)))
+
+
+def _on_derived_basis(A, tests, commutes):
+    """Each (AA)A test read A's reduced basis of AA and its right pencil's
+    members, and each commuting-L pass A's own tensor at the pivots of AA
+    with that basis."""
+    pivots, F, _ = A.derived_basis()
+    return (all(f is F and right is A.right_pencil().mats for f, right in tests)
+            and all(C is A.int_tensor()[0] and rows is pivots and f is F
+                    for C, rows, f in commutes))
+
+
 def _count_loads(monkeypatch):
     """The algebras the CLI reads from its input files, in order."""
     loaded = []
@@ -1146,20 +1206,26 @@ def _count_loads(monkeypatch):
 def test_one_identity_pass_per_theorem_check(monkeypatch):
     instances = list(generate_corpus(7, 8))
     symmetric, products = _count_passes(monkeypatch)
+    tests, commutes = _count_route(monkeypatch)
     transports = _count_calls(monkeypatch, "transport_columns", (classify, canon))
     for i, (_, A, B) in enumerate(instances):
-        for calls in (symmetric, products, transports):
+        for calls in (symmetric, products, tests, commutes, transports):
             calls.clear()
         assert theorem_check(A, B, seed=i)
-        assert len(symmetric) == len(products) == len(transports) == 1
-        # each pass reads the k pivot rows of AA
-        assert _at_derived_pivots(A, symmetric + products)
-    # the witness search reads its products at e_1, e_2, e_3 (v1, v2 and
+        # every theorem instance has (AA)A = 0: one test of it and one
+        # commuting-L pass decide the identities, and no general pass runs
+        assert len(tests) == len(commutes) == len(transports) == 1
+        assert not symmetric and not products
+        # each reads AA's reduced basis at its k pivot rows
+        assert _on_derived_basis(A, tests, commutes)
+    # the witness search runs the general passes on its candidates, with
+    # no (AA)A test, and reads their products at e_1, e_2, e_3 (v1, v2 and
     # v1^v2) only; the digest pins the 210 witnesses that checks reading
     # all four coordinates found
-    symmetric.clear()
-    products.clear()
+    for calls in (symmetric, products, tests, commutes):
+        calls.clear()
     found = list(search_fermionic_not_novikov())
+    assert not tests and not commutes
     assert products and {rows for _, rows, _ in symmetric + products} == {(1, 2, 3)}
     assert all(len(Rj) == 3 for _, _, right in products for Rj in right)
     digest = hashlib.sha256("".join(serialize(W) for W in found).encode()).hexdigest()
@@ -1175,15 +1241,17 @@ def test_one_identity_pass_per_canon(monkeypatch, tmp_path, capsys):
         paths.append(tmp_path / name)
         paths[-1].write_text(text)
     symmetric, products = _count_passes(monkeypatch)
+    tests, commutes = _count_route(monkeypatch)
     transports = _count_calls(monkeypatch, "transport_columns", (classify, canon))
     loaded = _count_loads(monkeypatch)
     for path in paths:
-        for calls in (symmetric, products, transports):
+        for calls in (symmetric, products, tests, commutes, transports):
             calls.clear()
         assert cli_main(["canon", "--input", str(path), "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["claims"]["products_vanish"]
-        assert len(symmetric) == len(products) == len(transports) == 1
-        assert _at_derived_pivots(loaded[-1], symmetric + products)
+        assert len(tests) == len(commutes) == len(transports) == 1
+        assert not symmetric and not products
+        assert _on_derived_basis(loaded[-1], tests, commutes)
 
 
 def test_one_right_table_per_algebra(monkeypatch):
@@ -1192,6 +1260,7 @@ def test_one_right_table_per_algebra(monkeypatch):
     instances = list(generate_corpus(7, 4))
     tables = _count_calls(monkeypatch, "_int_right_ops", (algebra,))
     symmetric, products = _count_passes(monkeypatch)
+    tests, commutes = _count_route(monkeypatch)
     for i, (_, A, B) in enumerate(instances):
         tables.clear()
         assert theorem_check(A, B, seed=i)
@@ -1202,29 +1271,34 @@ def test_one_right_table_per_algebra(monkeypatch):
         assert len(tables) == 1 and tables[0][1] is A.derived_pivots()
         assert theorem_check(A, B, seed=i)
         assert len(tables) == 1
-    # both identity passes read the pencil's own members
-    assert len(symmetric) == len(products) == len(instances)
-    for calls in (symmetric, products):
-        assert all(right is A.right_pencil().mats and _at_derived_pivots(A, [(C, rows, right)])
-                   for (_, A, _), (C, rows, right) in zip(instances, calls))
+    # the (AA)A test reads the pencil's own members, once per algebra, and
+    # decides every instance with the commuting-L pass alone
+    assert len(tests) == len(commutes) == len(instances)
+    assert not symmetric and not products
+    assert all(_on_derived_basis(A, [test], [commute])
+               for (_, A, _), test, commute in zip(instances, tests, commutes))
 
 
 def _one_pass_per_command(monkeypatch, tmp_path, capsys, command):
     """The exit code and --json report of `fnovikov command` on family 2 at
-    dim 4 and on a witness, each run checked to make one pass of each
-    identity at the pivots of AA."""
+    dim 4 and on a witness, each run checked to make one (AA)A test at the
+    pivots of AA, then one commuting-L pass on family 2, where (AA)A = 0,
+    and one of each general pass on the witness, where it is not."""
     witness = next(search_fermionic_not_novikov())
     symmetric, products = _count_passes(monkeypatch)
+    tests, commutes = _count_route(monkeypatch)
     loaded = _count_loads(monkeypatch)
     results = []
-    for A in (make_family(2, 4), witness):
+    for A, general in ((make_family(2, 4), False), (witness, True)):
         path = tmp_path / "algebra.json"
         path.write_text(serialize(A))
-        symmetric.clear()
-        products.clear()
+        for calls in (symmetric, products, tests, commutes):
+            calls.clear()
         code = cli_main([command, "--input", str(path), "--json"])
         results.append((code, json.loads(capsys.readouterr().out)))
-        assert len(symmetric) == len(products) == 1
+        assert len(tests) == 1 and len(commutes) == (not general)
+        assert len(symmetric) == len(products) == general
+        assert _on_derived_basis(loaded[-1], tests, commutes)
         assert _at_derived_pivots(loaded[-1], symmetric + products)
     return results
 
