@@ -3,10 +3,10 @@
 An algebra of dimension n is held as one integer tensor C over one
 denominator den: e_i e_j = sum_m (C[i][j][m] / den) e_m.  Elements are
 plain length-n lists of exact rationals.  All identity checks run over
-basis triples, which suffices by trilinearity.  (AA)A = 0, the theorem's
-conclusion once the R_x anticommute, is decided first: it makes the R_x
-both anticommute and commute, and turns left-symmetry into commuting left
-multiplications.
+basis triples, which suffices by trilinearity.  One commutation pass
+decides whether the R_x anticommute and whether they commute; both hold
+exactly when (AA)A = 0, the theorem's conclusion, and then left-symmetry
+is commuting left multiplications, which the same pass decides.
 """
 
 from __future__ import annotations
@@ -176,20 +176,24 @@ class Algebra:
         defining identities, decided once per instance on int_tensor() at
         derived_pivots().
 
-        (AA)A = 0 is decided first, on derived_basis() and right_pencil()'s
-        members.  In characteristic 0 it holds exactly when the R_x both
-        anticommute and commute, so then both are True, and left-symmetry
-        reads x(yz) = y(xz): the left multiplications commute.  Otherwise
-        the two general passes decide all three."""
+        One commutation pass on right_pencil()'s members decides fermionic
+        and Novikov.  In characteristic 0 both hold exactly when (AA)A = 0,
+        and then left-symmetry reads x(yz) = y(xz): the left multiplications
+        commute, which the same pass decides on the L_x that one rref of
+        their pivot rows finds independent, as invariant_form_space picks
+        its R_j.  Otherwise the general left-symmetry pass decides it."""
         if self._identities is None:
             C = self.int_tensor()[0]
             rows, F, _ = self.derived_basis()
             right = self.right_pencil().mats
-            if _derived_times_vanish(F, right):
-                self._identities = (_left_commute(C, rows, F), True, True)
+            fermionic, novikov = _commutation(F, right)
+            if fermionic and novikov:
+                left = _int_left_ops(C, rows)
+                _, kept = rref(zip(*map(itertools.chain.from_iterable, left)), self.dim)
+                left_symmetric = _commutation(F, [left[x] for x in kept])[1]
             else:
-                self._identities = (_left_symmetric(C, rows, right),
-                                    *_product_identities(C, rows, right))
+                left_symmetric = _left_symmetric(C, rows, right)
+            self._identities = (left_symmetric, fermionic, novikov)
         return self._identities
 
 
@@ -197,13 +201,12 @@ class Algebra:
 # a witness candidate's: every identity is homogeneous in the structure
 # constants, so scaling them to integers keeps each verdict.  Every term
 # of every identity is a product, so it lies in AA, and each pass reads
-# only the coordinates `rows`, onto which AA projects injectively:
-# derived_pivots(), k = dim AA of them, unless the caller knows such
-# coordinates without an elimination.  So each general pass costs k n^4
-# multiply-adds, not n^5.  Algebra.identities() runs them only when
-# (AA)A != 0; the test of (AA)A = 0 costs k^2 n^2, and the commuting-L
-# pass that then decides left-symmetry rho^2 k^2 n, rho <= n the rank of
-# the L_x, after one rref of their pivot rows.
+# only coordinates onto which AA projects injectively: derived_pivots(),
+# k = dim AA of them, and for the commutation pass derived_basis()'s F,
+# unless the caller knows such coordinates, and a basis there, without an
+# elimination.  The commutation pass costs k^2 n^2 multiply-adds when every
+# product vanishes, k^2 n^3 otherwise, and rho^2 k^2 n on the rho
+# independent L_x; the general left-symmetry pass costs k n^4, not n^5.
 
 
 def _int_right_ops(C, rows):
@@ -213,14 +216,19 @@ def _int_right_ops(C, rows):
     return [[[C[t][j][m] for t in range(n)] for m in rows] for j in range(n)]
 
 
+def _int_left_ops(C, rows):
+    """ops[i][r][t] = C[i][t][m] with m = rows[r]: the rows `rows` of the
+    integer matrix of L_{e_i}."""
+    n = len(C)
+    return [[[C[i][t][m] for t in range(n)] for m in rows] for i in range(n)]
+
+
 def _left_symmetric(C, rows, right) -> bool:
     """(xy)z - x(yz) = (yx)z - y(xz) on all basis triples of the algebra
     with integer structure tensor C, compared at the coordinates rows;
     right = _int_right_ops(C, rows)."""
     n = len(C)
-    # left[i][r][t] = C[i][t][m] with m = rows[r]: the rows `rows` of the
-    # integer matrix of L_{e_i}
-    left = [[[C[i][t][m] for t in range(n)] for m in rows] for i in range(n)]
+    left = _int_left_ops(C, rows)
     for i in range(n):
         Li = left[i]
         for j in range(i + 1, n):
@@ -238,69 +246,35 @@ def _left_symmetric(C, rows, right) -> bool:
     return True
 
 
-def _product_identities(C, rows, right):
-    """(fermionic, novikov) of the algebra with integer structure tensor C:
-    whether R_i R_j + R_j R_i = 0 for all i, j, and whether R_i R_j =
-    R_j R_i, compared on the rows `rows` of each product (right =
-    _int_right_ops(C, rows)), one pair i <= j at a time.
+def _commutation(F, ops):
+    """(anticommute, commute): whether T_i T_j + T_j T_i = 0 for all i, j,
+    and whether T_i T_j = T_j T_i, for operators T_i that map into the span
+    of the rows F[a] = f_a, given by their rows at the pivots p_a of F:
+    ops[i][b][t] = (T_i e_t)[p_b].  F is derived_basis()'s, or any integer
+    basis that is L at p_a and 0 at the other pivots.
 
-    Entry (r, t) of R_i R_j is sum_s C[s][i][m] C[t][j][s] with m =
-    rows[r].  Its column t is the product (e_t e_j) e_i, which lies in AA,
-    so these len(rows) * n integers decide both identities."""
-    n = len(C)
-    # cols[j][t] = C[t][j], the column t of R_{e_j}
-    cols = [[C[t][j] for t in range(n)] for j in range(n)]
+    T_j e_t is sum_a ops[j][a][t] f_a / L, so (T_i T_j e_t)[p_b] is
+    sum_a G_i[b][a] ops[j][a][t] / L, with G_i[b][a] = (T_i f_a)[p_b]: a
+    pair is compared as the k x n products G_i ops[j] and -+G_j ops[i], one
+    pair i <= j at a time.  When every G_i vanishes, every product does:
+    for the R_x that is (AA)A = 0, decided in k^2 n^2 multiply-adds."""
+    if not any(sum(map(mul, row, f)) for T in ops for row in T for f in F):
+        return True, True
+    G = [[[sum(map(mul, row, f)) for f in F] for row in T] for T in ops]
+    cols = [list(zip(*T)) for T in ops]
 
     def product(i, j):
-        return [sum(map(mul, rim, ctj)) for rim in right[i] for ctj in cols[j]]
+        return [sum(map(mul, g, c)) for g in G[i] for c in cols[j]]
 
-    fermionic = novikov = True
-    for i in range(n):
-        for j in range(i, n):
-            pij = product(i, j)
-            pji = product(j, i) if j > i else pij
-            fermionic = fermionic and not any(map(add, pij, pji))
-            novikov = novikov and pij == pji
-            if not (fermionic or novikov):
-                return False, False
-    return fermionic, novikov
-
-
-def _derived_times_vanish(F, right) -> bool:
-    """(AA)A = 0: f_a e_j = R_j f_a vanishes for every row F[a] of
-    derived_basis() and every j.  It lies in AA, so it is read at the
-    pivots, with right = _int_right_ops(C, pivots): k^2 n^2 multiply-adds.
-    """
-    return not any(sum(map(mul, r, f)) for Rj in right for r in Rj for f in F)
-
-
-def _left_commute(C, rows, F) -> bool:
-    """L_x L_y = L_y L_x for all x, y, on the algebra with integer structure
-    tensor C and the reduced basis F of AA at its pivots rows, as
-    derived_basis() gives them.
-
-    Every L_x maps into AA, so it is read at rows: left[x][a][t] =
-    C[x][t][p_a].  The identity is bilinear in L_x and L_y, so it is
-    checked only on the x whose L_x is independent of the earlier ones,
-    which one rref picks as its pivot columns, as invariant_form_space
-    picks its R_j; a pair with a vanishing L holds trivially.  x(yz) at
-    p_b is sum_a G_x[b][a] (yz)[p_a] over L, with G_x[b][a] = (e_x
-    f_a)[p_b], so a pair is compared as the k x n products G_x left[y] =
-    G_y left[x]."""
-    n = len(C)
-    left = [[[C[x][t][m] for t in range(n)] for m in rows] for x in range(n)]
-    _, kept = rref(zip(*map(itertools.chain.from_iterable, left)), n)
-    # for each kept x: G_x, and the columns of left[x]
-    reads = [([[sum(map(mul, row, f)) for f in F] for row in left[x]], list(zip(*left[x])))
-             for x in kept]
-    for (Gx, cols_x), (Gy, cols_y) in itertools.combinations(reads, 2):
-        for gx, gy in zip(Gx, Gy):
-            # row b of both products vanishes when x and y send AA to 0 there
-            if any(gx) or any(gy):
-                for cx, cy in zip(cols_x, cols_y):
-                    if sum(map(mul, gx, cy)) != sum(map(mul, gy, cx)):
-                        return False
-    return True
+    anticommute = commute = True
+    for i, j in itertools.combinations_with_replacement(range(len(ops)), 2):
+        pij = product(i, j)
+        pji = product(j, i) if j > i else pij
+        anticommute = anticommute and not any(map(add, pij, pji))
+        commute = commute and pij == pji
+        if not (anticommute or commute):
+            return False, False
+    return anticommute, commute
 
 
 def check_left_symmetric(A: Algebra) -> bool:
@@ -346,10 +320,12 @@ def commutator_check(A: Algebra) -> bool:
 # e_i ^ (a v1 + b v2), the column C[i][j] of every candidate with phi(e_j)
 # = (a, b).  No wedge has a part along 1, so every candidate's AA lies in
 # span(v1, v2, v1^v2): the checks read the rows _WEDGE_ROWS with no
-# elimination, and _WEDGE_RIGHT[p] holds those rows of the wedge by p.
+# elimination, the commutation pass with the unit rows there as its basis,
+# and _WEDGE_RIGHT[p] holds those rows of the wedge by p.
 _WEDGE_BY = {(a, b): [[0, a, b, 0], [0, 0, 0, b], [0, 0, 0, -a], [0, 0, 0, 0]]
              for a in (-1, 0, 1) for b in (-1, 0, 1)}
 _WEDGE_ROWS = (1, 2, 3)
+_WEDGE_BASIS = [[int(t == m) for t in range(4)] for m in _WEDGE_ROWS]
 _WEDGE_RIGHT = {p: [[col[m] for col in cols] for m in _WEDGE_ROWS] for p, cols in _WEDGE_BY.items()}
 
 
@@ -368,9 +344,10 @@ def search_fermionic_not_novikov():
     least a 4-dimensional space, where they act like exterior
     multiplications on Lambda(R^2).  The search therefore enumerates all
     maps phi: A -> span(v1, v2) with coordinates in {-1, 0, 1}, with the
-    product y x = y ^ phi(x), and runs the two identity passes on each
-    candidate's integer tensor.  Only a witness is built as an Algebra, and
-    it decides its identities afresh on its own tensor.  Yields witnesses.
+    product y x = y ^ phi(x), and runs the left-symmetry and commutation
+    passes on each candidate's integer tensor.  Only a witness is built as
+    an Algebra, and it decides its identities afresh on its own tensor.
+    Yields witnesses.
     """
     for phi in itertools.product(_WEDGE_BY, repeat=4):
         # R_x R_y != 0 needs phi of rank 2; cheap prefilter
@@ -381,7 +358,7 @@ def search_fermionic_not_novikov():
         # so left-symmetry rejects them soonest
         if not _left_symmetric(C, _WEDGE_ROWS, right):
             continue
-        fermionic, novikov = _product_identities(C, _WEDGE_ROWS, right)
+        fermionic, novikov = _commutation(_WEDGE_BASIS, right)
         if fermionic and not novikov:
             yield Algebra.from_ints(C, 1)
 

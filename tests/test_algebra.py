@@ -46,6 +46,12 @@ class TestMultiply:
         assert A.multiply(e(2, 0), e(2, 1)) == e(2, 1)
         assert A.multiply(e(2, 1), e(2, 0)) == zero_element(2)
 
+    def test_tensor_of_wrong_shape(self):
+        z = [0, 0]
+        for c in ([[z, z]], [[z, z], [z]], [[z, z], [z, [0]]], [[z, z], [z, [0, 0, 0]]], [[z, z, z], [z, z]]):
+            with pytest.raises(ValueError, match="^structure tensor must be dim x dim x dim$"):
+                Algebra(2, c)
+
     def test_dim_mismatch(self):
         A = Algebra.zero(2)
         with pytest.raises(DimensionMismatchError):

@@ -134,6 +134,11 @@ class TestCanonicalBasis:
         assert rep.complement_diag == []
         assert rep.P == Mat.identity(2)
 
+    def test_x0_of_wrong_length_refused(self):
+        for x0 in ([ONE], [ONE, ONE, ONE]):
+            with pytest.raises(PreconditionError, match="^dimension mismatch$"):
+                canonical_basis(make_family(1, 2), HYP2, x0)
+
     def test_zero_algebra_complement_only(self):
         A = Algebra.zero(3)
         B = SymForm(Mat.diagonal([1, 1, -1]))

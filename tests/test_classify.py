@@ -88,6 +88,12 @@ class TestClassifyK1:
             A2, _, _ = scramble(A, None, seed)
             assert classify_k1(A2) == variant
 
+    def test_rejects_failed_identities(self):
+        # e1 e1 = e1 is not fermionic, and e1 e2 = e1 not left-symmetric
+        for A in (Algebra.from_products(1, [(0, 0, 0, 1)]), Algebra.from_products(2, [(0, 1, 0, 1)])):
+            with pytest.raises(ValueError, match="^algebra must satisfy both defining identities$"):
+                classify_k1(A)
+
     def test_rejects_wrong_derived_dim(self):
         with pytest.raises(ValueError):
             classify_k1(Algebra.zero(3))
@@ -123,6 +129,13 @@ class TestMakeK2:
     def test_dim_too_small(self):
         with pytest.raises(ValueError):
             K2Params(n=4, lam=[0] * 4, mu=[0] * 4, gam=[0] * 4)
+
+    @pytest.mark.parametrize("name", ["lam", "mu", "gam"])
+    def test_vector_of_wrong_length(self, name):
+        for m in (4, 6):
+            vectors = {"lam": [0] * 5, "mu": [0] * 5, "gam": [0] * 5, name: [0] * m}
+            with pytest.raises(ValueError, match=f"^{name} must have length 5$"):
+                K2Params(n=5, **vectors)
 
     def test_admits_invariant_form(self):
         # pairs (e1,e2), (e3,e4) hyperbolic plus identity complement is
@@ -195,6 +208,12 @@ class TestScramble:
     def test_dim_zero(self):
         A2, B2, P = scramble(Algebra.zero(0), None, 0)
         assert A2.dim == 0
+
+    def test_basis_change_of_wrong_shape_is_refused(self):
+        A = make_family(2, 3)
+        for P in (Mat.identity(2), Mat.identity(4), Mat.zeros(3, 2), Mat.zeros(2, 3)):
+            with pytest.raises(DimensionMismatchError, match="^basis change dimension mismatch$"):
+                transport_basis(A, None, P)
 
     @pytest.mark.parametrize("m", [2, 4])
     def test_form_of_wrong_dimension_is_refused(self, m):

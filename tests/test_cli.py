@@ -5,6 +5,7 @@ import time
 from itertools import islice
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fnovikov import (Algebra, CanonError, GenericPointError, Mat, SymForm, make_family,
                       nondegenerate_form, parse, serialize, theorem_check)
@@ -12,7 +13,7 @@ from fnovikov import canon, cli, forms
 from fnovikov.fileio import MAX_DIM, MAX_SCALED_BITS
 from fnovikov.cli import main
 
-from test_fileio import coprime_denominator_text
+from test_fileio import STRUCTURAL_REFUSALS, coprime_denominator_text
 
 
 def run(capsys, *argv):
@@ -63,6 +64,14 @@ class TestCheck:
         path.write_text("{not json")
         code, _, err = run(capsys, "check", "--input", str(path))
         assert code == 2
+
+    @pytest.mark.parametrize("text, message", STRUCTURAL_REFUSALS)
+    def test_structural_refusal(self, capsys, tmp_path, text, message):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "check", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message}")
 
     def test_directory_input(self, capsys, tmp_path):
         code, out, err = run(capsys, "check", "--input", str(tmp_path))
@@ -448,3 +457,78 @@ class TestUsage:
         code, out, err = run(capsys, *[family2_file if a is None else a for a in argv])
         assert (code, out) == (2, "")
         assert "unrecognized arguments" in err
+
+
+# ---------------------------------------------------------------------------
+# any small file, well-formed or not: a clean exit code, never a traceback
+
+_RATIONALS = st.builds(lambda p, q: f"{p}/{q}", st.integers(-3, 3), st.integers(1, 3)) | st.sampled_from(
+    ["0", "1", "-1", "2"])
+_BAD_VALUES = st.sampled_from([None, True, 0, -1, 4, 65, 1.5, "1", "1.5", "1/0", "x", "٣", [], {}, [1], [[1, "1"]]])
+
+
+@st.composite
+def algebra_files(draw):
+    """The text of a file of dim <= 3: a one-product family with its form, or
+    random products and a random form, and half the time one part of it
+    replaced by a value of the wrong kind, or the text cut short."""
+    if draw(st.booleans()):
+        variant = draw(st.integers(0, 3))
+        n = draw(st.integers({0: 0, 1: 2, 2: 2, 3: 3}[variant], 3))
+        A = make_family(variant, n)
+        doc = json.loads(serialize(A, form=nondegenerate_form(A, 1)[1]))
+    else:
+        n = draw(st.integers(0, 3))
+        index = st.integers(1, n) if n else st.nothing()
+        pairs = draw(st.dictionaries(st.tuples(index, index), st.dictionaries(index, _RATIONALS, min_size=1),
+                                     max_size=4)) if n else {}
+        doc = {"dim": n, "products": [[i, j, [[m, x] for m, x in terms.items()]]
+                                      for (i, j), terms in pairs.items()]}
+        if draw(st.booleans()):
+            upper = [[draw(_RATIONALS) for _ in range(n)] for _ in range(n)]
+            doc["form"] = [[upper[min(r, c)][max(r, c)] for c in range(n)] for r in range(n)]
+        if draw(st.booleans()):
+            doc["metadata"] = {"name": "drawn"}
+    if draw(st.booleans()):
+        bad = draw(_BAD_VALUES)
+        where = draw(st.sampled_from(["top", "dim", "products", "entry", "index", "term", "coeff",
+                                      "form", "form row", "form entry", "metadata"]))
+        entries = doc.get("products") or [[1, 1, [[1, "1"]]]]
+        form = doc.get("form") or [[bad]]
+        if where == "top":
+            doc = bad
+        elif where in ("dim", "products", "form", "metadata"):
+            doc[where] = bad
+        elif where == "entry":
+            doc["products"] = entries[:-1] + [bad]
+        elif where == "index":
+            entries[-1][draw(st.integers(0, 1))] = bad
+            doc["products"] = entries
+        elif where == "term":
+            entries[-1][2] = entries[-1][2][:-1] + [bad]
+            doc["products"] = entries
+        elif where == "coeff":
+            entries[-1][2][-1] = [entries[-1][2][-1][0], bad]
+            doc["products"] = entries
+        elif where == "form row":
+            doc["form"] = form[:-1] + [bad]
+        else:
+            form[-1] = form[-1][:-1] + [bad]
+            doc["form"] = form
+    text = json.dumps(doc)
+    if draw(st.integers(0, 9)) == 0:
+        text = text[:draw(st.integers(0, len(text)))]
+    return text
+
+
+@given(text=algebra_files())
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_every_command_exits_cleanly_on_any_small_file(capsys, tmp_path, text):
+    # each exit code is 0, 1 or 2: any other exception would escape main
+    path = tmp_path / "drawn.json"
+    path.write_text(text)
+    for command in ("check", "forms", "canon", "classify", "scramble"):
+        code, _, err = run(capsys, command, "--input", str(path))
+        assert code in (0, 1, 2), (command, text)
+        assert code != 2 or err.startswith("error: "), (command, text)

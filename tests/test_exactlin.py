@@ -142,7 +142,18 @@ class TestCongruence:
             )
 
 
+def test_ragged_rows_refused():
+    for data in ([[1, 2], [3]], [[1], [2, 3]], [[], [1]]):
+        with pytest.raises(ValueError, match="^ragged rows$"):
+            Mat(data)
+
+
 class TestSignature:
+    def test_nonsymmetric_refused(self):
+        for M in (Mat([[0, 1], [2, 0]]), Mat([[1, 0]])):
+            with pytest.raises(ValueError, match="^symmetric matrix required$"):
+                signature(M)
+
     def test_diagonal(self):
         assert signature(Mat.diagonal([-1, -1, 1])) == (1, 2, 0)
 

@@ -120,7 +120,29 @@ class TestParse:
         assert sum(1 for row in C for vec in row for x in vec if x) == 1
 
 
+# JSON documents that break the grammar's structure, each with the start
+# of the AlgebraFileSyntaxError message that parse refuses it with
+STRUCTURAL_REFUSALS = [
+    ("[]", "top level must be an object"),
+    ('"dim"', "top level must be an object"),
+    ('{"dim": 2, "products": {}}', "products must be a list"),
+    ('{"dim": 2, "products": [[1, 1]]}', "malformed product entry"),
+    ('{"dim": 2, "products": [[1, 1, "2"]]}', "malformed product entry"),
+    ('{"dim": 2, "products": [[1, 1, [[2]]]]}', "malformed product term"),
+    ('{"dim": 2, "products": [[1, 1, [2, "1"]]]}', "malformed product term"),
+    ('{"dim": 2, "form": [["1", "0"]]}', "form must be a dim x dim matrix"),
+    ('{"dim": 2, "form": [["1"], ["0"]]}', "form must be a dim x dim matrix"),
+    ('{"dim": 1, "form": "1"}', "form must be a dim x dim matrix"),
+    ('{"dim": 1, "metadata": []}', "metadata must be an object"),
+]
+
+
 class TestParseErrors:
+    @pytest.mark.parametrize("text, message", STRUCTURAL_REFUSALS)
+    def test_structural_refusals(self, text, message):
+        with pytest.raises(AlgebraFileSyntaxError, match=f"^{re.escape(message)}"):
+            parse(text)
+
     def test_malformed_json_reports_position(self):
         with pytest.raises(AlgebraFileSyntaxError) as err:
             parse('{"dim": 2, ')

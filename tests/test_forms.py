@@ -5,6 +5,7 @@ import pytest
 from fnovikov import (
     Algebra,
     DegenerateFormError,
+    DimensionMismatchError,
     Mat,
     SymForm,
     check_fermionic,
@@ -69,6 +70,16 @@ class TestIsInvariant:
 
     def test_family1_identity_fails(self):
         assert not is_invariant(make_family(1, 2), SymForm(Mat.identity(2)))
+
+    def test_form_of_another_dimension(self):
+        for B in (SymForm(Mat.identity(3)), SymForm(Mat.identity(1))):
+            with pytest.raises(DimensionMismatchError, match="^form dimension mismatch$"):
+                is_invariant(make_family(1, 2), B)
+
+    def test_nonsymmetric_matrix_is_no_form(self):
+        for M in (Mat([[0, 1], [2, 0]]), Mat([[1, 0]])):
+            with pytest.raises(ValueError, match="^form matrix must be symmetric$"):
+                SymForm(M)
 
     def test_zero_algebra_any_form(self):
         A = Algebra.zero(3)
