@@ -44,10 +44,10 @@ class Algebra:
     sparse products.  The reduced basis of the derived algebra,
     the right pencil (the one integer table of the R_x) and the verdicts
     of the three defining identities are computed from it on first use
-    and cached.
+    and cached, and so are the independent members of the right pencil.
     """
 
-    __slots__ = ("dim", "_tensor", "_derived_basis", "_right_pencil", "_identities")
+    __slots__ = ("dim", "_tensor", "_derived_basis", "_right_pencil", "_right_basis", "_identities")
 
     def __init__(self, dim, c):
         c = [[[QQ(x) for x in vec] for vec in row] for row in c]
@@ -58,25 +58,26 @@ class Algebra:
             raise ValueError("structure tensor must be dim x dim x dim")
         flat, den = scale_to_int([vec for row in c for vec in row])
         self.dim, self._tensor = dim, ([flat[i * dim:(i + 1) * dim] for i in range(dim)], den)
-        self._derived_basis = self._right_pencil = self._identities = None
+        self._derived_basis = self._right_pencil = self._right_basis = self._identities = None
 
     @classmethod
     def from_ints(cls, C, den):
         """The algebra with structure constants C[i][j][m] / den, for ints
         and den > 0, with the gcd of den and the entries divided out.  The
-        gcd is taken one vector C[i][j] at a time and stops at 1, so no
-        sequence of all n^3 entries is built.  C is kept as it came when
-        the gcd is 1: never mutate it."""
+        gcd is taken one nonzero vector C[i][j] at a time and stops at 1,
+        so no sequence of all n^3 entries is built.  C is kept as it came
+        when the gcd is 1: never mutate it."""
         g = den
         for vec in itertools.chain.from_iterable(C):
             if g == 1:
                 break
-            g = gcd(g, *vec)
+            if any(vec):
+                g = gcd(g, *vec)
         if g != 1:
             C = [[[x // g for x in vec] for vec in row] for row in C]
         a = object.__new__(cls)
         a.dim, a._tensor = len(C), (C, den // g)
-        a._derived_basis = a._right_pencil = a._identities = None
+        a._derived_basis = a._right_pencil = a._right_basis = a._identities = None
         return a
 
     @classmethod
@@ -171,26 +172,37 @@ class Algebra:
                                         len(rows), self.dim)
         return self._right_pencil
 
+    def right_basis(self):
+        """(K, coef, g) = _independent(right_pencil().mats), computed once
+        per instance: the rho j whose R_{e_j} is independent of the earlier
+        ones (AA projects injectively onto the pencil's rows), and g
+        Lambda_t = sum_l coef[l][t] Lambda_{K_l} for every member Lambda_t.
+        The lists are shared; never mutate."""
+        if self._right_basis is None:
+            self._right_basis = _independent(self.right_pencil().mats)
+        return self._right_basis
+
     def identities(self):
         """(left_symmetric, fermionic, novikov): the verdicts of the three
         defining identities, decided once per instance on int_tensor() at
         derived_pivots().
 
-        One commutation pass on right_pencil()'s members decides fermionic
-        and Novikov.  In characteristic 0 both hold exactly when (AA)A = 0,
-        and then left-symmetry reads x(yz) = y(xz): the left multiplications
-        commute, which the same pass decides on the L_x that one rref of
-        their pivot rows finds independent, as invariant_form_space picks
-        its R_j.  Otherwise the general left-symmetry pass decides it."""
+        One commutation pass on the independent members of right_pencil(),
+        right_basis()'s K, decides fermionic and Novikov: the anticommute
+        and commute tests are bilinear in the R_x, so a basis of their span
+        decides them.  In characteristic 0 both hold exactly when
+        (AA)A = 0, and then left-symmetry reads x(yz) = y(xz): the left
+        multiplications commute, which the same pass decides on the L_x
+        that _independent finds independent.  Otherwise the general
+        left-symmetry pass decides it."""
         if self._identities is None:
             C = self.int_tensor()[0]
             rows, F, _ = self.derived_basis()
             right = self.right_pencil().mats
-            fermionic, novikov = _commutation(F, right)
+            fermionic, novikov = _commutation(F, [right[j] for j in self.right_basis()[0]])
             if fermionic and novikov:
                 left = _int_left_ops(C, rows)
-                _, kept = rref(zip(*map(itertools.chain.from_iterable, left)), self.dim)
-                left_symmetric = _commutation(F, [left[x] for x in kept])[1]
+                left_symmetric = _commutation(F, [left[x] for x in _independent(left)[0]])[1]
             else:
                 left_symmetric = _left_symmetric(C, rows, right)
             self._identities = (left_symmetric, fermionic, novikov)
@@ -204,9 +216,23 @@ class Algebra:
 # only coordinates onto which AA projects injectively: derived_pivots(),
 # k = dim AA of them, and for the commutation pass derived_basis()'s F,
 # unless the caller knows such coordinates, and a basis there, without an
-# elimination.  The commutation pass costs k^2 n^2 multiply-adds when every
-# product vanishes, k^2 n^3 otherwise, and rho^2 k^2 n on the rho
-# independent L_x; the general left-symmetry pass costs k n^4, not n^5.
+# elimination.  The commutation pass runs on the independent operators of
+# a family, which _independent finds in one rref of k n rows of n entries:
+# on the rho kept R_j it costs rho k^2 n multiply-adds when every product
+# vanishes and rho^2 k^2 n otherwise, and likewise on the kept L_x; the
+# witness search passes all four R_j.  The general left-symmetry pass costs
+# k n^4, not n^5.
+
+
+def _independent(ops):
+    """(K, coef, g) for integer matrices ops of one shape: K, increasing,
+    are the t whose ops[t] is independent of the earlier ones, and g ops[t]
+    = sum_l coef[l][t] ops[K[l]] for every t, g > 0.  One rref of the table
+    whose column t is ops[t] flattened gives both: K are its pivot
+    columns, and row operations keep the relations between columns."""
+    z, K = rref(zip(*map(itertools.chain.from_iterable, ops)), len(ops))
+    g = lcm(*[row[t] for row, t in zip(z, K)])
+    return K, [row if row[t] == g else [x * (g // row[t]) for x in row] for row, t in zip(z, K)], g
 
 
 def _int_right_ops(C, rows):

@@ -145,12 +145,15 @@ def transport_columns(A: Algebra, B, cols):
     Every product lies in AA; F, L = A.derived_basis().  With C = dc c the
     integer tensor, f_i f_j = sum_a pi_ij[a] F[a] / (L dc d_i d_j) for
     f_i = z_i / d_i, where pi_ij[a] = z_i^T C^(p_a) z_j is its entry at the
-    pivot p_a, and C^(p_a) z_j is row a of A.right_pencil() at z_j: k n^3
-    multiply-adds, not the n^4 of a full contraction.  The integer
-    reduction of [Z | F^T] ends with p_m at (m, m) and y_m after column n,
-    so Pinv F^T = diag(d) Z^-1 F^T has row m d_m y_m / p_m, and
-    c'[i][j][m] = sum_a pi_ij[a] q_m[a] / (dc L d_i d_j g), q_m = d_m y_m
-    g / p_m with g the lcm of the p_m, expanded only where pi_ij is
+    pivot p_a, and C^(p_a) z_j is row a of A.right_pencil() at z_j.  The
+    pencil is read through its rho independent members, A.right_basis()'s
+    (K, coef, gr): at z_j it is sum_l w_j[l] Lambda_{K_l} / gr with w_j =
+    coef z_j, so gr pi_ij = sum_l w_j[l] V_i[l] with V_i[l] = Lambda_{K_l}
+    z_i, in rho k n^2 multiply-adds, not the n^4 of a full contraction.
+    The integer reduction of [Z | F^T] ends with p_m at (m, m) and y_m
+    after column n, so Pinv F^T = diag(d) Z^-1 F^T has row m d_m y_m / p_m,
+    and c'[i][j][m] = sum_a gr pi_ij[a] q_m[a] / (dc L d_i d_j g gr), q_m =
+    d_m y_m g / p_m with g the lcm of the p_m, expanded only where pi_ij is
     nonzero.  The form entry is z_i^T Bi z_j / (d_i d_j db).
     """
     n = A.dim
@@ -165,15 +168,18 @@ def transport_columns(A: Algebra, B, cols):
         raise ValueError("singular basis change")
     g = lcm(*[row[m] for m, row in enumerate(a)])
     qs = [[y * dm * (g // row[m]) for y in row[n:]] for m, (dm, row) in enumerate(zip(d, a))]
-    # W[j][a][s] = (R_{z_j} e_s)[p_a] = sum_t C[s][t][p_a] z_j[t]
-    W = [A.right_pencil().eval(zj) for zj in zcols]
+    kept, coef, gr = A.right_basis()
+    mats = A.right_pencil().mats
+    ws = [[sum(map(mul, c, zj)) for c in coef] for zj in zcols]
+    # V[i][a][l] = (Lambda_{K_l} z_i)[a], so gr pi_ij[a] = sum_l ws[j][l] V[i][a][l]
+    V = [list(zip(*[[sum(map(mul, row, zi)) for row in mats[j]] for j in kept])) for zi in zcols]
     _, dc = A.int_tensor()
     prods = {}
-    for i, zi in enumerate(zcols):
-        for j, Wj in enumerate(W):
-            pi = [sum(map(mul, zi, w)) for w in Wj]
+    for i, Vi in enumerate(V):
+        for j, wj in enumerate(ws):
+            pi = [sum(map(mul, wj, v)) for v in Vi]
             if any(pi):
-                prods[i, j] = ([sum(map(mul, pi, q)) for q in qs], dc * L * d[i] * d[j] * g)
+                prods[i, j] = ([sum(map(mul, pi, q)) for q in qs], dc * L * d[i] * d[j] * g * gr)
     if B is None:
         return prods, None
     Bi, db = B.int_matrix()

@@ -99,8 +99,9 @@ def is_invariant(A: Algebra, B: SymForm) -> bool:
     multiplication R = R_{e_j}.  R_j maps into AA, so R_j = F^T Lambda_j / L
     with F, L = A.derived_basis() and Lambda_j = A.right_pencil().mats[j],
     the (e_t e_j)[p_a] scaled: the test reads (B F^T) Lambda_j on integers
-    scaled from c and B, which it is bilinear in, in k n^3 multiply-adds.
-    With AA = 0 every form is invariant."""
+    scaled from c and B, which it is bilinear in.  It is linear in R_j, so
+    only the rho independent j of A.right_basis() are read: k n^2 (rho + 1)
+    multiply-adds.  With AA = 0 every form is invariant."""
     if B.dim != A.dim:
         raise DimensionMismatchError("form dimension mismatch")
     n = A.dim
@@ -110,7 +111,8 @@ def is_invariant(A: Algebra, B: SymForm) -> bool:
     Bi, _ = B.int_matrix()
     # BF[r][a] = (B F[a])[r]
     BF = [[sum(map(mul, row, f)) for f in F] for row in Bi]
-    for Lam in A.right_pencil().mats:
+    mats = A.right_pencil().mats
+    for Lam in (mats[j] for j in A.right_basis()[0]):
         # lam[t] = column t of Lambda_j
         lam = list(zip(*Lam))
         for r in range(n):
@@ -132,15 +134,12 @@ def invariant_form_space(A: Algebra):
     the negated equation of entry (r, s) and the diagonal entries vanish.
 
     The equations are linear in R_j, so only the j whose R_j is
-    independent of the earlier ones are kept: j is kept when its pivot
-    rows in A.right_pencil().mats raise the rank of those of the earlier
-    j, which one rref reads as its pivot columns.  AA projects injectively
-    onto the pivots, so this is independence of the R_j themselves, and
-    every other R_j is a combination of the kept ones: the row space, and
-    so the basis, is the same.  The equations are read from the structure
-    constants of the kept j as they are, never from reduced combinations,
-    whose entries grow large.  With AA = 0 no j is kept and every
-    symmetric B is invariant.
+    independent of the earlier ones are kept: A.right_basis()'s K, found
+    once per algebra.  Every other R_j is a combination of the kept ones,
+    so the row space, and so the basis, is the same.  The equations are
+    read from the structure constants of the kept j as they are, never
+    from reduced combinations, whose entries grow large.  With AA = 0 no
+    j is kept and every symmetric B is invariant.
 
     The rho n (n - 1) / 2 equations, rho = rank of the R_j, are streamed
     into rref, which reduces each against the rows kept so far, so at
@@ -155,9 +154,7 @@ def invariant_form_space(A: Algebra):
     index = {uv: t for t, uv in enumerate(unknowns)}
     uidx = [[index[(r, s) if r <= s else (s, r)] for s in range(n)] for r in range(n)]
 
-    # column j of this k n x n matrix is R_j's pivot rows, flattened: its
-    # pivot columns are the j whose R_j is independent of the earlier ones
-    _, kept = rref(zip(*map(itertools.chain.from_iterable, A.right_pencil().mats)), n)
+    kept = A.right_basis()[0]
 
     # streamed last to first: a row's leading unknown then more often lies
     # left of the kept rows', so fewer of them need clearing in its column

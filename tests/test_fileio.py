@@ -105,8 +105,9 @@ class TestParse:
     def test_one_product_dim64_parses_in_bounded_memory(self):
         # e64 e64 = e1 / 3 over 3: the gcd of den and the entries stays 3
         # until the last of the 4096 vectors, and from_ints takes it one
-        # vector at a time.  The peak was 2.25 MiB on a 2-vCPU Xeon, Python
-        # 3.11.7, and 6.46 MiB with one gcd call over all 64**3 entries
+        # nonzero vector at a time.  The peak was 2.25 MiB on a 2-vCPU
+        # Xeon, Python 3.11.7, and 6.46 MiB with one gcd call over all
+        # 64**3 entries
         text = json.dumps({"dim": 64, "products": [[64, 64, [[1, "1/3"]]]]})
         tracemalloc.start()
         try:

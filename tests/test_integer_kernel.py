@@ -250,6 +250,23 @@ def test_from_ints_divides_out_the_gcd():
         assert A.dim == 0 and A.int_tensor() == ([], 1) and A == Algebra.zero(0)
 
 
+def test_from_ints_skips_zero_vectors(monkeypatch):
+    # e64 e64 = e1 / 3, the one-product tensor at the largest dimension:
+    # gcd(g, 0, ..., 0) is g, so the gcd is taken at the one nonzero vector
+    # only, not at each of the 4096
+    n = 64
+    C = [[[0] * n for _ in range(n)] for _ in range(n)]
+    C[n - 1][n - 1][0] = 1
+    calls = _count_calls(monkeypatch, "gcd", (algebra,))
+    assert Algebra.from_ints(C, 3).int_tensor() == (C, 3)
+    assert len(calls) == 1
+    # every nonzero vector is read while the gcd stays above 1
+    calls.clear()
+    even = [[[2, 0], [0, 0]], [[0, 0], [4, -6]]]
+    assert Algebra.from_ints(even, 6).int_tensor() == ([[[1, 0], [0, 0]], [[0, 0], [2, -3]]], 3)
+    assert len(calls) == 2
+
+
 @given(rational_tensors(), st.integers(2, 60), st.integers(0, 2**30))
 @settings(max_examples=80, deadline=None)
 def test_constructors_give_one_normal_form(case, s, seed):
@@ -709,8 +726,8 @@ def test_commuting_left_pass_matches_reference(A):
 def test_commuting_left_pass_sees_a_non_left_symmetric_algebra(monkeypatch):
     # e1 e3 = e3, e2 e1 = e3 (1-based): AA = span(e3) and e3 A = 0, so
     # (AA)A = 0, yet e1(e2 e1) = e3 while e2(e1 e1) = 0: the commutation
-    # pass on the R_x, then on the independent L_x, decides each, and the
-    # second finds that the L_x do not commute
+    # pass on the independent R_x, then on the independent L_x, decides
+    # each, and the second finds that the L_x do not commute
     A = Algebra.from_products(3, [(0, 2, 2, 1), (1, 0, 2, 1)])
     symmetric, commutations = _count_passes(monkeypatch)
     for X in (A, scramble(A, None, 3)[0]):
@@ -750,6 +767,115 @@ def test_is_invariant_matches_reference():
         for M in invariant_form_space(A)[:2]:
             assert is_invariant(A, M) and ref_is_invariant(A, M)
     assert seen == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# the independent right multiplications
+
+
+def ref_rank(rows, cols):
+    """Rank of Fraction rows, as cols minus the dimension of their kernel."""
+    return cols - len(ref_rref_kernel(rows, cols))
+
+
+@st.composite
+def right_basis_cases(draw):
+    """An algebra of dim 2-7: a random one, a one-product family (rho = 1),
+    a k2 draw (rho <= 3), a sum of planes (rho = n / 2) or the zero
+    algebra (rho = 0), under an integer basis change half the time."""
+    n = draw(st.integers(2, 7))
+    rnd = random.Random(draw(st.integers(0, 2**30)))
+    kinds = ["random", "family", "zero"] + ["k2"] * (n >= 5) + ["planes"] * (n % 2 == 0)
+    kind = draw(st.sampled_from(kinds))
+    if kind == "random":
+        A = rand_algebra(rnd, n, density=draw(st.sampled_from([0.05, 0.3])))
+    elif kind == "family":
+        A = make_family(draw(st.integers(1, 3 if n >= 3 else 2)), n)
+    elif kind == "k2":
+        A = make_k2(random_k2(rnd, n))
+    elif kind == "planes":
+        A = planes_sum(n // 2)
+    else:
+        A = Algebra.zero(n)
+    if draw(st.booleans()):
+        A, _, _ = scramble(A, None, rnd.randrange(2**30))
+    return A
+
+
+@given(right_basis_cases())
+@settings(max_examples=80, deadline=None)
+def test_right_basis_rebuilds_every_member(A):
+    # right_basis() keeps the j whose R_j raises the rank of the earlier
+    # ones, and g R_t = sum_l coef[l][t] R_{K_l} rebuilds every member
+    # exactly, on the pencil's integer rows and on the full Fraction R_t
+    n = A.dim
+    K, coef, g = basis = A.right_basis()
+    assert A.right_basis() is basis
+    R = ref_right_ops(A)
+    flat = [[x for row in M for x in row] for M in R]
+    ranks = [ref_rank(flat[:j], n * n) for j in range(n + 1)]
+    assert K == [j for j in range(n) if ranks[j + 1] > ranks[j]]
+    assert type(g) is int and g > 0
+    assert len(coef) == len(K) and all(len(row) == n and all(type(x) is int for x in row)
+                                       for row in coef)
+    mats = A.right_pencil().mats
+    for t in range(n):
+        assert [[g * x for x in row] for row in mats[t]] == [
+            [sum(coef[l][t] * mats[j][a][s] for l, j in enumerate(K)) for s in range(n)]
+            for a in range(len(mats[t]))]
+        assert [[g * x for x in row] for row in R[t]] == [
+            [sum((coef[l][t] * R[j][m][s] for l, j in enumerate(K)), Fraction(0)) for s in range(n)]
+            for m in range(n)]
+
+
+def test_is_invariant_reads_every_independent_right_multiplication():
+    # the forms invariant under every kept R_j but one, R_{K_l}: the test
+    # reads rho members only, so it must read R_{K_l} too, and it agrees
+    # with the reference on each such form, on their sum and on a random one
+    rnd = random.Random(41)
+    cases = k2_instances(33, 2) + witnesses(2) + [planes_sum(3), rand_algebra(rnd, 4, density=0.2)]
+    cases += [scramble(A, None, 50 + i)[0] for i, A in enumerate(cases)]
+    seen = set()
+    for A in cases:
+        n, K = A.dim, A.right_basis()[0]
+        assert 2 <= len(K)
+        for l in range(len(K)):
+            space, _ = ref_form_space(A, [j for j in K if j != K[l]])
+            total = [[sum(col, Fraction(0)) for col in zip(*rows)] for rows in zip(*space)]
+            for b in space[:6] + [total]:
+                form = SymForm(Mat(b))
+                got = is_invariant(A, form)
+                assert got == ref_is_invariant(A, form)
+                seen.add(got)
+        for M in invariant_form_space(A):
+            assert is_invariant(A, M) and ref_is_invariant(A, M)
+        form = rand_sym_form(rnd, n)
+        assert is_invariant(A, form) == ref_is_invariant(A, form)
+    assert seen == {True, False}
+
+
+def test_transport_through_independent_members_matches_fractions():
+    # k2 draws (rho = 3), sums of planes (rho = n / 2) and witnesses
+    # (rho = 2), scrambled: transport_columns reads the pencil at each new
+    # basis vector through the rho kept members, and each product v / t and
+    # form entry it returns must be the Fraction transport's
+    rnd = random.Random(42)
+    cases = [(A, 3) for A in k2_instances(44, 2)] + [(planes_sum(3), 3), (planes_sum(4), 4)]
+    cases += [(W, 2) for W in witnesses(2)]
+    for i, (A, rho) in enumerate(cases):
+        A, _, _ = scramble(A, None, 60 + i)
+        n = A.dim
+        assert len(A.right_basis()[0]) == rho < n
+        while True:
+            P = Mat([[rand_q(rnd) for _ in range(n)] for _ in range(n)])
+            if rank(P) == n:
+                break
+        B = rand_sym_form(rnd, n)
+        prods, form = classify.transport_columns(A, B, scale_columns(P))
+        c, b = ref_transport(A, B, P)
+        assert {ij: [Fraction(x, t) for x in v] for ij, (v, t) in prods.items()} == {
+            (i, j): c[i][j] for i in range(n) for j in range(n) if any(c[i][j])}
+        assert [[Fraction(x, t) for x, t in row] for row in form] == b
 
 
 # ---------------------------------------------------------------------------
@@ -1181,19 +1307,24 @@ def _at_derived_pivots(A, symmetric):
 
 def _on_derived_basis(A, commutations):
     """The commutation passes read A's reduced basis F of AA: the first on
-    its right pencil's members, and a second, if any, on L_x at the pivots
-    of AA for a set of x whose L_x are independent and span all of them."""
+    members of its right pencil, and a second, if any, on L_x at the pivots
+    of AA, each on a set that is independent and spans its whole family:
+    as many operators as the family's rank, with that same rank."""
     pivots, F, _ = A.derived_basis()
     C, n = A.int_tensor()[0], A.dim
+    right = A.right_pencil().mats
     left = [[[C[x][t][m] for t in range(n)] for m in pivots] for x in range(n)]
 
     def rank_of(ops):
         return rank(Mat([list(itertools.chain.from_iterable(T)) for T in ops], len(pivots) * n))
 
-    (f, right), *rest = commutations
-    return (f is F and right is A.right_pencil().mats and len(rest) <= 1
-            and all(g is F and all(T in left for T in ops) and len(ops) == rank_of(ops) == rank_of(left)
-                    for g, ops in rest))
+    def spans(ops, family):
+        return len(ops) == rank_of(ops) == rank_of(family)
+
+    (f, kept), *rest = commutations
+    return (f is F and all(any(T is R for R in right) for T in kept) and spans(kept, right)
+            and len(rest) <= 1
+            and all(g is F and all(T in left for T in ops) and spans(ops, left) for g, ops in rest))
 
 
 def _count_loads(monkeypatch):
@@ -1219,8 +1350,8 @@ def test_one_identity_pass_per_theorem_check(monkeypatch):
             calls.clear()
         assert theorem_check(A, B, seed=i)
         # every theorem instance has (AA)A = 0: one commutation pass on the
-        # R_x finds it, one on the independent L_x decides left-symmetry,
-        # and the general left-symmetry pass does not run
+        # independent R_x finds it, one on the independent L_x decides
+        # left-symmetry, and the general left-symmetry pass does not run
         assert len(commutations) == 2 and len(transports) == 1
         assert not symmetric
         # each reads AA's reduced basis at its k pivot rows
@@ -1262,12 +1393,15 @@ def test_one_identity_pass_per_canon(monkeypatch, tmp_path, capsys):
 
 def test_one_right_table_per_algebra(monkeypatch):
     # the identities, the rank search, R_{x0}, the invariance test and the
-    # transport all read A.right_pencil(), built once per algebra
+    # transport all read A.right_pencil(), built once per algebra, and its
+    # independent members, found once per algebra
     instances = list(generate_corpus(7, 4))
     tables = _count_calls(monkeypatch, "_int_right_ops", (algebra,))
+    bases = _count_calls(monkeypatch, "_independent", (algebra,))
     symmetric, commutations = _count_passes(monkeypatch)
     for i, (_, A, B) in enumerate(instances):
         tables.clear()
+        bases.clear()
         assert theorem_check(A, B, seed=i)
         B = normalize_orientation(B)
         rep = canonicalize(A, B, i)
@@ -1276,8 +1410,10 @@ def test_one_right_table_per_algebra(monkeypatch):
         assert len(tables) == 1 and tables[0][1] is A.derived_pivots()
         assert theorem_check(A, B, seed=i)
         assert len(tables) == 1
-    # the commutation pass reads the pencil's own members, once per
-    # algebra, and then the independent L_x decide every instance's
+        # one search among the R_j, and one among the L_x for the identities
+        assert len(bases) == 2 and sum(ops is A.right_pencil().mats for ops, in bases) == 1
+    # the commutation pass reads the pencil's own independent members, once
+    # per algebra, and then the independent L_x decide every instance's
     # left-symmetry, with no general pass
     assert len(commutations) == 2 * len(instances)
     assert not symmetric
@@ -1288,9 +1424,9 @@ def test_one_right_table_per_algebra(monkeypatch):
 def _one_pass_per_command(monkeypatch, tmp_path, capsys, command):
     """The exit code and --json report of `fnovikov command` on family 2 at
     dim 4 and on a witness, each run checked to make one commutation pass on
-    the R_x at the pivots of AA, then one on the independent L_x on family
-    2, where (AA)A = 0, and one general left-symmetry pass on the witness,
-    where it is not."""
+    the independent R_x at the pivots of AA, then one on the independent
+    L_x on family 2, where (AA)A = 0, and one general left-symmetry pass on
+    the witness, where it is not."""
     witness = next(search_fermionic_not_novikov())
     symmetric, commutations = _count_passes(monkeypatch)
     loaded = _count_loads(monkeypatch)
@@ -1453,16 +1589,16 @@ def test_rref_is_independent_of_row_order(case):
     assert rref([rows[i] for i in perm], cols) == (z, pivots)
 
 
-def ref_form_space(A):
+def ref_form_space(A, js=None):
     """(space, equations): every entry (r, s) of R_j^T B - B R_j for every
-    j, term by term over Fraction, and the symmetric matrices of its
-    kernel in the unknowns b_{uv}, u <= v."""
+    j in js, all j when js is None, term by term over Fraction, and the
+    symmetric matrices of its kernel in the unknowns b_{uv}, u <= v."""
     n = A.dim
     c = as_fractions(A)
     unknowns = [(u, v) for u in range(n) for v in range(u, n)]
     index = {uv: t for t, uv in enumerate(unknowns)}
     rows = []
-    for j, r, s in itertools.product(range(n), repeat=3):
+    for j, r, s in itertools.product(range(n) if js is None else js, range(n), range(n)):
         row = [Fraction(0)] * len(unknowns)
         for t in range(n):
             row[index[tuple(sorted((t, s)))]] += c[r][j][t]
@@ -1554,7 +1690,8 @@ def test_form_equations_from_independent_right_multiplications(monkeypatch):
         assert sympy.Matrix(flat).rank() == rho
         streamed.clear()
         assert [M.matrix.data for M in invariant_form_space(A)] == ref_form_space(A)[0]
-        assert streamed[-1] == rho * n * (n - 1) // 2
+        # the kept j are A.right_basis()'s, so the equations are the one rref
+        assert len(streamed) == 1 and streamed[0] == rho * n * (n - 1) // 2
 
 
 def test_form_members_carry_their_scaled_pairs():
