@@ -43,7 +43,7 @@ from .forms import (
     nondegenerate_form,
     normalize_orientation,
 )
-from .classify import transport_columns
+from .classify import transport_columns, transport_form, transport_products
 
 
 class PreconditionError(ValueError):
@@ -176,10 +176,11 @@ def _build_basis(A: Algebra, B: SymForm, x0) -> _Basis:
     dx dy db, with Bi y computed once per scale of y, and int_congruence
     diagonalizes both Gram matrices, of vectors over one denominator,
     carrying the vectors along.  No rational is built: _report builds the
-    report's.  P's integer columns are transported once
-    (transport_columns), a singular P raising CanonError, and _read_claims
-    reads every claim of CLAIMS on that transport and on the R_{x0} triple
-    built here, so R_{x0} is evaluated once."""
+    report's.  A complement not orthogonal to span(u, w) raises CanonError;
+    else P^T B P is the canonical metric G, so Pinv = G^-1 P^T B, and the
+    transport (transport_products) reads Pinv F^T from G, with no
+    elimination.  _read_claims reads every claim of CLAIMS on that transport
+    and on the R_{x0} triple built here, so R_{x0} is evaluated once."""
     n = A.dim
     Rk, FT, den = _int_right_op(A, x0)
     Bi, db = B.int_matrix()
@@ -255,6 +256,9 @@ def _build_basis(A: Algebra, B: SymForm, x0) -> _Basis:
     # B v are integer, and the kernel does not depend on their scale
     comp = rref_kernel(*rref(BU + BW, n), n)
     Z, dz = over(comp)
+    # P^T B P is the nonsingular metric G only if Z is orthogonal to span(u, w)
+    if any(any(row) for row in gram(Z, BU + BW)):
+        raise CanonError("basis change is singular")
     d, p, s = int_congruence(gram(Z, apply_form(Z)), Z)
     if not all(d):
         raise CanonError("complement metric is degenerate")
@@ -262,11 +266,16 @@ def _build_basis(A: Algebra, B: SymForm, x0) -> _Basis:
     comp_diag = [(di, dz * dz * db * si) for di, si in zip(d, s)]
 
     cols = [v for pair in zip(us, ws) for v in pair] + comp
-    # transport_columns raises ValueError when P is singular
-    try:
-        transport = transport_columns(A, B, cols)
-    except ValueError:
-        raise CanonError("basis change is singular") from None
+    # Pinv F^T = G^-1 P^T B F^T: row m is F B c_s / G[s][m] for the partner
+    # s of m (w_i at u_i, u_i at w_i, c_t at c_t), G[s][m] = wn / wd, so its
+    # integers F Bi z_s wd are over d_s db wn
+    Bz, form = transport_form(B, cols)
+    F = A.derived_basis()[1]
+    partner = [m ^ 1 for m in range(2 * k)] + list(range(2 * k, n))
+    rows = [([sum(map(mul, fa, Bz[s])) * wd for fa in F], cols[s][1] * db * wn)
+            for s, (wn, wd) in zip(partner, [x for w in pws for x in (w, w)] + comp_diag)]
+    g = lcm(*[t for _, t in rows])
+    transport = transport_products(A, cols, [[y * (g // t) for y in ys] for ys, t in rows], g), form
     claims = _read_claims(A, (Rk, FT, den), cols, transport, k, pws, comp_diag)
     # the metric and the shape of R_{x0} hold by construction
     if not claims["metric_canonical"]:
@@ -315,10 +324,10 @@ CLAIMS = (
 def _read_claims(A: Algebra, rx0, cols, transport, k, weights, comp_diag):
     """Each claim of CLAIMS, in that order: the one place a claim is
     decided.  cols are P's columns as (ints, den) pairs, transport is
-    transport_columns(A, B, cols), and rx0 is R_{x0} as _int_right_op's
-    triple, which the caller already holds.  The metric and block claims
-    are read on transport, the algebra and the form in the canonical basis
-    P as integer numerators with their scales.  The targets are rebuilt
+    their (prods, form), as transport_columns returns them, and rx0 is
+    R_{x0} as _int_right_op's triple, which the caller already holds.  The
+    metric and block claims are read on transport, the algebra and the form
+    in the canonical basis P as integer numerators with their scales.  The targets are rebuilt
     from k, the k pair weights and the complement diagonal, given as
     (numerator, denominator) pairs with positive denominators, in lowest
     terms or not, and compared by cross-multiplying.
@@ -332,9 +341,10 @@ def _read_claims(A: Algebra, rx0, cols, transport, k, weights, comp_diag):
     rx0_canonical is whether R_{x0} P = P J, compared on integers
     (_reaches_jordan).  products_vanish is whether every R_i R_j = 0, read
     on A itself, as no basis is needed: R'_i R'_j = Pinv R_{P e_i} R_{P e_j}
-    P, and the transport's reduction of P's integer columns proves P
-    invertible.  It is A's cached check_fermionic(A) and check_novikov(A),
-    as R_i R_j = -R_j R_i and R_i R_j = R_j R_i force R_i R_j = 0."""
+    P, with P invertible: _build_basis proves P^T B P the canonical
+    metric, and verify_structure's transport reduces P's integer columns.
+    It is A's cached check_fermionic(A) and check_novikov(A), as
+    R_i R_j = -R_j R_i and R_i R_j = R_j R_i force R_i R_j = 0."""
     prods, form = transport
     n, h = len(form), 2 * k
     zero = dict.fromkeys(("lower_right_zero", "side_blocks_zero", "core_block_shape"), True)

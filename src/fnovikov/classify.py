@@ -138,9 +138,32 @@ def transport_columns(A: Algebra, B, cols):
     """transport_basis for P = Z diag(1/d) given by its columns, the
     (ints, den) pairs (z_i, d_i), on integers: (prods, form); raises
     ValueError when P is singular, and DimensionMismatchError when B is
-    not of A's dimension.  prods maps each (i, j) with f_i f_j
-    nonzero to that product as an (ints, den) pair, and form is None
-    without B, else the (numerator, denominator) pairs of B's entries.
+    not of A's dimension.  prods is transport_products', and form is None
+    without B, else transport_form's entries.
+
+    Pinv F^T, with F = A.derived_basis()[1], is read from the integer
+    reduction of [Z | F^T], which proves P invertible: it ends with p_m at
+    (m, m) and y_m after column n, so Pinv F^T = diag(d) Z^-1 F^T has row m
+    d_m y_m / p_m = q_m / g, q_m = d_m y_m g / p_m with g the lcm of the p_m.
+    """
+    n = A.dim
+    if B is not None and B.dim != n:
+        raise DimensionMismatchError("form dimension mismatch")
+    _, F, _ = A.derived_basis()
+    zrows = zip(*[z for z, _ in cols])
+    a, apivots = rref([list(row) + [f[m] for f in F] for m, row in enumerate(zrows)], n + len(F))
+    if apivots[:n] != list(range(n)):
+        raise ValueError("singular basis change")
+    g = lcm(*[row[m] for m, row in enumerate(a)])
+    qs = [[y * dm * (g // row[m]) for y in row[n:]] for m, ((_, dm), row) in enumerate(zip(cols, a))]
+    return transport_products(A, cols, qs, g), None if B is None else transport_form(B, cols)[1]
+
+
+def transport_products(A: Algebra, cols, qs, g):
+    """The products of A in the basis of P's columns cols, (ints, den)
+    pairs (z_i, d_i), given Pinv F^T as the integer rows qs over g: a dict
+    mapping each (i, j) with f_i f_j nonzero to that product as an (ints,
+    den) pair.  Every caller has proved P invertible before it built qs.
 
     Every product lies in AA; F, L = A.derived_basis().  With C = dc c the
     integer tensor, f_i f_j = sum_a pi_ij[a] F[a] / (L dc d_i d_j) for
@@ -150,24 +173,11 @@ def transport_columns(A: Algebra, B, cols):
     (K, coef, gr): at z_j it is sum_l w_j[l] Lambda_{K_l} / gr with w_j =
     coef z_j, so gr pi_ij = sum_l w_j[l] V_i[l] with V_i[l] = Lambda_{K_l}
     z_i, in rho k n^2 multiply-adds, not the n^4 of a full contraction.
-    The integer reduction of [Z | F^T] ends with p_m at (m, m) and y_m
-    after column n, so Pinv F^T = diag(d) Z^-1 F^T has row m d_m y_m / p_m,
-    and c'[i][j][m] = sum_a gr pi_ij[a] q_m[a] / (dc L d_i d_j g gr), q_m =
-    d_m y_m g / p_m with g the lcm of the p_m, expanded only where pi_ij is
-    nonzero.  The form entry is z_i^T Bi z_j / (d_i d_j db).
+    Then c'[i][j][m] = sum_a gr pi_ij[a] qs[m][a] / (dc L d_i d_j g gr),
+    expanded only where pi_ij is nonzero.
     """
-    n = A.dim
-    if B is not None and B.dim != n:
-        raise DimensionMismatchError("form dimension mismatch")
-    zcols = [z for z, _ in cols]
-    d = [dj for _, dj in cols]
-    _, F, L = A.derived_basis()
-    a, apivots = rref([list(row) + [f[m] for f in F] for m, row in enumerate(zip(*zcols))],
-                      n + len(F))
-    if apivots[:n] != list(range(n)):
-        raise ValueError("singular basis change")
-    g = lcm(*[row[m] for m, row in enumerate(a)])
-    qs = [[y * dm * (g // row[m]) for y in row[n:]] for m, (dm, row) in enumerate(zip(d, a))]
+    zcols, d = [z for z, _ in cols], [dj for _, dj in cols]
+    _, _, L = A.derived_basis()
     kept, coef, gr = A.right_basis()
     mats = A.right_pencil().mats
     ws = [[sum(map(mul, c, zj)) for c in coef] for zj in zcols]
@@ -180,13 +190,17 @@ def transport_columns(A: Algebra, B, cols):
             pi = [sum(map(mul, wj, v)) for v in Vi]
             if any(pi):
                 prods[i, j] = ([sum(map(mul, pi, q)) for q in qs], dc * L * d[i] * d[j] * g * gr)
-    if B is None:
-        return prods, None
+    return prods
+
+
+def transport_form(B, cols):
+    """(Bz, form) for P's columns cols, (ints, den) pairs (z_i, d_i), with
+    Bi, db = B.int_matrix(): Bz[j] = Bi z_j, and the form in P's basis as
+    the (numerator, denominator) pairs (z_i^T Bi z_j, d_i d_j db)."""
     Bi, db = B.int_matrix()
-    Bz = [[sum(map(mul, row, zj)) for row in Bi] for zj in zcols]
-    form = [[(sum(map(mul, zi, bz)), di * dj * db) for bz, dj in zip(Bz, d)]
-            for zi, di in zip(zcols, d)]
-    return prods, form
+    Bz = [[sum(map(mul, row, z)) for row in Bi] for z, _ in cols]
+    return Bz, [[(sum(map(mul, zi, bz)), di * dj * db) for bz, (_, dj) in zip(Bz, cols)]
+                for zi, di in cols]
 
 
 def scramble(A: Algebra, B, seed):

@@ -200,6 +200,36 @@ class TestCanonicalBasis:
         with pytest.raises(CanonError, match="basis change is singular"):
             canonical_basis(A, B, x0)
 
+    def test_complement_not_orthogonal_is_refused(self, monkeypatch):
+        # a complement vector v + x with x in span(u_1, w_1) leaves P
+        # nonsingular, but P^T B P is then not the canonical metric, so
+        # Pinv is not G^-1 P^T B; it is refused before any claim is read
+        A, B = family_with_form(1, 3)
+        x0, _ = max_rank_element(A, seed=1)
+        Binv = fraction_inverse(B.matrix.data)
+        real = canon.rref_kernel
+
+        def shifted(z, pivots, cols):
+            ker = real(z, pivots, cols)
+            if len(pivots) < 2:
+                return ker
+            # the vectors Binv z_r span span(u_1, w_1); v + x must pair with
+            # itself to a nonzero value, so the complement metric check
+            # passes, and with it P keeps full rank
+            (v, d), = ker
+            plane = [[sum(b * t for b, t in zip(brow, row)) for brow in Binv] for row in z]
+            for x in plane:
+                y = [QQ(a, d) + b for a, b in zip(v, x)]
+                if not congruent(Mat([[t] for t in y]), B.matrix).is_zero_matrix:
+                    assert rank(Mat(plane + [y])) == cols
+                    return [scale_vector(y)]
+
+        read = []
+        monkeypatch.setattr(canon, "rref_kernel", shifted)
+        monkeypatch.setattr(canon, "_read_claims", lambda *a: read.append(a))
+        with pytest.raises(CanonError, match="basis change is singular"):
+            canonical_basis(A, B, x0)
+        assert not read
 
     def test_kernel_orthogonality_is_checked(self, monkeypatch):
         # a "kernel" vector e_j at the pivot column j pairs with w_1 = R e_j

@@ -878,6 +878,66 @@ def test_transport_through_independent_members_matches_fractions():
         assert [[Fraction(x, t) for x, t in row] for row in form] == b
 
 
+def test_metric_transport_matches_elimination(monkeypatch):
+    # _build_basis reads Pinv F^T from the canonical metric, G^-1 P^T B;
+    # the elimination of [Z | F^T] in transport_columns, on the same
+    # columns, must give the same products and form as Fractions, and
+    # verify_structure the same claims.  At a maximal-rank x0, AA is
+    # span(w), so only the rows at the w_i are nonzero; x0 = 0 and x0 = e_1,
+    # of lower rank, also give nonzero rows at the u_i and the complement
+    read = _count_calls(monkeypatch, "_read_claims", (canon,))
+    cases = [(A, B) for _, A, B in generate_corpus(2024, 200)]
+    for m in range(3, 7):
+        hyperbolic = SymForm.from_ints([[int(i ^ 1 == j) for j in range(2 * m)] for i in range(2 * m)], 1)
+        cases.append(scramble(planes_sum(m), hyperbolic, 3)[:2])
+    rnd = random.Random(8)
+    for n in range(5, 9):
+        A = make_k2(random_k2(rnd, n))
+        cases.append((A, find_nondegenerate(invariant_form_space(A), seed=n)))
+    cases.append((Algebra.zero(0), SymForm.from_ints([], 1)))
+
+    def negative(pairs):
+        return any(x * t < 0 for x, t in pairs)
+
+    lower = 0
+    for i, (A, B) in enumerate(cases):
+        B, n = normalize_orientation(B), A.dim
+        x0, _ = canon._pipeline(A, B, i)
+        for point in [x0] + ([[0] * n, [int(t == 0) for t in range(n)]] if n else []):
+            read.clear()
+            basis = canon._build_basis(A, B, point)
+            (_, _, cols, (prods, form), *_), = read
+            if i == 0 and point is x0:
+                # the first corpus instance has a negative pair weight and
+                # a negative complement entry
+                assert negative(basis.weights) and negative(basis.comp_diag)
+            lower += basis.k < A.derived_dim()
+            assert cols == basis.cols and prods is basis.prods
+            ref_prods, ref_form = classify.transport_columns(A, B, cols)
+            assert {ij: [Fraction(x, t) for x in v] for ij, (v, t) in prods.items()} == {
+                ij: [Fraction(x, t) for x in v] for ij, (v, t) in ref_prods.items()}
+            assert [[Fraction(*e) for e in row] for row in form] == [[Fraction(*e) for e in row]
+                                                                       for row in ref_form]
+            assert verify_structure(A, B, canon._report(point, basis)) == basis.claims
+    assert lower > len(cases)
+
+
+def test_construction_transport_runs_no_elimination(monkeypatch):
+    # theorem_check reduces R_{x0}'s k rows and the 2k rows B u, B w whose
+    # kernel is the complement, and reads Pinv F^T from the metric with no
+    # reduction of P's columns; verify_structure, the independent re-check,
+    # reduces them once
+    A, B = next((A, B) for name, A, B in generate_corpus(7, 40) if name.startswith("k2"))
+    canon_rrefs = _count_calls(monkeypatch, "rref", (canon,))
+    classify_rrefs = _count_calls(monkeypatch, "rref", (classify,))
+    assert theorem_check(A, B, seed=1)
+    assert [len(rows) for rows, _ in canon_rrefs] == [2, 4] and not classify_rrefs
+    rep = canonicalize(A, B, 1)
+    canon_rrefs.clear()
+    assert verify_structure(A, normalize_orientation(B), rep) == rep.claims
+    assert len(classify_rrefs) == 1 and not canon_rrefs
+
+
 # ---------------------------------------------------------------------------
 # elimination kernels
 
@@ -1344,7 +1404,9 @@ def _count_loads(monkeypatch):
 def test_one_identity_pass_per_theorem_check(monkeypatch):
     instances = list(generate_corpus(7, 8))
     symmetric, commutations = _count_passes(monkeypatch)
-    transports = _count_calls(monkeypatch, "transport_columns", (classify, canon))
+    # one contraction of the products: the construction reads Pinv F^T
+    # from the metric, and no transport_columns runs
+    transports = _count_calls(monkeypatch, "transport_products", (classify, canon))
     for i, (_, A, B) in enumerate(instances):
         for calls in (symmetric, commutations, transports):
             calls.clear()
@@ -1379,7 +1441,9 @@ def test_one_identity_pass_per_canon(monkeypatch, tmp_path, capsys):
         paths.append(tmp_path / name)
         paths[-1].write_text(text)
     symmetric, commutations = _count_passes(monkeypatch)
-    transports = _count_calls(monkeypatch, "transport_columns", (classify, canon))
+    # one contraction of the products: the construction reads Pinv F^T
+    # from the metric, and no transport_columns runs
+    transports = _count_calls(monkeypatch, "transport_products", (classify, canon))
     loaded = _count_loads(monkeypatch)
     for path in paths:
         for calls in (symmetric, commutations, transports):
