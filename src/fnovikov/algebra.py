@@ -3,10 +3,11 @@
 An algebra of dimension n is held as one integer tensor C over one
 denominator den: e_i e_j = sum_m (C[i][j][m] / den) e_m.  Elements are
 plain length-n lists of exact rationals.  All identity checks run over
-basis triples, which suffices by trilinearity.  One commutation pass
-decides whether the R_x anticommute and whether they commute; both hold
-exactly when (AA)A = 0, the theorem's conclusion, and then left-symmetry
-is commuting left multiplications, which the same pass decides.
+basis triples, which suffices by trilinearity.  The R_x anticommute and
+commute exactly when (AA)A = 0, the theorem's conclusion, which is read
+on all the R_x first; then left-symmetry is commuting left
+multiplications, which one commutation pass decides.  Otherwise one
+commutation pass on the independent R_x decides both product identities.
 """
 
 from __future__ import annotations
@@ -187,25 +188,28 @@ class Algebra:
         defining identities, decided once per instance on int_tensor() at
         derived_pivots().
 
-        One commutation pass on the independent members of right_pencil(),
-        right_basis()'s K, decides fermionic and Novikov: the anticommute
-        and commute tests are bilinear in the R_x, so a basis of their span
-        decides them.  In characteristic 0 both hold exactly when
-        (AA)A = 0, and then left-symmetry reads x(yz) = y(xz): the left
-        multiplications commute, which the same pass decides on the L_x
-        that _independent finds independent.  Otherwise the general
-        left-symmetry pass decides it."""
+        The first test is whether (AA)A = 0, read on all n members of
+        right_pencil() (_annihilates), in k^2 n^2 multiply-adds that stop
+        at the first nonzero entry.  In characteristic 0 fermionic and
+        Novikov both hold exactly when it does, and then left-symmetry
+        reads x(yz) = y(xz): the left multiplications commute, which the
+        commutation pass decides on the L_x that _independent finds
+        independent, with no right_basis().  Otherwise one commutation
+        pass on the independent members of the pencil, right_basis()'s K,
+        decides fermionic and Novikov, as the anticommute and commute
+        tests are bilinear in the R_x, so a basis of their span decides
+        them; the general left-symmetry pass decides left-symmetry."""
         if self._identities is None:
             C = self.int_tensor()[0]
             rows, F, _ = self.derived_basis()
             right = self.right_pencil().mats
-            fermionic, novikov = _commutation(F, [right[j] for j in self.right_basis()[0]])
-            if fermionic and novikov:
+            if _annihilates(F, right):
                 left = _int_left_ops(C, rows)
-                left_symmetric = _commutation(F, [left[x] for x in _independent(left)[0]])[1]
+                left = [left[x] for x in _independent(left)[0]]
+                self._identities = (_commutation(F, left)[1], True, True)
             else:
-                left_symmetric = _left_symmetric(C, rows, right)
-            self._identities = (left_symmetric, fermionic, novikov)
+                fermionic, novikov = _commutation(F, [right[j] for j in self.right_basis()[0]])
+                self._identities = (_left_symmetric(C, rows, right), fermionic, novikov)
         return self._identities
 
 
@@ -216,12 +220,14 @@ class Algebra:
 # only coordinates onto which AA projects injectively: derived_pivots(),
 # k = dim AA of them, and for the commutation pass derived_basis()'s F,
 # unless the caller knows such coordinates, and a basis there, without an
-# elimination.  The commutation pass runs on the independent operators of
-# a family, which _independent finds in one rref of k n rows of n entries:
-# on the rho kept R_j it costs rho k^2 n multiply-adds when every product
-# vanishes and rho^2 k^2 n otherwise, and likewise on the kept L_x; the
-# witness search passes all four R_j.  The general left-symmetry pass costs
-# k n^4, not n^5.
+# elimination.  Whether every R_j kills AA is read on all n of them, in
+# k^2 n^2 multiply-adds, with no elimination.  The commutation pass runs
+# on the independent operators of a family, which _independent finds in
+# one rref of k n rows of n entries: on the rho kept R_j, which it reads
+# only when some product is nonzero, it costs rho^2 k^2 n multiply-adds,
+# and on the kept L_x rho k^2 n when every product vanishes; the witness
+# search passes all four R_j.  The general left-symmetry pass costs k n^4,
+# not n^5.
 
 
 def _independent(ops):
@@ -272,6 +278,14 @@ def _left_symmetric(C, rows, right) -> bool:
     return True
 
 
+def _annihilates(F, ops):
+    """Whether every T_i maps the span of the rows F[a] = f_a to 0, for F
+    and ops as _commutation takes them: whether every (T_i f_a)[p_b] =
+    sum_t ops[i][b][t] f_a[t] vanishes, which stops at the first that does
+    not.  On all n R_x that is (AA)A = 0, in k^2 n^2 multiply-adds."""
+    return not any(sum(map(mul, row, f)) for T in ops for row in T for f in F)
+
+
 def _commutation(F, ops):
     """(anticommute, commute): whether T_i T_j + T_j T_i = 0 for all i, j,
     and whether T_i T_j = T_j T_i, for operators T_i that map into the span
@@ -284,7 +298,7 @@ def _commutation(F, ops):
     pair is compared as the k x n products G_i ops[j] and -+G_j ops[i], one
     pair i <= j at a time.  When every G_i vanishes, every product does:
     for the R_x that is (AA)A = 0, decided in k^2 n^2 multiply-adds."""
-    if not any(sum(map(mul, row, f)) for T in ops for row in T for f in F):
+    if _annihilates(F, ops):
         return True, True
     G = [[[sum(map(mul, row, f)) for f in F] for row in T] for T in ops]
     cols = [list(zip(*T)) for T in ops]

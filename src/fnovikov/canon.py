@@ -22,6 +22,7 @@ from typing import NamedTuple
 
 from .scalars import QQ, ZERO
 from .exactlin import (
+    GenericPoint,
     Mat,
     find_generic_point,
     int_congruence,
@@ -85,7 +86,9 @@ def max_rank_element(A: Algebra, seed):
     """(x0, k): the first point of find_generic_point's seeded sequence
     where A.right_pencil() attains its generic rank k.  The pencil has
     dim AA rows, so a point of rank dim AA proves k with no polynomial
-    arithmetic; the symbolic rank runs only when none does.
+    arithmetic; the symbolic rank runs only when none does.  It is the
+    search's GenericPoint, so it also holds R_{x0}'s integer rows at the
+    pivots of AA and their rref, which _pipeline hands to _build_basis.
 
     The right multiplications must anticommute, or PreconditionError is
     raised; the verdict is A's cached check_fermionic(A).
@@ -93,20 +96,23 @@ def max_rank_element(A: Algebra, seed):
     if not check_fermionic(A):
         raise PreconditionError("right multiplications must anticommute")
     if A.derived_dim() == 0:
-        return [0] * A.dim, 0
+        return GenericPoint([0] * A.dim, 0, [], ([], []))
     return find_generic_point(A.right_pencil(), seed)
 
 
-def _int_right_op(A: Algebra, x0):
+def _int_right_op(A: Algebra, x0, Rk=None):
     """(Rk, FT, den): R_{x0} = FT Rk / den, with F, L = A.derived_basis().
 
     Rk = A.right_pencil() at x0 scaled to integers, so Rk[a][t] is the
-    entry at the pivot p_a of e_t x0 times den / L, and FT = F^T as n rows.
-    Every column of R_{x0} lies in AA, and F has full rank, so R_{x0} has
-    Rk's row space, and R_{x0} v vanishes exactly when Rk v does."""
+    entry at the pivot p_a of e_t x0 times den / L, and FT = F^T as n rows;
+    a caller that already holds the pencil's value at the integer point x0
+    passes it as Rk, and it is not evaluated again.  Every column of
+    R_{x0} lies in AA, and F has full rank, so R_{x0} has Rk's row space,
+    and R_{x0} v vanishes exactly when Rk v does."""
     _, F, L = A.derived_basis()
     xv, dx = scale_vector(x0)
-    Rk = A.right_pencil().eval(xv)
+    if Rk is None:
+        Rk = A.right_pencil().eval(xv)
     return Rk, [[f[m] for f in F] for m in range(A.dim)], dx * A.int_tensor()[1] * L
 
 
@@ -166,23 +172,37 @@ class _Basis(NamedTuple):
     prods: dict
 
 
-def _build_basis(A: Algebra, B: SymForm, x0) -> _Basis:
+def _build_basis(A: Algebra, B: SymForm, x0, found=None) -> _Basis:
     """Build the canonical basis for R_{x0} and the metric, B checked by
     _check_form; every intermediate claim is asserted, not assumed.
 
     R_{x0} enters as FT Rk / den (_int_right_op): its k rows Rk at the
-    pivots of AA have its reduced form, pivots and kernel.  Every basis
-    vector is an (ints, den) pair, every pairing <x, y> is x^T Bi y over
-    dx dy db, with Bi y computed once per scale of y, and int_congruence
-    diagonalizes both Gram matrices, of vectors over one denominator,
-    carrying the vectors along.  No rational is built: _report builds the
-    report's.  A complement not orthogonal to span(u, w) raises CanonError;
-    else P^T B P is the canonical metric G, so Pinv = G^-1 P^T B, and the
-    transport (transport_products) reads Pinv F^T from G, with no
-    elimination.  _read_claims reads every claim of CLAIMS on that transport
-    and on the R_{x0} triple built here, so R_{x0} is evaluated once."""
+    pivots of AA have its reduced form and pivots.  found, when given, is
+    max_rank_element's result for x0, whose value and reduced are Rk and
+    that reduction, so neither is computed again; without it, as for
+    canonical_basis's x0 from the caller, both are computed here.
+
+    Every basis vector is an (ints, den) pair, every pairing <x, y> is
+    x^T Bi y over dx dy db, and each image Bi y is computed once, n + 2k
+    of them: k for R's first images w_i, 2k for the u_i before and after
+    their isotropization, k for the w_i after the pairing's congruence and
+    n - 2k for the complement, whose images ride through its
+    int_congruence.  int_congruence diagonalizes both Gram matrices, of
+    vectors over one denominator, carrying the vectors along.  No rational
+    is built: _report builds the report's.  A complement not orthogonal to
+    span(u, w) raises CanonError; else P^T B P is the canonical metric G,
+    so Pinv = G^-1 P^T B, and the transport (transport_products) reads
+    Pinv F^T from G and the held images, with no elimination, as
+    transport_form reads the form.  _read_claims reads every claim of
+    CLAIMS on that transport and on the R_{x0} triple built here."""
     n = A.dim
-    Rk, FT, den = _int_right_op(A, x0)
+    if found is None:
+        rx0 = _int_right_op(A, x0)
+        reduced, pivots = rref(rx0[0], n)
+    else:
+        rx0 = _int_right_op(A, x0, found.value)
+        reduced, pivots = found.reduced
+    Rk, FT, den = rx0
     Bi, db = B.int_matrix()
 
     def apply_form(vectors):
@@ -198,28 +218,34 @@ def _build_basis(A: Algebra, B: SymForm, x0) -> _Basis:
         m = lcm(*[d for _, d in vectors])
         return [[x * (m // d) for x in v] for v, d in vectors], m
 
+    def images(vectors, bys, scales):
+        # Bi z for each (ints, den) pair (z, d), from the image by of the
+        # same vector over the scale m, z (m / d)
+        return [by if d == m else [x // (m // d) for x in by]
+                for (_, d), by, m in zip(vectors, bys, scales)]
+
     # preimages u_i = e_j with w_i = R u_i spanning Im R: the pivot
     # columns of R's reduced row echelon form, which is Rk's
-    reduced, pivots = rref(Rk, n)
     k = len(pivots)
     if k > B.signature()[1]:
         raise CanonError("rank of R_{x0} exceeds the negative index")
-    U = [[int(t == j) for t in range(n)] for j in pivots]
     W, dw = [[sum(map(mul, fm, [row[j] for row in Rk])) for fm in FT] for j in pivots], den
 
-    # Im R totally isotropic, and Im R = (Ker R)^perp
+    # Im R totally isotropic, and Im R = (Ker R)^perp: each B w_j lies in
+    # the row space of R, which is Rk's, so [reduced; BW] keeps rank k
     BW = apply_form(W)
     if any(any(row) for row in gram(W, BW)):
         raise CanonError("Im R_{x0} is not totally isotropic")
-    ker = rref_kernel(reduced, pivots, n)
-    if any(any(row) for row in gram([v for v, _ in ker], BW)):
+    if len(rref(reduced + BW, n)[1]) > k:
         raise CanonError("Im R_{x0} not orthogonal to Ker R_{x0}")
 
-    # pairing G_{ij} = <u_i, w_j>, G / (dw db): symmetric and nondegenerate;
-    # u_i and w_i take the same column operations, carried side by side
-    G = gram(U, BW)
+    # pairing G_{ij} = <u_i, w_j> = (Bi w_j)[p_i] / (dw db), as u_i is the
+    # unit vector at p_i: symmetric and nondegenerate; u_i and w_i take the
+    # same column operations, carried side by side
+    G = [[bw[j] for bw in BW] for j in pivots]
     if any(G[i][j] != G[j][i] for i in range(k) for j in range(i)):
         raise CanonError("preimage/image pairing is not symmetric")
+    U = [[int(t == j) for t in range(n)] for j in pivots]
     d, p, s = int_congruence(G, [u + w for u, w in zip(U, W)])
     if not all(d):
         raise CanonError("preimage/image pairing is degenerate")
@@ -259,24 +285,29 @@ def _build_basis(A: Algebra, B: SymForm, x0) -> _Basis:
     # P^T B P is the nonsingular metric G only if Z is orthogonal to span(u, w)
     if any(any(row) for row in gram(Z, BU + BW)):
         raise CanonError("basis change is singular")
-    d, p, s = int_congruence(gram(Z, apply_form(Z)), Z)
+    # the images Bi z take the vectors' column operations; every image
+    # entry is a multiple of the gcd of its vector, so each divides exactly
+    BZ = apply_form(Z)
+    d, p, s = int_congruence(gram(Z, BZ), [z + bz for z, bz in zip(Z, BZ)])
     if not all(d):
         raise CanonError("complement metric is degenerate")
-    comp = [lowest_terms(v, dz * si) for v, si in zip(p, s)]
+    comp = [lowest_terms(v[:n], dz * si) for v, si in zip(p, s)]
+    BZ = images(comp, [v[n:] for v in p], [dz * si for si in s])
     comp_diag = [(di, dz * dz * db * si) for di, si in zip(d, s)]
 
     cols = [v for pair in zip(us, ws) for v in pair] + comp
+    Bz = [v for pair in zip(images(us, BU, [du] * k), images(ws, BW, [dw] * k)) for v in pair] + BZ
     # Pinv F^T = G^-1 P^T B F^T: row m is F B c_s / G[s][m] for the partner
     # s of m (w_i at u_i, u_i at w_i, c_t at c_t), G[s][m] = wn / wd, so its
     # integers F Bi z_s wd are over d_s db wn
-    Bz, form = transport_form(B, cols)
     F = A.derived_basis()[1]
     partner = [m ^ 1 for m in range(2 * k)] + list(range(2 * k, n))
     rows = [([sum(map(mul, fa, Bz[s])) * wd for fa in F], cols[s][1] * db * wn)
             for s, (wn, wd) in zip(partner, [x for w in pws for x in (w, w)] + comp_diag)]
     g = lcm(*[t for _, t in rows])
-    transport = transport_products(A, cols, [[y * (g // t) for y in ys] for ys, t in rows], g), form
-    claims = _read_claims(A, (Rk, FT, den), cols, transport, k, pws, comp_diag)
+    transport = (transport_products(A, cols, [[y * (g // t) for y in ys] for ys, t in rows], g),
+                 transport_form(cols, Bz, db))
+    claims = _read_claims(A, rx0, cols, transport, k, pws, comp_diag)
     # the metric and the shape of R_{x0} hold by construction
     if not claims["metric_canonical"]:
         raise CanonError("metric does not reach the canonical block form")
@@ -327,10 +358,12 @@ def _read_claims(A: Algebra, rx0, cols, transport, k, weights, comp_diag):
     their (prods, form), as transport_columns returns them, and rx0 is
     R_{x0} as _int_right_op's triple, which the caller already holds.  The
     metric and block claims are read on transport, the algebra and the form
-    in the canonical basis P as integer numerators with their scales.  The targets are rebuilt
-    from k, the k pair weights and the complement diagonal, given as
-    (numerator, denominator) pairs with positive denominators, in lowest
-    terms or not, and compared by cross-multiplying.
+    in the canonical basis P as integer numerators with their scales.  The
+    targets are rebuilt from k, the k pair weights and the complement
+    diagonal, given as (numerator, denominator) pairs with positive
+    denominators, in lowest terms or not, and compared by
+    cross-multiplying.  The form is symmetric, as transport_form mirrors
+    it, and so is its target, so metric_canonical reads each entry i <= j.
 
     R'_j[r][s] = c'[s][j][r] is read from the numerators, with no matrix
     built.  The zero-block claims are decided by where the nonzero
@@ -372,8 +405,8 @@ def _read_claims(A: Algebra, rx0, cols, transport, k, weights, comp_diag):
 
     return {
         "metric_canonical": len(comp_diag) == n - h and all(
-            equal(e, target.get((i, j), (0, 1)))
-            for i, row in enumerate(form) for j, e in enumerate(row)
+            equal(row[j], target.get((i, j), (0, 1)))
+            for i, row in enumerate(form) for j in range(i, n)
         ),
         "rx0_canonical": _reaches_jordan(*rx0, cols, k),
         **zero,
@@ -456,8 +489,8 @@ def _pipeline(A: Algebra, B, seed):
     if B.dim == A.dim:
         B = normalize_orientation(B)
     _check_form(A, B)
-    x0, _ = max_rank_element(A, seed)
-    return x0, _build_basis(A, B, x0)
+    found = max_rank_element(A, seed)
+    return found[0], _build_basis(A, B, found[0], found)
 
 
 def theorem_check(A: Algebra, B: SymForm, seed) -> bool:

@@ -139,7 +139,8 @@ def transport_columns(A: Algebra, B, cols):
     (ints, den) pairs (z_i, d_i), on integers: (prods, form); raises
     ValueError when P is singular, and DimensionMismatchError when B is
     not of A's dimension.  prods is transport_products', and form is None
-    without B, else transport_form's entries.
+    without B, else transport_form's entries, on images Bi z_j computed
+    here for every column, as P is arbitrary.
 
     Pinv F^T, with F = A.derived_basis()[1], is read from the integer
     reduction of [Z | F^T], which proves P invertible: it ends with p_m at
@@ -156,7 +157,11 @@ def transport_columns(A: Algebra, B, cols):
         raise ValueError("singular basis change")
     g = lcm(*[row[m] for m, row in enumerate(a)])
     qs = [[y * dm * (g // row[m]) for y in row[n:]] for m, ((_, dm), row) in enumerate(zip(cols, a))]
-    return transport_products(A, cols, qs, g), None if B is None else transport_form(B, cols)[1]
+    prods = transport_products(A, cols, qs, g)
+    if B is None:
+        return prods, None
+    Bi, db = B.int_matrix()
+    return prods, transport_form(cols, [[sum(map(mul, row, z)) for row in Bi] for z, _ in cols], db)
 
 
 def transport_products(A: Algebra, cols, qs, g):
@@ -173,8 +178,10 @@ def transport_products(A: Algebra, cols, qs, g):
     (K, coef, gr): at z_j it is sum_l w_j[l] Lambda_{K_l} / gr with w_j =
     coef z_j, so gr pi_ij = sum_l w_j[l] V_i[l] with V_i[l] = Lambda_{K_l}
     z_i, in rho k n^2 multiply-adds, not the n^4 of a full contraction.
-    Then c'[i][j][m] = sum_a gr pi_ij[a] qs[m][a] / (dc L d_i d_j g gr),
-    expanded only where pi_ij is nonzero.
+    Only the pairs with V_i and w_j both nonzero are contracted: V_i = 0
+    is f_i A = 0, and w_j = 0 is A f_j = 0.  Then c'[i][j][m] = sum_a gr
+    pi_ij[a] qs[m][a] / (dc L d_i d_j g gr), expanded only where pi_ij is
+    nonzero, and only on the nonzero rows qs[m]; the other entries are 0.
     """
     zcols, d = [z for z, _ in cols], [dj for _, dj in cols]
     _, _, L = A.derived_basis()
@@ -183,24 +190,33 @@ def transport_products(A: Algebra, cols, qs, g):
     ws = [[sum(map(mul, c, zj)) for c in coef] for zj in zcols]
     # V[i][a][l] = (Lambda_{K_l} z_i)[a], so gr pi_ij[a] = sum_l ws[j][l] V[i][a][l]
     V = [list(zip(*[[sum(map(mul, row, zi)) for row in mats[j]] for j in kept])) for zi in zcols]
+    left = [(i, Vi) for i, Vi in enumerate(V) if any(map(any, Vi))]
+    right = [(j, wj) for j, wj in enumerate(ws) if any(wj)]
+    rows = [(m, q) for m, q in enumerate(qs) if any(q)]
     _, dc = A.int_tensor()
     prods = {}
-    for i, Vi in enumerate(V):
-        for j, wj in enumerate(ws):
+    for i, Vi in left:
+        for j, wj in right:
             pi = [sum(map(mul, wj, v)) for v in Vi]
             if any(pi):
-                prods[i, j] = ([sum(map(mul, pi, q)) for q in qs], dc * L * d[i] * d[j] * g * gr)
+                v = [0] * len(qs)
+                for m, q in rows:
+                    v[m] = sum(map(mul, pi, q))
+                prods[i, j] = (v, dc * L * d[i] * d[j] * g * gr)
     return prods
 
 
-def transport_form(B, cols):
-    """(Bz, form) for P's columns cols, (ints, den) pairs (z_i, d_i), with
-    Bi, db = B.int_matrix(): Bz[j] = Bi z_j, and the form in P's basis as
-    the (numerator, denominator) pairs (z_i^T Bi z_j, d_i d_j db)."""
-    Bi, db = B.int_matrix()
-    Bz = [[sum(map(mul, row, z)) for row in Bi] for z, _ in cols]
-    return Bz, [[(sum(map(mul, zi, bz)), di * dj * db) for bz, (_, dj) in zip(Bz, cols)]
-                for zi, di in cols]
+def transport_form(cols, Bz, db):
+    """The form in the basis of P's columns cols, (ints, den) pairs (z_i,
+    d_i), given their images Bz[j] = Bi z_j, with Bi, db = B.int_matrix():
+    the (numerator, denominator) pairs (z_i^T Bi z_j, d_i d_j db).  Each
+    entry is computed once, for i <= j, and mirrored, as Bi is symmetric."""
+    n = len(cols)
+    form = [[None] * n for _ in range(n)]
+    for i, (zi, di) in enumerate(cols):
+        for j in range(i, n):
+            form[i][j] = form[j][i] = (sum(map(mul, zi, Bz[j])), di * cols[j][1] * db)
+    return form
 
 
 def scramble(A: Algebra, B, seed):

@@ -16,7 +16,8 @@ field comes from fraction-free (Bareiss) elimination on integer
 polynomial term dicts, where an exact division is cheaper than a
 polynomial gcd, with no rational-function arithmetic.
 find_generic_point is the one rank search: a sampled point of rank
-min(rows, cols) proves a pencil's rank, else generic_rank runs once.
+min(rows, cols) proves a pencil's rank, else generic_rank runs once; it
+hands back the value at the point it returns, and that value's rref.
 
 Pivoting is deterministic everywhere: rref takes each kept row's first
 nonzero entry, generic_rank each column's first nonzero remaining row.
@@ -413,28 +414,47 @@ def sample_points(nvars, seed):
         yield [rnd.randint(-width, width) for _ in range(nvars)]
 
 
+class GenericPoint(tuple):
+    """find_generic_point's (point, r): it unpacks as that pair, and, as
+    os.stat_result carries more than its tuple, it holds what the search
+    computed at point: value, M's integer rows there, and reduced, their
+    rref(value, M.cols) as (z, pivots).  The lists are shared; never
+    mutate."""
+
+    def __new__(cls, point, r, value, reduced):
+        self = super().__new__(cls, (point, r))
+        self.value, self.reduced = value, reduced
+        return self
+
+
 def find_generic_point(M: Pencil, seed):
-    """(point, r): the first point of sample_points' seeded sequence where
-    M has its generic rank r.
+    """GenericPoint(point, r, value, reduced): the first point of
+    sample_points' seeded sequence where M has its generic rank r, with
+    M's value there and its reduction, so a caller that reads R_{x0} or
+    the seeded combination evaluates and reduces nothing again.
 
     No specialization exceeds min(M.rows, M.cols), so a point among the
     first CERTIFY_ATTEMPTS that reaches it proves r without polynomial
     arithmetic.  Only when none does is generic_rank computed, once, and
-    the search goes on from where it stopped, each point ranked once.  By
+    the search goes on from where it stopped, each point evaluated and
+    reduced once: the first points' values and reductions are kept.  By
     Schwartz-Zippel the search essentially never exhausts the sequence, so
     hitting GenericPointError means a bug.
     """
     bound = min(M.rows, M.cols)
     points = sample_points(M.nvars, seed)
+
+    def at(point):
+        value = M.eval(point)
+        return point, value, rref(value, M.cols)
+
     tried = []
-    for point in itertools.islice(points, CERTIFY_ATTEMPTS):
-        s = int_rank(M.eval(point), M.cols)
-        if s == bound:
-            return point, s
-        tried.append((point, s))
+    for point, value, reduced in map(at, itertools.islice(points, CERTIFY_ATTEMPTS)):
+        if len(reduced[1]) == bound:
+            return GenericPoint(point, bound, value, reduced)
+        tried.append((point, value, reduced))
     r = generic_rank(M)
-    rest = ((point, int_rank(M.eval(point), M.cols)) for point in points)
-    for point, s in itertools.chain(tried, rest):
-        if s == r:
-            return point, r
+    for point, value, reduced in itertools.chain(tried, map(at, points)):
+        if len(reduced[1]) == r:
+            return GenericPoint(point, r, value, reduced)
     raise GenericPointError(f"no rank-{r} specialization found")

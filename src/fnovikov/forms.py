@@ -199,7 +199,8 @@ def find_nondegenerate(space, seed):
     find_generic_point decides existence exactly: a seeded point of rank
     n certifies it, else the symbolic generic rank of the pencil does.
     When a combination of rank n exists, the sweep goes on to supports
-    >= 2 before the seeded point is taken.
+    >= 2 before the seeded point is taken; its combination is the value
+    the search handed back, with no second evaluation.
 
     The sweep skips a support S, with all its sign patterns, when no
     combination on it can be nonsingular: the column space of a sum of
@@ -232,8 +233,8 @@ def find_nondegenerate(space, seed):
     mats = [rows if e == den else [[x * (den // e) for x in row] for row in rows]
             for rows, e in pairs]
     pencil = Pencil(mats, n, n)
-    point, r = find_generic_point(pencil, seed)
-    if r < n:
+    found = find_generic_point(pencil, seed)
+    if found[1] < n:
         return None
     if d <= SWEEP_CAP:
         for support in range(2, d + 1):
@@ -250,7 +251,7 @@ def find_nondegenerate(space, seed):
                     C = pencil.eval(coeffs)
                     if int_rank(C, n) == n:
                         return SymForm.from_ints(C, den)
-    return SymForm.from_ints(pencil.eval(point), den)
+    return SymForm.from_ints(found.value, den)
 
 
 def nondegenerate_form(A: Algebra, seed):

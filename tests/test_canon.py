@@ -232,18 +232,30 @@ class TestCanonicalBasis:
         assert not read
 
     def test_kernel_orthogonality_is_checked(self, monkeypatch):
-        # a "kernel" vector e_j at the pivot column j pairs with w_1 = R e_j
-        # to the pair weight, which is nonzero
+        # Im R is orthogonal to Ker R when every B w_j lies in the row space
+        # of R, which one reduction of [R's reduced rows; B w] decides:
+        # B w_1 shifted by a unit row at a column where R's one reduced row
+        # is 0 leaves that row space, which the check must see
         A, B = family_with_form(2, 4)
         x0, _ = max_rank_element(A, seed=1)
-        real = canon.rref_kernel
+        real = canon.rref
+        checks = []
 
-        def skewed(z, pivots, cols):
-            return [([int(t == pivots[0]) for t in range(cols)], 1)] + real(z, pivots, cols)[1:]
+        def skewed(rows, cols):
+            rows = list(rows)
+            if len(rows) == 2 and not checks:
+                checks.append(rows)
+                (r,), bw = rows[:1], rows[1]
+                t = r.index(0)
+                rows[1] = [x + (c == t) for c, x in enumerate(bw)]
+            return real(rows, cols)
 
-        monkeypatch.setattr(canon, "rref_kernel", skewed)
+        monkeypatch.setattr(canon, "rref", skewed)
         with pytest.raises(CanonError, match="not orthogonal to Ker"):
             canonical_basis(A, B, x0)
+        # the reduction read R's reduced row, then B w_1
+        (reduced, bw), = checks
+        assert reduced == real(canon._int_right_op(A, x0)[0], 4)[0][0] and any(bw)
 
 
 class TestVerifyStructure:

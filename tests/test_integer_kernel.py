@@ -10,6 +10,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -725,9 +726,9 @@ def test_commuting_left_pass_matches_reference(A):
 
 def test_commuting_left_pass_sees_a_non_left_symmetric_algebra(monkeypatch):
     # e1 e3 = e3, e2 e1 = e3 (1-based): AA = span(e3) and e3 A = 0, so
-    # (AA)A = 0, yet e1(e2 e1) = e3 while e2(e1 e1) = 0: the commutation
-    # pass on the independent R_x, then on the independent L_x, decides
-    # each, and the second finds that the L_x do not commute
+    # (AA)A = 0, yet e1(e2 e1) = e3 while e2(e1 e1) = 0: the R_x are read
+    # to kill AA, then the one commutation pass, on the independent L_x,
+    # finds that they do not commute
     A = Algebra.from_products(3, [(0, 2, 2, 1), (1, 0, 2, 1)])
     symmetric, commutations = _count_passes(monkeypatch)
     for X in (A, scramble(A, None, 3)[0]):
@@ -735,7 +736,7 @@ def test_commuting_left_pass_sees_a_non_left_symmetric_algebra(monkeypatch):
         assert X.identities() == (False, True, True)
         assert (ref_left_symmetric(X), ref_right_products(X, 1), ref_right_products(X, -1)) == (
             False, True, True)
-        assert len(commutations) == 2 and _on_derived_basis(X, commutations)
+        assert len(commutations) == 1 and _on_derived_basis(X, commutations)
     assert not symmetric
 
 
@@ -923,19 +924,179 @@ def test_metric_transport_matches_elimination(monkeypatch):
 
 
 def test_construction_transport_runs_no_elimination(monkeypatch):
-    # theorem_check reduces R_{x0}'s k rows and the 2k rows B u, B w whose
-    # kernel is the complement, and reads Pinv F^T from the metric with no
-    # reduction of P's columns; verify_structure, the independent re-check,
-    # reduces them once
+    # theorem_check reduces R_{x0}'s k rows once, in the rank search, then
+    # the 2k rows of R's reduced rows and B w that decide Im R = (Ker R)^perp,
+    # and the 2k rows B u, B w whose kernel is the complement; it reads
+    # Pinv F^T from the metric with no reduction of P's columns.
+    # verify_structure, the independent re-check, reduces them once
     A, B = next((A, B) for name, A, B in generate_corpus(7, 40) if name.startswith("k2"))
+    search_rrefs = _count_calls(monkeypatch, "rref", (exactlin,))
     canon_rrefs = _count_calls(monkeypatch, "rref", (canon,))
     classify_rrefs = _count_calls(monkeypatch, "rref", (classify,))
     assert theorem_check(A, B, seed=1)
-    assert [len(rows) for rows, _ in canon_rrefs] == [2, 4] and not classify_rrefs
+    searched = list(search_rrefs)
+    x0, k = max_rank_element(A, 1)
+    assert k == 2 and sum(rows == A.right_pencil().eval(x0) for rows, _ in searched) == 1
+    assert [len(rows) for rows, _ in canon_rrefs] == [4, 4] and not classify_rrefs
     rep = canonicalize(A, B, 1)
     canon_rrefs.clear()
     assert verify_structure(A, normalize_orientation(B), rep) == rep.claims
     assert len(classify_rrefs) == 1 and not canon_rrefs
+
+
+def dense_transport_products(A, cols, qs, g):
+    """transport_products' contraction over every pair (i, j) and every row
+    of qs, with no pair or row skipped: the reference for the skips."""
+    zcols, d = [z for z, _ in cols], [dj for _, dj in cols]
+    _, _, L = A.derived_basis()
+    kept, coef, gr = A.right_basis()
+    mats = A.right_pencil().mats
+    ws = [[sum(map(mul, c, zj)) for c in coef] for zj in zcols]
+    V = [list(zip(*[[sum(map(mul, row, zi)) for row in mats[t]] for t in kept])) for zi in zcols]
+    _, dc = A.int_tensor()
+    prods = {}
+    for i, Vi in enumerate(V):
+        for j, wj in enumerate(ws):
+            pi = [sum(map(mul, wj, v)) for v in Vi]
+            if any(pi):
+                prods[i, j] = ([sum(map(mul, pi, q)) for q in qs], dc * L * d[i] * d[j] * g * gr)
+    return prods
+
+
+def test_transport_skips_match_dense_contraction(monkeypatch):
+    # transport_products contracts only the pairs with f_i A != 0 and
+    # A f_j != 0, and expands only the nonzero rows of Pinv F^T; its dict
+    # must be the dense contraction's, key for key, in the same order.  The
+    # constructions run at the maximal-rank x0, at x0 = 0 and at x0 = e_1,
+    # where rows of Pinv F^T off the w_i are nonzero, and the transport of
+    # a random P reads every row.  In an unscrambled sum of planes each
+    # f_i A is a line of AA that may be 0 at the first pivot of AA
+    calls = []
+    real = classify.transport_products
+    monkeypatch.setattr(canon, "transport_products", lambda *a: calls.append(a) or real(*a))
+    monkeypatch.setattr(classify, "transport_products", lambda *a: calls.append(a) or real(*a))
+    cases = [(A, B) for _, A, B in generate_corpus(2024, 40)]
+    for m in (2, 3):
+        hyperbolic = SymForm.from_ints([[int(i ^ 1 == j) for j in range(2 * m)] for i in range(2 * m)], 1)
+        cases += [(planes_sum(m), hyperbolic), scramble(planes_sum(m), hyperbolic, 3)[:2]]
+    rnd = random.Random(9)
+    seen = set()
+    for i, (A, B) in enumerate(cases):
+        B, n = normalize_orientation(B), A.dim
+        x0, _ = max_rank_element(A, i)
+        calls.clear()
+        for point in (x0, [0] * n, [int(t == 0) for t in range(n)]):
+            canon._build_basis(A, B, point)
+        P = Mat([[rand_q(rnd) for _ in range(n)] for _ in range(n)])
+        if rank(P) == n:
+            classify.transport_columns(A, B, scale_columns(P))
+        kept, coef, _ = A.right_basis()
+        mats = A.right_pencil().mats
+        for args in calls:
+            assert list(real(*args).items()) == list(dense_transport_products(*args).items())
+            _, cols, qs, _ = args
+            for z, _ in cols:
+                if not any(sum(map(mul, row, z)) for t in kept for row in mats[t]):
+                    seen.add("left annihilated")
+                if not any(sum(map(mul, c, z)) for c in coef):
+                    seen.add("right annihilated")
+            if not all(map(any, qs)):
+                seen.add("zero row")
+        # at x0 = 0, k = 0, so every nonzero row of Pinv F^T is off the w_i
+        if any(map(any, calls[1][2])):
+            seen.add("row off the w_i")
+    assert seen == {"left annihilated", "right annihilated", "zero row", "row off the w_i"}
+
+
+@st.composite
+def integer_pencils(draw):
+    """(M, seed): an integer pencil of 1-3 variables and up to 4 x 4, sparse
+    or dense, whose last row is in half the cases a fixed combination of
+    the first two in every member, so that its generic rank is below
+    min(rows, cols) and the search needs the symbolic rank."""
+    nv, rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rnd = random.Random(draw(st.integers(0, 2**30)))
+    density = draw(st.sampled_from([0.3, 0.7, 1.0]))
+    mats = [[[rnd.randint(-5, 5) if rnd.random() < density else 0 for _ in range(cols)]
+             for _ in range(rows)] for _ in range(nv)]
+    if rows > 2 and draw(st.booleans()):
+        a, b = rnd.randint(-4, 4), rnd.randint(1, 4)
+        for M in mats:
+            M[-1] = [a * x + b * y for x, y in zip(M[0], M[1])]
+    return Pencil(mats, rows, cols), draw(st.integers(0, 2**30))
+
+
+@given(integer_pencils())
+@settings(max_examples=80, deadline=None)
+def test_generic_point_hands_back_value_and_reduction(case):
+    # the value and reduction find_generic_point hands back are the
+    # pencil's at the point it returns, whichever path found the point
+    M, seed = case
+    found = exactlin.find_generic_point(M, seed)
+    point, r = found
+    assert found.value == M.eval(point)
+    assert found.reduced == rref(M.eval(point), M.cols)
+    assert len(found.reduced[1]) == r
+
+
+def test_generic_point_hands_back_value_on_symbolic_path(monkeypatch):
+    # no point among the first CERTIFY_ATTEMPTS is nonsingular, so the
+    # symbolic rank runs and the search goes on to points[i]: the value and
+    # reduction made there are handed back
+    space, seed, points, i = _diagonal_space_without_certificate()
+    M = Pencil([B.int_matrix()[0] for B in space], 4, 4)
+    calls = _count_generic_rank(monkeypatch)
+    found = exactlin.find_generic_point(M, seed)
+    assert calls == [4] and tuple(found) == (points[i], 4)
+    assert found.value == M.eval(points[i]) == [[p * (r == c) for c in range(4)] for r, p in enumerate(points[i])]
+    assert found.reduced == rref(M.eval(points[i]), 4)
+
+
+class _CountedForm:
+    """A form for _build_basis that counts its products Bi v: each one
+    iterates the rows of Bi once."""
+
+    def __init__(self, B):
+        self.form, self.images = B, 0
+
+    def signature(self):
+        return self.form.signature()
+
+    def int_matrix(self):
+        rows, den = self.form.int_matrix()
+        counted = self
+
+        class Rows(list):
+            def __iter__(self):
+                counted.images += 1
+                return super().__iter__()
+
+        return Rows(rows), den
+
+
+def test_theorem_check_evaluates_rx0_once(monkeypatch):
+    # R_{x0} is evaluated and reduced once, in the rank search:
+    # _build_basis reads the search's value and reduction, evaluates no
+    # pencil, and computes n + 2k products Bi v
+    evals, built = [], []
+    real_eval, real_build = exactlin.Pencil.eval, canon._build_basis
+    monkeypatch.setattr(exactlin.Pencil, "eval", lambda M, point: evals.append(list(point)) or real_eval(M, point))
+
+    def build(A, B, x0, found=None):
+        start, form = len(evals), _CountedForm(B)
+        basis = real_build(A, form, x0, found)
+        built.append((x0, found, len(evals) - start, form.images, basis.k))
+        return basis
+
+    monkeypatch.setattr(canon, "_build_basis", build)
+    for i, (_, A, B) in enumerate(generate_corpus(2024, 30)):
+        evals.clear()
+        built.clear()
+        assert theorem_check(A, B, seed=i)
+        (x0, found, inside, images, k), = built
+        assert found is not None and found[0] is x0
+        assert evals.count(x0) == 1 and inside == 0
+        assert images == A.dim + 2 * k
 
 
 # ---------------------------------------------------------------------------
@@ -1223,13 +1384,15 @@ def test_nondegenerate_form_without_certificate(monkeypatch):
 def test_each_point_ranked_once(monkeypatch):
     # the first CERTIFY_ATTEMPTS points are ranked before the symbolic
     # rank and not again after it, so the points up to points[i] take one
-    # rank of a 4 x 4 combination each
-    space, seed, _, i = _diagonal_space_without_certificate()
+    # reduction of a 4 x 4 combination each, wherever the search makes it;
+    # the seeded form is the value the search reduced at points[i]
+    space, seed, points, i = _diagonal_space_without_certificate()
     assert i >= exactlin.CERTIFY_ATTEMPTS
     monkeypatch.setattr(forms, "SWEEP_CAP", 0)
-    calls = _count_calls(monkeypatch, "int_rank", (exactlin, forms))
-    assert find_nondegenerate(space, seed=seed) is not None
+    calls = _count_calls(monkeypatch, "rref", (exactlin,))
+    B = find_nondegenerate(space, seed=seed)
     assert sum(len(rows) == 4 for rows, _ in calls) == i + 1
+    assert B.matrix == Mat.diagonal(points[i])
 
 
 def test_canon_json_golden_digest_on_symbolic_form(monkeypatch, tmp_path, capsys):
@@ -1366,10 +1529,11 @@ def _at_derived_pivots(A, symmetric):
 
 
 def _on_derived_basis(A, commutations):
-    """The commutation passes read A's reduced basis F of AA: the first on
-    members of its right pencil, and a second, if any, on L_x at the pivots
-    of AA, each on a set that is independent and spans its whole family:
-    as many operators as the family's rank, with that same rank."""
+    """The one commutation pass read A's reduced basis F of AA, on a set
+    that is independent and spans its whole family: as many operators as
+    the family's rank, with that same rank.  The family is A's right
+    pencil when a product R_x R_y is nonzero, and else the L_x at the
+    pivots of AA, as A's verdicts say."""
     pivots, F, _ = A.derived_basis()
     C, n = A.int_tensor()[0], A.dim
     right = A.right_pencil().mats
@@ -1381,10 +1545,10 @@ def _on_derived_basis(A, commutations):
     def spans(ops, family):
         return len(ops) == rank_of(ops) == rank_of(family)
 
-    (f, kept), *rest = commutations
-    return (f is F and all(any(T is R for R in right) for T in kept) and spans(kept, right)
-            and len(rest) <= 1
-            and all(g is F and all(T in left for T in ops) and spans(ops, left) for g, ops in rest))
+    (f, ops), = commutations
+    if all(A.identities()[1:]):
+        return f is F and all(T in left for T in ops) and spans(ops, left)
+    return f is F and all(any(T is R for R in right) for T in ops) and spans(ops, right)
 
 
 def _count_loads(monkeypatch):
@@ -1411,10 +1575,10 @@ def test_one_identity_pass_per_theorem_check(monkeypatch):
         for calls in (symmetric, commutations, transports):
             calls.clear()
         assert theorem_check(A, B, seed=i)
-        # every theorem instance has (AA)A = 0: one commutation pass on the
-        # independent R_x finds it, one on the independent L_x decides
-        # left-symmetry, and the general left-symmetry pass does not run
-        assert len(commutations) == 2 and len(transports) == 1
+        # every theorem instance has (AA)A = 0: the R_x are read to kill
+        # AA, with no commutation pass on them, one pass on the independent
+        # L_x decides left-symmetry, and the general pass does not run
+        assert len(commutations) == 1 and len(transports) == 1
         assert not symmetric
         # each reads AA's reduced basis at its k pivot rows
         assert _on_derived_basis(A, commutations)
@@ -1450,7 +1614,8 @@ def test_one_identity_pass_per_canon(monkeypatch, tmp_path, capsys):
             calls.clear()
         assert cli_main(["canon", "--input", str(path), "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["claims"]["products_vanish"]
-        assert len(commutations) == 2 and len(transports) == 1
+        # (AA)A = 0: one commutation pass, on the independent L_x
+        assert len(commutations) == 1 and len(transports) == 1
         assert not symmetric
         assert _on_derived_basis(loaded[-1], commutations)
 
@@ -1474,35 +1639,38 @@ def test_one_right_table_per_algebra(monkeypatch):
         assert len(tables) == 1 and tables[0][1] is A.derived_pivots()
         assert theorem_check(A, B, seed=i)
         assert len(tables) == 1
-        # one search among the R_j, and one among the L_x for the identities
+        # one search among the R_j, for the invariance test and the
+        # transport, and one among the L_x for the identities
         assert len(bases) == 2 and sum(ops is A.right_pencil().mats for ops, in bases) == 1
-    # the commutation pass reads the pencil's own independent members, once
-    # per algebra, and then the independent L_x decide every instance's
-    # left-symmetry, with no general pass
-    assert len(commutations) == 2 * len(instances)
+    # every instance has (AA)A = 0, read on the R_x with no commutation
+    # pass on them: the independent L_x decide its left-symmetry, once per
+    # algebra, with no general pass
+    assert len(commutations) == len(instances)
     assert not symmetric
-    assert all(_on_derived_basis(A, commutations[2 * i:2 * i + 2])
+    assert all(_on_derived_basis(A, commutations[i:i + 1])
                for i, (_, A, _) in enumerate(instances))
 
 
 def _one_pass_per_command(monkeypatch, tmp_path, capsys, command):
     """The exit code and --json report of `fnovikov command` on family 2 at
-    dim 4 and on a witness, each run checked to make one commutation pass on
-    the independent R_x at the pivots of AA, then one on the independent
-    L_x on family 2, where (AA)A = 0, and one general left-symmetry pass on
-    the witness, where it is not."""
+    dim 4 and on a witness, each run checked to make one commutation pass at
+    the pivots of AA: on family 2, where (AA)A = 0, on the independent L_x,
+    with no search for the independent R_x, and on the witness, where it is
+    not, on the independent R_x, then one general left-symmetry pass."""
     witness = next(search_fermionic_not_novikov())
     symmetric, commutations = _count_passes(monkeypatch)
+    bases = _count_calls(monkeypatch, "_independent", (algebra,))
     loaded = _count_loads(monkeypatch)
     results = []
     for A, general in ((make_family(2, 4), False), (witness, True)):
         path = tmp_path / "algebra.json"
         path.write_text(serialize(A))
-        for calls in (symmetric, commutations):
+        for calls in (symmetric, commutations, bases):
             calls.clear()
         code = cli_main([command, "--input", str(path), "--json"])
         results.append((code, json.loads(capsys.readouterr().out)))
-        assert len(commutations) == 2 - general and len(symmetric) == general
+        assert len(commutations) == 1 and len(symmetric) == general
+        assert sum(ops is loaded[-1].right_pencil().mats for ops, in bases) == general
         assert _on_derived_basis(loaded[-1], commutations)
         assert _at_derived_pivots(loaded[-1], symmetric)
     return results
