@@ -105,10 +105,10 @@ def _int_right_op(A: Algebra, x0, Rk=None):
 
     Rk = A.right_pencil() at x0 scaled to integers, so Rk[a][t] is the
     entry at the pivot p_a of e_t x0 times den / L, and FT = F^T as n rows;
-    a caller that already holds the pencil's value at the integer point x0
-    passes it as Rk, and it is not evaluated again.  Every column of
-    R_{x0} lies in AA, and F has full rank, so R_{x0} has Rk's row space,
-    and R_{x0} v vanishes exactly when Rk v does."""
+    a caller that already holds the pencil's value at x0 scaled to
+    integers passes it as Rk, and it is not evaluated again.  Every
+    column of R_{x0} lies in AA, and F has full rank, so R_{x0} has Rk's
+    row space, and R_{x0} v vanishes exactly when Rk v does."""
     _, F, L = A.derived_basis()
     xv, dx = scale_vector(x0)
     if Rk is None:
@@ -151,11 +151,15 @@ def _check_form(A: Algebra, B: SymForm):
 
 def canonical_basis(A: Algebra, B: SymForm, x0) -> CanonReport:
     """The form's checks (_check_form), then the construction (_build_basis)
-    and its report (_report)."""
+    and its report (_report).  x0 is the caller's, rational or not: its
+    GenericPoint holds the right pencil's value at x0 scaled to integers
+    and that value's rref, as max_rank_element's does for its x0."""
     if len(x0) != A.dim:
         raise PreconditionError("dimension mismatch")
     _check_form(A, B)
-    return _report(x0, _build_basis(A, B, x0))
+    value = A.right_pencil().eval(scale_vector(x0)[0])
+    reduced = rref(value, A.dim)
+    return _report(x0, _build_basis(A, B, GenericPoint(x0, len(reduced[1]), value, reduced)))
 
 
 class _Basis(NamedTuple):
@@ -172,15 +176,14 @@ class _Basis(NamedTuple):
     prods: dict
 
 
-def _build_basis(A: Algebra, B: SymForm, x0, found=None) -> _Basis:
+def _build_basis(A: Algebra, B: SymForm, found: GenericPoint) -> _Basis:
     """Build the canonical basis for R_{x0} and the metric, B checked by
     _check_form; every intermediate claim is asserted, not assumed.
 
-    R_{x0} enters as FT Rk / den (_int_right_op): its k rows Rk at the
-    pivots of AA have its reduced form and pivots.  found, when given, is
-    max_rank_element's result for x0, whose value and reduced are Rk and
-    that reduction, so neither is computed again; without it, as for
-    canonical_basis's x0 from the caller, both are computed here.
+    found is a GenericPoint at x0 = found[0]: max_rank_element's, or the
+    one canonical_basis builds for its caller's x0.  R_{x0} enters as
+    FT Rk / den (_int_right_op), Rk = found.value its k rows at the pivots
+    of AA, whose reduced form and pivots are found.reduced.
 
     Every basis vector is an (ints, den) pair, every pairing <x, y> is
     x^T Bi y over dx dy db, and each image Bi y is computed once, n + 2k
@@ -196,12 +199,8 @@ def _build_basis(A: Algebra, B: SymForm, x0, found=None) -> _Basis:
     transport_form reads the form.  _read_claims reads every claim of
     CLAIMS on that transport and on the R_{x0} triple built here."""
     n = A.dim
-    if found is None:
-        rx0 = _int_right_op(A, x0)
-        reduced, pivots = rref(rx0[0], n)
-    else:
-        rx0 = _int_right_op(A, x0, found.value)
-        reduced, pivots = found.reduced
+    rx0 = _int_right_op(A, found[0], found.value)
+    reduced, pivots = found.reduced
     Rk, FT, den = rx0
     Bi, db = B.int_matrix()
 
@@ -395,9 +394,11 @@ def _read_claims(A: Algebra, rx0, cols, transport, k, weights, comp_diag):
     for a, w in enumerate(weights):
         target[2 * a, 2 * a + 1] = target[2 * a + 1, 2 * a] = w
 
+    none = ([0] * n, 1)
+
     def weighted(i, j, m, w):
         # c'[i][j][m] w as a (numerator, denominator) pair
-        v, t = prods.get((i, j), ([0] * n, 1))
+        v, t = prods.get((i, j), none)
         return v[m] * w[0], t * w[1]
 
     def equal(x, y):
@@ -490,7 +491,7 @@ def _pipeline(A: Algebra, B, seed):
         B = normalize_orientation(B)
     _check_form(A, B)
     found = max_rank_element(A, seed)
-    return found[0], _build_basis(A, B, found[0], found)
+    return found[0], _build_basis(A, B, found)
 
 
 def theorem_check(A: Algebra, B: SymForm, seed) -> bool:

@@ -5,11 +5,12 @@ Everything here is over exact rationals (see scalars.py).  Mat only
 holds the rationals of the reports; rank and signature scale it to
 Python ints over a common denominator on each call.  One integer
 elimination serves them: rows are kept primitive, their gcd divided out
-after each update.  rref reduces its rows as they are streamed in and
-stores only the pivot rows; rank counts its pivots, every kernel is read
-from it, and int_congruence keeps each row over its own scale the same
-way.  A vector, or a column of a basis change (scale_columns), scaled
-over its own denominator is an (ints, den) pair.  A linear pencil sum_t
+after each update.  rref reduces its rows as they are streamed in, at
+the free columns only, and stores only the pivot rows; rank counts its
+pivots, every kernel is read from it, and int_congruence keeps each row
+over its own scale the same way.  A vector, or a column of a basis
+change (scale_columns), scaled over its own denominator is an (ints,
+den) pair.  A linear pencil sum_t
 x_t M_t holds integer matrices M_t, since rank is scale-free; it is
 evaluated at integer points, and its generic rank over the fraction
 field comes from fraction-free (Bareiss) elimination on integer
@@ -171,10 +172,15 @@ def rref(rows, cols):
 
     A kept row is zero at every other pivot, so reducing by one kept row
     leaves the entries at the others as they were: a row's coefficients
-    are its entries at the pivots, and it is reduced over the lcm of the
-    pivots used, not their product, one pass per kept row it uses.
+    f_i are its entries at the pivots, and it is reduced over the lcm m of
+    the pivots p_i used, not their product.  The reduced row
+    m row - sum_i f_i (m / p_i) z_i is then zero at every pivot column, so
+    its entries are computed only at the free columns, one pass per kept
+    row used, the first of which also scales row to m.  A dependent row,
+    zero there, is dropped without being built, and any other is
+    scattered into a zero row.
     """
-    z, pivots = [], []
+    z, pivots, free = [], [], list(range(cols))
     for row in rows:
         m, used = 1, []
         for prow, c in zip(z, pivots):
@@ -182,12 +188,20 @@ def rref(rows, cols):
                 p = prow[c]
                 m = lcm(m, p)
                 used.append((prow, f, p))
-        # the first subtraction also scales row to the lcm m
-        s = m
-        for prow, f, p in used:
+        if used:
+            (prow, f, p), *rest = used
             f *= m // p
-            row = [s * x - f * y for x, y in zip(row, prow)]
-            s = 1
+            vals = [m * row[c] - f * prow[c] for c in free]
+            for prow, f, p in rest:
+                f *= m // p
+                # in place: no list is built per pass
+                for i, c in enumerate(free):
+                    vals[i] -= f * prow[c]
+            if not any(vals):
+                continue
+            row = [0] * cols
+            for c, x in zip(free, vals):
+                row[c] = x
         lead = next(filter(None, row), 0)
         if not lead:
             continue
@@ -207,6 +221,7 @@ def rref(rows, cols):
         pivots.insert(at, c)
         if len(pivots) == cols:
             break
+        free.remove(c)
     return z, pivots
 
 

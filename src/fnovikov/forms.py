@@ -6,6 +6,7 @@ it, i.e. R^T B = B R for each basis right-multiplication matrix R.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from math import gcd, lcm
 from operator import mul
@@ -122,14 +123,27 @@ def is_invariant(A: Algebra, B: SymForm) -> bool:
     return True
 
 
+# one table for each dim 0 ... fileio.MAX_DIM a file may declare; fileio
+# imports this module, so the bound is written out here
+@functools.lru_cache(maxsize=65)
+def _coordinates(n):
+    """uidx[r][s], the index of the unknown b_{min(r, s), max(r, s)} among
+    the n (n + 1) / 2 upper-triangle coordinates b_{uv}, u <= v, in
+    row-major order: computed once per n, as tuples shared by every
+    call."""
+    start = [u * n - u * (u - 1) // 2 - u for u in range(n)]
+    return tuple(tuple(start[min(r, s)] + max(r, s) for s in range(n)) for r in range(n))
+
+
 def invariant_form_space(A: Algebra):
     """Basis of the space of symmetric matrices B with R^T B = B R for all
     basis right multiplications R.  Returned as a list of SymForm, each
     built from integers over its own denominator (SymForm.from_ints).
 
     Unknowns are the upper-triangle coordinates b_{uv} (u <= v) in
-    row-major order; equations are assembled over (j, r, s), last to
-    first, from the integer-scaled structure constants, for r < s only:
+    row-major order, indexed by _coordinates(n), the one table per n;
+    equations are assembled over (j, r, s), last to first, from the
+    integer-scaled structure constants, for r < s only:
     R^T B - B R is antisymmetric when B is symmetric, so entry (s, r) is
     the negated equation of entry (r, s) and the diagonal entries vanish.
 
@@ -145,14 +159,14 @@ def invariant_form_space(A: Algebra):
     into rref, which reduces each against the rows kept so far, so at
     most n (n + 1) / 2 rows are ever stored.  The basis is read from the
     reduced form (rref_kernel), which is unique for the row space: it
-    does not depend on the rows' scale or order.
+    does not depend on the rows' scale or order.  rref drops an equation
+    that reduces to zero at the cost of its free columns.  Each member's
+    matrix reads its kernel vector through the same table.
     """
     n = A.dim
     C, _ = A.int_tensor()
-    unknowns = [(u, v) for u in range(n) for v in range(u, n)]
-    m = len(unknowns)
-    index = {uv: t for t, uv in enumerate(unknowns)}
-    uidx = [[index[(r, s) if r <= s else (s, r)] for s in range(n)] for r in range(n)]
+    m = n * (n + 1) // 2
+    uidx = _coordinates(n)
 
     kept = A.right_basis()[0]
 
@@ -173,13 +187,8 @@ def invariant_form_space(A: Algebra):
                             row[ur[t]] -= csj[t]
                     yield row
 
-    out = []
-    for vec, den in rref_kernel(*rref(equations(), m), m):
-        rows = [[0] * n for _ in range(n)]
-        for (u, v), x in zip(unknowns, vec):
-            rows[u][v] = rows[v][u] = x
-        out.append(SymForm.from_ints(rows, den))
-    return out
+    return [SymForm.from_ints([[vec[t] for t in row] for row in uidx], den)
+            for vec, den in rref_kernel(*rref(equations(), m), m)]
 
 
 # The largest form space find_nondegenerate sweeps over {-1, 0, 1}

@@ -9,7 +9,7 @@ import random
 import time
 import tracemalloc
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 import pytest
@@ -45,7 +45,7 @@ from fnovikov import (
     transport_basis,
     verify_structure,
 )
-from fnovikov import algebra, canon, classify, cli, exactlin, forms
+from fnovikov import algebra, canon, classify, cli, exactlin, fileio, forms
 from fnovikov.cli import main as cli_main
 from fnovikov.exactlin import rref, rref_kernel, scale_columns, scale_to_int, scale_vector
 from fnovikov.scalars import QQ
@@ -879,6 +879,14 @@ def test_transport_through_independent_members_matches_fractions():
         assert [[Fraction(x, t) for x, t in row] for row in form] == b
 
 
+def generic_point_at(A, point):
+    """The GenericPoint _build_basis reads at an integer point of A's right
+    pencil, as canonical_basis builds it for its caller's x0."""
+    value = A.right_pencil().eval(point)
+    reduced = rref(value, A.dim)
+    return exactlin.GenericPoint(point, len(reduced[1]), value, reduced)
+
+
 def test_metric_transport_matches_elimination(monkeypatch):
     # _build_basis reads Pinv F^T from the canonical metric, G^-1 P^T B;
     # the elimination of [Z | F^T] in transport_columns, on the same
@@ -906,7 +914,7 @@ def test_metric_transport_matches_elimination(monkeypatch):
         x0, _ = canon._pipeline(A, B, i)
         for point in [x0] + ([[0] * n, [int(t == 0) for t in range(n)]] if n else []):
             read.clear()
-            basis = canon._build_basis(A, B, point)
+            basis = canon._build_basis(A, B, generic_point_at(A, point))
             (_, _, cols, (prods, form), *_), = read
             if i == 0 and point is x0:
                 # the first corpus instance has a negative pair weight and
@@ -986,7 +994,7 @@ def test_transport_skips_match_dense_contraction(monkeypatch):
         x0, _ = max_rank_element(A, i)
         calls.clear()
         for point in (x0, [0] * n, [int(t == 0) for t in range(n)]):
-            canon._build_basis(A, B, point)
+            canon._build_basis(A, B, generic_point_at(A, point))
         P = Mat([[rand_q(rnd) for _ in range(n)] for _ in range(n)])
         if rank(P) == n:
             classify.transport_columns(A, B, scale_columns(P))
@@ -1082,10 +1090,10 @@ def test_theorem_check_evaluates_rx0_once(monkeypatch):
     real_eval, real_build = exactlin.Pencil.eval, canon._build_basis
     monkeypatch.setattr(exactlin.Pencil, "eval", lambda M, point: evals.append(list(point)) or real_eval(M, point))
 
-    def build(A, B, x0, found=None):
+    def build(A, B, found):
         start, form = len(evals), _CountedForm(B)
-        basis = real_build(A, form, x0, found)
-        built.append((x0, found, len(evals) - start, form.images, basis.k))
+        basis = real_build(A, form, found)
+        built.append((found, len(evals) - start, form.images, basis.k))
         return basis
 
     monkeypatch.setattr(canon, "_build_basis", build)
@@ -1093,9 +1101,9 @@ def test_theorem_check_evaluates_rx0_once(monkeypatch):
         evals.clear()
         built.clear()
         assert theorem_check(A, B, seed=i)
-        (x0, found, inside, images, k), = built
-        assert found is not None and found[0] is x0
-        assert evals.count(x0) == 1 and inside == 0
+        (found, inside, images, k), = built
+        assert isinstance(found, exactlin.GenericPoint)
+        assert evals.count(found[0]) == 1 and inside == 0
         assert images == A.dim + 2 * k
 
 
@@ -1758,9 +1766,9 @@ def test_integer_exact_division():
 # the invariant-form stage against term-by-term Fraction references
 
 
-def ref_rref_kernel(rows, cols):
-    """Right kernel of Fraction rows by plain Gauss-Jordan, as one vector
-    per free column: 1 there, minus the reduced entries at the pivots."""
+def ref_gauss_jordan(rows, cols):
+    """(a, pivots): plain Gauss-Jordan on Fraction rows, a's first
+    len(pivots) rows the reduced rows, each with 1 at its pivot."""
     a = [row[:] for row in rows]
     pivots = []
     for c in range(cols):
@@ -1776,6 +1784,13 @@ def ref_rref_kernel(rows, cols):
                 f = a[i][c]
                 a[i] = [x - f * y for x, y in zip(a[i], a[r])]
         pivots.append(c)
+    return a, pivots
+
+
+def ref_rref_kernel(rows, cols):
+    """Right kernel of Fraction rows by plain Gauss-Jordan, as one vector
+    per free column: 1 there, minus the reduced entries at the pivots."""
+    a, pivots = ref_gauss_jordan(rows, cols)
     basis = []
     for fc in (c for c in range(cols) if c not in pivots):
         v = [Fraction(0)] * cols
@@ -1819,6 +1834,70 @@ def test_rref_is_independent_of_row_order(case):
     assert len(pivots) == cols - len(ref_rref_kernel([[Fraction(x) for x in row] for row in rows], cols))
     assert rref(rows[::-1], cols) == (z, pivots)
     assert rref([rows[i] for i in perm], cols) == (z, pivots)
+
+
+def ref_rref(rows, cols):
+    """(z, pivots) of integer rows by plain Gauss-Jordan on Fractions
+    (ref_gauss_jordan): each reduced row, pivot 1, scaled to primitive
+    integers with a positive pivot."""
+    a, pivots = ref_gauss_jordan([[Fraction(x) for x in row] for row in rows], cols)
+    z = []
+    for row in a[:len(pivots)]:
+        m = lcm(*[x.denominator for x in row])
+        ints = [int(x * m) for x in row]
+        g = gcd(*ints)
+        z.append([x // g for x in ints])
+    return z, pivots
+
+
+@st.composite
+def streamed_rows(draw):
+    """(rows, cols): integer rows in the order rref reads them: drawn rows,
+    each followed by up to three rows that are combinations of the rows so
+    far, which reduce to zero after several pivots, repeats of an earlier
+    row or zero rows."""
+    cols = draw(st.integers(1, 9))
+    rnd = random.Random(draw(st.integers(0, 2**30)))
+    density = draw(st.sampled_from([0.3, 0.7, 1.0]))
+    rows = []
+    for _ in range(draw(st.integers(0, 7))):
+        rows.append([rnd.randint(-9, 9) if rnd.random() < density else 0 for _ in range(cols)])
+        for _ in range(rnd.randint(0, 3)):
+            kind = rnd.random()
+            if kind < 0.6:
+                fs = [rnd.randint(-3, 3) for _ in rows]
+                rows.append([sum(f * r[c] for f, r in zip(fs, rows)) for c in range(cols)])
+            elif kind < 0.8:
+                rows.append(rnd.choice(rows)[:])
+            else:
+                rows.append([0] * cols)
+    return rows, cols
+
+
+@given(streamed_rows())
+@settings(max_examples=300, deadline=None)
+def test_rref_matches_fraction_gauss_jordan(case):
+    # rref computes a row's reduced entries only at the free columns and
+    # drops a dependent row there: (z, pivots) must be the Fraction
+    # reference's, the input rows unchanged, a generator read only up to
+    # the row that completes the last pivot, and a list read the same way
+    rows, cols = case
+    before = [row[:] for row in rows]
+    expected = ref_rref(rows, cols)
+    assert rref(rows, cols) == expected
+    assert rows == before
+    read = []
+
+    def stream():
+        for row in rows:
+            read.append(row)
+            yield row
+
+    assert rref(stream(), cols) == expected
+    assert rows == before
+    full = next((i + 1 for i in range(len(rows)) if len(ref_rref(rows[:i + 1], cols)[1]) == cols),
+                len(rows))
+    assert len(read) == full
 
 
 def ref_form_space(A, js=None):
@@ -1873,6 +1952,19 @@ def test_invariant_form_space_matches_reference():
             [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in equations],
         )
         assert len(space) == unknowns - S.to_field().rank()
+
+
+def test_form_coordinates_one_table_per_dim():
+    # uidx[r][s] is the index of b_{min(r, s), max(r, s)} among the
+    # upper-triangle unknowns in row-major order, built once per dim, and
+    # the cache holds one table for each dim a file may declare
+    for n in range(7):
+        unknowns = [(u, v) for u in range(n) for v in range(u, n)]
+        index = {uv: t for t, uv in enumerate(unknowns)}
+        uidx = forms._coordinates(n)
+        assert uidx == tuple(tuple(index[min(r, s), max(r, s)] for s in range(n)) for r in range(n))
+        assert forms._coordinates(n) is uidx
+    assert forms._coordinates.cache_info().maxsize == fileio.MAX_DIM + 1
 
 
 def test_form_space_memory_is_bounded():
