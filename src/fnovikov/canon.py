@@ -9,8 +9,9 @@ every structural claim about a general right multiplication in that basis
 down to R_x R_y = 0.
 
 Over the rationals the hyperbolic pairs carry nonzero weights w_i rather
-than being scaled to +-1 (that scaling needs real square roots); the signs
-of the weights are recorded separately and every claim is weight-aware.
+than being scaled to +-1 (that scaling needs real square roots); the CLI
+prints the signs of the weights separately, and every claim is
+weight-aware.
 """
 
 from __future__ import annotations
@@ -18,18 +19,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 from operator import mul
-from typing import NamedTuple
 
-from .scalars import QQ, ZERO
 from .exactlin import (
     GenericPoint,
-    Mat,
     find_generic_point,
     int_congruence,
     lowest_terms,
     rref,
     rref_kernel,
-    scale_columns,
     scale_vector,
 )
 from .algebra import (
@@ -58,27 +55,30 @@ class CanonError(RuntimeError):
 
 @dataclass
 class CanonReport:
-    """Everything the canonicalization produced.
+    """Everything the canonicalization produced, on integers: the one result
+    of canonical_basis and canonicalize, as _build_basis builds it.
 
-    P's columns are ordered u_1, w_1, ..., u_k, w_k, then the orthogonal
-    complement; pair_weights[i] is <u_i, w_i> and signs[i] its sign;
-    complement_diag holds the diagonal metric entries of the complement;
-    d_forms[j] is the k x k matrix of lower-left block entries of the
-    leading 2k x 2k block of R_{e'_j} in the new basis.
+    P holds P's columns, ordered u_1, w_1, ..., u_k, w_k, then the
+    orthogonal complement, as (ints, den) pairs; pair_weights[i] is
+    <u_i, w_i>, and complement_diag holds the diagonal metric entries of
+    the complement, each a (numerator, denominator) pair.  Every
+    denominator is positive.  prods maps each (i, j) with f_i f_j nonzero,
+    f_i the i-th column of P, to that product in the basis P as an (ints,
+    den) pair, as transport_products returns it: R'_j[r][s] = c'[s][j][r],
+    so the lower-left block entries of the leading 2k x 2k block of
+    R'_j are R'_j[2a+1][2b] = prods[2b, j][0][2a+1] / prods[2b, j][1].
 
     claims maps each name of CLAIMS to its truth value, as _build_basis
-    read it on integers, on the basis it built and transported;
-    verify_structure reads the same claims again from the other fields.
-    The rational fields are built from that integer state by _report.
+    read it on that basis and its transport; verify_structure reads the
+    same claims again from the other fields.
     """
 
     x0: list
     k: int
-    P: Mat
+    P: list
     pair_weights: list
-    signs: list
     complement_diag: list
-    d_forms: list
+    prods: dict
     claims: dict
 
 
@@ -88,7 +88,7 @@ def max_rank_element(A: Algebra, seed):
     dim AA rows, so a point of rank dim AA proves k with no polynomial
     arithmetic; the symbolic rank runs only when none does.  It is the
     search's GenericPoint, so it also holds R_{x0}'s integer rows at the
-    pivots of AA and their rref, which _pipeline hands to _build_basis.
+    pivots of AA and their rref, which canonicalize hands to _build_basis.
 
     The right multiplications must anticommute, or PreconditionError is
     raised; the verdict is A's cached check_fermionic(A).
@@ -150,8 +150,8 @@ def _check_form(A: Algebra, B: SymForm):
 
 
 def canonical_basis(A: Algebra, B: SymForm, x0) -> CanonReport:
-    """The form's checks (_check_form), then the construction (_build_basis)
-    and its report (_report).  x0 is the caller's, rational or not: its
+    """The form's checks (_check_form), then the construction's report
+    (_build_basis).  x0 is the caller's, rational or not: its
     GenericPoint holds the right pencil's value at x0 scaled to integers
     and that value's rref, as max_rank_element's does for its x0."""
     if len(x0) != A.dim:
@@ -159,24 +159,10 @@ def canonical_basis(A: Algebra, B: SymForm, x0) -> CanonReport:
     _check_form(A, B)
     value = A.right_pencil().eval(scale_vector(x0)[0])
     reduced = rref(value, A.dim)
-    return _report(x0, _build_basis(A, B, GenericPoint(x0, len(reduced[1]), value, reduced)))
+    return _build_basis(A, B, GenericPoint(x0, len(reduced[1]), value, reduced))
 
 
-class _Basis(NamedTuple):
-    """The canonical basis as _build_basis builds it, on integers: k, the
-    claims, P's columns as (ints, den) pairs, the pair weights and the
-    complement diagonal as (numerator, denominator) pairs with positive
-    denominators, and the transport's prods."""
-
-    k: int
-    claims: dict
-    cols: list
-    weights: list
-    comp_diag: list
-    prods: dict
-
-
-def _build_basis(A: Algebra, B: SymForm, found: GenericPoint) -> _Basis:
+def _build_basis(A: Algebra, B: SymForm, found: GenericPoint) -> CanonReport:
     """Build the canonical basis for R_{x0} and the metric, B checked by
     _check_form; every intermediate claim is asserted, not assumed.
 
@@ -192,9 +178,9 @@ def _build_basis(A: Algebra, B: SymForm, found: GenericPoint) -> _Basis:
     n - 2k for the complement, whose images ride through its
     int_congruence.  int_congruence diagonalizes both Gram matrices, of
     vectors over one denominator, carrying the vectors along.  No rational
-    is built: _report builds the report's.  A complement not orthogonal to
-    span(u, w) raises CanonError; else P^T B P is the canonical metric G,
-    so Pinv = G^-1 P^T B, and the transport (transport_products) reads
+    is built: the report holds these integers.  A complement not
+    orthogonal to span(u, w) raises CanonError; else P^T B P is the
+    canonical metric G, so Pinv = G^-1 P^T B, and the transport (transport_products) reads
     Pinv F^T from G and the held images, with no elimination, as
     transport_form reads the form.  _read_claims reads every claim of
     CLAIMS on that transport and on the R_{x0} triple built here."""
@@ -312,32 +298,7 @@ def _build_basis(A: Algebra, B: SymForm, found: GenericPoint) -> _Basis:
         raise CanonError("metric does not reach the canonical block form")
     if not claims["rx0_canonical"]:
         raise CanonError("R_{x0} does not reach the canonical Jordan form")
-    return _Basis(k, claims, cols, pws, comp_diag, transport[0])
-
-
-def _report(x0, basis: _Basis) -> CanonReport:
-    """The CanonReport of the basis _build_basis built for x0: its rationals
-    P, pair_weights, complement_diag and d_forms, from the integer state."""
-    k, claims, cols, pws, comp_diag, prods = basis
-    n = len(cols)
-    weights = [QQ(wn, wd) for wn, wd in pws]
-    # d_forms[j][a][b] = R'_j[2a+1][2b] = c'[2b][j][2a+1]
-    none = ([0] * n, 1)
-    d_forms = [
-        Mat._raw([[QQ(v[2 * a + 1], t) for v, t in (prods.get((2 * b, j), none) for b in range(k))]
-                  for a in range(k)], k)
-        for j in range(n)
-    ]
-    return CanonReport(
-        x0=list(x0),
-        k=k,
-        P=Mat._raw([[QQ(v[i], d) if v[i] else ZERO for v, d in cols] for i in range(n)], n),
-        pair_weights=weights,
-        signs=[1 if g > 0 else -1 for g in weights],
-        complement_diag=[QQ(c, d) for c, d in comp_diag],
-        d_forms=d_forms,
-        claims=claims,
-    )
+    return CanonReport(list(found[0]), k, cols, pws, comp_diag, transport[0], claims)
 
 
 CLAIMS = (
@@ -367,8 +328,8 @@ def _read_claims(A: Algebra, rx0, cols, transport, k, weights, comp_diag):
     R'_j[r][s] = c'[s][j][r] is read from the numerators, with no matrix
     built.  The zero-block claims are decided by where the nonzero
     numerators fall: the core allows them only at (2a+1, 2b).
-    weighted_symmetry reads its entries by index, as _report reads
-    d_forms.
+    weighted_symmetry reads its entries by index, as the CLI reads the
+    lower-left block entries (see CanonReport).
 
     rx0_canonical is whether R_{x0} P = P J, compared on integers
     (_reaches_jordan).  products_vanish is whether every R_i R_j = 0, read
@@ -427,27 +388,28 @@ def verify_structure(A: Algebra, B: SymForm, rep: CanonReport):
     """Read every structural claim again and return each claim's truth
     value (see CLAIMS): the independent re-check of a report.
 
-    The columns of rep.P are transported again and every claim read by
+    The columns rep.P are transported again and every claim read by
     _read_claims, as _build_basis reads them, for R_{x0} at rep.x0 and for
-    rep.k, with every target rebuilt from the report's fields, its rational
-    weights and complement diagonal taken as (numerator, denominator)
-    pairs, so a corrupted report is caught.  rep.claims is not read.  A
-    report that does not fit A (B of another dimension, P not n x n or
-    singular, x0 not of length n, k not the number of pair weights or more
-    than n / 2) raises PreconditionError("report/algebra mismatch")."""
+    rep.k, with every target rebuilt from the report's fields, so a
+    corrupted report is caught.  rep.claims and rep.prods are not read.  A
+    report that does not fit A (B of another dimension, P not n columns
+    of length n or singular, a denominator of P, the pair weights or the
+    complement diagonal not positive, x0 not of length n, k not the
+    number of pair weights or more than n / 2) raises
+    PreconditionError("report/algebra mismatch")."""
     n, k = A.dim, rep.k
-    if (B.dim != n or (rep.P.rows, rep.P.cols) != (n, n) or len(rep.x0) != n
+    dens = [d for pairs in (rep.P, rep.pair_weights, rep.complement_diag) for _, d in pairs]
+    if (B.dim != n or len(rep.P) != n or any(len(v) != n for v, _ in rep.P)
+            or any(d <= 0 for d in dens) or len(rep.x0) != n
             or len(rep.pair_weights) != k or 2 * k > n):
         raise PreconditionError("report/algebra mismatch")
-    cols = scale_columns(rep.P)
     # transport_columns raises ValueError when P is singular
     try:
-        transport = transport_columns(A, B, cols)
+        transport = transport_columns(A, B, rep.P)
     except ValueError:
         raise PreconditionError("report/algebra mismatch") from None
-    return _read_claims(A, _int_right_op(A, rep.x0), cols, transport, k,
-                        [(w.numerator, w.denominator) for w in rep.pair_weights],
-                        [(c.numerator, c.denominator) for c in rep.complement_diag])
+    return _read_claims(A, _int_right_op(A, rep.x0), rep.P, transport, k,
+                        rep.pair_weights, rep.complement_diag)
 
 
 def check_identities(A: Algebra):
@@ -461,8 +423,8 @@ def check_identities(A: Algebra):
 
 def canonicalize(A: Algebra, B, seed) -> CanonReport:
     """The theorem's pipeline: check the preconditions, pick a maximal-rank
-    x0, and build the canonical basis, every claim read on it, then its
-    report (_report).
+    x0, and build the canonical basis, every claim read on it, as its
+    report (_build_basis).
 
     A's identity verdicts, decided once, give the anticommutation
     precondition and products_vanish, which is the Novikov identity once
@@ -476,11 +438,6 @@ def canonicalize(A: Algebra, B, seed) -> CanonReport:
     normalize_orientation refuses it first with forms.DegenerateFormError,
     a ValueError (exit 2 in the CLI), where canonical_basis, which takes B
     as it is, raises PreconditionError."""
-    return _report(*_pipeline(A, B, seed))
-
-
-def _pipeline(A: Algebra, B, seed):
-    """canonicalize up to the report: (x0, _build_basis's basis)."""
     check_identities(A)
     if B is None:
         _, B = nondegenerate_form(A, seed)
@@ -490,20 +447,19 @@ def _pipeline(A: Algebra, B, seed):
     if B.dim == A.dim:
         B = normalize_orientation(B)
     _check_form(A, B)
-    found = max_rank_element(A, seed)
-    return found[0], _build_basis(A, B, found)
+    return _build_basis(A, B, max_rank_element(A, seed))
 
 
 def theorem_check(A: Algebra, B: SymForm, seed) -> bool:
     """Whether the theorem's conclusions hold for A and the form B, that is
-    whether failed_conclusions finds none.  It runs canonicalize's pipeline
-    on integers and builds no report, so no rational.  B is required; a
+    whether failed_conclusions finds none in canonicalize's report, which
+    holds only integers, so no rational is built.  B is required; a
     missing form raises PreconditionError, and a degenerate one of A's
     dimension forms.DegenerateFormError, as in canonicalize."""
     if B is None:
         raise PreconditionError("a form is required")
-    _, basis = _pipeline(A, B, seed)
-    return not failed_conclusions(A, basis.k, basis.claims)
+    rep = canonicalize(A, B, seed)
+    return not failed_conclusions(A, rep.k, rep.claims)
 
 
 def failed_conclusions(A: Algebra, k, claims):

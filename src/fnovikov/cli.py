@@ -15,8 +15,8 @@ import json
 import os
 import sys
 
-from .scalars import rational_str
-from .exactlin import GenericPointError, Mat
+from .scalars import ratio_str, rational_str
+from .exactlin import GenericPointError
 from .algebra import check_fermionic, check_left_symmetric, check_novikov
 from .forms import nondegenerate_form
 from .canon import (
@@ -36,8 +36,8 @@ EXIT_PROPERTY_FAILED = 1
 EXIT_USAGE = 2
 
 
-def _mat_strs(M: Mat):
-    return [[rational_str(x) for x in row] for row in M.data]
+def _strs(pairs):
+    return [ratio_str(num, den) for num, den in pairs]
 
 
 def _emit(report, as_json):
@@ -100,21 +100,27 @@ def cmd_forms(args):
         report["nondegenerate_member"] = None
     else:
         np_, nm, _ = B.signature()
-        report["nondegenerate_member"] = _mat_strs(B.matrix)
+        Bi, db = B.int_matrix()
+        report["nondegenerate_member"] = [[ratio_str(x, db) for x in row] for row in Bi]
         report["type"] = [np_, nm]
     _emit(report, args.json)
     return EXIT_OK
 
 
 def _report_from_canon(rep: CanonReport):
+    n, k = len(rep.P), rep.k
+    none = ([0] * n, 1)
+    # d_forms[j][a][b] = R'_j[2a+1][2b] = c'[2b][j][2a+1]
+    prods = [[rep.prods.get((2 * b, j), none) for b in range(k)] for j in range(n)]
     return {
         "x0": [rational_str(x) for x in rep.x0],
-        "k": rep.k,
-        "P": _mat_strs(rep.P),
-        "pair_weights": [rational_str(w) for w in rep.pair_weights],
-        "signs": rep.signs,
-        "complement_diag": [rational_str(d) for d in rep.complement_diag],
-        "d_forms": [_mat_strs(d) for d in rep.d_forms],
+        "k": k,
+        "P": [[ratio_str(v[i], d) for v, d in rep.P] for i in range(n)],
+        "pair_weights": _strs(rep.pair_weights),
+        # every denominator is positive
+        "signs": [1 if w > 0 else -1 for w, _ in rep.pair_weights],
+        "complement_diag": _strs(rep.complement_diag),
+        "d_forms": [[_strs((v[2 * a + 1], t) for v, t in row) for a in range(k)] for row in prods],
         "claims": rep.claims,
     }
 

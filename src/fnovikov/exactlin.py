@@ -2,16 +2,17 @@
 linear pencils.
 
 Everything here is over exact rationals (see scalars.py).  Mat only
-holds the rationals of the reports; rank and signature scale it to
-Python ints over a common denominator on each call.  One integer
-elimination serves them: rows are kept primitive, their gcd divided out
-after each update.  rref reduces its rows as they are streamed in, at
-the free columns only, and stores only the pivot rows; rank counts its
-pivots, every kernel is read from it, and int_congruence keeps each row
-over its own scale the same way.  A vector, or a column of a basis
-change (scale_columns), scaled over its own denominator is an (ints,
-den) pair.  A linear pencil sum_t
-x_t M_t holds integer matrices M_t, since rank is scale-free; it is
+holds the rationals of the public entry points that take or give a
+matrix, such as SymForm.matrix and transport_basis's P; rank and
+signature scale it to Python ints over a common denominator on each
+call.  One integer elimination serves them: rows are kept primitive,
+their gcd divided out after each update.  rref reduces its rows as they
+are streamed in, at the free columns only, and stores only the pivot
+rows; rank counts its pivots, every kernel is read from it, and
+int_congruence keeps each row over its own scale the same way.  A
+vector, or a column of a basis change (scale_columns), scaled over its
+own denominator is an (ints, den) pair.  A linear pencil sum_t x_t M_t
+holds integer matrices M_t, since rank is scale-free; it is
 evaluated at integer points, and its generic rank over the fraction
 field comes from fraction-free (Bareiss) elimination on integer
 polynomial term dicts, where an exact division is cheaper than a
@@ -95,9 +96,9 @@ def is_symmetric(rows):
 
 
 class Mat:
-    """Dense row-major matrix over exact rationals: the container of the
-    reports and of SymForm.matrix, with no matrix arithmetic.  Treated as
-    immutable after construction."""
+    """Dense row-major matrix over exact rationals: the container of
+    SymForm.matrix and of the rational matrices the public functions take,
+    with no matrix arithmetic.  Treated as immutable after construction."""
 
     __slots__ = ("rows", "cols", "data")
 

@@ -27,7 +27,7 @@ import json
 import re
 from math import gcd, lcm
 
-from .scalars import QQ, rational_str
+from .scalars import ratio_str
 from .exactlin import is_symmetric
 from .algebra import Algebra
 from .forms import SymForm
@@ -195,13 +195,13 @@ def serialize(A: Algebra, form: SymForm | None = None, metadata=None) -> str:
     products = []
     for i, row in enumerate(C):
         for j, vec in enumerate(row):
-            terms = [[m + 1, rational_str(QQ(x, den))] for m, x in enumerate(vec) if x]
+            terms = [[m + 1, ratio_str(x, den)] for m, x in enumerate(vec) if x]
             if terms:
                 products.append([i + 1, j + 1, terms])
     doc = {"dim": A.dim, "products": products}
     if form is not None:
         Bi, db = form.int_matrix()
-        doc["form"] = [[rational_str(QQ(x, db)) for x in row] for row in Bi]
+        doc["form"] = [[ratio_str(x, db) for x in row] for row in Bi]
     if metadata:
         doc["metadata"] = metadata
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"

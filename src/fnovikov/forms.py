@@ -217,7 +217,10 @@ def find_nondegenerate(space, seed):
     is at most that of the n x n|S| block [M_t for t in S], which is at
     most the sum of the rank(M_t).  S is skipped when either bound is
     below n; every skipped candidate is singular, so the sweep returns
-    the same combination as trying them all.
+    the same combination as trying them all.  On a support it tries each
+    sign pattern once up to negation, the first sign +1: rank(-C) =
+    rank(C), and the full sweep meets every +1-first pattern before any
+    -1-first one, so it returns the same combination.
 
     The search reads only the members' int_matrix() pairs, so no rational
     is built.  The ranks read each member over its own scale, and a member
@@ -253,9 +256,10 @@ def find_nondegenerate(space, seed):
                 block = [[x for t in idxs for x in mats[t][i]] for i in range(n)]
                 if int_rank(block, n * support) < n:
                     continue
-                for signs in itertools.product((1, -1), repeat=support):
+                # each pattern up to negation, the first sign +1
+                for signs in itertools.product((1, -1), repeat=support - 1):
                     coeffs = [0] * d
-                    for t, sgn in zip(idxs, signs):
+                    for t, sgn in zip(idxs, (1, *signs)):
                         coeffs[t] = sgn
                     C = pencil.eval(coeffs)
                     if int_rank(C, n) == n:

@@ -129,10 +129,9 @@ class TestCanonicalBasis:
         A = make_family(1, 2)
         rep = canonical_basis(A, HYP2, basis_element(2, 0))
         assert rep.k == 1
-        assert rep.pair_weights == [ONE]
-        assert rep.signs == [1]
+        assert rep.pair_weights == [(1, 1)]
         assert rep.complement_diag == []
-        assert rep.P == Mat.identity(2)
+        assert rep.P == [([1, 0], 1), ([0, 1], 1)]
 
     def test_x0_of_wrong_length_refused(self):
         for x0 in ([ONE], [ONE, ONE, ONE]):
@@ -145,7 +144,7 @@ class TestCanonicalBasis:
         rep = canonical_basis(A, B, [QQ(0)] * 3)
         assert rep.k == 0
         assert len(rep.complement_diag) == 3
-        assert all(d != 0 for d in rep.complement_diag)
+        assert all(c != 0 for c, _ in rep.complement_diag)
 
     def test_scramble_preserves_k(self):
         for variant in (1, 2, 3):
@@ -280,10 +279,7 @@ class TestVerifyStructure:
         x0, _ = max_rank_element(A, seed=1)
         rep = canonical_basis(A, B, x0)
         # swap two basis columns of P
-        data = [row[:] for row in rep.P.data]
-        for row in data:
-            row[0], row[1] = row[1], row[0]
-        rep.P = Mat(data)
+        rep.P = [rep.P[1], rep.P[0], *rep.P[2:]]
         claims = verify_structure(A, B, rep)
         assert not claims["metric_canonical"] or not claims["rx0_canonical"]
 
@@ -301,7 +297,7 @@ class TestVerifyStructure:
             (A, B, rep),
             (Algebra(A.dim, as_fractions(A)), B, rep),
             (A, SymForm(Mat(B.matrix.data)), rep),
-            (A, B, dataclasses.replace(rep, P=Mat(rep.P.data))),
+            (A, B, dataclasses.replace(rep, P=[(list(v), d) for v, d in rep.P])),
         ]
         for i, (A2, B2, rep2) in enumerate(cases):
             assert verify_structure(A2, B2, rep2) == rep.claims
@@ -320,28 +316,40 @@ class TestVerifyStructure:
         rep.x0[:] = x0
         assert verify_structure(A, B, rep)["rx0_canonical"]
         # k comes with its k pair weights, as a report of rank 0 has none
-        rep = dataclasses.replace(rep, k=0, pair_weights=[], signs=[])
+        rep = dataclasses.replace(rep, k=0, pair_weights=[])
         assert not verify_structure(A, B, rep)["rx0_canonical"]
 
     @pytest.mark.parametrize("case", [
         "P_not_square", "P_singular", "x0_too_short", "k_above_weights", "weights_above_k",
-        "k_above_half",
+        "k_above_half", "column_too_short", "column_too_long", "column_zero_den",
+        "column_negative_den", "weight_zero_den", "complement_zero_den",
     ])
     def test_malformed_report_refused(self, case):
         # a report whose shape does not fit the algebra is refused by name,
         # never by a ValueError of the transport or the pencil, nor by an
-        # IndexError while the claims are read
+        # IndexError while the claims are read; nor, as its integer fields
+        # can hold a zero denominator where a Fraction cannot, by a
+        # ZeroDivisionError or a verdict
         A, B = family_with_form(2, 4)
         rep = canonical_basis(A, B, max_rank_element(A, seed=1)[0])
-        assert rep.k == 1
+        assert rep.k == 1 and len(rep.complement_diag) == 2
+        (v, d), *rest = rep.P
+        (w, _), = rep.pair_weights
+        (c, _), *cs = rep.complement_diag
         bad = {
-            "P_not_square": dict(P=Mat([row[:3] for row in rep.P.data])),
+            "P_not_square": dict(P=rep.P[:3]),
             # P's second column replaced by its first
-            "P_singular": dict(P=Mat([[row[0], row[0], *row[2:]] for row in rep.P.data])),
+            "P_singular": dict(P=[rep.P[0], rep.P[0], *rep.P[2:]]),
             "x0_too_short": dict(x0=rep.x0[:3]),
             "k_above_weights": dict(k=2),
             "weights_above_k": dict(pair_weights=rep.pair_weights * 2),
             "k_above_half": dict(k=3, pair_weights=rep.pair_weights * 3),
+            "column_too_short": dict(P=[(v[:-1], d), *rest]),
+            "column_too_long": dict(P=[(v + [1], d), *rest]),
+            "column_zero_den": dict(P=[(v, 0), *rest]),
+            "column_negative_den": dict(P=[(v, -d), *rest]),
+            "weight_zero_den": dict(pair_weights=[(w, 0)]),
+            "complement_zero_den": dict(complement_diag=[(c, 0), *cs]),
         }[case]
         with pytest.raises(PreconditionError, match="report/algebra mismatch"):
             verify_structure(A, B, dataclasses.replace(rep, **bad))
@@ -427,8 +435,9 @@ class TestTheoremCheck:
 
     def test_builds_no_rational(self, monkeypatch):
         # the verdict is read on the integer construction: no Fraction is
-        # built, by canon's QQ or otherwise, and no Mat, where the report
-        # took about 14 Fractions at dim 3; the verdict is the report's
+        # built and no Mat, by theorem_check or by canonicalize, whose
+        # report holds the construction's integers; the verdict is the
+        # report's
         rnd = random.Random(27)
         corpus = [(A, B, rnd.randrange(2**30)) for _, A, B in generate_corpus(2024, 30)]
         expected = []
@@ -437,14 +446,16 @@ class TestTheoremCheck:
             expected.append(all(rep.claims.values()) and A.derived_dim() == rep.k)
         assert all(expected)
         calls = []
-        real_qq, real_raw, real_new = canon.QQ, Mat._raw, Fraction.__new__
-        monkeypatch.setattr(canon, "QQ", lambda *a: calls.append(a) or real_qq(*a))
+        real_raw, real_new = Mat._raw, Fraction.__new__
         monkeypatch.setattr(Mat, "_raw", classmethod(lambda cls, *a: calls.append(a) or real_raw(*a)))
         monkeypatch.setattr(Fraction, "__new__", lambda cls, *a, **kw: calls.append(a) or real_new(cls, *a, **kw))
         got = [theorem_check(A, B, seed) for A, B, seed in corpus]
+        reports = [canonicalize(A, B, seed) for A, B, seed in corpus]
         monkeypatch.undo()
         assert calls == []
         assert got == expected
+        assert [not canon.failed_conclusions(A, rep.k, rep.claims)
+                for (A, _, _), rep in zip(corpus, reports)] == got
 
     def test_noninvariant_form_refused_before_the_rank_search(self, monkeypatch):
         # four scrambled copies of A3 (e3 e1 = -e2, e3 e3 = -e1), dim 12:

@@ -2,13 +2,14 @@ import hashlib
 import json
 import sys
 import time
+from fractions import Fraction
 from itertools import islice
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fnovikov import (Algebra, CanonError, GenericPointError, Mat, SymForm, make_family,
-                      nondegenerate_form, parse, serialize, theorem_check)
+                      nondegenerate_form, parse, scramble, serialize, theorem_check)
 from fnovikov import canon, cli, forms
 from fnovikov.fileio import MAX_DIM, MAX_SCALED_BITS
 from fnovikov.cli import main
@@ -268,6 +269,32 @@ class TestCanon:
         assert code == 1
         assert out == ""
         assert err == f"error: {error}\n"
+
+
+def test_outputs_build_no_rational(capsys, monkeypatch, tmp_path):
+    # canon and forms, in both modes, and serialize print every rational
+    # from its integer numerator and denominator through one formatter,
+    # so from the parsed file to the printed report no Fraction and no
+    # Mat is built; the scrambled file has rational entries and its
+    # form-less copy makes canon search for the form
+    A, B, _ = scramble(make_family(2, 4), nondegenerate_form(make_family(2, 4), 1)[1], 3)
+    form, formless = tmp_path / "form.json", tmp_path / "formless.json"
+    form.write_text(serialize(A, form=B))
+    formless.write_text(serialize(A))
+    commands = [[cmd, "--input", str(path), *mode] for cmd in ("canon", "forms")
+                for path in (form, formless) for mode in ((), ("--json",))]
+    expected = [run(capsys, *argv) for argv in commands]
+    A, B, _ = parse(form.read_text())
+    calls = []
+    real_raw, real_new = Mat._raw, Fraction.__new__
+    monkeypatch.setattr(Mat, "_raw", classmethod(lambda cls, *a: calls.append(a) or real_raw(*a)))
+    monkeypatch.setattr(Fraction, "__new__", lambda cls, *a, **kw: calls.append(a) or real_new(cls, *a, **kw))
+    got = [run(capsys, *argv) for argv in commands]
+    text = serialize(A, form=B)
+    monkeypatch.undo()
+    assert calls == []
+    assert got == expected and all(code == 0 for code, _, _ in got)
+    assert text == form.read_text()
 
 
 class TestClassify:

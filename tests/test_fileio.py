@@ -6,7 +6,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fnovikov import fileio
 from fnovikov import (
@@ -25,7 +25,7 @@ from fnovikov import (
     scramble,
     serialize,
 )
-from fnovikov.scalars import QQ
+from fnovikov.scalars import QQ, ratio_str, rational_str
 
 from test_integer_kernel import as_fractions
 
@@ -311,6 +311,25 @@ class TestRoundTrip:
         text = serialize(A)
         assert "0.3" not in text
         assert '"1/3"' in text
+
+
+# small integers, and integers of up to 700 bits
+formatter_ints = st.integers(-50, 50) | st.integers(-2**700, 2**700)
+
+
+@given(formatter_ints, formatter_ints.filter(bool))
+@example(0, 1)
+@example(0, -7)
+@example(-12, -8)
+@example(6 * 3**400, -4 * 3**400)
+@example(-(2**521 - 1), 2**607 - 1)
+def test_ratio_str_is_fraction_str(num, den):
+    # the one formatter of every output prints num / den from its
+    # integers as str(Fraction(num, den)) does: in lowest terms, with a
+    # positive denominator, and "p" for an integer; rational_str reads a
+    # Fraction's own pair
+    expected = str(QQ(num, den))
+    assert ratio_str(num, den) == expected == rational_str(QQ(num, den))
 
 
 rationals = st.builds(QQ, st.integers(-30, 30), st.integers(1, 12))

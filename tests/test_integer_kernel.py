@@ -62,6 +62,11 @@ def as_fractions(A):
     return [[[Fraction(x, den) for x in vec] for vec in row] for row in C]
 
 
+def p_matrix(rep):
+    """The report's P as a Fraction Mat, from its (ints, den) columns."""
+    return Mat([[Fraction(v[i], d) for v, d in rep.P] for i in range(len(rep.P))])
+
+
 def ref_right_ops(A):
     """R_{e_j} for each j, as Fraction matrices R[m][i] = c[i][j][m], with
     the structure constants converted once."""
@@ -426,8 +431,8 @@ def test_products_vanish_sees_one_nonzero_product():
     for ij, D in single.items():
         assert ref_nonzero_products(D) == [ij]
     P = Mat([[1, QQ(1, 2), 0], [0, 1, QQ(-2, 3)], [2, 0, 1]])
-    rep = CanonReport(x0=[QQ(0)] * 3, k=0, P=P, pair_weights=[], signs=[],
-                      complement_diag=[QQ(1)] * 3, d_forms=[], claims={})
+    rep = CanonReport(x0=[0] * 3, k=0, P=scale_columns(P), pair_weights=[],
+                      complement_diag=[(1, 1)] * 3, prods={}, claims={})
     cases = [(D, False) for D in single.values()] + [(Algebra.zero(3), True)]
     for algebra, vanish in cases:
         # transported back by P in verify_structure, A is `algebra` again
@@ -639,8 +644,8 @@ def test_direct_sum_with_half_dimensional_derived_algebra():
     rep = canonicalize(A, B, 1)
     assert rep.k == 4 and all(rep.claims.values())
     assert verify_structure(A, normalize_orientation(B), rep) == rep.claims
-    new, newB = transport_basis(A, B, rep.P)
-    c, b = ref_transport(A, B, rep.P)
+    new, newB = transport_basis(A, B, p_matrix(rep))
+    c, b = ref_transport(A, B, p_matrix(rep))
     assert as_fractions(new) == c and newB.matrix.data == b
     assert theorem_check(A, B, seed=1)
 
@@ -653,7 +658,7 @@ def test_each_claim_reads_its_own_block():
     rep = canonicalize(A, B, 1)
     n, k = A.dim, rep.k
     assert k == 2 and n > 2 * k
-    new, newB = transport_basis(A, normalize_orientation(B), rep.P)
+    new, newB = transport_basis(A, normalize_orientation(B), p_matrix(rep))
 
     def claims(c):
         # the rational transport handed over as transport_columns gives
@@ -664,10 +669,9 @@ def test_each_claim_reads_its_own_block():
         prods = {(i, j): scale_vector(vec) for i, row in enumerate(c)
                  for j, vec in enumerate(row) if any(vec)}
         form = [[(x.numerator, x.denominator) for x in row] for row in newB.matrix.data]
-        return canon._read_claims(A, canon._int_right_op(A, rep.x0), scale_columns(rep.P),
-                                  (prods, form), k,
-                                  [(3 * q.numerator, 3 * q.denominator) for q in rep.pair_weights],
-                                  [(q.numerator, q.denominator) for q in rep.complement_diag])
+        return canon._read_claims(A, canon._int_right_op(A, rep.x0), rep.P, (prods, form), k,
+                                  [(3 * wn, 3 * wd) for wn, wd in rep.pair_weights],
+                                  rep.complement_diag)
 
     assert claims(as_fractions(new)) == rep.claims
     breaks = {
@@ -911,23 +915,23 @@ def test_metric_transport_matches_elimination(monkeypatch):
     lower = 0
     for i, (A, B) in enumerate(cases):
         B, n = normalize_orientation(B), A.dim
-        x0, _ = canon._pipeline(A, B, i)
+        x0 = canonicalize(A, B, i).x0
         for point in [x0] + ([[0] * n, [int(t == 0) for t in range(n)]] if n else []):
             read.clear()
-            basis = canon._build_basis(A, B, generic_point_at(A, point))
+            rep = canon._build_basis(A, B, generic_point_at(A, point))
             (_, _, cols, (prods, form), *_), = read
             if i == 0 and point is x0:
                 # the first corpus instance has a negative pair weight and
                 # a negative complement entry
-                assert negative(basis.weights) and negative(basis.comp_diag)
-            lower += basis.k < A.derived_dim()
-            assert cols == basis.cols and prods is basis.prods
+                assert negative(rep.pair_weights) and negative(rep.complement_diag)
+            lower += rep.k < A.derived_dim()
+            assert cols == rep.P and prods is rep.prods
             ref_prods, ref_form = classify.transport_columns(A, B, cols)
             assert {ij: [Fraction(x, t) for x in v] for ij, (v, t) in prods.items()} == {
                 ij: [Fraction(x, t) for x in v] for ij, (v, t) in ref_prods.items()}
             assert [[Fraction(*e) for e in row] for row in form] == [[Fraction(*e) for e in row]
                                                                        for row in ref_form]
-            assert verify_structure(A, B, canon._report(point, basis)) == basis.claims
+            assert verify_structure(A, B, rep) == rep.claims
     assert lower > len(cases)
 
 
@@ -2200,6 +2204,40 @@ def test_sweep_skips_supports_that_cannot_be_nonsingular(monkeypatch):
     B = find_nondegenerate(space, seed=0)
     assert B is not None and B.is_nondegenerate()
     assert len(calls) <= 100
+
+
+def test_sweep_tries_each_sign_pattern_up_to_negation(monkeypatch):
+    # rank(-C) = rank(C), so the sweep fixes the first sign of every
+    # support to +1: no combination it evaluates starts with -1, while it
+    # does evaluate patterns with a later -1.  The unscrambled families'
+    # members have low rank, so their sweeps run to supports 2-3; the rank
+    # search's own points are not the sweep's and are not recorded
+    cases = [make_family(v, n) for v in (1, 2, 3) for n in range(max(3, v + 1), 6)]
+    spaces = [invariant_form_space(A) for A in cases + k2_draws(34, (5, 6))]
+    evals, searching = [], []
+    real_eval, real_search = Pencil.eval, forms.find_generic_point
+
+    def evaluate(M, point):
+        if not searching:
+            evals.append(list(point))
+        return real_eval(M, point)
+
+    def search(M, seed):
+        searching.append(seed)
+        try:
+            return real_search(M, seed)
+        finally:
+            searching.pop()
+
+    monkeypatch.setattr(Pencil, "eval", evaluate)
+    monkeypatch.setattr(forms, "find_generic_point", search)
+    found = [find_nondegenerate(space, seed) for seed, space in enumerate(spaces)]
+    monkeypatch.undo()
+    assert {next(x for x in point if x) for point in evals} == {1}
+    assert any(-1 in point for point in evals)
+    # the same forms as the full sweep of the reference
+    assert [B.matrix.data for B in found] == [ref_find_nondegenerate(space, seed)
+                                              for seed, space in enumerate(spaces)]
 
 
 def test_no_nondegenerate_form_on_witness_sums_above_dim_4():
