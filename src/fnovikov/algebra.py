@@ -382,20 +382,32 @@ def search_fermionic_not_novikov():
 
     Two anticommuting square-zero operators with nonzero product need at
     least a 4-dimensional space, where they act like exterior
-    multiplications on Lambda(R^2).  The search therefore enumerates all
-    maps phi: A -> span(v1, v2) with coordinates in {-1, 0, 1}, with the
-    product y x = y ^ phi(x), and runs the left-symmetry and commutation
-    passes on each candidate's integer tensor.  Only a witness is built as
-    an Algebra, and it decides its identities afresh on its own tensor.
-    Yields witnesses.
+    multiplications on Lambda(R^2).  The search therefore tries maps phi:
+    A -> span(v1, v2) with coordinates in {-1, 0, 1}, phi(e_j) = a_j v1 +
+    b_j v2 = phi[j] on the basis e0 = 1, e1 = v1, e2 = v2, e3 = v1^v2, with
+    the product y x = y ^ phi(x), so L_y = (y ^) phi and L_1 = phi.
+    R_x R_y != 0 needs phi of rank 2, and then left-symmetry, L_{xy - yx}
+    = [L_x, L_y], forces two conditions at x = 1:
+    - phi(v1^v2) = 0: at y = v1^v2, y 1 = 0 and L_y = 0, so phi(v1^v2) ^
+      phi(z) = 0 for every z, and phi has rank 2;
+    - a1 + b2 = 0: at y = v1 or v2, with phi(v1^v2) = 0, the identity
+      reads (a1 + b2) phi(e_j) = 0 for every j, and phi != 0.
+    So it enumerates only phi[3] = (0, 0), in the order of the full grid,
+    and examines 243 candidates instead of 6561; 210 have rank 2.  Both
+    conditions are necessary only: each rank-2 survivor runs the
+    left-symmetry and commutation passes on its integer tensor.  Only a
+    witness is built as an Algebra, and it decides its identities afresh
+    on its own tensor.  Yields witnesses.
     """
-    for phi in itertools.product(_WEDGE_BY, repeat=4):
-        # R_x R_y != 0 needs phi of rank 2; cheap prefilter
+    for head in itertools.product(_WEDGE_BY, repeat=3):
+        phi = (*head, (0, 0))
+        # left-symmetry forces a1 + b2 = 0, and R_x R_y != 0 needs phi of
+        # rank 2; cheap prefilters
+        if phi[1][0] + phi[2][1]:
+            continue
         if not any(p[0] * q[1] - p[1] * q[0] for pi, p in enumerate(phi) for q in phi[pi + 1:]):
             continue
         C, right = _wedge_tensor(phi)
-        # every rank-2 candidate anticommutes and few are left-symmetric,
-        # so left-symmetry rejects them soonest
         if not _left_symmetric(C, _WEDGE_ROWS, right):
             continue
         fermionic, novikov = _commutation(_WEDGE_BASIS, right)

@@ -566,6 +566,112 @@ def test_search_builds_an_algebra_per_witness_only(monkeypatch):
     assert digest == "40044c2fb5b3e7e33eb310aff2b411d8cb2e593c3823415dc53deb10f3883d9d"
 
 
+def test_search_filters_are_necessary(monkeypatch):
+    # on the full {-1, 0, 1} grid, every rank-2 phi that the left-symmetry
+    # pass accepts has phi(v1^v2) = 0 and a1 + b2 = 0, and the search hands
+    # the passes exactly the rank-2 phi that meet both, in grid order: a
+    # condition dropped or weakened adds candidates, a wrong one loses an
+    # accepted phi
+    rank2 = [phi for phi in itertools.product(algebra._WEDGE_BY, repeat=4)
+             if any(p[0] * q[1] - p[1] * q[0] for p in phi for q in phi)]
+    accepted = []
+    for phi in rank2:
+        C, right = algebra._wedge_tensor(phi)
+        if algebra._left_symmetric(C, algebra._WEDGE_ROWS, right):
+            accepted.append(phi)
+    necessary = [phi for phi in rank2 if phi[3] == (0, 0) and phi[1][0] + phi[2][1] == 0]
+    assert (len(rank2), len(accepted), len(necessary)) == (6240, 210, 210)
+    assert set(accepted) <= set(necessary)
+    symmetric, _ = _count_passes(monkeypatch)
+    assert len(list(search_fermionic_not_novikov())) == 210
+    # phi(e_j) = e_0 e_j, read at v1 and v2
+    assert [tuple((vec[1], vec[2]) for vec in C[0]) for C, _, _ in symmetric] == necessary
+
+
+def test_search_runs_each_pass_once_per_rank2_survivor(monkeypatch):
+    # 243 candidates pass the two conditions, 210 of them of rank 2, and
+    # only those run the left-symmetry and commutation passes (6240 and 210
+    # calls when every rank-2 phi of the grid ran them)
+    symmetric, commutations = _count_passes(monkeypatch)
+    assert len(list(search_fermionic_not_novikov())) == 210
+    assert (len(symmetric), len(commutations)) == (210, 210)
+
+
+def test_derived_cube_lies_in_the_radical_of_every_invariant_form():
+    # beyond the paper: on a fermionic left-symmetric algebra, (AA)A lies in
+    # rad B for every invariant symmetric form B, degenerate or not.  The
+    # members of invariant_form_space are a basis of the forms, so each must
+    # kill every w = f_a e_j, with f_a the rows of derived_basis()'s F; read
+    # on integers, on all 210 witnesses, where every form is degenerate, and
+    # on scrambled W + family 2 and W + family 3 for the first 30 (dims 6-7)
+    found = witnesses(210)
+    sums = [scramble(direct_sum(W, make_family(v, v)), None, i)[0]
+            for i, W in enumerate(found[:30]) for v in (2, 3)]
+    for A in found + sums:
+        n = A.dim
+        C, _ = A.int_tensor()
+        _, F, _ = A.derived_basis()
+        cube = [w for f in F for j in range(n)
+                if any(w := [sum(f[t] * C[t][j][m] for t in range(n)) for m in range(n)])]
+        members = invariant_form_space(A)
+        # not Novikov, so (AA)A != 0, and the form space is not empty
+        assert cube and members
+        for B in members:
+            Bi, _ = B.int_matrix()
+            assert not any(sum(map(mul, row, w)) for row in Bi for w in cube)
+
+
+def skew_invariant_forms(A):
+    """Basis of the skew matrices B, B^T = -B, with R_j^T B = B R_j for
+    every j, as integer matrices: a test-only solver over the unknowns
+    B[u][v], u < v.  Entry (r, s) of R_j^T B - B R_j is sum_m C[r][j][m]
+    B[m][s] - B[r][m] C[s][j][m]."""
+    n = A.dim
+    C, _ = A.int_tensor()
+    pairs = list(itertools.combinations(range(n), 2))
+    index = {uv: x for x, uv in enumerate(pairs)}
+
+    def equation(j, r, s):
+        row = [0] * len(pairs)
+        for m in range(n):
+            for (u, v), c in (((m, s), C[r][j][m]), ((r, m), -C[s][j][m])):
+                if c and u != v:
+                    row[index[min(u, v), max(u, v)]] += c if u < v else -c
+        return row
+
+    z, pivots = rref((equation(*jrs) for jrs in itertools.product(range(n), repeat=3)), len(pairs))
+    forms = []
+    for ints, _ in rref_kernel(z, pivots, len(pairs)):
+        B = [[0] * n for _ in range(n)]
+        for (u, v), x in zip(pairs, ints):
+            B[u][v], B[v][u] = x, -x
+        forms.append(B)
+    return forms
+
+
+def test_symmetry_hypothesis_cannot_be_dropped():
+    # each witness is fermionic and left-symmetric, not Novikov, yet has a
+    # nondegenerate invariant skew form, unique up to scale: the theorem
+    # needs the form symmetric.  Invariance is checked through
+    # Algebra.multiply as B(x e_j, y) = B(x, y e_j) on basis vectors
+    found = witnesses(210)
+    for W in found:
+        n = W.dim
+        forms = skew_invariant_forms(W)
+        assert len(forms) == 1
+        B = forms[0]
+        assert len(rref(B, n)[1]) == n
+        basis = [[QQ(int(t == u)) for t in range(n)] for u in range(n)]
+
+        def pair(x, y):
+            return sum(xr * sum(map(mul, row, y)) for xr, row in zip(x, B) if xr)
+
+        assert all(pair(W.multiply(x, e), y) == pair(x, W.multiply(y, e))
+                   for x in basis for y in basis for e in basis)
+    # the first witness's form is antidiagonal, of determinant 1
+    assert skew_invariant_forms(found[0]) == [[[0, 0, 0, -1], [0, 0, 1, 0], [0, -1, 0, 0], [1, 0, 0, 0]]]
+
+
 @st.composite
 def transport_cases(draw):
     """(A, rows of P, forced): an algebra of sparse_algebras() and a
