@@ -213,20 +213,18 @@ class Algebra:
         return self._identities
 
 
-# The identity passes run on an integer structure tensor C, int_tensor() or
-# a witness candidate's: every identity is homogeneous in the structure
-# constants, so scaling them to integers keeps each verdict.  Every term
-# of every identity is a product, so it lies in AA, and each pass reads
-# only coordinates onto which AA projects injectively: derived_pivots(),
-# k = dim AA of them, and for the commutation pass derived_basis()'s F,
-# unless the caller knows such coordinates, and a basis there, without an
-# elimination.  Whether every R_j kills AA is read on all n of them, in
-# k^2 n^2 multiply-adds, with no elimination.  The commutation pass runs
-# on the independent operators of a family, which _independent finds in
-# one rref of k n rows of n entries: on the rho kept R_j, which it reads
-# only when some product is nonzero, it costs rho^2 k^2 n multiply-adds,
-# and on the kept L_x rho k^2 n when every product vanishes; the witness
-# search passes all four R_j.  The general left-symmetry pass costs k n^4,
+# The identity passes run on int_tensor()'s integer structure tensor C:
+# every identity is homogeneous in the structure constants, so scaling
+# them to integers keeps each verdict.  Every term of every identity is a
+# product, so it lies in AA, and each pass reads only coordinates onto
+# which AA projects injectively: derived_pivots(), k = dim AA of them, and
+# for the commutation pass derived_basis()'s F.  Whether every R_j kills
+# AA is read on all n of them, in k^2 n^2 multiply-adds, with no
+# elimination.  The commutation pass runs on the independent operators of
+# a family, which _independent finds in one rref of k n rows of n entries:
+# on the rho kept R_j, which it reads only when some product is nonzero,
+# it costs rho^2 k^2 n multiply-adds, and on the kept L_x rho k^2 n when
+# every product vanishes.  The general left-symmetry pass costs k n^4,
 # not n^5.
 
 
@@ -358,22 +356,16 @@ def commutator_check(A: Algebra) -> bool:
 # The values a v1 + b v2 of phi(e_j) that the search tries, and the wedge
 # by each on Lambda(R^2), with basis 1, v1, v2, v1^v2: _WEDGE_BY[a, b][i] =
 # e_i ^ (a v1 + b v2), the column C[i][j] of every candidate with phi(e_j)
-# = (a, b).  No wedge has a part along 1, so every candidate's AA lies in
-# span(v1, v2, v1^v2): the checks read the rows _WEDGE_ROWS with no
-# elimination, the commutation pass with the unit rows there as its basis,
-# and _WEDGE_RIGHT[p] holds those rows of the wedge by p.
+# = (a, b).
 _WEDGE_BY = {(a, b): [[0, a, b, 0], [0, 0, 0, b], [0, 0, 0, -a], [0, 0, 0, 0]]
              for a in (-1, 0, 1) for b in (-1, 0, 1)}
-_WEDGE_ROWS = (1, 2, 3)
-_WEDGE_BASIS = [[int(t == m) for t in range(4)] for m in _WEDGE_ROWS]
-_WEDGE_RIGHT = {p: [[col[m] for col in cols] for m in _WEDGE_ROWS] for p, cols in _WEDGE_BY.items()}
 
 
 def _wedge_tensor(phi):
-    """(C, right) of the candidate y x = y ^ phi(x), phi(e_j) = phi[j]: its
-    integer structure tensor, linear in phi, and _int_right_ops(C,
-    _WEDGE_ROWS).  The lists are shared between candidates; never mutate."""
-    return [[_WEDGE_BY[p][i] for p in phi] for i in range(4)], [_WEDGE_RIGHT[p] for p in phi]
+    """The integer structure tensor of the candidate y x = y ^ phi(x),
+    phi(e_j) = phi[j], linear in phi.  Its lists are shared between
+    candidates; never mutate."""
+    return [[_WEDGE_BY[p][i] for p in phi] for i in range(4)]
 
 
 def search_fermionic_not_novikov():
@@ -384,35 +376,34 @@ def search_fermionic_not_novikov():
     least a 4-dimensional space, where they act like exterior
     multiplications on Lambda(R^2).  The search therefore tries maps phi:
     A -> span(v1, v2) with coordinates in {-1, 0, 1}, phi(e_j) = a_j v1 +
-    b_j v2 = phi[j] on the basis e0 = 1, e1 = v1, e2 = v2, e3 = v1^v2, with
-    the product y x = y ^ phi(x), so L_y = (y ^) phi and L_1 = phi.
-    R_x R_y != 0 needs phi of rank 2, and then left-symmetry, L_{xy - yx}
-    = [L_x, L_y], forces two conditions at x = 1:
-    - phi(v1^v2) = 0: at y = v1^v2, y 1 = 0 and L_y = 0, so phi(v1^v2) ^
-      phi(z) = 0 for every z, and phi has rank 2;
-    - a1 + b2 = 0: at y = v1 or v2, with phi(v1^v2) = 0, the identity
-      reads (a1 + b2) phi(e_j) = 0 for every j, and phi != 0.
+    b_j v2 = phi[j] on the basis e0 = 1, e1 = v1, e2 = v2, e3 = w = v1^v2,
+    with the product y x = y ^ phi(x), so L_y = (y ^) phi and L_1 = phi.
+    Let M be the 2 x 2 block of phi on span(v1, v2), of trace a1 + b2.  A
+    candidate is a witness exactly when phi has rank 2, phi(w) = 0 and
+    a1 + b2 = 0:
+    - R_x R_y z = z ^ phi(y) ^ phi(x), so the R_x always anticommute, and
+      they fail to commute exactly when phi has rank 2 (take z = 1);
+    - left-symmetry, L_{xy - yx} = [L_x, L_y], is antisymmetric in x, y.
+      For x, y of degree >= 1 both sides vanish once phi(w) = 0: (xy -
+      yx) ^ phi(z) has degree >= 3, and y ^ phi(z) lies in Q w, which phi
+      kills.  So only x = 1 is left;
+    - at x = 1 and y = w, where w 1 = 0 and L_w = 0, it reads phi(w) ^
+      phi(z) = 0 for every z: with phi of rank 2, phi(w) = 0;
+    - at x = 1 and y = v in the plane, with phi(w) = 0, it reads M v ^
+      phi(z) + v ^ M phi(z) = tr(M) v ^ phi(z) = 0 for every v and z: with
+      phi != 0, a1 + b2 = 0.
     So it enumerates only phi[3] = (0, 0), in the order of the full grid,
-    and examines 243 candidates instead of 6561; 210 have rank 2.  Both
-    conditions are necessary only: each rank-2 survivor runs the
-    left-symmetry and commutation passes on its integer tensor.  Only a
+    skips a1 + b2 != 0 and rank below 2, and runs no identity pass: 243 of
+    the 6561 candidates are examined and 210 are witnesses.  Only a
     witness is built as an Algebra, and it decides its identities afresh
     on its own tensor.  Yields witnesses.
     """
     for head in itertools.product(_WEDGE_BY, repeat=3):
         phi = (*head, (0, 0))
-        # left-symmetry forces a1 + b2 = 0, and R_x R_y != 0 needs phi of
-        # rank 2; cheap prefilters
         if phi[1][0] + phi[2][1]:
             continue
-        if not any(p[0] * q[1] - p[1] * q[0] for pi, p in enumerate(phi) for q in phi[pi + 1:]):
-            continue
-        C, right = _wedge_tensor(phi)
-        if not _left_symmetric(C, _WEDGE_ROWS, right):
-            continue
-        fermionic, novikov = _commutation(_WEDGE_BASIS, right)
-        if fermionic and not novikov:
-            yield Algebra.from_ints(C, 1)
+        if any(p[0] * q[1] - p[1] * q[0] for pi, p in enumerate(phi) for q in phi[pi + 1:]):
+            yield Algebra.from_ints(_wedge_tensor(phi), 1)
 
 
 def search_breaking_mutation(A: Algebra):

@@ -10,7 +10,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -510,27 +510,39 @@ def wedge_algebra(phi):
     return Algebra(4, c)
 
 
+# No wedge has a part along 1, so every wedge candidate's AA lies in
+# span(v1, v2, v1^v2): the passes read it at e_1, e_2, e_3, with the unit
+# rows there as the commutation pass's basis, and need no elimination
+WEDGE_ROWS = (1, 2, 3)
+WEDGE_BASIS = [[int(t == m) for t in range(4)] for m in WEDGE_ROWS]
+
+
+def wedge_passes(phi):
+    """(left-symmetric, fermionic, Novikov) of the wedge candidate phi, from
+    the left-symmetry and commutation passes on its integer tensor."""
+    C = algebra._wedge_tensor(phi)
+    right = algebra._int_right_ops(C, WEDGE_ROWS)
+    return (algebra._left_symmetric(C, WEDGE_ROWS, right), *algebra._commutation(WEDGE_BASIS, right))
+
+
 def test_wedge_candidate_passes_match_reference():
-    # the witness search runs the left-symmetry and commutation passes on
-    # each candidate's integer tensor, the latter with the unit rows at
-    # e_1, e_2, e_3 as its basis, never on an Algebra: a seeded sample of
-    # its {-1, 0, 1} grid,
-    # rank-deficient phi included (the zero map is the one sure to be
-    # Novikov), and the phi of the first 20 witnesses (e_0 = 1, so phi(e_j)
-    # is read off e_0 e_j)
+    # the passes on a wedge candidate's integer tensor, read at e_1, e_2,
+    # e_3, agree with the brute-force identities: a seeded sample of the
+    # {-1, 0, 1} grid, rank-deficient phi included (the zero map is the one
+    # sure to be Novikov), and the phi of the first 20 witnesses (e_0 = 1,
+    # so phi(e_j) is read off e_0 e_j)
     grid = list(itertools.product(algebra._WEDGE_BY, repeat=4))
     phis = random.Random(19).sample(grid, 200) + [((0, 0),) * 4]
     phis += [tuple((int(c[0][j][1]), int(c[0][j][2])) for j in range(4))
              for c in map(as_fractions, witnesses(20))]
     verdicts, low_rank = set(), 0
     for phi in phis:
-        C, right = algebra._wedge_tensor(phi)
+        C = algebra._wedge_tensor(phi)
         A = wedge_algebra(phi)
         assert C == A.int_tensor()[0]
-        assert right == algebra._int_right_ops(C, algebra._WEDGE_ROWS)
-        assert algebra._WEDGE_BASIS == [[int(t == m) for t in range(4)] for m in (1, 2, 3)]
-        got = (algebra._left_symmetric(C, algebra._WEDGE_ROWS, right),
-               *algebra._commutation(algebra._WEDGE_BASIS, right))
+        # no product has a part along e_0 = 1
+        assert not any(vec[0] for row in C for vec in row)
+        got = wedge_passes(phi)
         assert got == (ref_left_symmetric(A), ref_right_products(A, 1), ref_right_products(A, -1))
         verdicts.add(got)
         low_rank += not any(p[0] * q[1] - p[1] * q[0] for p in phi for q in phi)
@@ -566,35 +578,34 @@ def test_search_builds_an_algebra_per_witness_only(monkeypatch):
     assert digest == "40044c2fb5b3e7e33eb310aff2b411d8cb2e593c3823415dc53deb10f3883d9d"
 
 
-def test_search_filters_are_necessary(monkeypatch):
-    # on the full {-1, 0, 1} grid, every rank-2 phi that the left-symmetry
-    # pass accepts has phi(v1^v2) = 0 and a1 + b2 = 0, and the search hands
-    # the passes exactly the rank-2 phi that meet both, in grid order: a
-    # condition dropped or weakened adds candidates, a wrong one loses an
-    # accepted phi
-    rank2 = [phi for phi in itertools.product(algebra._WEDGE_BY, repeat=4)
-             if any(p[0] * q[1] - p[1] * q[0] for p in phi for q in phi)]
-    accepted = []
-    for phi in rank2:
-        C, right = algebra._wedge_tensor(phi)
-        if algebra._left_symmetric(C, algebra._WEDGE_ROWS, right):
-            accepted.append(phi)
-    necessary = [phi for phi in rank2 if phi[3] == (0, 0) and phi[1][0] + phi[2][1] == 0]
-    assert (len(rank2), len(accepted), len(necessary)) == (6240, 210, 210)
-    assert set(accepted) <= set(necessary)
-    symmetric, _ = _count_passes(monkeypatch)
-    assert len(list(search_fermionic_not_novikov())) == 210
-    # phi(e_j) = e_0 e_j, read at v1 and v2
-    assert [tuple((vec[1], vec[2]) for vec in C[0]) for C, _, _ in symmetric] == necessary
+def test_search_conditions_are_necessary_and_sufficient():
+    # on the full {-1, 0, 1} grid, with the passes as the oracle: every
+    # phi is fermionic, it fails to be Novikov exactly when it has rank 2,
+    # and a rank-2 phi is left-symmetric exactly when phi(v1^v2) = 0 and
+    # a1 + b2 = 0.  So the witnesses, the phi whose passes give (True,
+    # True, False), are the 210 that meet both conditions, and the search
+    # yields their tensors in grid order: a condition dropped or weakened
+    # adds a witness, a wrong one loses one
+    verdicts = {phi: wedge_passes(phi) for phi in itertools.product(algebra._WEDGE_BY, repeat=4)}
+    rank2 = [phi for phi in verdicts if any(p[0] * q[1] - p[1] * q[0] for p in phi for q in phi)]
+    assert len(verdicts) == 6561 and len(rank2) == 6240
+    assert all(fermionic for _, fermionic, _ in verdicts.values())
+    assert {phi for phi, (_, _, novikov) in verdicts.items() if not novikov} == set(rank2)
+    accepted = [phi for phi, got in verdicts.items() if got == (True, True, False)]
+    conditions = [phi for phi in rank2 if phi[3] == (0, 0) and phi[1][0] + phi[2][1] == 0]
+    assert accepted == conditions and len(accepted) == 210
+    found = list(search_fermionic_not_novikov())
+    assert [W.int_tensor() for W in found] == [(algebra._wedge_tensor(phi), 1) for phi in conditions]
 
 
-def test_search_runs_each_pass_once_per_rank2_survivor(monkeypatch):
-    # 243 candidates pass the two conditions, 210 of them of rank 2, and
-    # only those run the left-symmetry and commutation passes (6240 and 210
-    # calls when every rank-2 phi of the grid ran them)
+def test_search_runs_no_identity_pass(monkeypatch):
+    # the two conditions and rank 2 decide each of the 243 candidates, so
+    # neither the left-symmetry nor the commutation pass runs (210 calls
+    # each when every rank-2 survivor ran them, 6240 and 210 before the
+    # conditions)
     symmetric, commutations = _count_passes(monkeypatch)
     assert len(list(search_fermionic_not_novikov())) == 210
-    assert (len(symmetric), len(commutations)) == (210, 210)
+    assert (len(symmetric), len(commutations)) == (0, 0)
 
 
 def test_derived_cube_lies_in_the_radical_of_every_invariant_form():
@@ -603,10 +614,12 @@ def test_derived_cube_lies_in_the_radical_of_every_invariant_form():
     # members of invariant_form_space are a basis of the forms, so each must
     # kill every w = f_a e_j, with f_a the rows of derived_basis()'s F; read
     # on integers, on all 210 witnesses, where every form is degenerate, and
-    # on scrambled W + family 2 and W + family 3 for the first 30 (dims 6-7)
+    # on scrambled sums W + N for the first 30 (dims 6-7), with N family 2,
+    # family 3, family 1, one plane and A3
     found = witnesses(210)
-    sums = [scramble(direct_sum(W, make_family(v, v)), None, i)[0]
-            for i, W in enumerate(found[:30]) for v in (2, 3)]
+    partners = [make_family(2, 2), make_family(3, 3), make_family(1, 2), planes_sum(1), a3_sum(None)]
+    sums = [scramble(direct_sum(W, N), None, i)[0] for i, W in enumerate(found[:30]) for N in partners]
+    assert {A.dim for A in sums} == {6, 7}
     for A in found + sums:
         n = A.dim
         C, _ = A.int_tensor()
@@ -670,6 +683,52 @@ def test_symmetry_hypothesis_cannot_be_dropped():
                    for x in basis for y in basis for e in basis)
     # the first witness's form is antidiagonal, of determinant 1
     assert skew_invariant_forms(found[0]) == [[[0, 0, 0, -1], [0, 0, 1, 0], [0, -1, 0, 0], [1, 0, 0, 0]]]
+
+
+def kron(X, Y):
+    """The Kronecker product of integer matrices X and Y."""
+    return [[x * y for x in row for y in yrow] for row in X for yrow in Y]
+
+
+def matmul(X, Y):
+    """The product of integer matrices X and Y."""
+    return [[sum(map(mul, row, col)) for col in zip(*Y)] for row in X]
+
+
+def test_left_symmetry_hypothesis_cannot_be_dropped_at_dim_8():
+    # ROADMAP item 6 at m = 1: on V = Lambda(a, b) (x) Q^2, with (x) the
+    # tensor product and Lambda's basis 1, a, b, ab, R_1 = L_a (x) I and
+    # R_2 = L_b (x) I are self-adjoint for B = B_Lambda (x) omega, with
+    # B_Lambda(u, v) = top(u* v), * the reversion fixing a and b, and omega
+    # symplectic.  Every phi: V ->
+    # span(R_1, R_2) of rank 2 then gives a fermionic, non-Novikov algebra
+    # with B invariant, nondegenerate and symmetric, so by the theorem it is
+    # not left-symmetric: 100 seeded phi with entries in [-2, 2]
+    La = [[0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0]]
+    Lb = [[0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0], [0, -1, 0, 0]]
+    B_lambda = [[0, 0, 0, 1], [0, 0, 1, 0], [0, -1, 0, 0], [-1, 0, 0, 0]]
+    omega, identity = [[0, 1], [-1, 0]], [[1, 0], [0, 1]]
+    R1, R2, B = kron(La, identity), kron(Lb, identity), kron(B_lambda, omega)
+    zero = [[0] * 8 for _ in range(8)]
+    assert exactlin.is_symmetric(B)
+    for R in (R1, R2):
+        assert exactlin.is_symmetric(matmul(B, R))
+        assert matmul(R, R) == zero
+    assert [list(map(add, x, y)) for x, y in zip(matmul(R1, R2), matmul(R2, R1))] == zero
+    assert matmul(R1, R2) != zero
+    form = SymForm.from_ints(B, 1)
+    assert form.signature() == (4, 4, 0)
+    rnd = random.Random(8)
+    for _ in range(100):
+        while True:
+            phi = [(rnd.randint(-2, 2), rnd.randint(-2, 2)) for _ in range(8)]
+            if any(p[0] * q[1] - p[1] * q[0] for p in phi for q in phi):
+                break
+        # R_{e_j} = phi_j1 R_1 + phi_j2 R_2, and e_i e_j = R_{e_j} e_i
+        C = [[[c1 * R1[m][i] + c2 * R2[m][i] for m in range(8)] for c1, c2 in phi] for i in range(8)]
+        A = Algebra.from_ints(C, 1)
+        assert A.identities() == (False, True, False)
+        assert is_invariant(A, form)
 
 
 @st.composite
@@ -1700,16 +1759,13 @@ def test_one_identity_pass_per_theorem_check(monkeypatch):
         assert not symmetric
         # each reads AA's reduced basis at its k pivot rows
         assert _on_derived_basis(A, commutations)
-    # the witness search runs both passes on its candidates and reads their
-    # products at e_1, e_2, e_3 (v1, v2 and v1^v2) only, with the unit rows
-    # there as the commutation pass's basis; the digest pins the 210
-    # witnesses that checks reading all four coordinates found
+    # the witness search decides its candidates by its two conditions and
+    # rank 2, with no pass; the digest pins the 210 witnesses that the
+    # passes, reading all four coordinates, found
     for calls in (symmetric, commutations):
         calls.clear()
     found = list(search_fermionic_not_novikov())
-    assert commutations and {rows for _, rows, _ in symmetric} == {(1, 2, 3)}
-    assert all(F == [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]] for F, _ in commutations)
-    assert all(len(Rj) == 3 for _, right in commutations for Rj in right)
+    assert not symmetric and not commutations
     digest = hashlib.sha256("".join(serialize(W) for W in found).encode()).hexdigest()
     assert digest == "40044c2fb5b3e7e33eb310aff2b411d8cb2e593c3823415dc53deb10f3883d9d"
 
