@@ -41,7 +41,7 @@ from .forms import (
     nondegenerate_form,
     normalize_orientation,
 )
-from .classify import transport_columns, transport_form, transport_products
+from .classify import SingularBasisError, transport_columns, transport_form, transport_products
 
 
 class PreconditionError(ValueError):
@@ -388,25 +388,26 @@ def verify_structure(A: Algebra, B: SymForm, rep: CanonReport):
     """Read every structural claim again and return each claim's truth
     value (see CLAIMS): the independent re-check of a report.
 
-    The columns rep.P are transported again and every claim read by
-    _read_claims, as _build_basis reads them, for R_{x0} at rep.x0 and for
-    rep.k, with every target rebuilt from the report's fields, so a
-    corrupted report is caught.  rep.claims and rep.prods are not read.  A
+    The columns rep.P are transported again by transport_columns, whose one
+    reduction of [Z | F^T] raises SingularBasisError on a singular P, and
+    every claim read by _read_claims, as _build_basis reads them, for
+    R_{x0} at rep.x0 and for rep.k, with every target rebuilt from the
+    report's fields, so a corrupted report is caught.  rep.claims and rep.prods are not read.  A
     report that does not fit A (B of another dimension, P not n columns
     of length n or singular, a denominator of P, the pair weights or the
     complement diagonal not positive, x0 not of length n, k not the
     number of pair weights or more than n / 2) raises
-    PreconditionError("report/algebra mismatch")."""
+    PreconditionError("report/algebra mismatch"); of the transport's
+    errors, only SingularBasisError is caught."""
     n, k = A.dim, rep.k
     dens = [d for pairs in (rep.P, rep.pair_weights, rep.complement_diag) for _, d in pairs]
     if (B.dim != n or len(rep.P) != n or any(len(v) != n for v, _ in rep.P)
             or any(d <= 0 for d in dens) or len(rep.x0) != n
             or len(rep.pair_weights) != k or 2 * k > n):
         raise PreconditionError("report/algebra mismatch")
-    # transport_columns raises ValueError when P is singular
     try:
         transport = transport_columns(A, B, rep.P)
-    except ValueError:
+    except SingularBasisError:
         raise PreconditionError("report/algebra mismatch") from None
     return _read_claims(A, _int_right_op(A, rep.x0), rep.P, transport, k,
                         rep.pair_weights, rep.complement_diag)

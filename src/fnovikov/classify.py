@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import lcm
 from operator import mul
 
-from .exactlin import Mat, int_rank, is_symmetric, rref, scale_columns
+from .exactlin import Mat, is_symmetric, rref, scale_columns
 from .algebra import (
     Algebra,
     DimensionMismatchError,
@@ -27,6 +27,11 @@ from .forms import SymForm, nondegenerate_form
 
 class ScrambleError(RuntimeError):
     pass
+
+
+class SingularBasisError(ValueError):
+    """A basis change that is not invertible, found by the reduction of
+    [Z | F^T] in transport_columns."""
 
 
 def make_family(variant: int, n: int) -> Algebra:
@@ -115,14 +120,22 @@ def random_k2(rnd: random.Random, n: int) -> K2Params:
 
 def transport_basis(A: Algebra, B, P: Mat):
     """Rewrite the algebra (and optional form) in the basis given by the
-    columns of the invertible matrix P; raises ValueError when P is
-    singular.  Each column of P is scaled to integers over its own
-    denominator, and transport_columns rewrites A and B in that basis on
-    integers; the products, and the form, go over the lcm of their scales."""
+    columns of the invertible matrix P.  Each column of P is scaled to
+    integers over its own denominator, and transport_columns rewrites A
+    and B in that basis on integers; its one reduction of [Z | F^T] proves
+    P invertible, and raises SingularBasisError, a ValueError, when P is
+    singular.  _transport assembles the result."""
     if (P.rows, P.cols) != (A.dim, A.dim):
         raise DimensionMismatchError("basis change dimension mismatch")
+    return _transport(A, B, scale_columns(P))
+
+
+def _transport(A: Algebra, B, cols):
+    """(Algebra, SymForm or None) for A and B in the basis of the columns
+    cols, (ints, den) pairs, from transport_columns: the products go over
+    the lcm of their denominators, and the form over the lcm of its own."""
     n = A.dim
-    prods, form = transport_columns(A, B, scale_columns(P))
+    prods, form = transport_columns(A, B, cols)
     den = lcm(*[t for _, t in prods.values()])
     C = [[[0] * n for _ in range(n)] for _ in range(n)]
     for (i, j), (v, t) in prods.items():
@@ -137,15 +150,17 @@ def transport_basis(A: Algebra, B, P: Mat):
 def transport_columns(A: Algebra, B, cols):
     """transport_basis for P = Z diag(1/d) given by its columns, the
     (ints, den) pairs (z_i, d_i), on integers: (prods, form); raises
-    ValueError when P is singular, and DimensionMismatchError when B is
-    not of A's dimension.  prods is transport_products', and form is None
-    without B, else transport_form's entries, on images Bi z_j computed
-    here for every column, as P is arbitrary.
+    DimensionMismatchError when B is not of A's dimension, and
+    SingularBasisError("singular basis change"), a ValueError, when P is
+    singular.  prods is transport_products', and form is None without B,
+    else transport_form's entries, on images Bi z_j computed here for
+    every column, as P is arbitrary.
 
     Pinv F^T, with F = A.derived_basis()[1], is read from the integer
-    reduction of [Z | F^T], which proves P invertible: it ends with p_m at
-    (m, m) and y_m after column n, so Pinv F^T = diag(d) Z^-1 F^T has row m
-    d_m y_m / p_m = q_m / g, q_m = d_m y_m g / p_m with g the lcm of the p_m.
+    reduction of [Z | F^T], the one test, for every caller, that P is
+    invertible: it ends with p_m at (m, m) and y_m after column n, so
+    Pinv F^T = diag(d) Z^-1 F^T has row m d_m y_m / p_m = q_m / g,
+    q_m = d_m y_m g / p_m with g the lcm of the p_m.
     """
     n = A.dim
     if B is not None and B.dim != n:
@@ -154,7 +169,7 @@ def transport_columns(A: Algebra, B, cols):
     zrows = zip(*[z for z, _ in cols])
     a, apivots = rref([list(row) + [f[m] for f in F] for m, row in enumerate(zrows)], n + len(F))
     if apivots[:n] != list(range(n)):
-        raise ValueError("singular basis change")
+        raise SingularBasisError("singular basis change")
     g = lcm(*[row[m] for m, row in enumerate(a)])
     qs = [[y * dm * (g // row[m]) for y in row[n:]] for m, ((_, dm), row) in enumerate(zip(cols, a))]
     prods = transport_products(A, cols, qs, g)
@@ -223,22 +238,22 @@ def scramble(A: Algebra, B, seed):
     """Transport the algebra (and optional form) through a seeded random
     invertible integer basis change P with entries in [-3, 3].
 
-    Returns (Algebra, SymForm or None, P).  All identity checks, the
-    derived dimension, the signature and the generic rank are invariant
-    under this transport.
+    Each drawn candidate's integer columns go to transport_columns as they
+    are, and its one reduction of [Z | F^T] decides invertibility: a
+    singular draw raises SingularBasisError there and the next is drawn,
+    up to 64 draws, then ScrambleError.  Returns (Algebra, SymForm or None,
+    P).  All identity checks, the derived dimension, the signature and the
+    generic rank are invariant under this transport.
     """
-    n = A.dim
     rnd = random.Random(seed)
-    P = None
     for _ in range(64):
-        cand = [[rnd.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-        if int_rank(cand, n) == n:
-            P = Mat(cand)
-            break
-    if P is None:
-        raise ScrambleError("no invertible basis change found in 64 attempts")
-    new, newB = transport_basis(A, B, P)
-    return new, newB, P
+        cand = [[rnd.randint(-3, 3) for _ in range(A.dim)] for _ in range(A.dim)]
+        try:
+            new, newB = _transport(A, B, [(list(z), 1) for z in zip(*cand)])
+        except SingularBasisError:
+            continue
+        return new, newB, Mat(cand)
+    raise ScrambleError("no invertible basis change found in 64 attempts")
 
 
 def generate_corpus(seed, count):

@@ -27,6 +27,9 @@ from fnovikov import (
     signature,
     transport_basis,
 )
+from fnovikov import classify, exactlin, forms
+from fnovikov.classify import SingularBasisError
+from fnovikov.exactlin import int_rank
 from fnovikov.scalars import QQ
 
 from test_integer_kernel import as_fractions
@@ -36,6 +39,26 @@ def unstructured_k2(rnd, n):
     """K2Params of three vectors of n randint(-3, 3) draws each, none
     zeroed: random_k2's draws before it zeroes the image directions."""
     return K2Params(n, *([rnd.randint(-3, 3) for _ in range(n)] for _ in range(3)))
+
+
+def reference_draws(n, seed):
+    """The candidates scramble draws for seed at dimension n, up to and
+    including the first invertible one, as int_rank decides it."""
+    rnd = random.Random(seed)
+    draws = []
+    while not draws or int_rank(draws[-1], n) < n:
+        draws.append([[rnd.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+    return draws
+
+
+def scramble_inputs():
+    """One algebra, with its form, at each dimension 1-4: the zero algebra,
+    then families 1, 3 and 2."""
+    cases = [(Algebra.zero(1), SymForm(Mat.identity(1)))]
+    for variant, n in ((1, 2), (3, 3), (2, 4)):
+        A = make_family(variant, n)
+        cases.append((A, find_nondegenerate(invariant_form_space(A), seed=0)))
+    return cases
 
 
 def full_right_pencil(A):
@@ -225,6 +248,47 @@ class TestScramble:
             transport_basis(A, B, Mat.identity(3))
         with pytest.raises(DimensionMismatchError):
             scramble(A, B, 1)
+
+    def test_singular_basis_change_is_a_value_error(self):
+        A = make_family(2, 3)
+        B = find_nondegenerate(invariant_form_space(A), seed=0)
+        for P in (Mat.zeros(3, 3), Mat([[1, 2, 0], [2, 4, 0], [0, 0, 1]])):
+            for form in (None, B):
+                with pytest.raises(ValueError, match="^singular basis change$") as err:
+                    transport_basis(A, form, P)
+                assert isinstance(err.value, SingularBasisError)
+
+    def test_returns_the_first_invertible_draw(self):
+        # the reference loop keeps the int_rank test scramble no longer
+        # runs; the transport's reduction must accept exactly its draw
+        retried = {}
+        for A, B in scramble_inputs():
+            for seed in range(200):
+                draws = reference_draws(A.dim, seed)
+                A2, B2, P = scramble(A, B, seed)
+                assert P == Mat(draws[-1])
+                assert (A2, B2) == transport_basis(A, B, P)
+                if len(draws) > 1:
+                    retried.setdefault(A.dim, set()).add(seed)
+        assert {0, 2, 10, 13} <= retried[2] and {20, 36} <= retried[3]
+        assert all(retried.get(n) for n in range(1, 5))
+
+    def test_reduces_each_draw_once(self, monkeypatch):
+        # one rref per drawn candidate, singular draws included, in
+        # transport_columns, and no int_rank anywhere
+        cases = [(A, B, seed) for A, B in scramble_inputs() for seed in (0, 2, 20, 29, 36, 98)]
+        draws = sum(len(reference_draws(A.dim, seed)) for A, _, seed in cases)
+        assert draws > len(cases)
+        ranks, rrefs = [], []
+        real_rank, real_rref = exactlin.int_rank, classify.rref
+        # each module that may read int_rank by name, classify included
+        for module in (exactlin, forms, classify):
+            monkeypatch.setattr(module, "int_rank", lambda *a: ranks.append(a) or real_rank(*a),
+                                raising=False)
+        monkeypatch.setattr(classify, "rref", lambda *a: rrefs.append(a) or real_rref(*a))
+        for A, B, seed in cases:
+            scramble(A, B, seed)
+        assert (len(ranks), len(rrefs)) == (0, draws)
 
 
 class TestGenerateCorpus:

@@ -613,13 +613,17 @@ def test_derived_cube_lies_in_the_radical_of_every_invariant_form():
     # rad B for every invariant symmetric form B, degenerate or not.  The
     # members of invariant_form_space are a basis of the forms, so each must
     # kill every w = f_a e_j, with f_a the rows of derived_basis()'s F; read
-    # on integers, on all 210 witnesses, where every form is degenerate, and
-    # on scrambled sums W + N for the first 30 (dims 6-7), with N family 2,
-    # family 3, family 1, one plane and A3
+    # on integers, on all 210 witnesses, where every form is degenerate, on
+    # scrambled sums W + N for the first 30 (dims 6-7), with N family 2,
+    # family 3, family 1, one plane and A3, and for the first 5 (dims
+    # 8-12), with N family 2 at dims 4 and 8, and two and four planes
     found = witnesses(210)
     partners = [make_family(2, 2), make_family(3, 3), make_family(1, 2), planes_sum(1), a3_sum(None)]
     sums = [scramble(direct_sum(W, N), None, i)[0] for i, W in enumerate(found[:30]) for N in partners]
     assert {A.dim for A in sums} == {6, 7}
+    larger = [make_family(2, 4), make_family(2, 8), planes_sum(2), planes_sum(4)]
+    sums += [scramble(direct_sum(W, N), None, i)[0] for i, W in enumerate(found[:5]) for N in larger]
+    assert {A.dim for A in sums[150:]} == {8, 12}
     for A in found + sums:
         n = A.dim
         C, _ = A.int_tensor()
@@ -695,21 +699,23 @@ def matmul(X, Y):
     return [[sum(map(mul, row, col)) for col in zip(*Y)] for row in X]
 
 
-def test_left_symmetry_hypothesis_cannot_be_dropped_at_dim_8():
-    # ROADMAP item 6 at m = 1: on V = Lambda(a, b) (x) Q^2, with (x) the
-    # tensor product and Lambda's basis 1, a, b, ab, R_1 = L_a (x) I and
-    # R_2 = L_b (x) I are self-adjoint for B = B_Lambda (x) omega, with
-    # B_Lambda(u, v) = top(u* v), * the reversion fixing a and b, and omega
-    # symplectic.  Every phi: V ->
-    # span(R_1, R_2) of rank 2 then gives a fermionic, non-Novikov algebra
-    # with B invariant, nondegenerate and symmetric, so by the theorem it is
-    # not left-symmetric: 100 seeded phi with entries in [-2, 2]
+def check_left_symmetry_hypothesis(m, rnd, count):
+    """ROADMAP item 6 at dim 8m: on V = Lambda(a, b) (x) Q^{2m}, with (x)
+    the tensor product and Lambda's basis 1, a, b, ab, R_1 = L_a (x) I and
+    R_2 = L_b (x) I are self-adjoint for B = B_Lambda (x) omega, with
+    B_Lambda(u, v) = top(u* v), * the reversion fixing a and b, and omega
+    the standard symplectic form on Q^{2m}.  Every phi: V ->
+    span(R_1, R_2) of rank 2 then gives a fermionic, non-Novikov algebra
+    with B invariant, nondegenerate and symmetric, so by the theorem it is
+    not left-symmetric: count phi drawn from rnd with entries in [-2, 2]."""
+    n = 8 * m
     La = [[0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0]]
     Lb = [[0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0], [0, -1, 0, 0]]
     B_lambda = [[0, 0, 0, 1], [0, 0, 1, 0], [0, -1, 0, 0], [-1, 0, 0, 0]]
-    omega, identity = [[0, 1], [-1, 0]], [[1, 0], [0, 1]]
+    omega = [[int(c == r + m) - int(r == c + m) for c in range(2 * m)] for r in range(2 * m)]
+    identity = [[int(r == c) for c in range(2 * m)] for r in range(2 * m)]
     R1, R2, B = kron(La, identity), kron(Lb, identity), kron(B_lambda, omega)
-    zero = [[0] * 8 for _ in range(8)]
+    zero = [[0] * n for _ in range(n)]
     assert exactlin.is_symmetric(B)
     for R in (R1, R2):
         assert exactlin.is_symmetric(matmul(B, R))
@@ -717,18 +723,27 @@ def test_left_symmetry_hypothesis_cannot_be_dropped_at_dim_8():
     assert [list(map(add, x, y)) for x, y in zip(matmul(R1, R2), matmul(R2, R1))] == zero
     assert matmul(R1, R2) != zero
     form = SymForm.from_ints(B, 1)
-    assert form.signature() == (4, 4, 0)
-    rnd = random.Random(8)
-    for _ in range(100):
+    assert form.signature() == (4 * m, 4 * m, 0)
+    for _ in range(count):
         while True:
-            phi = [(rnd.randint(-2, 2), rnd.randint(-2, 2)) for _ in range(8)]
+            phi = [(rnd.randint(-2, 2), rnd.randint(-2, 2)) for _ in range(n)]
             if any(p[0] * q[1] - p[1] * q[0] for p in phi for q in phi):
                 break
         # R_{e_j} = phi_j1 R_1 + phi_j2 R_2, and e_i e_j = R_{e_j} e_i
-        C = [[[c1 * R1[m][i] + c2 * R2[m][i] for m in range(8)] for c1, c2 in phi] for i in range(8)]
+        C = [[[c1 * R1[r][i] + c2 * R2[r][i] for r in range(n)] for c1, c2 in phi] for i in range(n)]
         A = Algebra.from_ints(C, 1)
         assert A.identities() == (False, True, False)
         assert is_invariant(A, form)
+
+
+def test_left_symmetry_hypothesis_cannot_be_dropped_at_dim_8():
+    # m = 1, omega = [[0, 1], [-1, 0]]: signature (4, 4, 0), 100 phi
+    check_left_symmetry_hypothesis(1, random.Random(8), 100)
+
+
+def test_left_symmetry_hypothesis_cannot_be_dropped_at_dim_16():
+    # m = 2, omega = [[0, I], [-I, 0]]: signature (8, 8, 0), 40 phi
+    check_left_symmetry_hypothesis(2, random.Random(16), 40)
 
 
 @st.composite
